@@ -5,11 +5,14 @@ N1, N22, N3, M_table, e, N_sing, tool_version.  Every count is a decimal
 string so arbitrary precision survives any JSON reader; k and b are
 plain integers; M_table is a list of {j, i, count} rows sorted by
 (j, i).  Writing is deterministic, so rewriting an unchanged census is
-byte-identical.
+byte-identical.  Reading rejects a document whose keys or value types
+stray from the schema, or that repeats a (j, i) cell, before any census
+invariant is checked.
 """
 
 import json
 import os
+import re
 from pathlib import Path
 
 from .covers import TupleCensus
@@ -24,6 +27,44 @@ _SCHEMA_KEYS = (
     "k", "b", "N", "N_tilde", "N1", "N22", "N3", "M_table", "e", "N_sing",
     "tool_version",
 )
+_COUNT_KEYS = ("N", "N_tilde", "N1", "N22", "N3", "e", "N_sing")
+_CELL_KEYS = {"j", "i", "count"}
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_decimal(value) -> bool:
+    return isinstance(value, str) and _DECIMAL.fullmatch(value) is not None
+
+
+def _matches_schema(doc) -> bool:
+    """Keys, value types, and one M_table row per (j, i) cell.  Counts
+    are only checked to be decimal strings here; their values go through
+    the census validators."""
+    if not isinstance(doc, dict) or set(doc) != set(_SCHEMA_KEYS):
+        return False
+    if not (_is_int(doc["k"]) and _is_int(doc["b"]) and isinstance(doc["tool_version"], str)):
+        return False
+    if not all(_is_decimal(doc[key]) for key in _COUNT_KEYS):
+        return False
+    rows = doc["M_table"]
+    if not isinstance(rows, list):
+        return False
+    cells = set()
+    for row in rows:
+        if not (
+            isinstance(row, dict)
+            and set(row) == _CELL_KEYS
+            and _is_int(row["j"])
+            and _is_int(row["i"])
+            and _is_decimal(row["count"])
+        ):
+            return False
+        cells.add((row["j"], row["i"]))
+    return len(cells) == len(rows)
 
 
 def resolve_cache_dir(flag_value: str | os.PathLike | None = None) -> Path:
@@ -87,7 +128,7 @@ def read_census(
         raise ParameterError(f"no cached census at {path}; run the census command first")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"unreadable census document {path}: {exc}")
-    if not isinstance(doc, dict) or set(doc) != set(_SCHEMA_KEYS):
+    if not _matches_schema(doc):
         raise ParameterError(
             f"census document {path} does not match the schema; delete and recompute"
         )

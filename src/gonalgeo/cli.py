@@ -295,7 +295,7 @@ def build_parser() -> _Parser:
     )
     common = _Parser(add_help=False)
     common.add_argument("--cache-dir", default=None, help="census cache directory (default: $GG_CACHE_DIR or ./census-cache)")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers for enumeration")
+    common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; enumeration runs in one process")
     common.add_argument("--output", choices=("json", "csv", "table"), default="table", help="report format")
     common.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget, in estimated identity-product tuples")
 

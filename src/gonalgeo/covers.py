@@ -3,12 +3,18 @@
 A cover datum for a connected k-sheeted cover of the line with b simple
 branch points is a length-b tuple of transpositions in S_k whose
 left-to-right product is the identity and whose entries act transitively
-on the k symbols.  The search fixes the first b - 1 entries depth first;
-the last entry is forced to be the inverse of the running product and is
-accepted only when that inverse is itself a transposition.  A branch is
-abandoned as soon as the running product needs more transpositions than
-the slots that remain, or the symbol graph has more spare components than
-remaining entries can join up.
+on the k symbols.  Tuples are built left to right; the last entry is
+forced to be the inverse of the running product and is accepted only when
+that inverse is itself a transposition.  A branch is abandoned as soon as
+the running product needs more transpositions than the slots that remain,
+or the symbol graph has more spare components than remaining entries can
+join up.
+
+Iteration and class representatives walk this pruned tree depth first,
+one tuple at a time.  Counting does not: everything below a node depends
+only on its search state (running product and symbol partition), so the
+counter merges prefixes into states layer by layer and weights each
+state's completions by the number of prefixes that reach it.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
@@ -18,7 +24,6 @@ least tuples of their orbits.
 
 from dataclasses import dataclass
 from math import factorial
-from multiprocessing import Pool
 
 from .errors import InvariantViolation, ParameterError
 from .perm import (
@@ -26,12 +31,9 @@ from .perm import (
     Transposition,
     compose,
     identity,
-    orbits,
     transposition_perm,
 )
 from .tables import GroupTables, group_tables
-
-PARALLEL_PREFIX_LENGTH = 2
 
 
 def cover_genus(k: int, b: int) -> int:
@@ -157,68 +159,63 @@ def iter_tuples(k: int, b: int):
     yield from rec(tab.identity, tab.discrete)
 
 
-def _advance(tab: GroupTables, b: int, prefix: tuple[int, ...]):
-    """Run the prefix through the pruning rules; None when the branch dies."""
-    p, c = tab.identity, tab.discrete
-    for i, t in enumerate(prefix):
-        p = tab.mul_trans[p][t]
-        c = tab.merge_trans[c][t]
-        rem = b - i - 1
-        if tab.min_factors[p] > rem or tab.nblocks[c] - 1 > rem:
-            return None
-    return p, c
+def prefix_states(tab: GroupTables, b: int, weighted: bool = False) -> dict:
+    """Search states after the first b - 2 entries, with their prefix counts.
 
-
-def _count_dfs(tab: GroupTables, b: int, depth: int, p: int, c: int) -> int:
-    rem = b - depth
-    if rem == 2:
-        return tab.pair_completions(p, c)
+    Maps each state ``(p, c, w)`` to the number of pruned prefixes that
+    reach it: ``p`` indexes the running product, ``c`` the partition the
+    entries cut the symbols into.  With ``weighted`` set, ``w`` holds the
+    entry count of every block, indexed by block leader, until the
+    partition is connected; it is ``None`` otherwise, since a connected
+    partition never splits again.  Everything below a state depends on
+    the state alone, so merging prefixes layer by layer is exact.
+    """
+    trans = tab.transpositions
     mul, merge = tab.mul_trans, tab.merge_trans
-    minf, nbl = tab.min_factors, tab.nblocks
-    total = 0
-    nxt = rem - 1
-    mrow, crow = mul[p], merge[c]
-    for t in range(len(mrow)):
-        p2 = mrow[t]
-        if minf[p2] > nxt:
-            continue
-        c2 = crow[t]
-        if nbl[c2] - 1 > nxt:
-            continue
-        total += _count_dfs(tab, b, depth + 1, p2, c2)
-    return total
-
-
-def _count_task(args) -> int:
-    k, b, prefix = args
-    tab = group_tables(k)
-    state = _advance(tab, b, prefix)
-    if state is None:
-        return 0
-    return _count_dfs(tab, b, len(prefix), *state)
-
-
-def _prefix_tasks(k: int, b: int):
-    nt = k * (k - 1) // 2
-    return [
-        (k, b, (t1, t2)) for t1 in range(nt) for t2 in range(nt)
-    ]
+    minf, nbl, parts = tab.min_factors, tab.nblocks, tab.partitions
+    nt = len(trans)
+    layer = {(tab.identity, tab.discrete, (0,) * tab.k if weighted else None): 1}
+    for depth in range(b - 2):
+        nxt = b - depth - 1
+        out: dict = {}
+        for (p, c, w), mult in layer.items():
+            mrow, crow, labels = mul[p], merge[c], parts[c]
+            for t in range(nt):
+                p2 = mrow[t]
+                if minf[p2] > nxt:
+                    continue
+                c2 = crow[t]
+                if nbl[c2] - 1 > nxt:
+                    continue
+                w2 = None
+                if w is not None and nbl[c2] > 1:
+                    la, lb = labels[trans[t][0] - 1], labels[trans[t][1] - 1]
+                    w2l = list(w)
+                    if la == lb:
+                        w2l[la - 1] += 1
+                    else:
+                        lo, hi = (la, lb) if la < lb else (lb, la)
+                        w2l[lo - 1] += w2l[hi - 1] + 1
+                        w2l[hi - 1] = 0
+                    w2 = tuple(w2l)
+                key = (p2, c2, w2)
+                out[key] = out.get(key, 0) + mult
+        layer = out
+    return layer
 
 
 def count_tuples(k: int, b: int, workers: int = 1) -> int:
     """Raw number of monodromy tuples for (k, b).
 
-    The search space splits by the first two entries; each worker owns a
-    disjoint slice and the total is their plain sum, so the result does
-    not depend on the worker count.
+    ``workers`` is accepted for compatibility; the count runs in one
+    process and does not depend on it.
     """
     validate_cover_shape(k, b)
     tab = group_tables(k)
-    if workers <= 1 or b < PARALLEL_PREFIX_LENGTH + 2:
-        return _count_dfs(tab, b, 0, tab.identity, tab.discrete)
-    tasks = _prefix_tasks(k, b)
-    with Pool(workers) as pool:
-        return sum(pool.imap_unordered(_count_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+    return sum(
+        mult * tab.pair_completions(p, c)
+        for (p, c, _w), mult in prefix_states(tab, b).items()
+    )
 
 
 def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:

@@ -9,28 +9,27 @@ orbit keeps a connected cover of lower genus, two orbits split the cover
 into a pair of components joined at a point.
 
 The census tallies these types over every class of tuples for one (k, b),
-walking the same pruned tree as the raw enumeration and dividing the raw
-tallies by k! at the end (relabeling acts freely for k >= 3, so each
-class is hit exactly k! times and every tally divides exactly).
+from the same layered merge of search states as the raw count: each state
+reached after b - 2 entries classifies all of its two-entry completions
+at once, weighted by the number of prefixes that reach it.  The raw
+tallies are divided by k! at the end (relabeling acts freely for k >= 3,
+so each class is hit exactly k! times and every tally divides exactly).
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from math import factorial
-from multiprocessing import Pool
 
 from .covers import (
     MonodromyTuple,
     TupleCensus,
-    _advance,
     cover_genus,
+    prefix_states,
     validate_cover_shape,
 )
 from .errors import InvariantViolation, ParameterError
 from .perm import Transposition, compose, orbits, transposition_perm
 from .tables import CLASS_DOUBLE, CLASS_TRIPLE, GroupTables, group_tables
-
-PARALLEL_PREFIX_LENGTH = 2
 
 
 class NodeType(Enum):
@@ -198,91 +197,59 @@ class DegenerationCensus:
         return self.type_one - sum(self.split_table.values())
 
 
-def _tally_pairs(tab: GroupTables, g: int, stack: list[int], p: int, c: int, tally: dict) -> None:
-    """Classify and count all two-entry completions below one tree node."""
+def _state_witness(tab: GroupTables, p: int, c: int) -> str:
+    return f"state (product {tab.perms[p]}, partition {tab.partitions[c]})"
+
+
+def _tally_pairs(
+    tab: GroupTables, g: int, b: int, p: int, c: int, w, mult: int, tally: dict
+) -> None:
+    """Classify and count all two-entry completions of one search state,
+    each standing for ``mult`` prefixes."""
     nt = len(tab.transpositions)
     if p == tab.identity:
         nb = tab.nblocks[c]
         if nb == 1:
-            tally["central"] = tally.get("central", 0) + nt
+            tally["central"] = tally.get("central", 0) + nt * mult
         elif nb == 2:
             (l1, s1), (l2, s2) = tab.block_info[c]
             lead, j = (l1, s1) if s1 <= s2 else (l2, s2)
-            labels = tab.partitions[c]
-            beta1 = sum(1 for t in stack if labels[tab.transpositions[t][0] - 1] == lead)
+            beta1 = w[lead - 1]
             i = _component_genus(
-                j, beta1, g, tab.k, len(stack) + 2,
-                tuple(tab.transpositions[t] for t in stack),
+                j, beta1, g, tab.k, b,
+                f"{_state_witness(tab, p, c)}, block entry counts {w}",
             )
             if 2 * j == tab.k and g - i < i:
                 i = g - i
             key = ("split", j, i)
-            tally[key] = tally.get(key, 0) + s1 * s2
+            tally[key] = tally.get(key, 0) + s1 * s2 * mult
         return
     n = tab.pair_completions(p, c)
     if not n:
         return
     cls = tab.pair_class[p]
     if cls == CLASS_DOUBLE:
-        tally["disjoint"] = tally.get("disjoint", 0) + n
+        tally["disjoint"] = tally.get("disjoint", 0) + n * mult
     elif cls == CLASS_TRIPLE:
-        tally["overlap"] = tally.get("overlap", 0) + n
+        tally["overlap"] = tally.get("overlap", 0) + n * mult
     else:
         raise InvariantViolation(
-            f"two-factorable product has unexpected class at node {stack}"
+            f"two-factorable product has unexpected class at {_state_witness(tab, p, c)}"
         )
 
 
-def _census_dfs(tab: GroupTables, b: int, g: int, stack: list[int], p: int, c: int, tally: dict) -> None:
-    rem = b - len(stack)
-    if rem == 2:
-        _tally_pairs(tab, g, stack, p, c, tally)
-        return
-    mul, merge = tab.mul_trans, tab.merge_trans
-    minf, nbl = tab.min_factors, tab.nblocks
-    nxt = rem - 1
-    mrow, crow = mul[p], merge[c]
-    for t in range(len(mrow)):
-        p2 = mrow[t]
-        if minf[p2] > nxt:
-            continue
-        c2 = crow[t]
-        if nbl[c2] - 1 > nxt:
-            continue
-        stack.append(t)
-        _census_dfs(tab, b, g, stack, p2, c2, tally)
-        stack.pop()
-
-
-def _census_task(args) -> dict:
-    k, b, prefix = args
-    tab = group_tables(k)
-    state = _advance(tab, b, prefix)
-    if state is None:
-        return {}
-    tally: dict = {}
-    _census_dfs(tab, b, cover_genus(k, b), list(prefix), *state, tally)
-    return tally
-
-
 def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, DegenerationCensus]:
-    """Enumerate (k, b) once, returning raw counts and the type census."""
+    """Enumerate (k, b) once, returning raw counts and the type census.
+
+    ``workers`` is accepted for compatibility; the census runs in one
+    process and does not depend on it.
+    """
     validate_cover_shape(k, b)
     tab = group_tables(k)
     g = cover_genus(k, b)
-    if workers <= 1 or b < PARALLEL_PREFIX_LENGTH + 2:
-        tally: dict = {}
-        _census_dfs(tab, b, g, [], tab.identity, tab.discrete, tally)
-    else:
-        nt = len(tab.transpositions)
-        tasks = [(k, b, (t1, t2)) for t1 in range(nt) for t2 in range(nt)]
-        tally = {}
-        with Pool(workers) as pool:
-            for part in pool.imap_unordered(
-                _census_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))
-            ):
-                for key, v in part.items():
-                    tally[key] = tally.get(key, 0) + v
+    tally: dict = {}
+    for (p, c, w), mult in prefix_states(tab, b, weighted=True).items():
+        _tally_pairs(tab, g, b, p, c, w, mult, tally)
 
     div = factorial(k) if k >= 3 else 1
 

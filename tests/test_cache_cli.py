@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gonalgeo
 from gonalgeo.cache import (
     DEFAULT_CACHE_DIR,
     ENV_CACHE_DIR,
@@ -255,6 +260,44 @@ def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys):
     )
     assert code == 2
     assert "invariant violation" in err
+
+
+MALFORMED_CACHE = {
+    "count-not-decimal": lambda doc: doc | {"N": "abc"},
+    "count-not-a-string": lambda doc: doc | {"N": int(doc["N"])},
+    "degree-not-an-int": lambda doc: doc | {"k": str(doc["k"])},
+    "row-missing-i": lambda doc: doc | {
+        "M_table": [{"j": 1, "count": "12"}] + doc["M_table"][1:]
+    },
+    "row-not-an-object": lambda doc: doc | {"M_table": [5]},
+    "table-null": lambda doc: doc | {"M_table": None},
+    "duplicate-cell": lambda doc: doc | {"M_table": doc["M_table"] + doc["M_table"][:1]},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CACHE.values(), ids=MALFORMED_CACHE.keys())
+def test_cli_malformed_cache_is_a_schema_error(tmp_path, capsys, edit):
+    d = str(tmp_path)
+    assert run_cli(capsys, "census", "--k", "4", "--b", "6", "--cache-dir", d)[0] == 0
+    path = census_path(d, 4, 6)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, _out, err = run_cli(
+        capsys, "invariants", "--k", "4", "--b", "6", "--c", "8",
+        "--base-genus", "2", "--cache-dir", d,
+    )
+    assert code == 4
+    assert "does not match the schema" in err
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    src = Path(gonalgeo.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import sys, gonalgeo.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_delta(tmp_path, capsys):

@@ -63,6 +63,16 @@ def test_enumeration_matches_oracle_small():
         assert count_tuples(k, b) == connected_count(k, b), (k, b)
 
 
+def test_state_merge_matches_tuple_iteration():
+    for k, b in [(3, 10), (4, 8)]:
+        assert count_tuples(k, b) == sum(1 for _ in iter_tuples(k, b)), (k, b)
+
+
+def test_state_merge_matches_oracle_beyond_depth_first_reach():
+    for k, b in [(4, 12), (4, 16), (5, 12), (6, 10)]:
+        assert count_tuples(k, b) == connected_count(k, b), (k, b)
+
+
 def test_worker_split_is_exact():
     for workers in (2, 3, 8):
         assert count_tuples(3, 6, workers=workers) == 240

@@ -45,6 +45,10 @@ FROZEN = {
     (4, 10): (206640, 33915, 34944, 137781,
               {(1, 0): 1092, (2, 0): 28, (2, 1): 35}, 1120, 32795),
     (5, 8): (8400, 660, 2880, 4860, {(1, 0): 480, (2, 0): 180}, 660, 0),
+    # too many classes for the per-class route; matched instead against a
+    # depth-first tally over every one of its 180686880 raw tuples
+    (4, 12): (7528620, 1249935, 1259520, 5019165,
+              {(1, 0): 9840, (2, 0): 45, (2, 1): 210}, 9885, 1240050),
 }
 
 
