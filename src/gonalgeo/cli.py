@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
@@ -88,11 +89,22 @@ def _resolve_shape(k: int | None, b: int | None, g: int | None) -> tuple[int, in
     return k, b
 
 
+def _magnitude(n: int) -> str:
+    """``n`` in decimal, or as a lower bound 10^e once it is too long to
+    print: Python refuses str() of ints past 4300 digits."""
+    if n.bit_length() <= 1000:
+        return str(n)
+    e = int((n.bit_length() - 1) * log10(2))
+    if 10**e > n:  # guard the float against rounding up
+        e -= 1
+    return f"at least 10^{e}"
+
+
 def _guard_budget(k: int, b: int, budget: int) -> None:
     estimate = disconnected_count(k, b)
     if estimate > budget:
         raise BudgetExceeded(
-            f"estimated {estimate} identity-product tuples for ({k}, {b}) exceed "
+            f"estimated {_magnitude(estimate)} identity-product tuples for ({k}, {b}) exceed "
             f"the enumeration budget {budget}; raise --budget to force, or use "
             "'oracle-check --oracle-only' for the count without enumeration"
         )

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import InvariantViolation, ParameterError
-from .perm import (
-    Perm,
-    Transposition,
-    compose,
-    identity,
-    transposition_perm,
-)
+from .perm import Perm, Transposition
 from .tables import GroupTables, group_tables
 
 
@@ -81,13 +75,18 @@ class MonodromyTuple:
                 x = parent[x]
             return x
 
-        acc = identity(k)
+        # the running product in word form; multiplying by (a b) on the
+        # right swaps slots a and b
+        acc = list(range(1, k + 1))
         for t in self.entries:
-            acc = compose(acc, transposition_perm(k, t))
-            ra, rb = find(t[0]), find(t[1])
+            a, b = t
+            if not (1 <= a < b <= k):
+                raise ParameterError(f"bad transposition {t} for degree {k}")
+            acc[a - 1], acc[b - 1] = acc[b - 1], acc[a - 1]
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        if acc != identity(k):
+        if acc != list(range(1, k + 1)):
             raise ParameterError(f"entries do not multiply to the identity: {self.entries}")
         if len({find(x) for x in range(1, k + 1)}) != 1:
             raise ParameterError(f"entries do not act transitively: {self.entries}")

@@ -14,15 +14,24 @@ reached after b - 2 entries classifies all of its two-entry completions
 at once, weighted by the number of prefixes that reach it.  The raw
 tallies are divided by k! at the end (relabeling acts freely for k >= 3,
 so each class is hit exactly k! times and every tally divides exactly).
+
+The full-twist check merges search states the same way, in a pass of
+its own: each completion is twisted through the tables and compared
+against the relabelings that fix its prefix, which depend on the prefix
+partition alone.  ``class_representatives``, ``full_twist`` and
+``are_conjugate`` do the same check one class at a time and serve as its
+independent reference.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import permutations, product
 from math import factorial
 
 from .covers import (
     MonodromyTuple,
     TupleCensus,
+    _class_divisor,
     cover_genus,
     prefix_states,
     validate_cover_shape,
@@ -302,23 +311,102 @@ class TwistOrbitReport:
         return self.fixed_point_failures == 0 and self.orbit_size_failures == 0
 
 
+def _prefix_stabilizer(tab: GroupTables, c: int) -> tuple[int, ...]:
+    """Indices of the relabelings fixing every entry of any prefix whose
+    symbol partition is ``c``: a swap or not inside each 2-element block,
+    any permutation of the singletons, the identity elsewhere."""
+    blocks: dict[int, list[int]] = {}
+    for x, lead in enumerate(tab.partitions[c], start=1):
+        blocks.setdefault(lead, []).append(x)
+    pairs = [blk for blk in blocks.values() if len(blk) == 2]
+    singles = [blk[0] for blk in blocks.values() if len(blk) == 1]
+    out = []
+    for swaps in product((False, True), repeat=len(pairs)):
+        for images in permutations(singles):
+            g = list(range(1, tab.k + 1))
+            for (a, b), swap in zip(pairs, swaps):
+                if swap:
+                    g[a - 1], g[b - 1] = b, a
+            for x, y in zip(singles, images):
+                g[x - 1] = y
+            out.append(tab.perm_index[tuple(g)])
+    return tuple(out)
+
+
+def _table_twist(tab: GroupTables, u: int, v: int) -> tuple[int, int]:
+    """``full_twist`` on a final pair of transposition indices: both are
+    conjugated by their product u * v."""
+    sigma = tab.mul_trans[tab.mul_trans[tab.identity][u]][v]
+    return tab.conj_trans[sigma][u], tab.conj_trans[sigma][v]
+
+
 def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
     """Check the full twist fixes equal and disjoint pairs pointwise and
-    moves every overlapping-pair class in an orbit of size exactly 3."""
-    from .covers import are_conjugate, class_representatives
+    moves every overlapping-pair class in an orbit of size exactly 3.
 
-    reps = class_representatives(k, b)
-    fixed_bad = 0
-    orbit_bad = 0
-    n3 = 0
-    for rep in reps:
-        node = classify_node(*rep.entries[-2:])
-        twisted = full_twist(rep)
-        if node is NodeType.THREE:
-            n3 += 1
+    The check runs over the same merged search states as the census.  A
+    tuple and its twist share the prefix of b - 2 entries, so a relabeling
+    carrying one to the other fixes every prefix entry.  The twist
+    commutes with relabeling, so both checks give one answer on a whole
+    class, and each tally counts every class k! times (once for k = 2),
+    like the census tallies.
+
+    Lemma: the relabelings fixing every entry of a prefix are determined
+    by the prefix's symbol partition c alone.  They are exactly the maps
+    that swap or fix each 2-element block, permute the singletons, and
+    fix every block of 3 or more symbols pointwise.
+
+    Proof: a relabeling g fixing every entry maps each edge {a, b} of
+    the prefix graph onto itself, so it maps each block of c onto itself
+    and the singletons among themselves.  In a block of 3 or more
+    symbols, a symbol x with two distinct neighbours y, z has g(x) in
+    {x, y} & {x, z} = {x}.  Any other symbol a of the block is a leaf
+    whose one neighbour x has a second neighbour, the block being
+    connected with more than two symbols; so g(x) = x, and g(a) lies in
+    {a, x} but is not g(x), so g(a) = a.  A 2-element block is one edge,
+    repeated or not, which g may fix or swap.  Conversely every map of
+    this form fixes every edge of the prefix.
+    """
+    validate_cover_shape(k, b)
+    tab = group_tables(k)
+    trans, trans_of, conj = tab.transpositions, tab.trans_of, tab.conj_trans
+    mul, merge, nbl = tab.mul_trans, tab.merge_trans, tab.nblocks
+    stabilizers: dict[int, tuple[int, ...]] = {}
+    classes = n3 = fixed_bad = orbit_bad = 0
+    for (p, c, _w), mult in prefix_states(tab, b).items():
+        mrow, crow = mul[p], merge[c]
+        pairs = overlapping = fixed = orbit = 0
+        for u in range(len(trans)):
+            v = trans_of[mrow[u]]
+            if v < 0 or nbl[merge[crow[u]][v]] != 1:
+                continue
+            pairs += 1
+            u2, v2 = _table_twist(tab, u, v)
+            if classify_node(trans[u], trans[v]) is not NodeType.THREE:
+                fixed += (u2, v2) != (u, v)
+                continue
+            overlapping += 1
+            stab = stabilizers.get(c)
+            if stab is None:
+                stab = stabilizers[c] = _prefix_stabilizer(tab, c)
             # order divides 3 at class level, so size 1 is the only failure
-            if are_conjugate(twisted, rep):
-                orbit_bad += 1
-        elif twisted.entries != rep.entries:
-            fixed_bad += 1
-    return TwistOrbitReport(k, b, len(reps), n3, fixed_bad, orbit_bad)
+            orbit += any(conj[g][u2] == u and conj[g][v2] == v for g in stab)
+        classes += pairs * mult
+        n3 += overlapping * mult
+        fixed_bad += fixed * mult
+        orbit_bad += orbit * mult
+
+    div = _class_divisor(k)
+
+    def classes_of(raw: int, what: str) -> int:
+        if raw % div:
+            raise InvariantViolation(f"{what} tally {raw} not divisible by {div}")
+        return raw // div
+
+    return TwistOrbitReport(
+        k, b,
+        classes_of(classes, "twist class"),
+        classes_of(n3, "twist overlapping-pair"),
+        classes_of(fixed_bad, "fixed-point failure"),
+        classes_of(orbit_bad, "orbit-size failure"),
+    )

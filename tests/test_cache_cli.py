@@ -192,6 +192,17 @@ def test_cli_budget_guard(tmp_path, capsys):
     assert "oracle-check --oracle-only" in err
 
 
+def test_cli_budget_guard_on_an_estimate_too_long_to_print(tmp_path, capsys):
+    # about 95000 digits, past the interpreter's int-to-str limit of 4300
+    code, out, err = run_cli(
+        capsys, "census", "--k", "3", "--g", "100000", "--cache-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert "estimated at least 10^95425 identity-product tuples" in err
+    assert "oracle-check --oracle-only" in err
+
+
 def test_cli_capacity_guard(tmp_path, capsys):
     # a budget too large to trip, so the degree cap itself answers
     code, _out, err = run_cli(

@@ -13,12 +13,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from gonalgeo.covers import MonodromyTuple, class_representatives, cover_genus
+from gonalgeo.covers import (
+    MonodromyTuple,
+    are_conjugate,
+    class_representatives,
+    cover_genus,
+    prefix_states,
+)
 from gonalgeo.degeneration import (
     CentralProfile,
     DegenerationCensus,
     NodeType,
     SplitProfile,
+    TwistOrbitReport,
+    _prefix_stabilizer,
+    _table_twist,
     census,
     classify_node,
     full_census,
@@ -28,6 +37,9 @@ from gonalgeo.degeneration import (
 )
 from gonalgeo.errors import InvariantViolation, ParameterError
 from gonalgeo.perm import all_transpositions, compose, cycle_type, transposition_perm
+from gonalgeo.tables import group_tables
+
+from conftest import ENVELOPE
 
 # (k, b) -> (classes, n1, n22, n3, split table, e, n_sing)
 FROZEN = {
@@ -201,6 +213,91 @@ def test_verify_twist_orbits(census_store):
         assert report.type_three_classes == cen.type_three
         assert report.fixed_point_failures == 0
         assert report.orbit_size_failures == 0
+
+
+def _walk_twist_orbits(k, b):
+    """The twist check as a walk over one representative per class,
+    twisted by ``full_twist`` and compared by ``are_conjugate``: the
+    reference the state tally is held to."""
+    reps = class_representatives(k, b)
+    fixed_bad = 0
+    orbit_bad = 0
+    n3 = 0
+    for rep in reps:
+        node = classify_node(*rep.entries[-2:])
+        twisted = full_twist(rep)
+        if node is NodeType.THREE:
+            n3 += 1
+            # order divides 3 at class level, so size 1 is the only failure
+            if are_conjugate(twisted, rep):
+                orbit_bad += 1
+        elif twisted.entries != rep.entries:
+            fixed_bad += 1
+    return TwistOrbitReport(k, b, len(reps), n3, fixed_bad, orbit_bad)
+
+
+def test_twist_tally_matches_the_representative_walk():
+    for k, b in [kb for kb in ENVELOPE if kb != (4, 10)] + [(3, 12)]:
+        assert verify_twist_orbits(k, b) == _walk_twist_orbits(k, b), (k, b)
+
+
+def test_twist_tally_at_4_10_is_the_walks_report():
+    # the walk's own output; its 206640 representatives take seconds, so
+    # the report is pinned rather than recomputed
+    assert verify_twist_orbits(4, 10) == TwistOrbitReport(4, 10, 206640, 137781, 0, 0)
+
+
+def test_prefix_stabilizer_is_every_relabeling_fixing_the_prefix():
+    # the relabelings fixing a prefix depend only on its set of distinct
+    # entries, so running over every set covers every prefix of any length
+    for k in (2, 3, 4, 5):
+        tab = group_tables(k)
+        nt = len(tab.transpositions)
+        for mask in range(1 << nt):
+            entries = [t for t in range(nt) if mask >> t & 1]
+            c = tab.discrete
+            for t in entries:
+                c = tab.merge_trans[c][t]
+            fixers = [
+                g for g, row in enumerate(tab.conj_trans)
+                if all(row[t] == t for t in entries)
+            ]
+            assert sorted(_prefix_stabilizer(tab, c)) == fixers, (k, entries)
+
+
+def _witness_prefixes(tab, b):
+    """One pruned prefix of b - 2 entries for every search state, from the
+    layered walk ``prefix_states`` makes, keeping the first arrival."""
+    layer = {(tab.identity, tab.discrete): ()}
+    for depth in range(b - 2):
+        nxt = b - depth - 1
+        out = {}
+        for (p, c), prefix in layer.items():
+            for t in range(len(tab.transpositions)):
+                p2, c2 = tab.mul_trans[p][t], tab.merge_trans[c][t]
+                if tab.min_factors[p2] <= nxt and tab.nblocks[c2] - 1 <= nxt:
+                    out.setdefault((p2, c2), prefix + (t,))
+        layer = out
+    return layer
+
+
+def test_table_twist_is_full_twist_on_every_completion():
+    for k, b in [(3, 6), (4, 6), (5, 8)]:
+        tab = group_tables(k)
+        trans = tab.transpositions
+        witnesses = _witness_prefixes(tab, b)
+        assert set(witnesses) == {(p, c) for p, c, _w in prefix_states(tab, b)}
+        completions = 0
+        for (p, c), prefix in witnesses.items():
+            for u in range(len(trans)):
+                v = tab.trans_of[tab.mul_trans[p][u]]
+                if v < 0 or tab.nblocks[tab.merge_trans[tab.merge_trans[c][u]][v]] != 1:
+                    continue
+                t = MonodromyTuple(k, tuple(trans[i] for i in prefix + (u, v)))
+                u2, v2 = _table_twist(tab, u, v)
+                assert full_twist(t).entries[-2:] == (trans[u2], trans[v2]), t
+                completions += 1
+        assert completions, (k, b)
 
 
 def valid_34_kwargs():
