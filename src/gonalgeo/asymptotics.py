@@ -8,7 +8,7 @@ generates the base genus from an integer degree, so the square root in
 the classical degree formula never produces an approximation.
 """
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -324,6 +324,16 @@ def _certificate(
     )
 
 
+def _band_line(census: DegenerationCensus, b: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(A, B, X) with chi(d) = d*(A + B*(d - 3)) and K2 - 8*chi = b*d*X
+    for the plane-curve family of degree d; see delta_search."""
+    n, n1, n3 = census.classes, census.type_one, census.type_three
+    g, e = census.g, census.rational_splits
+    chi_coeff = Fraction((b - 1) * (3 * n1 + (12 * g - 11) * (n3 // 3)) - 3 * n, 12)
+    excess_per_c = (b - 1) * (2 * e - n1 + Fraction(n3, 9)) - n
+    return b * chi_coeff, Fraction(n * (g - 1), 2), excess_per_c
+
+
 def delta_search(
     g: int,
     k: int,
@@ -332,14 +342,31 @@ def delta_search(
     window: int = 8,
     d_max: int = 10**6,
 ) -> DeltaCertificate:
-    """Sweep plane degrees d = 3, 4, ... until the ratio stays within
-    epsilon of 8 for window consecutive further degrees.
+    """Least plane degree d >= 3 whose ratio stays within epsilon of 8
+    for window consecutive further degrees, all at most d_max.
 
-    The ratio tends to 8 as the base genus grows whenever the class
-    count is nonzero, but the sweep never assumes monotonicity: the
-    window guards against accepting a pre-asymptotic crossing.  Raises
-    BudgetExceeded (with the trailing trajectory attached) when no
-    degree up to d_max qualifies.
+    The band inequality is solved, not swept.  With c = b*d and base
+    genus g_X, g_X - 1 = d(d - 3)/2, so
+
+        chi(d)       = c*chi_coeff + n(g - 1)(g_X - 1) = d*L(d),
+        L(d)         = b*chi_coeff + n(g - 1)(d - 3)/2,
+        K2 - 8*chi   = c*X = b*d*X,
+        X            = (b - 1)(2e - N1 + N3/9) - n,
+        ratio - 8    = b*X / L(d).
+
+    L is linear in d, so d is in the band exactly when L(d) != 0 and
+    |L(d)| >= b|X|/epsilon.  When n(g - 1) != 0 the degrees outside the
+    band are the integers of one open interval around the zero d0 of L
+    (or d0 alone when X = 0); when g = 1 or n = 0, L is constant and
+    d = 3 decides for every degree.  d_min is 3 when the window fits
+    below that interval, else the first degree past it.  Everything is
+    exact Fraction arithmetic.
+
+    surface_invariants is evaluated at d_min, d_min + window and
+    d_min - 1 (when d_min > 3), and any disagreement with the closed
+    form raises InvariantViolation.  Raises BudgetExceeded when no
+    window fits below d_max, with the trailing trajectory of the last
+    max(window, 8) degrees up to d_max attached.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -351,27 +378,56 @@ def delta_search(
         raise ParameterError(
             f"census is for ({census.k}, {census.b}), the search wants ({k}, {b})"
         )
-    streak_start = None
-    streak_len = 0
-    recent: deque = deque(maxlen=max(window, 8))
-    for d in range(3, d_max + 1):
+    a0, slope, x = _band_line(census, b)
+    floor_l = b * abs(x) / eps  # in the band iff L(d) != 0 and |L(d)| >= floor_l
+
+    def closed_ratio(d: int) -> Fraction | None:
+        line = a0 + slope * (d - 3)
+        return 8 + b * x / line if line else None
+
+    def evaluated_ratio(d: int) -> Fraction | None:
         base = PlaneCurveBase(d, b)
-        inv = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
-        recent.append((d, inv.ratio))
-        if inv.ratio is not None and abs(inv.ratio - 8) <= eps:
-            if streak_start is None:
-                streak_start = d
-            streak_len += 1
-            if streak_len == window + 1:
-                return _certificate(census, streak_start, b, eps, window)
+        ratio = surface_invariants(
+            FamilyParams.from_census(census, base.c, base.base_genus)
+        ).ratio
+        if ratio != closed_ratio(d):
+            raise InvariantViolation(
+                f"closed-form ratio {closed_ratio(d)} disagrees with the evaluated "
+                f"{ratio} at plane degree {d} for ({k}, {b})"
+            )
+        return ratio
+
+    if slope == 0:
+        d_min = 3 if a0 and abs(a0) >= floor_l else None
+    else:
+        d0 = 3 - a0 / slope
+        radius = floor_l / abs(slope)
+        # integers p..q lie outside the band; p > q when none do
+        if radius:
+            p, q = math.floor(d0 - radius) + 1, math.ceil(d0 + radius) - 1
         else:
-            streak_start, streak_len = None, 0
-    exc = BudgetExceeded(
-        f"no plane degree d <= {d_max} certifies |ratio - 8| <= {eps} "
-        f"with persistence window {window}"
-    )
-    exc.trajectory = tuple(recent)
-    raise exc
+            p, q = math.ceil(d0), math.floor(d0)
+        d_min = 3 if p > q or q < 3 or p - 3 > window else q + 1
+    if d_min is None or d_min + window > d_max:
+        exc = BudgetExceeded(
+            f"no plane degree d <= {d_max} certifies |ratio - 8| <= {eps} "
+            f"with persistence window {window}"
+        )
+        tail = range(max(3, d_max - max(window, 8) + 1), d_max + 1)
+        exc.trajectory = tuple((d, evaluated_ratio(d)) for d in tail)
+        raise exc
+    checks = [(d_min, True), (d_min + window, True)]
+    if d_min > 3:
+        checks.append((d_min - 1, False))
+    for d, expected in checks:
+        ratio = evaluated_ratio(d)
+        if (ratio is not None and abs(ratio - 8) <= eps) != expected:
+            raise InvariantViolation(
+                f"closed-form band search puts plane degree {d} "
+                f"{'inside' if expected else 'outside'} |ratio - 8| <= {eps} "
+                f"for ({k}, {b}), the evaluation disagrees"
+            )
+    return _certificate(census, d_min, b, eps, window)
 
 
 @dataclass(frozen=True)

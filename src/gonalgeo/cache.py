@@ -5,14 +5,17 @@ N1, N22, N3, M_table, e, N_sing, tool_version.  Every count is a decimal
 string so arbitrary precision survives any JSON reader; k and b are
 plain integers; M_table is a list of {j, i, count} rows sorted by
 (j, i).  Writing is deterministic, so rewriting an unchanged census is
-byte-identical.  Reading rejects a document whose keys or value types
-stray from the schema, or that repeats a (j, i) cell, before any census
+byte-identical, and atomic: a reader sees the old document or the new
+one, never part of one.  Reading rejects a document whose keys or value
+types stray from the schema, that repeats a (j, i) cell, or that holds a
+count longer than the interpreter converts to an int, before any census
 invariant is checked.
 """
 
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 from .covers import TupleCensus
@@ -36,8 +39,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def int_digit_limit() -> int:
+    """Most digits the interpreter converts between int and str, 0 for
+    no limit.  Read, never set: the limit is interpreter-wide state."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _is_decimal(value) -> bool:
-    return isinstance(value, str) and _DECIMAL.fullmatch(value) is not None
+    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        return False
+    limit = int_digit_limit()
+    return not limit or len(value.lstrip("-")) <= limit
 
 
 def _matches_schema(doc) -> bool:
@@ -110,9 +123,22 @@ def census_payload(counts: TupleCensus, census: DegenerationCensus) -> dict:
 def write_census(
     cache_dir: os.PathLike | str, counts: TupleCensus, census: DegenerationCensus
 ) -> Path:
+    """Write the document to a temporary file beside its path, then
+    rename it into place, so a killed or concurrent writer never leaves
+    a truncated document behind."""
     path = census_path(cache_dir, census.k, census.b)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(census_payload(counts, census), indent=2) + "\n")
+    text = json.dumps(census_payload(counts, census), indent=2) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # O_EXCL with mode 0o666 gives the umask-derived mode write_text would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

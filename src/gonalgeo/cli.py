@@ -19,6 +19,7 @@ from .asymptotics import delta_search, positivity_threshold
 from .cache import (
     census_path,
     census_payload,
+    int_digit_limit,
     load_or_compute,
     read_census,
     resolve_cache_dir,
@@ -98,6 +99,19 @@ def _magnitude(n: int) -> str:
     if 10**e > n:  # guard the float against rounding up
         e -= 1
     return f"at least 10^{e}"
+
+
+def _decimal(n: int, what: str) -> str:
+    """``n`` in decimal, or CapacityError when it has more digits than
+    the interpreter converts to a string."""
+    limit = int_digit_limit()
+    # below 2^(3 * limit) = 8^limit, n is short enough without computing 10^limit
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise CapacityError(
+            f"{what} is {_magnitude(n)}, more than the {limit} digits "
+            "this interpreter prints"
+        )
+    return str(n)
 
 
 def _guard_budget(k: int, b: int, budget: int) -> None:
@@ -181,7 +195,7 @@ def cmd_oracle_check(args) -> int:
     payload = {
         "k": k,
         "b": b,
-        "oracle_raw": str(oracle.raw_count),
+        "oracle_raw": _decimal(oracle.raw_count, f"the oracle count for ({k}, {b})"),
         "oracle_classes": str(oracle.class_count),
     }
     if not args.oracle_only:
@@ -323,7 +337,7 @@ def build_parser() -> _Parser:
 
     sweep = _Parser(add_help=False)
     sweep.add_argument("--census", default=None, metavar="K,B", help="consistency check of the census selector")
-    sweep.add_argument("--window", type=int, default=8, help="persistence window of the degree sweep")
+    sweep.add_argument("--window", type=int, default=8, help="persistence window of the band search")
     sweep.add_argument("--d-max", type=int, default=10**6, help="plane-degree ceiling")
 
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)

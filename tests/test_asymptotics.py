@@ -1,6 +1,12 @@
+import time
+from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+import gonalgeo.asymptotics
+from gonalgeo import invariants
 
 from gonalgeo.asymptotics import (
     EVEN,
@@ -19,9 +25,12 @@ from gonalgeo.asymptotics import (
     positivity_threshold,
     threshold_polynomial,
 )
-from gonalgeo.asymptotics import _peval  # exact polynomial evaluation
-from gonalgeo.errors import BudgetExceeded, ParameterError
+from gonalgeo.asymptotics import _certificate, _peval
+from gonalgeo.degeneration import DegenerationCensus
+from gonalgeo.errors import BudgetExceeded, InvariantViolation, ParameterError
 from gonalgeo.invariants import FamilyParams
+
+from conftest import ENVELOPE
 
 
 def test_gonality_case_validation():
@@ -182,6 +191,168 @@ def test_delta_search_exhaustion_reports_a_trajectory(census_store):
     assert len(trajectory) == 8
     assert trajectory[-1][0] == 25
     assert all(ratio == 0 for _d, ratio in trajectory)
+
+
+_EVALUATED: dict = {}
+
+
+def surface_invariants(p):
+    """invariants.surface_invariants, memoised per (census, c, base
+    genus) for the reference sweep below: the grid re-walks the same
+    degrees for every epsilon, window and ceiling."""
+    key = (id(p.census), p.c, p.base_genus)
+    if key not in _EVALUATED:
+        _EVALUATED[key] = (p.census, invariants.surface_invariants(p))
+    return _EVALUATED[key][1]
+
+
+def _reference_delta_search(
+    g: int,
+    k: int,
+    census,
+    epsilon,
+    window: int = 8,
+    d_max: int = 10**6,
+) -> DeltaCertificate:
+    """The degree-by-degree sweep that delta_search replaced, kept
+    verbatim as the oracle for the closed form."""
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if window < 0:
+        raise ParameterError(f"window must be nonnegative, got {window}")
+    b = 2 * g + 2 * k - 2
+    if (census.k, census.b) != (k, b):
+        raise ParameterError(
+            f"census is for ({census.k}, {census.b}), the search wants ({k}, {b})"
+        )
+    streak_start = None
+    streak_len = 0
+    recent: deque = deque(maxlen=max(window, 8))
+    for d in range(3, d_max + 1):
+        base = PlaneCurveBase(d, b)
+        inv = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
+        recent.append((d, inv.ratio))
+        if inv.ratio is not None and abs(inv.ratio - 8) <= eps:
+            if streak_start is None:
+                streak_start = d
+            streak_len += 1
+            if streak_len == window + 1:
+                return _certificate(census, streak_start, b, eps, window)
+        else:
+            streak_start, streak_len = None, 0
+    exc = BudgetExceeded(
+        f"no plane degree d <= {d_max} certifies |ratio - 8| <= {eps} "
+        f"with persistence window {window}"
+    )
+    exc.trajectory = tuple(recent)
+    raise exc
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return str(exc), exc.trajectory
+
+
+BAND_PAIRS = ENVELOPE + [(3, 12), (4, 12)]
+
+
+@pytest.mark.parametrize("k, b", BAND_PAIRS)
+def test_closed_form_band_search_matches_the_sweep(census_store, k, b):
+    _counts, cen = census_store(k, b)
+    g = (b - 2 * k + 2) // 2
+    outcomes = set()
+    try:
+        for eps in (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 10),
+                    Fraction(1, 37), Fraction(1, 100)):
+            for window in (0, 1, 8, 20):
+                for d_max in (2, 3, 10, 60, 700, 3000):
+                    want = _outcome(_reference_delta_search, g, k, cen, eps, window, d_max)
+                    got = _outcome(delta_search, g, k, cen, eps, window, d_max)
+                    assert got == want, (eps, window, d_max)
+                    outcomes.add(type(got))
+    finally:
+        _EVALUATED.clear()
+    # every pair exercises the give-up path (d_max = 2 at least)
+    assert tuple in outcomes
+
+
+# Valid tallies no enumeration produces.  Disjoint pairs alone make
+# chi_coeff negative, so for (3, 8) ratio - 8 = -16/(d - 7): the band holds
+# at low degrees, breaks around d = 7 and returns.  Zero classes make chi
+# vanish at every degree.
+SYNTHETIC_CENSUSES = {
+    "band-breaks-above-3": DegenerationCensus(
+        k=3, b=8, g=2, classes=7, type_one=0, type_two_two=7, type_three=0,
+        split_table={},
+    ),
+    "chi-identically-zero": DegenerationCensus(
+        k=3, b=8, g=2, classes=0, type_one=0, type_two_two=0, type_three=0,
+        split_table={},
+    ),
+}
+
+
+@pytest.mark.parametrize("cen", SYNTHETIC_CENSUSES.values(), ids=SYNTHETIC_CENSUSES.keys())
+def test_closed_form_band_search_matches_the_sweep_off_the_census(cen):
+    try:
+        for eps in (Fraction(16), Fraction(8), Fraction(2), Fraction(1, 2)):
+            for window in range(5):
+                for d_max in (3, 8, 12, 60, 200):
+                    want = _outcome(_reference_delta_search, 2, 3, cen, eps, window, d_max)
+                    got = _outcome(delta_search, 2, 3, cen, eps, window, d_max)
+                    assert got == want, (eps, window, d_max)
+    finally:
+        _EVALUATED.clear()
+    assert delta_search(2, 3, SYNTHETIC_CENSUSES["band-breaks-above-3"], 8, window=2).d_min == 3
+    assert delta_search(2, 3, SYNTHETIC_CENSUSES["band-breaks-above-3"], 8, window=3).d_min == 9
+
+
+def test_genus_one_give_up_is_immediate_at_any_ceiling(census_store):
+    _counts, cen = census_store(2, 4)
+    for d_max in (10**6, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            delta_search(1, 2, cen, 1, d_max=d_max)
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value) == (
+            f"no plane degree d <= {d_max} certifies |ratio - 8| <= 1 "
+            "with persistence window 8"
+        )
+        assert info.value.trajectory == tuple(
+            (d, Fraction(0)) for d in range(d_max - 7, d_max + 1)
+        )
+
+
+def test_band_search_evaluates_a_fixed_number_of_degrees(census_store, monkeypatch):
+    _counts, cen = census_store(3, 8)
+    degrees = []
+
+    def counting(p):
+        degrees.append(p.c // p.b)
+        return invariants.surface_invariants(p)
+
+    monkeypatch.setattr(gonalgeo.asymptotics, "surface_invariants", counting)
+    cert = delta_search(2, 3, cen, Fraction(1, 100), window=10**6, d_max=10**30)
+    # three cross-checks around the window, then the certificate
+    assert degrees == [cert.d_min, cert.d_min + 10**6, cert.d_min - 1, cert.d_min]
+    assert cert.d_min > 3
+
+
+def test_band_search_cross_check_catches_a_wrong_evaluation(census_store, monkeypatch):
+    _counts, cen = census_store(3, 8)
+
+    def skewed(p):
+        inv = invariants.surface_invariants(p)
+        return inv if p.c // p.b < 40 else replace(inv, ratio=Fraction(0))
+
+    monkeypatch.setattr(gonalgeo.asymptotics, "surface_invariants", skewed)
+    with pytest.raises(InvariantViolation, match="closed-form ratio"):
+        delta_search(2, 3, cen, Fraction(1, 10))
+    with pytest.raises(InvariantViolation, match="closed-form ratio"):
+        delta_search(2, 3, cen, Fraction(1, 10), d_max=45)
 
 
 def test_delta_certificate_payload_notes_genus_one():

@@ -14,6 +14,7 @@ from gonalgeo.cache import (
     ENV_CACHE_DIR,
     census_path,
     census_payload,
+    int_digit_limit,
     load_or_compute,
     read_census,
     resolve_cache_dir,
@@ -102,6 +103,29 @@ def test_load_or_compute_uses_the_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_mod, "full_census", boom)
     counts2, cen2 = load_or_compute(tmp_path, 3, 4)
     assert (counts2, cen2.split_table) == (counts, cen.split_table)
+
+
+def test_write_census_leaves_no_partial_file(tmp_path, monkeypatch, census_store):
+    import gonalgeo.cache as cache_mod
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    counts, cen = census_store(3, 4)
+    monkeypatch.setattr(cache_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_census(tmp_path, counts, cen)
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.undo()
+    path = write_census(tmp_path, counts, cen)
+    before = path.read_bytes()
+    monkeypatch.setattr(cache_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_census(tmp_path, counts, cen)
+    # the document already in place survives a failed rewrite untouched
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +225,39 @@ def test_cli_budget_guard_on_an_estimate_too_long_to_print(tmp_path, capsys):
     assert out == ""
     assert "estimated at least 10^95425 identity-product tuples" in err
     assert "oracle-check --oracle-only" in err
+
+
+def test_cli_oracle_count_too_long_to_print(tmp_path, capsys):
+    # the connected count for (3, 10000) has 4771 digits
+    code, out, err = run_cli(
+        capsys, "oracle-check", "--k", "3", "--b", "10000", "--oracle-only",
+        "--cache-dir", str(tmp_path), "--output", "json",
+    )
+    if int_digit_limit() and int_digit_limit() < 4771:
+        assert code == 3
+        assert out == ""
+        assert "oracle count for (3, 10000) is at least 10^4770" in err
+    else:
+        assert code == 0
+        assert len(json.loads(out)["oracle_raw"]) == 4771
+
+
+def test_cli_cached_count_too_long_to_read(tmp_path, capsys):
+    d = str(tmp_path)
+    assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
+    path = census_path(d, 3, 4)
+    long_count = "1" + "0" * max(int_digit_limit(), 4300)
+    path.write_text(json.dumps(json.loads(path.read_text()) | {"N": long_count}))
+    code, _out, err = run_cli(
+        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
+        "--base-genus", "2", "--cache-dir", d,
+    )
+    if int_digit_limit():
+        assert code == 4
+        assert "does not match the schema" in err
+    else:
+        # read in full, the count then fails the census identities
+        assert code == 2
 
 
 def test_cli_capacity_guard(tmp_path, capsys):
