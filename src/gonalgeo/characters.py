@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from .errors import CapacityError, InvariantViolation, ParameterError
 
@@ -100,20 +101,23 @@ def _build_table(k: int) -> CharacterTable:
     identity_col = classes.index((1,) * k)
     dims = tuple(row[identity_col] for row in rows)
 
+    # both inner products are symmetric, so each pair is checked once
     order = factorial(k)
+    ncls = len(classes)
     for i, ri in enumerate(rows):
         if dims[i] <= 0:
             raise InvariantViolation(f"non-positive dimension for {classes[i]}")
-        for j, rj in enumerate(rows):
-            dot = sum(s * a * b for s, a, b in zip(sizes, ri, rj))
+        weighted = [s * a for s, a in zip(sizes, ri)]
+        for j in range(i, ncls):
+            dot = sum(map(mul, weighted, rows[j]))
             if dot != (order if i == j else 0):
                 raise InvariantViolation(
                     f"row orthogonality fails for {classes[i]}, {classes[j]}"
                 )
-    ncls = len(classes)
+    columns = tuple(zip(*rows))
     for u in range(ncls):
-        for v in range(ncls):
-            dot = sum(rows[i][u] * rows[i][v] for i in range(ncls))
+        for v in range(u, ncls):
+            dot = sum(map(mul, columns[u], columns[v]))
             want = order // sizes[u] if u == v else 0
             if dot != want:
                 raise InvariantViolation(
@@ -167,6 +171,7 @@ def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) 
     return int(value)
 
 
+@lru_cache(maxsize=None)
 def _disconnected(k: int, b: int, max_degree: int) -> int:
     if k <= 1:
         return 1 if b == 0 else 0

@@ -11,6 +11,7 @@ from math import factorial
 
 import pytest
 
+from gonalgeo import characters
 from gonalgeo.characters import (
     CharacterTable,
     centralizer_order,
@@ -19,7 +20,7 @@ from gonalgeo.characters import (
     disconnected_count,
     partitions_of,
 )
-from gonalgeo.errors import CapacityError, ParameterError
+from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.perm import all_transpositions, compose, identity, transposition_perm
 
 
@@ -151,3 +152,23 @@ def test_connected_never_exceeds_disconnected():
     # too few transpositions to join all sheets
     assert connected_count(4, 4) == 0
     assert connected_count(3, 2) == 0
+
+
+def test_genus_zero_counts_are_hurwitz_up_to_the_oracle_bound():
+    # b = 2k - 2 branch points give a genus-0 cover: (2k - 2)! k^(k - 3)
+    for k in range(2, 13):
+        assert connected_count(k, 2 * k - 2) * k**3 == factorial(2 * k - 2) * k**k, k
+
+
+@pytest.mark.parametrize("bad", [((4,), (4,)), ((2, 2), (3, 1)), ((1, 1, 1, 1), (2, 1, 1))])
+def test_table_build_rejects_a_wrong_entry(monkeypatch, bad):
+    # each orthogonality pair is checked once; a single wrong character
+    # value, in the first, a middle or the last row, must still be caught
+    chi = characters._chi
+
+    def skewed(lam, mu):
+        return chi(lam, mu) + ((lam, mu) == bad)
+
+    monkeypatch.setattr(characters, "_chi", skewed)
+    with pytest.raises(InvariantViolation, match="orthogonality"):
+        characters._build_table.__wrapped__(4)
