@@ -138,8 +138,14 @@ REFERENCE_THRESHOLD_CLAIMS = {ODD: 44, EVEN: 43}
 
 
 def _first_positive(coeffs, n_max: int) -> int | None:
+    # scaled by the lcm of the denominators: same signs, integer Horner steps
+    scale = math.lcm(*(Fraction(x).denominator for x in coeffs))
+    ints = [int(Fraction(x) * scale) for x in reversed(coeffs)]
     for n in range(1, n_max + 1):
-        if _peval(coeffs, n) > 0:
+        value = 0
+        for a in ints:
+            value = value * n + a
+        if value > 0:
             return n
     return None
 

@@ -154,6 +154,8 @@ def read_census(
         raise ParameterError(f"no cached census at {path}; run the census command first")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"unreadable census document {path}: {exc}")
+    except OSError as exc:
+        raise ParameterError(f"cannot read census document {path}: {exc.strerror or exc}")
     if not _matches_schema(doc):
         raise ParameterError(
             f"census document {path} does not match the schema; delete and recompute"

@@ -2,8 +2,9 @@
 invariant evaluation, the audit chain, and the asymptotic reports.
 
 Exit codes: 0 success, 2 invariant violation, 3 budget or capacity
-ceiling, 4 bad arguments.  All output is deterministic for a given
-configuration and cache state; payloads carry no timestamps.
+ceiling, 4 bad arguments or an unusable cache directory.  All output is
+deterministic for a given configuration and cache state; payloads carry
+no timestamps.
 """
 
 import argparse
@@ -114,6 +115,12 @@ def _decimal(n: int, what: str) -> str:
     return str(n)
 
 
+def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
+    return ParameterError(
+        f"cannot use {cfg.cache_dir} as the census cache: {exc.strerror or exc}"
+    )
+
+
 def _guard_budget(k: int, b: int, budget: int) -> None:
     estimate = disconnected_count(k, b)
     if estimate > budget:
@@ -183,7 +190,10 @@ def cmd_census(args) -> int:
     else:
         _guard_budget(k, b, cfg.budget)
         counts, cen = full_census(k, b, cfg.workers)
-        write_census(cfg.cache_dir, counts, cen)
+        try:
+            write_census(cfg.cache_dir, counts, cen)
+        except OSError as exc:
+            raise _unusable_cache(cfg, exc) from None
     _emit(census_payload(counts, cen), cfg.output, notes=CENSUS_NOTES)
     return 0
 
@@ -282,7 +292,10 @@ def _run_delta(cfg: RunConfig, g: int, k: int, epsilon: str, census_sel, window,
     eps = _parse_fraction(epsilon)
     if not census_path(cfg.cache_dir, k, b).exists():
         _guard_budget(k, b, cfg.budget)
-    _counts, cen = load_or_compute(cfg.cache_dir, k, b, cfg.workers)
+    try:
+        _counts, cen = load_or_compute(cfg.cache_dir, k, b, cfg.workers)
+    except OSError as exc:
+        raise _unusable_cache(cfg, exc) from None
     cert = delta_search(g, k, cen, eps, window=window, d_max=d_max)
     _emit({"g": g, "k": k, "b": b, "certificate": cert.as_payload()}, cfg.output)
     return 0

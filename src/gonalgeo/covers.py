@@ -16,6 +16,18 @@ only on its search state (running product and symbol partition), so the
 counter merges prefixes into states layer by layer and weights each
 state's completions by the number of prefixes that reach it.
 
+The counter goes one step further and merges states by relabeling
+orbit, keeping one labeled representative per orbit mapped to the
+prefix count of the whole orbit.  Two states lie in one orbit exactly
+when their blocks match up with equal cycle types of the running
+product (whose sum is the block size) and equal entry counts.  The
+merge is exact: relabeling a prefix relabels its state, so prefix counts
+are constant on an orbit, and every member of an orbit has as many
+one-entry steps into any other orbit as its representative.  The mass
+of an orbit O' one layer down is therefore the sum over orbits O of
+M(O) times the number of entries t taking rep(O) into O'.  Pruning and
+pair completions depend on the orbit alone.
+
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
 count.  Class representatives, when asked for, are the lexicographically
@@ -23,6 +35,7 @@ least tuples of their orbits.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .errors import InvariantViolation, ParameterError
@@ -158,7 +171,9 @@ def iter_tuples(k: int, b: int):
     yield from rec(tab.identity, tab.discrete)
 
 
-def prefix_states(tab: GroupTables, b: int, weighted: bool = False) -> dict:
+def prefix_states(
+    tab: GroupTables, b: int, weighted: bool = False, orbits: bool = False
+) -> dict:
     """Search states after the first b - 2 entries, with their prefix counts.
 
     Maps each state ``(p, c, w)`` to the number of pruned prefixes that
@@ -167,7 +182,9 @@ def prefix_states(tab: GroupTables, b: int, weighted: bool = False) -> dict:
     entry count of every block, indexed by block leader, until the
     partition is connected; it is ``None`` otherwise, since a connected
     partition never splits again.  Everything below a state depends on
-    the state alone, so merging prefixes layer by layer is exact.
+    the state alone, so merging prefixes layer by layer is exact.  With
+    ``orbits`` set, every layer keeps one representative per relabeling
+    orbit, mapped to the prefix count of the whole orbit.
     """
     trans = tab.transpositions
     mul, merge = tab.mul_trans, tab.merge_trans
@@ -199,8 +216,42 @@ def prefix_states(tab: GroupTables, b: int, weighted: bool = False) -> dict:
                     w2 = tuple(w2l)
                 key = (p2, c2, w2)
                 out[key] = out.get(key, 0) + mult
-        layer = out
+        layer = _merge_orbits(tab, out) if orbits else out
     return layer
+
+
+@lru_cache(maxsize=None)
+def _orbit_key(tab: GroupTables, state: tuple) -> tuple:
+    """Complete invariant of a state's relabeling orbit: the sorted
+    (cycle type of the running product on the block, block entry count
+    or None) over the blocks of its partition.  Memoised for the life of
+    the process, like ``group_tables``: one entry per state reached."""
+    p, c, w = state
+    perm, labels = tab.perms[p], tab.partitions[c]
+    cycles: dict[int, list[int]] = {}
+    seen = set()
+    for start in perm:
+        if start in seen:
+            continue
+        x, n = start, 0
+        while x not in seen:
+            seen.add(x)
+            x = perm[x - 1]
+            n += 1
+        cycles.setdefault(labels[start - 1], []).append(n)
+    return tuple(sorted(
+        (tuple(sorted(ct)), None if w is None else w[lead - 1])
+        for lead, ct in cycles.items()
+    ))
+
+
+def _merge_orbits(tab: GroupTables, layer: dict) -> dict:
+    reps: dict = {}
+    merged: dict = {}
+    for state, mult in layer.items():
+        rep = reps.setdefault(_orbit_key(tab, state), state)
+        merged[rep] = merged.get(rep, 0) + mult
+    return merged
 
 
 def count_tuples(k: int, b: int, workers: int = 1) -> int:
@@ -213,7 +264,7 @@ def count_tuples(k: int, b: int, workers: int = 1) -> int:
     tab = group_tables(k)
     return sum(
         mult * tab.pair_completions(p, c)
-        for (p, c, _w), mult in prefix_states(tab, b).items()
+        for (p, c, _w), mult in prefix_states(tab, b, orbits=True).items()
     )
 
 

@@ -11,12 +11,20 @@ into a pair of components joined at a point.
 The census tallies these types over every class of tuples for one (k, b),
 from the same layered merge of search states as the raw count: each state
 reached after b - 2 entries classifies all of its two-entry completions
-at once, weighted by the number of prefixes that reach it.  The raw
-tallies are divided by k! at the end (relabeling acts freely for k >= 3,
-so each class is hit exactly k! times and every tally divides exactly).
+at once, weighted by the number of prefixes that reach it.  States are
+merged by relabeling orbit, one representative standing for its whole
+orbit with the orbit's prefix count; the block entry counts are part of
+the orbit key, so the split genera read off a representative are those
+of every member.  Each completion type is decided by the product's class
+and the partition's block sizes and entry counts, all constant on an
+orbit, so a representative's tally times the orbit's prefix count is
+the orbit's tally.  The raw tallies are divided by k! at the end
+(relabeling acts freely for k >= 3, so each class is hit exactly k!
+times and every tally divides exactly); an error names the
+representative state.
 
-The full-twist check merges search states the same way, in a pass of
-its own: each completion is twisted through the tables and compared
+The full-twist check merges labeled search states, in a pass of its
+own: each completion is twisted through the tables and compared
 against the relabelings that fix its prefix, which depend on the prefix
 partition alone.  ``class_representatives``, ``full_twist`` and
 ``are_conjugate`` do the same check one class at a time and serve as its
@@ -257,7 +265,7 @@ def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, Degenera
     tab = group_tables(k)
     g = cover_genus(k, b)
     tally: dict = {}
-    for (p, c, w), mult in prefix_states(tab, b, weighted=True).items():
+    for (p, c, w), mult in prefix_states(tab, b, weighted=True, orbits=True).items():
         _tally_pairs(tab, g, b, p, c, w, mult, tally)
 
     div = factorial(k) if k >= 3 else 1

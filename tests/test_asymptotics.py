@@ -25,7 +25,7 @@ from gonalgeo.asymptotics import (
     positivity_threshold,
     threshold_polynomial,
 )
-from gonalgeo.asymptotics import _certificate, _peval
+from gonalgeo.asymptotics import _certificate, _first_positive, _peval
 from gonalgeo.degeneration import DegenerationCensus
 from gonalgeo.errors import BudgetExceeded, InvariantViolation, ParameterError
 from gonalgeo.invariants import FamilyParams
@@ -404,3 +404,19 @@ def test_estimated_positivity():
         estimated_positivity(3, 3)
     with pytest.raises(ParameterError):
         estimated_positivity(1, 4)
+
+
+def test_integer_threshold_sweep_matches_the_fraction_sweep():
+    def fraction_sweep(coeffs, n_max):
+        return next((n for n in range(1, n_max + 1) if _peval(coeffs, n) > 0), None)
+
+    polys = [threshold_polynomial(p) for p in (ODD, EVEN)]
+    polys += list(REFERENCE_THRESHOLD_POLYS.values())
+    polys += [
+        (Fraction(1, 7),), (Fraction(-1, 3),), (0,), (0, 0, 0),
+        (Fraction(-22, 7), Fraction(1, 3)), (5, Fraction(-11, 4), Fraction(1, 3)),
+        (Fraction(-1, 6), 0, Fraction(-1, 5), Fraction(1, 1000)),
+    ]
+    for coeffs in polys:
+        for n_max in (0, 1, 5, 9, 10, 43, 44, 200):
+            assert _first_positive(coeffs, n_max) == fraction_sweep(coeffs, n_max), (coeffs, n_max)

@@ -476,3 +476,45 @@ def test_cli_workers_flag_changes_nothing(tmp_path, capsys):
     )
     assert serial[0] == parallel[0] == 0
     assert serial[1] == parallel[1]
+
+
+def _assert_unusable(code, out, err, where):
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert where in err and "Traceback" not in err
+
+
+def test_cli_census_unusable_cache_dir(tmp_path, capsys):
+    f = tmp_path / "F"
+    f.write_text("not a directory\n")
+    for d in (f, f / "sub"):
+        code, out, err = run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", str(d))
+        _assert_unusable(code, out, err, str(d))
+    assert f.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+
+def test_cli_delta_unusable_cache_dir(tmp_path, capsys):
+    f = tmp_path / "F"
+    f.write_text("")
+    code, out, err = run_cli(capsys, "delta", "0", "2", "1", "--cache-dir", str(f))
+    _assert_unusable(code, out, err, str(f))
+
+
+def test_cli_invariants_unusable_cache_dir(tmp_path, capsys):
+    f = tmp_path / "F"
+    f.write_text("")
+    code, out, err = run_cli(
+        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
+        "--base-genus", "2", "--cache-dir", str(f),
+    )
+    _assert_unusable(code, out, err, str(f))
+    # a directory where the document should be is unreadable the same way
+    d = tmp_path / "D"
+    census_path(d, 3, 4).mkdir(parents=True)
+    code, out, err = run_cli(
+        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
+        "--base-genus", "2", "--cache-dir", str(d),
+    )
+    _assert_unusable(code, out, err, str(d))

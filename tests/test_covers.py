@@ -5,6 +5,7 @@ import pytest
 from gonalgeo.covers import (
     MonodromyTuple,
     TupleCensus,
+    _orbit_key,
     are_conjugate,
     canonical_form,
     class_count,
@@ -14,12 +15,14 @@ from gonalgeo.covers import (
     count_tuples,
     cover_genus,
     iter_tuples,
+    prefix_states,
     tuple_stabilizer,
     verify_free_action,
 )
 from gonalgeo.characters import connected_count, disconnected_count
 from gonalgeo.errors import InvariantViolation, ParameterError
 from gonalgeo.perm import identity
+from gonalgeo.tables import group_tables
 
 from test_characters import brute_force_counts
 
@@ -167,3 +170,50 @@ def test_class_representatives():
     for t in iter_tuples(3, 4):
         hits[canonical_form(t).entries] += 1
     assert all(n == 6 for n in hits.values())
+
+
+def test_orbit_merged_count_matches_oracle_at_degrees_six_and_seven():
+    for k, b in [(6, 14), (7, 12)]:
+        assert count_tuples(k, b) == connected_count(k, b), (k, b)
+
+
+def _relabel_state(tab, part_index, g, state):
+    """The search state of the relabeled prefixes: g p g^-1, the image
+    partition, and each block's entry count moved to its image's leader."""
+    p, c, w = state
+    q, labels = tab.perms[p], tab.partitions[c]
+    conj = [0] * tab.k
+    for x in range(1, tab.k + 1):
+        conj[g[x - 1] - 1] = g[q[x - 1] - 1]
+    blocks = {}
+    for x, lead in enumerate(labels, start=1):
+        blocks.setdefault(lead, []).append(g[x - 1])
+    image = [0] * tab.k
+    w2 = None if w is None else [0] * tab.k
+    for lead, members in blocks.items():
+        for y in members:
+            image[y - 1] = min(members)
+        if w is not None:
+            w2[min(members) - 1] = w[lead - 1]
+    return (
+        tab.perm_index[tuple(conj)],
+        part_index[tuple(image)],
+        None if w2 is None else tuple(w2),
+    )
+
+
+def test_orbit_key_is_a_complete_invariant():
+    for k, b_max in [(2, 6), (3, 10), (4, 10), (5, 12)]:
+        tab = group_tables(k)
+        part_index = {c: i for i, c in enumerate(tab.partitions)}
+        states = set()
+        for b in range(2, b_max + 1, 2):
+            for weighted in (False, True):
+                states.update(prefix_states(tab, b, weighted=weighted))
+        key_of_orbit = {}
+        for state in states:
+            orbit = min(_relabel_state(tab, part_index, g, state) for g in tab.perms)
+            assert key_of_orbit.setdefault(orbit, _orbit_key(tab, state)) == _orbit_key(tab, state)
+        keys = list(key_of_orbit.values())
+        assert len(set(keys)) == len(keys), k
+        assert (len(keys), len(states)) == {2: (3, 3), 3: (9, 20), 4: (31, 154), 5: (76, 1528)}[k]

@@ -8,6 +8,7 @@ time.  Both routes are re-run against each other here.
 
 from collections import Counter
 from itertools import product
+from math import factorial
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from gonalgeo.degeneration import (
     TwistOrbitReport,
     _prefix_stabilizer,
     _table_twist,
+    _tally_pairs,
     census,
     classify_node,
     full_census,
@@ -358,3 +360,32 @@ def test_equal_degree_cell_must_be_canonical():
             k=4, b=10, g=2, classes=3, type_one=3, type_two_two=0, type_three=0,
             split_table={(2, 2): 1}, rational_splits=1, singular=2,
         )
+
+
+@pytest.mark.parametrize(
+    "k, b",
+    ENVELOPE + [(3, 16), (4, 12), (4, 16), (5, 10), (5, 12), (6, 10), (6, 14)],
+)
+def test_orbit_census_equals_the_labeled_tally(k, b):
+    tab = group_tables(k)
+    g = cover_genus(k, b)
+    labeled, merged = {}, {}
+    for (p, c, w), mult in prefix_states(tab, b, weighted=True).items():
+        _tally_pairs(tab, g, b, p, c, w, mult, labeled)
+    for (p, c, w), mult in prefix_states(tab, b, weighted=True, orbits=True).items():
+        _tally_pairs(tab, g, b, p, c, w, mult, merged)
+    assert merged == labeled
+
+    counts, cen = full_census(k, b)
+    div = factorial(k) if k >= 3 else 1
+    splits = {key[1:]: v for key, v in labeled.items() if isinstance(key, tuple)}
+    assert counts.raw_count == sum(labeled.values())
+    assert counts.class_count * div == counts.raw_count
+    assert cen.central * div == labeled.get("central", 0)
+    assert cen.type_one * div == labeled.get("central", 0) + sum(splits.values())
+    assert cen.type_two_two * div == labeled.get("disjoint", 0)
+    assert cen.type_three * div == labeled.get("overlap", 0)
+    assert {cell: n * div for cell, n in cen.split_table.items()} == splits
+    assert cen.rational_splits * div == sum(
+        n for (j, i), n in splits.items() if i in (0, g)
+    )
