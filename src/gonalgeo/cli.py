@@ -121,6 +121,13 @@ def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
     )
 
 
+def _cached(cfg: RunConfig, k: int, b: int) -> bool:
+    try:
+        return census_path(cfg.cache_dir, k, b).exists()
+    except OSError as exc:  # a cache directory that cannot be searched
+        raise _unusable_cache(cfg, exc) from None
+
+
 def _guard_budget(k: int, b: int, budget: int) -> None:
     estimate = disconnected_count(k, b)
     if estimate > budget:
@@ -185,7 +192,7 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
 def cmd_census(args) -> int:
     cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
-    if census_path(cfg.cache_dir, k, b).exists():
+    if _cached(cfg, k, b):
         counts, cen = read_census(cfg.cache_dir, k, b)
     else:
         _guard_budget(k, b, cfg.budget)
@@ -290,7 +297,7 @@ def _run_delta(cfg: RunConfig, g: int, k: int, epsilon: str, census_sel, window,
                 f"--census {census_sel} does not match k={k}, b=2g+2k-2={b}"
             )
     eps = _parse_fraction(epsilon)
-    if not census_path(cfg.cache_dir, k, b).exists():
+    if not _cached(cfg, k, b):
         _guard_budget(k, b, cfg.budget)
     try:
         _counts, cen = load_or_compute(cfg.cache_dir, k, b, cfg.workers)

@@ -11,22 +11,21 @@ or the symbol graph has more spare components than remaining entries can
 join up.
 
 Iteration and class representatives walk this pruned tree depth first,
-one tuple at a time.  Counting does not: everything below a node depends
-only on its search state (running product and symbol partition), so the
-counter merges prefixes into states layer by layer and weights each
-state's completions by the number of prefixes that reach it.
-
-The counter goes one step further and merges states by relabeling
-orbit, keeping one labeled representative per orbit mapped to the
-prefix count of the whole orbit.  Two states lie in one orbit exactly
-when their blocks match up with equal cycle types of the running
-product (whose sum is the block size) and equal entry counts.  The
-merge is exact: relabeling a prefix relabels its state, so prefix counts
-are constant on an orbit, and every member of an orbit has as many
-one-entry steps into any other orbit as its representative.  The mass
-of an orbit O' one layer down is therefore the sum over orbits O of
-M(O) times the number of entries t taking rep(O) into O'.  Pruning and
-pair completions depend on the orbit alone.
+one tuple at a time, through the dense S_k tables.  Counting does not:
+everything below a node depends only on its search state, and nothing
+about a state depends on how the sheets are labeled.  The counter
+therefore steps unlabeled block states layer by layer, each mapped to
+the number of prefixes that reach it.  A block state is the sorted tuple
+of blocks of the symbol partition, each block given by the cycle type of
+the running product on it and its entry count (None once the partition
+is connected, since it never splits again).  Multiplying by a
+transposition (x y) either cuts the l-cycle through x and y into a
+d-cycle and an (l - d)-cycle, which l transpositions do (l / 2 when
+2d = l), or joins an a-cycle and a b-cycle, which a * b transpositions
+do.  Both add one entry to the block; a join across two blocks merges
+them, entry counts summed plus one.  This is the cut-and-join recursion
+(Goulden and Jackson, Proc. AMS 125, 1997).  No step touches a k!-sized
+table, so counts reach any degree the state count allows.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
@@ -36,7 +35,7 @@ least tuples of their orbits.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .errors import InvariantViolation, ParameterError
 from .perm import Perm, Transposition
@@ -171,31 +170,24 @@ def iter_tuples(k: int, b: int):
     yield from rec(tab.identity, tab.discrete)
 
 
-def prefix_states(
-    tab: GroupTables, b: int, weighted: bool = False, orbits: bool = False
-) -> dict:
-    """Search states after the first b - 2 entries, with their prefix counts.
+def prefix_states(tab: GroupTables, b: int) -> dict:
+    """Labeled search states after the first b - 2 entries, with their
+    prefix counts.
 
-    Maps each state ``(p, c, w)`` to the number of pruned prefixes that
+    Maps each state ``(p, c)`` to the number of pruned prefixes that
     reach it: ``p`` indexes the running product, ``c`` the partition the
-    entries cut the symbols into.  With ``weighted`` set, ``w`` holds the
-    entry count of every block, indexed by block leader, until the
-    partition is connected; it is ``None`` otherwise, since a connected
-    partition never splits again.  Everything below a state depends on
-    the state alone, so merging prefixes layer by layer is exact.  With
-    ``orbits`` set, every layer keeps one representative per relabeling
-    orbit, mapped to the prefix count of the whole orbit.
+    entries cut the symbols into.  Everything below a state depends on
+    the state alone, so merging prefixes layer by layer is exact.
     """
-    trans = tab.transpositions
     mul, merge = tab.mul_trans, tab.merge_trans
-    minf, nbl, parts = tab.min_factors, tab.nblocks, tab.partitions
-    nt = len(trans)
-    layer = {(tab.identity, tab.discrete, (0,) * tab.k if weighted else None): 1}
+    minf, nbl = tab.min_factors, tab.nblocks
+    nt = len(tab.transpositions)
+    layer = {(tab.identity, tab.discrete): 1}
     for depth in range(b - 2):
         nxt = b - depth - 1
         out: dict = {}
-        for (p, c, w), mult in layer.items():
-            mrow, crow, labels = mul[p], merge[c], parts[c]
+        for (p, c), mult in layer.items():
+            mrow, crow = mul[p], merge[c]
             for t in range(nt):
                 p2 = mrow[t]
                 if minf[p2] > nxt:
@@ -203,55 +195,106 @@ def prefix_states(
                 c2 = crow[t]
                 if nbl[c2] - 1 > nxt:
                     continue
-                w2 = None
-                if w is not None and nbl[c2] > 1:
-                    la, lb = labels[trans[t][0] - 1], labels[trans[t][1] - 1]
-                    w2l = list(w)
-                    if la == lb:
-                        w2l[la - 1] += 1
-                    else:
-                        lo, hi = (la, lb) if la < lb else (lb, la)
-                        w2l[lo - 1] += w2l[hi - 1] + 1
-                        w2l[hi - 1] = 0
-                    w2 = tuple(w2l)
-                key = (p2, c2, w2)
+                key = (p2, c2)
                 out[key] = out.get(key, 0) + mult
-        layer = _merge_orbits(tab, out) if orbits else out
+        layer = out
     return layer
 
 
+def _block(cycles, w) -> tuple:
+    return tuple(sorted(cycles, reverse=True)), w
+
+
+def _state(blocks: list) -> tuple:
+    if len(blocks) == 1:
+        return ((blocks[0][0], None),)
+    return tuple(sorted(blocks))
+
+
 @lru_cache(maxsize=None)
-def _orbit_key(tab: GroupTables, state: tuple) -> tuple:
-    """Complete invariant of a state's relabeling orbit: the sorted
-    (cycle type of the running product on the block, block entry count
-    or None) over the blocks of its partition.  Memoised for the life of
-    the process, like ``group_tables``: one entry per state reached."""
-    p, c, w = state
-    perm, labels = tab.perms[p], tab.partitions[c]
-    cycles: dict[int, list[int]] = {}
-    seen = set()
-    for start in perm:
-        if start in seen:
-            continue
-        x, n = start, 0
-        while x not in seen:
-            seen.add(x)
-            x = perm[x - 1]
-            n += 1
-        cycles.setdefault(labels[start - 1], []).append(n)
-    return tuple(sorted(
-        (tuple(sorted(ct)), None if w is None else w[lead - 1])
-        for lead, ct in cycles.items()
-    ))
+def _block_steps(state: tuple) -> tuple:
+    """One-entry successors of a block state: ``(successor, number of
+    transpositions leading there, entries it still needs)`` per distinct
+    successor.  The need is the larger of (k - #cycles), the fewest
+    transpositions with the running product, and (#blocks - 1), the
+    fewest joins left.  Memoised for the life of the process: one entry
+    per state reached."""
+    steps: dict = {}
+
+    def add(blocks: list, n: int) -> None:
+        key = _state(blocks)
+        steps[key] = steps.get(key, 0) + n
+
+    blocks = list(state)
+    for i, (ct, w) in enumerate(blocks):
+        rest = blocks[:i] + blocks[i + 1:]
+        w1 = None if w is None else w + 1
+        for m, l in enumerate(ct):
+            others = ct[:m] + ct[m + 1:]
+            for d in range(1, l // 2 + 1):
+                add(rest + [_block(others + (d, l - d), w1)], l // 2 if 2 * d == l else l)
+            for m2 in range(m + 1, len(ct)):
+                joined = others[:m2 - 1] + others[m2:] + (l + ct[m2],)
+                add(rest + [_block(joined, w1)], l * ct[m2])
+        for i2 in range(i + 1, len(blocks)):
+            ct2, w2 = blocks[i2]
+            rest2 = [blk for n, blk in enumerate(blocks) if n != i and n != i2]
+            for m, l in enumerate(ct):
+                for m2, l2 in enumerate(ct2):
+                    joined = ct[:m] + ct[m + 1:] + ct2[:m2] + ct2[m2 + 1:] + (l + l2,)
+                    add(rest2 + [_block(joined, w + w2 + 1)], l * l2)
+    k = sum(sum(ct) for ct, _w in state)
+    return tuple(
+        (nxt, n, max(k - sum(len(ct) for ct, _w in nxt), len(nxt) - 1))
+        for nxt, n in steps.items()
+    )
 
 
-def _merge_orbits(tab: GroupTables, layer: dict) -> dict:
-    reps: dict = {}
-    merged: dict = {}
-    for state, mult in layer.items():
-        rep = reps.setdefault(_orbit_key(tab, state), state)
-        merged[rep] = merged.get(rep, 0) + mult
-    return merged
+def block_states(k: int, b: int) -> dict:
+    """Unlabeled block states after the first b - 2 entries, each mapped
+    to the number of pruned prefixes that reach it.  The search starts
+    from k singleton blocks and drops a successor that needs more
+    entries than remain."""
+    layer = {_state([((1,), 0)] * k): 1}
+    for depth in range(b - 2):
+        left = b - depth - 1
+        out: dict = {}
+        for state, mult in layer.items():
+            for nxt, n, need in _block_steps(state):
+                if need <= left:
+                    out[nxt] = out.get(nxt, 0) + mult * n
+        layer = out
+    return layer
+
+
+def _completion(state: tuple):
+    """How the last two entries complete a block state: ``(kind, n)``,
+    with n the number of connected completing pairs per prefix, or None
+    when there are none.
+
+    The kind is "central" (identity product, connected), "overlap" (a
+    3-cycle), "disjoint" (a double transposition), or ``(j, beta1)`` for
+    an identity product on two blocks, j the smaller block size and
+    beta1 its entry count.  The pair multiplies to the inverse of the
+    running product, so for a 3-cycle or a double transposition each
+    entry lies inside one block and joins nothing; only an identity
+    product's pair (x y)(x y) can join two blocks.
+    """
+    if len(state) == 1:
+        ct = state[0][0]
+        moved = tuple(l for l in ct if l > 1)
+        if not moved:
+            return "central", comb(len(ct), 2)
+        if moved == (3,):
+            return "overlap", 3
+        if moved == (2, 2):
+            return "disjoint", 2
+        return None
+    if len(state) == 2 and all(l == 1 for ct, _w in state for l in ct):
+        (ct1, w1), (ct2, w2) = state
+        s1, s2 = len(ct1), len(ct2)
+        return ((s1, w1) if s1 <= s2 else (s2, w2)), s1 * s2
+    return None
 
 
 def count_tuples(k: int, b: int, workers: int = 1) -> int:
@@ -261,11 +304,12 @@ def count_tuples(k: int, b: int, workers: int = 1) -> int:
     process and does not depend on it.
     """
     validate_cover_shape(k, b)
-    tab = group_tables(k)
-    return sum(
-        mult * tab.pair_completions(p, c)
-        for (p, c, _w), mult in prefix_states(tab, b, orbits=True).items()
-    )
+    total = 0
+    for state, mult in block_states(k, b).items():
+        done = _completion(state)
+        if done:
+            total += mult * done[1]
+    return total
 
 
 def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:

@@ -9,44 +9,38 @@ orbit keeps a connected cover of lower genus, two orbits split the cover
 into a pair of components joined at a point.
 
 The census tallies these types over every class of tuples for one (k, b),
-from the same layered merge of search states as the raw count: each state
-reached after b - 2 entries classifies all of its two-entry completions
-at once, weighted by the number of prefixes that reach it.  States are
-merged by relabeling orbit, one representative standing for its whole
-orbit with the orbit's prefix count; the block entry counts are part of
-the orbit key, so the split genera read off a representative are those
-of every member.  Each completion type is decided by the product's class
-and the partition's block sizes and entry counts, all constant on an
-orbit, so a representative's tally times the orbit's prefix count is
-the orbit's tally.  The raw tallies are divided by k! at the end
-(relabeling acts freely for k >= 3, so each class is hit exactly k!
-times and every tally divides exactly); an error names the
-representative state.
+from the same layered DP over unlabeled block states as the raw count:
+each state reached after b - 2 entries classifies all of its two-entry
+completions at once, weighted by the number of prefixes that reach it.
+The completion type is decided by the running product's cycle type on
+the state's blocks, and a split's genus by the entry count of the
+smaller block, so the state alone fixes every tally.  The raw tallies
+are divided by k! at the end (relabeling acts freely for k >= 3, so each
+class is hit exactly k! times and every tally divides exactly); an
+error names the block state.
 
-The full-twist check merges labeled search states, in a pass of its
-own: each completion is twisted through the tables and compared
-against the relabelings that fix its prefix, which depend on the prefix
-partition alone.  ``class_representatives``, ``full_twist`` and
-``are_conjugate`` do the same check one class at a time and serve as its
-independent reference.
+The full-twist check runs over labeled search states, in a pass of its
+own, twisting each completion through the dense S_k tables.
+``class_representatives``, ``full_twist`` and ``are_conjugate`` do the
+same check one class at a time and serve as its independent reference.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations, product
-from math import factorial
 
 from .covers import (
     MonodromyTuple,
     TupleCensus,
     _class_divisor,
+    _completion,
+    block_states,
     cover_genus,
     prefix_states,
     validate_cover_shape,
 )
 from .errors import InvariantViolation, ParameterError
 from .perm import Transposition, compose, orbits, transposition_perm
-from .tables import CLASS_DOUBLE, CLASS_TRIPLE, GroupTables, group_tables
+from .tables import GroupTables, group_tables
 
 
 class NodeType(Enum):
@@ -118,14 +112,15 @@ def refine_type_one(t: MonodromyTuple) -> TypeOneProfile:
     members = set(small)
     beta1 = sum(1 for e in rest if e[0] in members)
     i = _component_genus(j, beta1, g, k, b, t.entries)
-    if 2 * j == k and g - i < i:
-        i, beta1 = g - i, len(rest) - beta1
-    return SplitProfile(j, i, beta1)
+    return SplitProfile(j, i, 2 * i + 2 * j - 2)
 
 
 def _component_genus(
     j: int, beta1: int, g: int, k: int, b: int, witness
 ) -> int:
+    """Genus i of a degree-j component carrying beta1 of the other b - 2
+    branch points, checked against its complement; folded to
+    min(i, g - i) when the components tie in degree."""
     num = beta1 - 2 * j + 2
     if num < 0 or num % 2:
         raise InvariantViolation(
@@ -138,7 +133,7 @@ def _component_genus(
         raise InvariantViolation(
             f"component genera {i}, {g - i} do not balance the branch counts: {witness}"
         )
-    return i
+    return min(i, g - i) if 2 * j == k else i
 
 
 def full_twist(t: MonodromyTuple) -> MonodromyTuple:
@@ -214,47 +209,6 @@ class DegenerationCensus:
         return self.type_one - sum(self.split_table.values())
 
 
-def _state_witness(tab: GroupTables, p: int, c: int) -> str:
-    return f"state (product {tab.perms[p]}, partition {tab.partitions[c]})"
-
-
-def _tally_pairs(
-    tab: GroupTables, g: int, b: int, p: int, c: int, w, mult: int, tally: dict
-) -> None:
-    """Classify and count all two-entry completions of one search state,
-    each standing for ``mult`` prefixes."""
-    nt = len(tab.transpositions)
-    if p == tab.identity:
-        nb = tab.nblocks[c]
-        if nb == 1:
-            tally["central"] = tally.get("central", 0) + nt * mult
-        elif nb == 2:
-            (l1, s1), (l2, s2) = tab.block_info[c]
-            lead, j = (l1, s1) if s1 <= s2 else (l2, s2)
-            beta1 = w[lead - 1]
-            i = _component_genus(
-                j, beta1, g, tab.k, b,
-                f"{_state_witness(tab, p, c)}, block entry counts {w}",
-            )
-            if 2 * j == tab.k and g - i < i:
-                i = g - i
-            key = ("split", j, i)
-            tally[key] = tally.get(key, 0) + s1 * s2 * mult
-        return
-    n = tab.pair_completions(p, c)
-    if not n:
-        return
-    cls = tab.pair_class[p]
-    if cls == CLASS_DOUBLE:
-        tally["disjoint"] = tally.get("disjoint", 0) + n * mult
-    elif cls == CLASS_TRIPLE:
-        tally["overlap"] = tally.get("overlap", 0) + n * mult
-    else:
-        raise InvariantViolation(
-            f"two-factorable product has unexpected class at {_state_witness(tab, p, c)}"
-        )
-
-
 def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, DegenerationCensus]:
     """Enumerate (k, b) once, returning raw counts and the type census.
 
@@ -262,13 +216,19 @@ def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, Degenera
     process and does not depend on it.
     """
     validate_cover_shape(k, b)
-    tab = group_tables(k)
     g = cover_genus(k, b)
     tally: dict = {}
-    for (p, c, w), mult in prefix_states(tab, b, weighted=True, orbits=True).items():
-        _tally_pairs(tab, g, b, p, c, w, mult, tally)
+    for state, mult in block_states(k, b).items():
+        done = _completion(state)
+        if done is None:
+            continue
+        kind, n = done
+        if isinstance(kind, tuple):
+            j, beta1 = kind
+            kind = ("split", j, _component_genus(j, beta1, g, k, b, f"block state {state}"))
+        tally[kind] = tally.get(kind, 0) + n * mult
 
-    div = factorial(k) if k >= 3 else 1
+    div = _class_divisor(k)
 
     def classes_of(raw: int, what) -> int:
         if raw % div:
@@ -319,28 +279,6 @@ class TwistOrbitReport:
         return self.fixed_point_failures == 0 and self.orbit_size_failures == 0
 
 
-def _prefix_stabilizer(tab: GroupTables, c: int) -> tuple[int, ...]:
-    """Indices of the relabelings fixing every entry of any prefix whose
-    symbol partition is ``c``: a swap or not inside each 2-element block,
-    any permutation of the singletons, the identity elsewhere."""
-    blocks: dict[int, list[int]] = {}
-    for x, lead in enumerate(tab.partitions[c], start=1):
-        blocks.setdefault(lead, []).append(x)
-    pairs = [blk for blk in blocks.values() if len(blk) == 2]
-    singles = [blk[0] for blk in blocks.values() if len(blk) == 1]
-    out = []
-    for swaps in product((False, True), repeat=len(pairs)):
-        for images in permutations(singles):
-            g = list(range(1, tab.k + 1))
-            for (a, b), swap in zip(pairs, swaps):
-                if swap:
-                    g[a - 1], g[b - 1] = b, a
-            for x, y in zip(singles, images):
-                g[x - 1] = y
-            out.append(tab.perm_index[tuple(g)])
-    return tuple(out)
-
-
 def _table_twist(tab: GroupTables, u: int, v: int) -> tuple[int, int]:
     """``full_twist`` on a final pair of transposition indices: both are
     conjugated by their product u * v."""
@@ -352,36 +290,29 @@ def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
     """Check the full twist fixes equal and disjoint pairs pointwise and
     moves every overlapping-pair class in an orbit of size exactly 3.
 
-    The check runs over the same merged search states as the census.  A
-    tuple and its twist share the prefix of b - 2 entries, so a relabeling
+    The check runs over labeled search states, prefixes merged layer by
+    layer (``prefix_states``), through the dense S_k tables.  A tuple and
+    its twist share the prefix of b - 2 entries, so a relabeling
     carrying one to the other fixes every prefix entry.  The twist
     commutes with relabeling, so both checks give one answer on a whole
     class, and each tally counts every class k! times (once for k = 2),
     like the census tallies.
 
-    Lemma: the relabelings fixing every entry of a prefix are determined
-    by the prefix's symbol partition c alone.  They are exactly the maps
-    that swap or fix each 2-element block, permute the singletons, and
-    fix every block of 3 or more symbols pointwise.
-
-    Proof: a relabeling g fixing every entry maps each edge {a, b} of
-    the prefix graph onto itself, so it maps each block of c onto itself
-    and the singletons among themselves.  In a block of 3 or more
-    symbols, a symbol x with two distinct neighbours y, z has g(x) in
-    {x, y} & {x, z} = {x}.  Any other symbol a of the block is a leaf
-    whose one neighbour x has a second neighbour, the block being
-    connected with more than two symbols; so g(x) = x, and g(a) lies in
-    {a, x} but is not g(x), so g(a) = a.  A 2-element block is one edge,
-    repeated or not, which g may fix or swap.  Conversely every map of
-    this form fixes every edge of the prefix.
+    An overlapping pair lies inside one 3-cycle of the running product,
+    hence inside one block of the prefix partition, so it joins nothing:
+    it completes a tuple only when the prefix is already connected.  A
+    relabeling fixing every edge of a connected prefix graph on k >= 3
+    symbols fixes every symbol (a symbol with two distinct neighbours y,
+    z maps into {x, y} & {x, z}; a leaf's neighbour has a second one), so
+    the twisted tuple is conjugate to the original only when it equals
+    it.
     """
     validate_cover_shape(k, b)
     tab = group_tables(k)
-    trans, trans_of, conj = tab.transpositions, tab.trans_of, tab.conj_trans
+    trans, trans_of = tab.transpositions, tab.trans_of
     mul, merge, nbl = tab.mul_trans, tab.merge_trans, tab.nblocks
-    stabilizers: dict[int, tuple[int, ...]] = {}
     classes = n3 = fixed_bad = orbit_bad = 0
-    for (p, c, _w), mult in prefix_states(tab, b).items():
+    for (p, c), mult in prefix_states(tab, b).items():
         mrow, crow = mul[p], merge[c]
         pairs = overlapping = fixed = orbit = 0
         for u in range(len(trans)):
@@ -393,12 +324,14 @@ def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
             if classify_node(trans[u], trans[v]) is not NodeType.THREE:
                 fixed += (u2, v2) != (u, v)
                 continue
+            if nbl[c] != 1:
+                raise InvariantViolation(
+                    f"overlapping pair {trans[u]}, {trans[v]} joins the split "
+                    f"prefix partition {tab.partitions[c]}"
+                )
             overlapping += 1
-            stab = stabilizers.get(c)
-            if stab is None:
-                stab = stabilizers[c] = _prefix_stabilizer(tab, c)
             # order divides 3 at class level, so size 1 is the only failure
-            orbit += any(conj[g][u2] == u and conj[g][v2] == v for g in stab)
+            orbit += (u2, v2) == (u, v)
         classes += pairs * mult
         n3 += overlapping * mult
         fixed_bad += fixed * mult

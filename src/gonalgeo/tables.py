@@ -1,6 +1,9 @@
 """Dense lookup tables for symmetric groups small enough to enumerate.
 
-Everything the tuple-search inner loops touch is flattened into lists
+They serve the searches that keep labeled tuples or states: tuple
+iteration, class representatives, canonical forms and the full-twist
+check.  Counts and censuses step unlabeled block states and need none
+of them.  Everything those inner loops touch is flattened into lists
 indexed by small integers: the group elements, the transpositions,
 right-multiplication of an element by a transposition, conjugation of a
 transposition by a group element, and the lattice of set partitions of the
@@ -15,13 +18,9 @@ from itertools import permutations
 from .errors import CapacityError
 from .perm import Perm, all_transpositions, cycle_type, transposition_perm
 
-# beyond this the tables themselves dwarf any feasible search
+# bounds tuple iteration, class representatives, canonical forms and the
+# twist check; beyond it the k!-sized tables dwarf any feasible labeled search
 MAX_TABLE_DEGREE = 7
-
-CLASS_OTHER = 0
-CLASS_IDENTITY = 1
-CLASS_DOUBLE = 2  # cycle type (2, 2, 1, ..., 1)
-CLASS_TRIPLE = 3  # cycle type (3, 1, ..., 1)
 
 
 def _set_partitions(k: int) -> list[tuple[int, ...]]:
@@ -54,13 +53,12 @@ def _merge_partition(labels: tuple[int, ...], a: int, b: int) -> tuple[int, ...]
 
 
 class GroupTables:
-    """Immutable lookup tables for one S_k; safe to share between workers."""
+    """Lookup tables for one S_k, never changed after construction."""
 
     __slots__ = (
         "k", "perms", "perm_index", "identity", "transpositions", "trans_index",
-        "mul_trans", "trans_of", "min_factors", "pair_class", "conj_trans",
-        "partitions", "merge_trans", "nblocks", "block_info", "discrete",
-        "_pair_completions",
+        "mul_trans", "trans_of", "min_factors", "conj_trans",
+        "partitions", "merge_trans", "nblocks", "discrete",
     )
 
     def __init__(self, k: int):
@@ -87,20 +85,7 @@ class GroupTables:
         for t, pair in enumerate(self.transpositions):
             self.trans_of[self.perm_index[transposition_perm(k, pair)]] = t
 
-        self.min_factors = []
-        self.pair_class = []
-        for p in self.perms:
-            ct = cycle_type(p)
-            self.min_factors.append(k - len(ct))
-            if ct == (1,) * k:
-                cls = CLASS_IDENTITY
-            elif k >= 4 and ct == (2, 2) + (1,) * (k - 4):
-                cls = CLASS_DOUBLE
-            elif k >= 3 and ct == (3,) + (1,) * (k - 3):
-                cls = CLASS_TRIPLE
-            else:
-                cls = CLASS_OTHER
-            self.pair_class.append(cls)
+        self.min_factors = [k - len(cycle_type(p)) for p in self.perms]
 
         self.conj_trans = []
         for g in self.perms:
@@ -114,39 +99,10 @@ class GroupTables:
         part_index = {c: i for i, c in enumerate(self.partitions)}
         self.discrete = part_index[tuple(range(1, k + 1))]
         self.nblocks = [len(set(c)) for c in self.partitions]
-        self.block_info = []
-        for c in self.partitions:
-            sizes: dict[int, int] = {}
-            for lead in c:
-                sizes[lead] = sizes.get(lead, 0) + 1
-            self.block_info.append(tuple(sorted(sizes.items())))
         self.merge_trans = [
             [part_index[_merge_partition(c, a, b)] for a, b in self.transpositions]
             for c in self.partitions
         ]
-
-        self._pair_completions: dict[tuple[int, int], int] = {}
-
-    def pair_completions(self, p: int, c: int) -> int:
-        """Number of transposition pairs (u, v) with p*u*v the identity and
-        the partition c joined by u, v connected.  The second factor is
-        forced by the first, so this is a single loop over u."""
-        key = (p, c)
-        cached = self._pair_completions.get(key)
-        if cached is not None:
-            return cached
-        n = 0
-        mul_row = self.mul_trans[p]
-        merge_row = self.merge_trans[c]
-        for t in range(len(self.transpositions)):
-            p2 = mul_row[t]
-            t2 = self.trans_of[p2]
-            if t2 < 0:
-                continue
-            if self.nblocks[self.merge_trans[merge_row[t]][t2]] == 1:
-                n += 1
-        self._pair_completions[key] = n
-        return n
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +111,8 @@ def group_tables(k: int) -> GroupTables:
         raise CapacityError(f"tables need degree at least 2, got {k}")
     if k > MAX_TABLE_DEGREE:
         raise CapacityError(
-            f"degree {k} exceeds the table bound {MAX_TABLE_DEGREE}; "
-            "use the character oracle for counts at this size"
+            f"degree {k} exceeds the table bound {MAX_TABLE_DEGREE} of tuple "
+            "iteration, class representatives, canonical forms and the twist "
+            "check; counts and censuses need no tables"
         )
     return GroupTables(k)

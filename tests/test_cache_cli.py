@@ -261,13 +261,13 @@ def test_cli_cached_count_too_long_to_read(tmp_path, capsys):
 
 
 def test_cli_capacity_guard(tmp_path, capsys):
-    # a budget too large to trip, so the degree cap itself answers
+    # a budget too large to trip, so the guard's character-table bound answers
     code, _out, err = run_cli(
-        capsys, "census", "--k", "8", "--b", "14", "--cache-dir", str(tmp_path),
+        capsys, "census", "--k", "13", "--b", "24", "--cache-dir", str(tmp_path),
         "--budget", str(10**30),
     )
     assert code == 3
-    assert "exceeds the table bound" in err
+    assert "exceeds the bound 12" in err
 
 
 def test_cli_invariants_and_audit(tmp_path, capsys):
@@ -500,6 +500,28 @@ def test_cli_delta_unusable_cache_dir(tmp_path, capsys):
     f.write_text("")
     code, out, err = run_cli(capsys, "delta", "0", "2", "1", "--cache-dir", str(f))
     _assert_unusable(code, out, err, str(f))
+
+
+def test_cli_unsearchable_cache_dir(tmp_path, capsys, monkeypatch):
+    # chmod 000 does not stop a process running as root, so the denied
+    # search is simulated where the existence probe stats the document
+    d = tmp_path / "locked"
+    real_stat = Path.stat
+
+    def stat(self, *args, **kwargs):
+        if d in self.parents:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_stat(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "stat", stat)
+    for argv in (
+        ("census", "--k", "3", "--b", "4"),
+        ("delta", "0", "2", "1"),
+        ("asymptotics", "--delta", "0", "2", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(d))
+        _assert_unusable(code, out, err, str(d))
+        assert "Permission denied" in err
 
 
 def test_cli_invariants_unusable_cache_dir(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from gonalgeo.covers import (
     MonodromyTuple,
     TupleCensus,
-    _orbit_key,
+    _block_steps,
     are_conjugate,
     canonical_form,
     class_count,
@@ -15,7 +15,6 @@ from gonalgeo.covers import (
     count_tuples,
     cover_genus,
     iter_tuples,
-    prefix_states,
     tuple_stabilizer,
     verify_free_action,
 )
@@ -177,43 +176,88 @@ def test_orbit_merged_count_matches_oracle_at_degrees_six_and_seven():
         assert count_tuples(k, b) == connected_count(k, b), (k, b)
 
 
-def _relabel_state(tab, part_index, g, state):
-    """The search state of the relabeled prefixes: g p g^-1, the image
-    partition, and each block's entry count moved to its image's leader."""
+def test_block_state_count_matches_oracle_past_the_table_bound():
+    for k, b in [(8, 14), (9, 16)]:
+        assert count_tuples(k, b) == connected_count(k, b), (k, b)
+
+
+def labeled_step(tab, state, t):
+    """The labeled weighted state after one more entry t: running
+    product, partition, and per-block entry counts by block leader
+    (None once the partition is connected)."""
     p, c, w = state
-    q, labels = tab.perms[p], tab.partitions[c]
-    conj = [0] * tab.k
-    for x in range(1, tab.k + 1):
-        conj[g[x - 1] - 1] = g[q[x - 1] - 1]
-    blocks = {}
-    for x, lead in enumerate(labels, start=1):
-        blocks.setdefault(lead, []).append(g[x - 1])
-    image = [0] * tab.k
-    w2 = None if w is None else [0] * tab.k
-    for lead, members in blocks.items():
-        for y in members:
-            image[y - 1] = min(members)
-        if w is not None:
-            w2[min(members) - 1] = w[lead - 1]
-    return (
-        tab.perm_index[tuple(conj)],
-        part_index[tuple(image)],
-        None if w2 is None else tuple(w2),
-    )
+    c2 = tab.merge_trans[c][t]
+    w2 = None
+    if w is not None and tab.nblocks[c2] > 1:
+        labels = tab.partitions[c]
+        la, lb = (labels[x - 1] for x in tab.transpositions[t])
+        w2 = list(w)
+        if la == lb:
+            w2[la - 1] += 1
+        else:
+            lo, hi = min(la, lb), max(la, lb)
+            w2[lo - 1] += w2[hi - 1] + 1
+            w2[hi - 1] = 0
+        w2 = tuple(w2)
+    return tab.mul_trans[p][t], c2, w2
 
 
-def test_orbit_key_is_a_complete_invariant():
-    for k, b_max in [(2, 6), (3, 10), (4, 10), (5, 12)]:
+def labeled_layers(tab, b):
+    """Every layer of the pruned labeled weighted search over b entries,
+    up to the states after b - 2, each mapped to its prefix count."""
+    layers = [{(tab.identity, tab.discrete, (0,) * tab.k): 1}]
+    for depth in range(b - 2):
+        left = b - depth - 1
+        out = {}
+        for state, mult in layers[-1].items():
+            for t in range(len(tab.transpositions)):
+                nxt = labeled_step(tab, state, t)
+                if tab.min_factors[nxt[0]] <= left and tab.nblocks[nxt[1]] - 1 <= left:
+                    out[nxt] = out.get(nxt, 0) + mult
+        layers.append(out)
+    return layers
+
+
+def block_key(tab, state):
+    """The unlabeled block state of a labeled one: per block, the cycle
+    type of the running product on it and its entry count."""
+    p, c, w = state
+    perm, labels = tab.perms[p], tab.partitions[c]
+    cycles = {}
+    seen = set()
+    for start in perm:
+        if start in seen:
+            continue
+        x, n = start, 0
+        while x not in seen:
+            seen.add(x)
+            x = perm[x - 1]
+            n += 1
+        cycles.setdefault(labels[start - 1], []).append(n)
+    return tuple(sorted(
+        (tuple(sorted(ct, reverse=True)), None if w is None else w[lead - 1])
+        for lead, ct in cycles.items()
+    ))
+
+
+def test_block_steps_equal_the_labeled_successors():
+    checked = 0
+    for k in (2, 3, 4, 5):
         tab = group_tables(k)
-        part_index = {c: i for i, c in enumerate(tab.partitions)}
         states = set()
-        for b in range(2, b_max + 1, 2):
-            for weighted in (False, True):
-                states.update(prefix_states(tab, b, weighted=weighted))
-        key_of_orbit = {}
+        for b in range(max(2, 2 * k - 2), 9, 2):
+            for layer in labeled_layers(tab, b):
+                states.update(layer)
         for state in states:
-            orbit = min(_relabel_state(tab, part_index, g, state) for g in tab.perms)
-            assert key_of_orbit.setdefault(orbit, _orbit_key(tab, state)) == _orbit_key(tab, state)
-        keys = list(key_of_orbit.values())
-        assert len(set(keys)) == len(keys), k
-        assert (len(keys), len(states)) == {2: (3, 3), 3: (9, 20), 4: (31, 154), 5: (76, 1528)}[k]
+            successors = {}
+            for t in range(len(tab.transpositions)):
+                nxt = labeled_step(tab, state, t)
+                need = max(tab.min_factors[nxt[0]], tab.nblocks[nxt[1]] - 1)
+                key = block_key(tab, nxt)
+                n, need0 = successors.get(key, (0, need))
+                assert need0 == need, (state, key)
+                successors[key] = (n + 1, need)
+            steps = {nxt: (n, need) for nxt, n, need in _block_steps(block_key(tab, state))}
+            assert steps == successors, (k, state)
+            checked += 1
+    assert checked == 1180

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from gonalgeo.characters import connected_count
 from gonalgeo.covers import (
     MonodromyTuple,
     are_conjugate,
@@ -27,9 +28,7 @@ from gonalgeo.degeneration import (
     NodeType,
     SplitProfile,
     TwistOrbitReport,
-    _prefix_stabilizer,
     _table_twist,
-    _tally_pairs,
     census,
     classify_node,
     full_census,
@@ -42,6 +41,7 @@ from gonalgeo.perm import all_transpositions, compose, cycle_type, transposition
 from gonalgeo.tables import group_tables
 
 from conftest import ENVELOPE
+from test_covers import labeled_layers
 
 # (k, b) -> (classes, n1, n22, n3, split table, e, n_sing)
 FROZEN = {
@@ -249,24 +249,6 @@ def test_twist_tally_at_4_10_is_the_walks_report():
     assert verify_twist_orbits(4, 10) == TwistOrbitReport(4, 10, 206640, 137781, 0, 0)
 
 
-def test_prefix_stabilizer_is_every_relabeling_fixing_the_prefix():
-    # the relabelings fixing a prefix depend only on its set of distinct
-    # entries, so running over every set covers every prefix of any length
-    for k in (2, 3, 4, 5):
-        tab = group_tables(k)
-        nt = len(tab.transpositions)
-        for mask in range(1 << nt):
-            entries = [t for t in range(nt) if mask >> t & 1]
-            c = tab.discrete
-            for t in entries:
-                c = tab.merge_trans[c][t]
-            fixers = [
-                g for g, row in enumerate(tab.conj_trans)
-                if all(row[t] == t for t in entries)
-            ]
-            assert sorted(_prefix_stabilizer(tab, c)) == fixers, (k, entries)
-
-
 def _witness_prefixes(tab, b):
     """One pruned prefix of b - 2 entries for every search state, from the
     layered walk ``prefix_states`` makes, keeping the first arrival."""
@@ -288,7 +270,7 @@ def test_table_twist_is_full_twist_on_every_completion():
         tab = group_tables(k)
         trans = tab.transpositions
         witnesses = _witness_prefixes(tab, b)
-        assert set(witnesses) == {(p, c) for p, c, _w in prefix_states(tab, b)}
+        assert set(witnesses) == set(prefix_states(tab, b))
         completions = 0
         for (p, c), prefix in witnesses.items():
             for u in range(len(trans)):
@@ -362,30 +344,63 @@ def test_equal_degree_cell_must_be_canonical():
         )
 
 
+def _labeled_tally(k, b):
+    """The census tally over labeled states: every connected completing
+    pair of every weighted state after b - 2 entries, typed by
+    ``classify_node`` and, for an equal pair on a split partition, by the
+    size and entry count of the smaller block."""
+    tab = group_tables(k)
+    g = cover_genus(k, b)
+    trans = tab.transpositions
+    tally = Counter()
+    for (p, c, w), mult in labeled_layers(tab, b)[-1].items():
+        sizes = sorted(Counter(tab.partitions[c]).items())
+        for u in range(len(trans)):
+            v = tab.trans_of[tab.mul_trans[p][u]]
+            if v < 0 or tab.nblocks[tab.merge_trans[tab.merge_trans[c][u]][v]] != 1:
+                continue
+            node = classify_node(trans[u], trans[v])
+            if node is NodeType.TWO_TWO:
+                tally["disjoint"] += mult
+            elif node is NodeType.THREE:
+                tally["overlap"] += mult
+            elif len(sizes) == 1:
+                tally["central"] += mult
+            else:
+                (l1, s1), (l2, s2) = sizes
+                lead, j = (l1, s1) if s1 <= s2 else (l2, s2)
+                i = (w[lead - 1] - 2 * j + 2) // 2
+                if 2 * j == k:
+                    i = min(i, g - i)
+                tally[("split", j, i)] += mult
+    return tally
+
+
 @pytest.mark.parametrize(
     "k, b",
     ENVELOPE + [(3, 16), (4, 12), (4, 16), (5, 10), (5, 12), (6, 10), (6, 14)],
 )
 def test_orbit_census_equals_the_labeled_tally(k, b):
-    tab = group_tables(k)
+    labeled = _labeled_tally(k, b)
     g = cover_genus(k, b)
-    labeled, merged = {}, {}
-    for (p, c, w), mult in prefix_states(tab, b, weighted=True).items():
-        _tally_pairs(tab, g, b, p, c, w, mult, labeled)
-    for (p, c, w), mult in prefix_states(tab, b, weighted=True, orbits=True).items():
-        _tally_pairs(tab, g, b, p, c, w, mult, merged)
-    assert merged == labeled
-
     counts, cen = full_census(k, b)
     div = factorial(k) if k >= 3 else 1
     splits = {key[1:]: v for key, v in labeled.items() if isinstance(key, tuple)}
     assert counts.raw_count == sum(labeled.values())
     assert counts.class_count * div == counts.raw_count
-    assert cen.central * div == labeled.get("central", 0)
-    assert cen.type_one * div == labeled.get("central", 0) + sum(splits.values())
-    assert cen.type_two_two * div == labeled.get("disjoint", 0)
-    assert cen.type_three * div == labeled.get("overlap", 0)
+    assert cen.central * div == labeled["central"]
+    assert cen.type_one * div == labeled["central"] + sum(splits.values())
+    assert cen.type_two_two * div == labeled["disjoint"]
+    assert cen.type_three * div == labeled["overlap"]
     assert {cell: n * div for cell, n in cen.split_table.items()} == splits
     assert cen.rational_splits * div == sum(
         n for (j, i), n in splits.items() if i in (0, g)
     )
+
+
+def test_census_past_the_table_bound():
+    # DegenerationCensus runs its validators on construction
+    counts, cen = full_census(8, 14)
+    assert isinstance(cen, DegenerationCensus)
+    assert counts.raw_count == connected_count(8, 14)
+    assert cen.classes == counts.class_count
