@@ -17,15 +17,14 @@ about a state depends on how the sheets are labeled.  The counter
 therefore steps unlabeled block states layer by layer, each mapped to
 the number of prefixes that reach it.  A block state is the sorted tuple
 of blocks of the symbol partition, each block given by the cycle type of
-the running product on it and its entry count (None once the partition
-is connected, since it never splits again).  Multiplying by a
-transposition (x y) either cuts the l-cycle through x and y into a
-d-cycle and an (l - d)-cycle, which l transpositions do (l / 2 when
-2d = l), or joins an a-cycle and a b-cycle, which a * b transpositions
-do.  Both add one entry to the block; a join across two blocks merges
-them, entry counts summed plus one.  This is the cut-and-join recursion
-(Goulden and Jackson, Proc. AMS 125, 1997).  No step touches a k!-sized
-table, so counts reach any degree the state count allows.
+the running product on it.  Multiplying by a transposition (x y) either
+cuts the l-cycle through x and y into a d-cycle and an (l - d)-cycle,
+which l transpositions do (l / 2 when 2d = l), or joins an a-cycle and
+a b-cycle, which a * b transpositions do, merging their blocks when
+they differ: the cut-and-join recursion (Goulden and Jackson, Proc. AMS
+125, 1997).  The connected count after any number of entries is the
+weight of the identity on one block.  No step touches a k!-sized table,
+and there are at most as many states as partitions of partitions of k.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
@@ -201,14 +200,8 @@ def prefix_states(tab: GroupTables, b: int) -> dict:
     return layer
 
 
-def _block(cycles, w) -> tuple:
-    return tuple(sorted(cycles, reverse=True)), w
-
-
-def _state(blocks: list) -> tuple:
-    if len(blocks) == 1:
-        return ((blocks[0][0], None),)
-    return tuple(sorted(blocks))
+def _block(cycles) -> tuple:
+    return tuple(sorted(cycles, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -218,53 +211,65 @@ def _block_steps(state: tuple) -> tuple:
     successor.  The need is the larger of (k - #cycles), the fewest
     transpositions with the running product, and (#blocks - 1), the
     fewest joins left.  Memoised for the life of the process: one entry
-    per state reached."""
+    per state reached, at most the partitions of partitions of k."""
     steps: dict = {}
 
     def add(blocks: list, n: int) -> None:
-        key = _state(blocks)
+        key = tuple(sorted(blocks))
         steps[key] = steps.get(key, 0) + n
 
     blocks = list(state)
-    for i, (ct, w) in enumerate(blocks):
+    for i, ct in enumerate(blocks):
         rest = blocks[:i] + blocks[i + 1:]
-        w1 = None if w is None else w + 1
         for m, l in enumerate(ct):
             others = ct[:m] + ct[m + 1:]
             for d in range(1, l // 2 + 1):
-                add(rest + [_block(others + (d, l - d), w1)], l // 2 if 2 * d == l else l)
+                add(rest + [_block(others + (d, l - d))], l // 2 if 2 * d == l else l)
             for m2 in range(m + 1, len(ct)):
                 joined = others[:m2 - 1] + others[m2:] + (l + ct[m2],)
-                add(rest + [_block(joined, w1)], l * ct[m2])
+                add(rest + [_block(joined)], l * ct[m2])
         for i2 in range(i + 1, len(blocks)):
-            ct2, w2 = blocks[i2]
+            ct2 = blocks[i2]
             rest2 = [blk for n, blk in enumerate(blocks) if n != i and n != i2]
             for m, l in enumerate(ct):
                 for m2, l2 in enumerate(ct2):
                     joined = ct[:m] + ct[m + 1:] + ct2[:m2] + ct2[m2 + 1:] + (l + l2,)
-                    add(rest2 + [_block(joined, w + w2 + 1)], l * l2)
-    k = sum(sum(ct) for ct, _w in state)
+                    add(rest2 + [_block(joined)], l * l2)
+    k = sum(map(sum, state))
     return tuple(
-        (nxt, n, max(k - sum(len(ct) for ct, _w in nxt), len(nxt) - 1))
+        (nxt, n, max(k - sum(map(len, nxt)), len(nxt) - 1))
         for nxt, n in steps.items()
     )
 
 
-def block_states(k: int, b: int) -> dict:
-    """Unlabeled block states after the first b - 2 entries, each mapped
-    to the number of pruned prefixes that reach it.  The search starts
-    from k singleton blocks and drops a successor that needs more
-    entries than remain."""
-    layer = {_state([((1,), 0)] * k): 1}
-    for depth in range(b - 2):
-        left = b - depth - 1
+def block_layers(k: int, top: int):
+    """Unlabeled block states after 0, 1, ..., top entries, one dict per
+    layer mapping each state to the number of pruned prefixes that reach
+    it.  The walk starts from k singleton blocks and drops a successor
+    that needs more entries than remain before ``top``: it cannot reach
+    the identity on one block at any layer up to ``top``."""
+    layer = {((1,),) * k: 1}
+    yield layer
+    for left in range(top - 1, -1, -1):
         out: dict = {}
         for state, mult in layer.items():
             for nxt, n, need in _block_steps(state):
                 if need <= left:
                     out[nxt] = out.get(nxt, 0) + mult * n
         layer = out
-    return layer
+        yield layer
+
+
+def connected_series(j: int, top: int) -> list[int]:
+    """Connected counts of degree j after 0, 1, ..., top entries, from
+    one walk: entry beta counts the beta-tuples of transpositions in S_j
+    with identity product and transitive span.
+
+    >>> connected_series(3, 6)
+    [0, 0, 0, 0, 24, 0, 240]
+    """
+    done = ((1,) * j,)
+    return [layer.get(done, 0) for layer in block_layers(j, top)]
 
 
 def _completion(state: tuple):
@@ -273,15 +278,15 @@ def _completion(state: tuple):
     when there are none.
 
     The kind is "central" (identity product, connected), "overlap" (a
-    3-cycle), "disjoint" (a double transposition), or ``(j, beta1)`` for
-    an identity product on two blocks, j the smaller block size and
-    beta1 its entry count.  The pair multiplies to the inverse of the
-    running product, so for a 3-cycle or a double transposition each
-    entry lies inside one block and joins nothing; only an identity
-    product's pair (x y)(x y) can join two blocks.
+    3-cycle), "disjoint" (a double transposition), or the smaller block
+    size j for an identity product on two blocks, which only its pair
+    (x y)(x y) can join: the pair multiplies to the inverse of the
+    running product, so the entries of any other pair lie inside one
+    block each.  No entry counts are kept; a split's cells come from
+    connected counts of its two sides.
     """
     if len(state) == 1:
-        ct = state[0][0]
+        ct = state[0]
         moved = tuple(l for l in ct if l > 1)
         if not moved:
             return "central", comb(len(ct), 2)
@@ -290,10 +295,9 @@ def _completion(state: tuple):
         if moved == (2, 2):
             return "disjoint", 2
         return None
-    if len(state) == 2 and all(l == 1 for ct, _w in state for l in ct):
-        (ct1, w1), (ct2, w2) = state
-        s1, s2 = len(ct1), len(ct2)
-        return ((s1, w1) if s1 <= s2 else (s2, w2)), s1 * s2
+    if len(state) == 2 and all(l == 1 for ct in state for l in ct):
+        s1, s2 = map(len, state)
+        return min(s1, s2), s1 * s2
     return None
 
 
@@ -304,12 +308,7 @@ def count_tuples(k: int, b: int, workers: int = 1) -> int:
     process and does not depend on it.
     """
     validate_cover_shape(k, b)
-    total = 0
-    for state, mult in block_states(k, b).items():
-        done = _completion(state)
-        if done:
-            total += mult * done[1]
-    return total
+    return connected_series(k, b)[b]
 
 
 def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:

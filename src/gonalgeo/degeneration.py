@@ -9,15 +9,16 @@ orbit keeps a connected cover of lower genus, two orbits split the cover
 into a pair of components joined at a point.
 
 The census tallies these types over every class of tuples for one (k, b),
-from the same layered DP over unlabeled block states as the raw count:
+from the same layered walk over unlabeled block states as the raw count:
 each state reached after b - 2 entries classifies all of its two-entry
-completions at once, weighted by the number of prefixes that reach it.
-The completion type is decided by the running product's cycle type on
-the state's blocks, and a split's genus by the entry count of the
-smaller block, so the state alone fixes every tally.  The raw tallies
-are divided by k! at the end (relabeling acts freely for k >= 3, so each
-class is hit exactly k! times and every tally divides exactly); an
-error names the block state.
+completions at once, by the running product's cycle type on its blocks,
+weighted by the number of prefixes that reach it.  A split into a
+degree-j component carrying beta1 of the other b - 2 entries and its
+complement takes C(k, j) C(b - 2, beta1) j (k - j) Conn(j, beta1)
+Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k, with Conn read
+off walks of the smaller degrees; for each j these cells must add up to
+the census walk's two-block tally.  Every raw tally is divided by k!
+(relabeling acts freely for k >= 3, so each class is hit k! times).
 
 The full-twist check runs over labeled search states, in a pass of its
 own, twisting each completion through the dense S_k tables.
@@ -27,13 +28,16 @@ same check one class at a time and serve as its independent reference.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
+from math import comb
 
 from .covers import (
     MonodromyTuple,
     TupleCensus,
     _class_divisor,
     _completion,
-    block_states,
+    block_layers,
+    connected_series,
     cover_genus,
     prefix_states,
     validate_cover_shape,
@@ -218,15 +222,28 @@ def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, Degenera
     validate_cover_shape(k, b)
     g = cover_genus(k, b)
     tally: dict = {}
-    for state, mult in block_states(k, b).items():
+    for state, mult in next(islice(block_layers(k, b), b - 2, None)).items():
         done = _completion(state)
-        if done is None:
-            continue
-        kind, n = done
-        if isinstance(kind, tuple):
-            j, beta1 = kind
-            kind = ("split", j, _component_genus(j, beta1, g, k, b, f"block state {state}"))
-        tally[kind] = tally.get(kind, 0) + n * mult
+        if done:
+            kind, n = done
+            tally[kind] = tally.get(kind, 0) + n * mult
+    conn = {d: connected_series(d, b - 2) for d in range(1, k)}
+    splits: dict = {}
+    for j in range(1, k // 2 + 1):
+        cells = 0
+        for beta1 in range(b - 1):
+            n = (comb(k, j) * comb(b - 2, beta1) * j * (k - j)
+                 * conn[j][beta1] * conn[k - j][b - 2 - beta1])
+            if 2 * j == k:
+                n //= 2
+            if n:
+                cells += n
+                cell = (j, _component_genus(j, beta1, g, k, b, f"split cell ({j}, {beta1})"))
+                splits[cell] = splits.get(cell, 0) + n
+        if cells != tally.get(j, 0):
+            raise InvariantViolation(
+                f"split cells for j = {j} sum to {cells}, not the two-block tally"
+            )
 
     div = _class_divisor(k)
 
@@ -239,9 +256,8 @@ def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, Degenera
     n22 = classes_of(tally.get("disjoint", 0), "disjoint-pair")
     n3 = classes_of(tally.get("overlap", 0), "overlapping-pair")
     split_table = {
-        key[1:]: classes_of(v, f"split {key[1:]}")
-        for key, v in sorted(tally.items(), key=repr)
-        if isinstance(key, tuple)
+        cell: classes_of(v, f"split {cell}")
+        for cell, v in sorted(splits.items(), key=repr)
     }
     n1 = central + sum(split_table.values())
     smooth = sum(v for (j, i), v in split_table.items() if i == 0 or i == g)

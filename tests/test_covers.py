@@ -1,3 +1,5 @@
+from math import comb
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -12,13 +14,14 @@ from gonalgeo.covers import (
     class_count_via_oracle,
     class_representatives,
     conjugate_tuple,
+    connected_series,
     count_tuples,
     cover_genus,
     iter_tuples,
     tuple_stabilizer,
     verify_free_action,
 )
-from gonalgeo.characters import connected_count, disconnected_count
+from gonalgeo.characters import connected_count, disconnected_count, partitions_of
 from gonalgeo.errors import InvariantViolation, ParameterError
 from gonalgeo.perm import identity
 from gonalgeo.tables import group_tables
@@ -220,8 +223,9 @@ def labeled_layers(tab, b):
 
 def block_key(tab, state):
     """The unlabeled block state of a labeled one: per block, the cycle
-    type of the running product on it and its entry count."""
-    p, c, w = state
+    type of the running product on it.  Entry counts are dropped, so
+    labeled states that differ only in them share a key."""
+    p, c, _w = state
     perm, labels = tab.perms[p], tab.partitions[c]
     cycles = {}
     seen = set()
@@ -234,10 +238,7 @@ def block_key(tab, state):
             x = perm[x - 1]
             n += 1
         cycles.setdefault(labels[start - 1], []).append(n)
-    return tuple(sorted(
-        (tuple(sorted(ct, reverse=True)), None if w is None else w[lead - 1])
-        for lead, ct in cycles.items()
-    ))
+    return tuple(sorted(tuple(sorted(ct, reverse=True)) for ct in cycles.values()))
 
 
 def test_block_steps_equal_the_labeled_successors():
@@ -261,3 +262,42 @@ def test_block_steps_equal_the_labeled_successors():
             assert steps == successors, (k, state)
             checked += 1
     assert checked == 1180
+
+
+def test_connected_series_matches_the_oracle():
+    for j in range(1, 10):
+        top = 2 * j + 20
+        series = connected_series(j, top)
+        assert len(series) == top + 1
+        assert not any(series[1::2]), j
+        for beta in range(0, top + 1, 2):
+            # the oracle starts at degree 2; a single sheet is connected
+            # only with no branch points
+            want = connected_count(j, beta) if j > 1 else int(beta == 0)
+            assert series[beta] == want, (j, beta)
+        assert not any(series[:2 * j - 2]), j
+
+
+def partitions_of_partitions(k):
+    """Multisets of partitions whose sizes add up to k: one per block
+    state of degree k."""
+    total = 0
+    for sizes in partitions_of(k):
+        n = 1
+        for size in set(sizes):
+            n *= comb(len(partitions_of(size)) + sizes.count(size) - 1, sizes.count(size))
+        total += n
+    return total
+
+
+def test_step_memo_is_bounded_by_the_block_shapes():
+    assert [partitions_of_partitions(k) for k in range(1, 10)] == [
+        1, 3, 6, 14, 27, 58, 111, 223, 424,
+    ]
+    bound = partitions_of_partitions(12)
+    assert bound == 2870
+    _block_steps.cache_clear()
+    assert count_tuples(12, 22) == connected_count(12, 22)
+    info = _block_steps.cache_info()
+    assert info.currsize <= bound
+    assert info.hits > 0

@@ -8,7 +8,7 @@ time.  Both routes are re-run against each other here.
 
 from collections import Counter
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -404,3 +404,28 @@ def test_census_past_the_table_bound():
     assert isinstance(cen, DegenerationCensus)
     assert counts.raw_count == connected_count(8, 14)
     assert cen.classes == counts.class_count
+
+
+def _conn(j, beta):
+    return connected_count(j, beta) if j > 1 else int(beta == 0)
+
+
+@pytest.mark.parametrize("k, b", [(9, 46), (10, 52)])
+def test_census_past_the_old_reach(k, b):
+    # DegenerationCensus runs its validators on construction
+    counts, cen = full_census(k, b)
+    assert isinstance(cen, DegenerationCensus)
+    assert counts.raw_count == connected_count(k, b)
+    assert cen.classes == counts.class_count
+    g = cover_genus(k, b)
+    cells = Counter()
+    for j in range(1, k // 2 + 1):
+        for beta1 in range(2 * j - 2, b - 1, 2):
+            n = (comb(k, j) * comb(b - 2, beta1) * j * (k - j)
+                 * _conn(j, beta1) * _conn(k - j, b - 2 - beta1))
+            i = (beta1 - 2 * j + 2) // 2
+            if 2 * j == k:
+                n, i = n // 2, min(i, g - i)
+            if n:
+                cells[(j, i)] += n
+    assert {cell: n * factorial(k) for cell, n in cen.split_table.items()} == dict(cells)
