@@ -1,19 +1,27 @@
-"""Exact character table of S_k and cover counting through class algebra.
+"""Cover counting through class algebra, and the exact character table of S_k.
 
-Characters are computed by the border-strip recursion on beta-sets, every
-entry an exact integer.  The number of length-b transposition tuples with
-identity product is the class-algebra evaluation
+The number of length-b transposition tuples in S_k with identity product
+is Frobenius' class-algebra evaluation, which needs only the dimension
+and the central character of each irreducible at the transposition
+class C:
 
-    D(k, b) = (|C|^b / k!) * sum over irreps of chi(tau)^b * dim^(2 - b)
+    D(k, b) = (1 / k!) * sum over partitions lam of k of dim_lam^2 * f_lam^b
 
-with C the transposition class and tau a transposition.  Connected counts
+with dim_lam = k! / (product of hook lengths of lam) and f_lam =
+|C| chi_lam(tau) / dim_lam the content sum of lam, the sum of j - i over
+its cells (i, j).  Both are read off the diagram, so a count never
+builds a character table; each degree keeps its p(k) pairs
+(dim_lam^2, f_lam), checked against three identities.  Connected counts
 follow by peeling off the sub-cover attached to the block of symbol 1.
+
+The full character table, by the border-strip recursion on beta-sets
+with every entry an exact integer and both orthogonality relations
+checked, is kept as the independent reference for those pairs.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul
 
 from .errors import CapacityError, InvariantViolation, ParameterError
@@ -145,6 +153,54 @@ def _check_shape(k: int, b: int) -> None:
         raise ParameterError(f"branch count must be even and nonnegative, got {b}")
 
 
+def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
+    """Hook length of every cell of the diagram of ``lam``, row by row.
+
+    >>> _hook_lengths((3, 1))
+    [4, 2, 1, 1]
+    """
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    return [row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
+
+
+def _content_sum(lam: tuple[int, ...]) -> int:
+    """Sum of j - i over the cells (i, j) of the diagram of ``lam``.
+
+    >>> _content_sum((3, 1))
+    2
+    """
+    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(lam))
+
+
+@lru_cache(maxsize=None)
+def _content_terms(k: int) -> tuple[tuple[int, int], ...]:
+    """``(dim_lam^2, f_lam)`` for every partition of k, from hook lengths
+    and content sums.  The pairs must satisfy the counts of zero, one and
+    two transpositions with identity product, k! times 1, 0 and C(k, 2);
+    every identity that fails is named."""
+    order = factorial(k)
+    terms = []
+    for lam in partitions_of(k):
+        dim, rem = divmod(order, prod(_hook_lengths(lam)))
+        if rem:
+            raise InvariantViolation(f"hook lengths of {lam} do not give a dimension of S_{k}")
+        terms.append((dim * dim, _content_sum(lam)))
+    failed = [
+        name
+        for name, power, want in (
+            ("sum dim^2 = k!", 0, order),
+            ("sum dim^2 f = 0", 1, 0),
+            ("sum dim^2 f^2 = k! C(k, 2)", 2, order * comb(k, 2)),
+        )
+        if sum(sq * f**power for sq, f in terms) != want
+    ]
+    if failed:
+        raise InvariantViolation(
+            f"content-sum terms of degree {k} fail " + "; ".join(failed)
+        )
+    return tuple(terms)
+
+
 def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> int:
     """Number of b-tuples of transpositions in S_k with identity product,
     transitive or not.
@@ -155,20 +211,15 @@ def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) 
     1
     """
     _check_shape(k, b)
-    table = character_table(k, max_degree=max_degree)
-    tau = (2,) + (1,) * (k - 2)
-    tau_col = table.classes.index(tau)
-    acc = Fraction(0)
-    for row, dim in zip(table.rows, table.dims):
-        ct = row[tau_col]
-        if ct == 0 and b > 0:
-            continue
-        acc += Fraction(ct**b * dim**2, dim**b)
-    csize = k * (k - 1) // 2
-    value = Fraction(csize**b, factorial(k)) * acc
-    if value.denominator != 1:
+    if k > max_degree:
+        raise CapacityError(
+            f"degree {k} exceeds the bound {max_degree} on the character oracle's degree"
+        )
+    total = sum(sq * f**b for sq, f in _content_terms(k))
+    value, rem = divmod(total, factorial(k))
+    if rem:
         raise InvariantViolation(f"class-algebra count for ({k}, {b}) not integral")
-    return int(value)
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -184,18 +235,20 @@ def _connected(k: int, b: int, max_degree: int) -> int:
         return 1 if b == 0 else 0
     total = _disconnected(k, b, max_degree)
     # remove tuples whose block containing symbol 1 is a proper sub-cover;
-    # restricting to the block through 1 counts each split exactly once
-    for j in range(1, k + 1):
+    # restricting to the block through 1 counts each split exactly once.
+    # A block of all k symbols is the whole cover, so j stops below k, and
+    # the terms sharing b1 share the factor C(b, b1)
+    parts = [0] * (b // 2 + 1)
+    for j in range(1, k):
+        weight = comb(k - 1, j - 1)
         for b1 in range(0, b + 1, 2):
-            if j == k and b1 == b:
-                continue
             rest = _disconnected(k - j, b - b1, max_degree)
             if rest == 0:
                 continue
             inner = _connected(j, b1, max_degree)
-            if inner == 0:
-                continue
-            total -= comb(k - 1, j - 1) * comb(b, b1) * inner * rest
+            if inner:
+                parts[b1 // 2] += weight * inner * rest
+    total -= sum(comb(b, 2 * i) * part for i, part in enumerate(parts) if part)
     if total < 0:
         raise InvariantViolation(f"connected count for ({k}, {b}) went negative")
     return total

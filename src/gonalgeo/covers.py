@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
+from .characters import DEFAULT_MAX_DEGREE
 from .errors import InvariantViolation, ParameterError
 from .perm import Perm, Transposition
 from .tables import GroupTables, group_tables
@@ -260,16 +261,31 @@ def block_layers(k: int, top: int):
         yield layer
 
 
+def _walk_series(j: int, top: int) -> list[int]:
+    done = ((1,) * j,)
+    return [layer.get(done, 0) for layer in block_layers(j, top)]
+
+
+# degree -> the longest connected series walked so far in this process
+_SERIES: dict[int, list[int]] = {}
+
+
 def connected_series(j: int, top: int) -> list[int]:
     """Connected counts of degree j after 0, 1, ..., top entries, from
     one walk: entry beta counts the beta-tuples of transpositions in S_j
     with identity product and transitive span.
 
+    Memoised per degree for the life of the process: a series reaching
+    ``top`` answers every shorter one, and a longer ``top`` walks again
+    and replaces it.  Callers get a fresh list.
+
     >>> connected_series(3, 6)
     [0, 0, 0, 0, 24, 0, 240]
     """
-    done = ((1,) * j,)
-    return [layer.get(done, 0) for layer in block_layers(j, top)]
+    series = _SERIES.get(j)
+    if series is None or len(series) <= top:
+        series = _SERIES[j] = _walk_series(j, top)
+    return series[:top + 1]
 
 
 def _completion(state: tuple):
@@ -308,7 +324,9 @@ def count_tuples(k: int, b: int, workers: int = 1) -> int:
     process and does not depend on it.
     """
     validate_cover_shape(k, b)
-    return connected_series(k, b)[b]
+    # a fresh walk every call, outside the series memo: this is the
+    # enumeration that the character oracle checks
+    return _walk_series(k, b)[b]
 
 
 def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:
@@ -326,7 +344,7 @@ def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:
     return TupleCensus(k, b, raw, raw // div, "enumeration")
 
 
-def class_count_via_oracle(k: int, b: int, *, max_degree: int = 12) -> TupleCensus:
+def class_count_via_oracle(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> TupleCensus:
     """Tuple census computed from the character oracle instead of search."""
     from .characters import connected_count
 

@@ -16,9 +16,11 @@ weighted by the number of prefixes that reach it.  A split into a
 degree-j component carrying beta1 of the other b - 2 entries and its
 complement takes C(k, j) C(b - 2, beta1) j (k - j) Conn(j, beta1)
 Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k, with Conn read
-off walks of the smaller degrees; for each j these cells must add up to
-the census walk's two-block tally.  Every raw tally is divided by k!
-(relabeling acts freely for k >= 3, so each class is hit k! times).
+off walks of the smaller degrees (``connected_series`` walks each degree
+once per process, and again only for a longer series); for each j these
+cells must add up to the census walk's two-block tally.  Every raw tally
+is divided by k! (relabeling acts freely for k >= 3, so each class is
+hit k! times).
 
 The full-twist check runs over labeled search states, in a pass of its
 own, twisting each completion through the dense S_k tables.

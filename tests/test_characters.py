@@ -6,8 +6,9 @@ orthogonality facts for larger degrees, a brute-force tuple count it
 must match, and the frozen values the rest of the suite leans on.
 """
 
+from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -20,6 +21,7 @@ from gonalgeo.characters import (
     disconnected_count,
     partitions_of,
 )
+from gonalgeo.covers import count_tuples
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.perm import all_transpositions, compose, identity, transposition_perm
 
@@ -172,3 +174,87 @@ def test_table_build_rejects_a_wrong_entry(monkeypatch, bad):
     monkeypatch.setattr(characters, "_chi", skewed)
     with pytest.raises(InvariantViolation, match="orthogonality"):
         characters._build_table.__wrapped__(4)
+
+
+def table_count(k: int, b: int) -> int:
+    """D(k, b) from the class-algebra sum over the character table:
+    (|C|^b / k!) * sum of chi(tau)^b * dim^(2 - b)."""
+    table = character_table(k)
+    tau = table.classes.index((2,) + (1,) * (k - 2))
+    acc = sum(Fraction(row[tau] ** b * dim**2, dim**b) for row, dim in zip(table.rows, table.dims))
+    value = Fraction(comb(k, 2) ** b, factorial(k)) * acc
+    assert value.denominator == 1, (k, b)
+    return int(value)
+
+
+def test_content_terms_match_the_character_table():
+    for k in range(2, 13):
+        table = character_table(k)
+        tau = table.classes.index((2,) + (1,) * (k - 2))
+        terms = characters._content_terms(k)
+        assert len(terms) == len(partitions_of(k))
+        for (sq, f), row, dim in zip(terms, table.rows, table.dims):
+            assert sq == dim * dim
+            assert f * dim == comb(k, 2) * row[tau]
+        for b in range(0, 31, 2):
+            assert disconnected_count(k, b) == table_count(k, b), (k, b)
+
+
+def test_oracle_counts_past_the_table_bound():
+    # no character table of S_13 is built; the block walk is the check
+    assert connected_count(13, 24, max_degree=13) == count_tuples(13, 24)
+    with pytest.raises(CapacityError, match="exceeds the bound 12"):
+        disconnected_count(13, 24)
+
+
+def test_a_cold_count_builds_no_character_table():
+    for memo in (
+        characters._connected,
+        characters._disconnected,
+        characters._content_terms,
+        characters._build_table,
+        characters._chi,
+    ):
+        memo.cache_clear()
+    connected_count(12, 26)
+    assert characters._content_terms.cache_info().currsize == 11
+    assert characters._build_table.cache_info().currsize == 0
+    assert characters._chi.cache_info().currsize == 0
+
+
+SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT = (
+    "sum dim^2 = k!",
+    "sum dim^2 f = 0",
+    "sum dim^2 f^2 = k! C(k, 2)",
+)
+
+
+@pytest.mark.parametrize("lam, cell, hook, failing", [
+    # (2, 2) has content sum 0: only the count of squares moves
+    ((2, 2), 0, 6, {SUM_SQUARES}),
+    ((3, 1), 1, 1, {SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT}),
+    ((4,), 0, 2, {SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT}),
+])
+def test_content_terms_reject_a_skewed_hook_length(monkeypatch, lam, cell, hook, failing):
+    hooks = characters._hook_lengths
+
+    def skewed(mu):
+        out = hooks(mu)
+        if mu == lam:
+            out[cell] = hook
+        return out
+
+    monkeypatch.setattr(characters, "_hook_lengths", skewed)
+    with pytest.raises(InvariantViolation, match="content-sum terms of degree 4") as exc:
+        characters._content_terms.__wrapped__(4)
+    named = {name for name in (SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT) if name in str(exc.value)}
+    assert named == failing
+
+
+def test_content_terms_reject_a_hook_product_that_does_not_divide(monkeypatch):
+    hooks = characters._hook_lengths
+    monkeypatch.setattr(
+        characters, "_hook_lengths", lambda mu: [5] + hooks(mu)[1:] if mu == (3, 1) else hooks(mu)
+    )
+    with pytest.raises(InvariantViolation, match=r"hook lengths of \(3, 1\)"):
+        characters._content_terms.__wrapped__(4)

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from gonalgeo import covers
 from gonalgeo.characters import connected_count
 from gonalgeo.covers import (
     MonodromyTuple,
@@ -429,3 +430,26 @@ def test_census_past_the_old_reach(k, b):
             if n:
                 cells[(j, i)] += n
     assert {cell: n * factorial(k) for cell, n in cen.split_table.items()} == dict(cells)
+
+
+def test_census_walks_each_smaller_degree_once(monkeypatch):
+    monkeypatch.setattr(covers, "_SERIES", {})
+    walked = []
+    layers = covers.block_layers
+
+    def counting(k, top):
+        walked.append((k, top))
+        return layers(k, top)
+
+    monkeypatch.setattr(covers, "block_layers", counting)
+    first = full_census(6, 14)
+    assert full_census(6, 14) == first
+    assert walked == [(d, 12) for d in range(1, 6)]
+    # the memo answers this length and shorter ones; a longer one walks again
+    series = covers.connected_series(3, 12)
+    assert covers.connected_series(3, 6) == [0, 0, 0, 0, 24, 0, 240]
+    assert walked == [(d, 12) for d in range(1, 6)]
+    series[4] = 0  # callers own what they get
+    assert covers.connected_series(3, 12)[4] == 24
+    assert covers.connected_series(3, 16)[4::2] == [connected_count(3, b) for b in range(4, 17, 2)]
+    assert walked[-1] == (3, 16)
