@@ -212,9 +212,7 @@ def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) 
     """
     _check_shape(k, b)
     if k > max_degree:
-        raise CapacityError(
-            f"degree {k} exceeds the bound {max_degree} on the character oracle's degree"
-        )
+        raise CapacityError(f"degree {k} exceeds the bound {max_degree} on the character oracle")
     total = sum(sq * f**b for sq, f in _content_terms(k))
     value, rem = divmod(total, factorial(k))
     if rem:
