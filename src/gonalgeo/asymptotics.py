@@ -15,7 +15,7 @@ from fractions import Fraction
 from .covers import validate_cover_shape
 from .degeneration import DegenerationCensus
 from .errors import BudgetExceeded, InvariantViolation, ParameterError
-from .invariants import FamilyParams, rational_payload, surface_invariants
+from .invariants import FamilyParams, _decimal, _magnitude, rational_payload, surface_invariants
 
 ODD = "odd"
 EVEN = "even"
@@ -137,13 +137,25 @@ REFERENCE_THRESHOLD_POLYS: dict[str, tuple[Fraction, ...]] = {
 REFERENCE_THRESHOLD_CLAIMS = {ODD: 44, EVEN: 43}
 
 
-def _first_positive(coeffs, n_max: int) -> int | None:
+def _first_positive(coeffs) -> int | None:
+    """Least n >= 1 where the polynomial is positive, None when none is.
+
+    Every root lies below Cauchy's bound B = 1 + max_i ceil(|a_i| / |a_d|)
+    for the leading coefficient a_d, so from B on the value has the sign
+    of a_d and the sweep to B is exhaustive.
+    """
     # scaled by the lcm of the denominators: same signs, integer Horner steps
     scale = math.lcm(*(Fraction(x).denominator for x in coeffs))
-    ints = [int(Fraction(x) * scale) for x in reversed(coeffs)]
-    for n in range(1, n_max + 1):
+    ints = [int(Fraction(x) * scale) for x in coeffs]
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return None
+    lead = abs(ints[-1])
+    bound = 1 + max((-(-abs(a) // lead) for a in ints[:-1]), default=0)
+    for n in range(1, bound + 1):
         value = 0
-        for a in ints:
+        for a in reversed(ints):
             value = value * n + a
         if value > 0:
             return n
@@ -178,7 +190,6 @@ class ThresholdReport:
     reference_first_positive: int | None
     reference_claim: int
     claim_matches: bool
-    n_max: int
     notes: tuple[str, ...]
 
     def derived_value(self, n) -> Fraction:
@@ -196,21 +207,20 @@ class ThresholdReport:
             "reference_first_positive": self.reference_first_positive,
             "reference_claim": self.reference_claim,
             "claim_matches": self.claim_matches,
-            "n_max": self.n_max,
             "notes": list(self.notes),
         }
 
 
-def positivity_threshold(parity: str, n_max: int = 200) -> ThresholdReport:
-    """Exact sign sweep of the estimated excess polynomial for one
-    parity, to n_max, against the recorded polynomial and claim."""
+def positivity_threshold(parity: str) -> ThresholdReport:
+    """First n where the estimated excess polynomial for one parity is
+    positive, exactly, against the recorded polynomial and claim."""
     if parity not in (ODD, EVEN):
         raise ParameterError(f"parity must be {ODD!r} or {EVEN!r}, got {parity!r}")
     derived = threshold_polynomial(parity)
     reference = REFERENCE_THRESHOLD_POLYS[parity]
     claim = REFERENCE_THRESHOLD_CLAIMS[parity]
-    d_first = _first_positive(derived, n_max)
-    r_first = _first_positive(reference, n_max)
+    d_first = _first_positive(derived)
+    r_first = _first_positive(reference)
     notes = []
     if r_first != claim:
         notes.append(
@@ -240,7 +250,6 @@ def positivity_threshold(parity: str, n_max: int = 200) -> ThresholdReport:
         reference_first_positive=r_first,
         reference_claim=claim,
         claim_matches=r_first == claim,
-        n_max=n_max,
         notes=tuple(notes),
     )
 
@@ -289,6 +298,8 @@ class DeltaCertificate:
     sufficient_holds: bool | None
 
     def as_payload(self) -> dict:
+        # the base genus, about d_min^2 / 2, is the longest integer here
+        _decimal(self.base_genus, f"the base genus at plane degree {_magnitude(self.d_min)}")
         out = {
             "d_min": self.d_min,
             "base_genus": self.base_genus,
@@ -434,43 +445,6 @@ def delta_search(
                 f"for ({k}, {b}), the evaluation disagrees"
             )
     return _certificate(census, d_min, b, eps, window)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Sign report of the excess for one concrete family."""
-
-    excess: Fraction
-    positive_index: bool
-    beyond_miyaoka_yau: bool
-    k2: int
-    chi: Fraction
-    q_label: int
-
-    def as_payload(self) -> dict:
-        return {
-            "excess": rational_payload(self.excess),
-            "positive_index": self.positive_index,
-            "beyond_miyaoka_yau": self.beyond_miyaoka_yau,
-            "k2": rational_payload(self.k2),
-            "chi": rational_payload(self.chi),
-            "q_label": self.q_label,
-        }
-
-
-def positivity_report(p: FamilyParams) -> PositivityReport:
-    """Excess sign from real census data, with the sanity flag for
-    exceeding the Miyaoka-Yau bound (no general-type surface does;
-    raised only by non-geometric parameter packs)."""
-    inv = surface_invariants(p)
-    return PositivityReport(
-        excess=inv.excess,
-        positive_index=inv.positive_index,
-        beyond_miyaoka_yau=inv.k2 > 9 * inv.chi,
-        k2=inv.k2,
-        chi=inv.chi,
-        q_label=inv.q_label,
-    )
 
 
 @dataclass(frozen=True)

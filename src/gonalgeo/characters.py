@@ -201,6 +201,11 @@ def _content_terms(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
+def _check_degree(k: int, max_degree: int) -> None:
+    if k > max_degree:
+        raise CapacityError(f"degree {k} exceeds the bound {max_degree} on the character oracle")
+
+
 def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> int:
     """Number of b-tuples of transpositions in S_k with identity product,
     transitive or not.
@@ -211,8 +216,16 @@ def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) 
     1
     """
     _check_shape(k, b)
-    if k > max_degree:
-        raise CapacityError(f"degree {k} exceeds the bound {max_degree} on the character oracle")
+    _check_degree(k, max_degree)
+    return _disconnected(k, b)
+
+
+# the memos key on (k, b) alone: the public entry points check the degree
+# bound once, so every bound shares one table of counts
+@lru_cache(maxsize=None)
+def _disconnected(k: int, b: int) -> int:
+    if k <= 1:
+        return 1 if b == 0 else 0
     total = sum(sq * f**b for sq, f in _content_terms(k))
     value, rem = divmod(total, factorial(k))
     if rem:
@@ -221,17 +234,10 @@ def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) 
 
 
 @lru_cache(maxsize=None)
-def _disconnected(k: int, b: int, max_degree: int) -> int:
-    if k <= 1:
-        return 1 if b == 0 else 0
-    return disconnected_count(k, b, max_degree=max_degree)
-
-
-@lru_cache(maxsize=None)
-def _connected(k: int, b: int, max_degree: int) -> int:
+def _connected(k: int, b: int) -> int:
     if k == 1:
         return 1 if b == 0 else 0
-    total = _disconnected(k, b, max_degree)
+    total = _disconnected(k, b)
     # remove tuples whose block containing symbol 1 is a proper sub-cover;
     # restricting to the block through 1 counts each split exactly once.
     # A block of all k symbols is the whole cover, so j stops below k, and
@@ -240,10 +246,10 @@ def _connected(k: int, b: int, max_degree: int) -> int:
     for j in range(1, k):
         weight = comb(k - 1, j - 1)
         for b1 in range(0, b + 1, 2):
-            rest = _disconnected(k - j, b - b1, max_degree)
+            rest = _disconnected(k - j, b - b1)
             if rest == 0:
                 continue
-            inner = _connected(j, b1, max_degree)
+            inner = _connected(j, b1)
             if inner:
                 parts[b1 // 2] += weight * inner * rest
     total -= sum(comb(b, 2 * i) * part for i, part in enumerate(parts) if part)
@@ -262,4 +268,5 @@ def connected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> 
     1
     """
     _check_shape(k, b)
-    return _connected(k, b, max_degree)
+    _check_degree(k, max_degree)
+    return _connected(k, b)

@@ -1,10 +1,12 @@
-"""Command line: census enumeration with caching, oracle cross-checks,
-invariant evaluation, the audit chain, and the asymptotic reports.
+"""Command line: census enumeration with caching (``census``), oracle
+cross-checks (``oracle-check``), invariant evaluation and the audit
+chain (``invariants``, ``audit``), the maximal-gonality positivity
+thresholds (``asymptotics --case``), and the band search (``delta``).
 
 Exit codes: 0 success, 2 invariant violation, 3 budget or capacity
-ceiling, 4 bad arguments or an unusable cache directory.  All output is
-deterministic for a given configuration and cache state; payloads carry
-no timestamps.
+ceiling (including a reported value too long to print), 4 bad arguments
+or an unusable cache directory.  All output is deterministic for a
+given configuration and cache state; payloads carry no timestamps.
 """
 
 import argparse
@@ -13,14 +15,12 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import (
     census_path,
     census_payload,
-    int_digit_limit,
     load_or_compute,
     read_census,
     resolve_cache_dir,
@@ -35,7 +35,7 @@ from .errors import (
     InvariantViolation,
     ParameterError,
 )
-from .invariants import FamilyParams, audit_chain, surface_invariants
+from .invariants import FamilyParams, _decimal, _magnitude, audit_chain, surface_invariants
 
 DEFAULT_ENUM_BUDGET = 30_000_000
 
@@ -89,30 +89,6 @@ def _resolve_shape(k: int | None, b: int | None, g: int | None) -> tuple[int, in
         )
     validate_cover_shape(k, b)
     return k, b
-
-
-def _magnitude(n: int) -> str:
-    """``n`` in decimal, or as a lower bound 10^e once it is too long to
-    print: Python refuses str() of ints past 4300 digits."""
-    if n.bit_length() <= 1000:
-        return str(n)
-    e = int((n.bit_length() - 1) * log10(2))
-    if 10**e > n:  # guard the float against rounding up
-        e -= 1
-    return f"at least 10^{e}"
-
-
-def _decimal(n: int, what: str) -> str:
-    """``n`` in decimal, or CapacityError when it has more digits than
-    the interpreter converts to a string."""
-    limit = int_digit_limit()
-    # below 2^(3 * limit) = 8^limit, n is short enough without computing 10^limit
-    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
-        raise CapacityError(
-            f"{what} is {_magnitude(n)}, more than the {limit} digits "
-            "this interpreter prints"
-        )
-    return str(n)
 
 
 def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
@@ -277,57 +253,26 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParameterError(f"expected a rational like 1/2, got {text!r}")
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParameterError(f"expected K,B, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParameterError(f"expected integers K,B, got {text!r}")
-
-
-def _run_delta(cfg: RunConfig, g: int, k: int, epsilon: str, census_sel, window, d_max) -> int:
+def cmd_delta(args) -> int:
+    cfg = _config(args)
+    g, k = args.g, args.k
     b = 2 * g + 2 * k - 2
     validate_cover_shape(k, b)
-    if census_sel is not None:
-        pair = _parse_pair(census_sel)
-        if pair != (k, b):
-            raise ParameterError(
-                f"--census {census_sel} does not match k={k}, b=2g+2k-2={b}"
-            )
-    eps = _parse_fraction(epsilon)
+    eps = _parse_fraction(args.epsilon)
     if not _cached(cfg, k, b):
         _guard_budget(k, b, cfg.budget)
     try:
         _counts, cen = load_or_compute(cfg.cache_dir, k, b, cfg.workers)
     except OSError as exc:
         raise _unusable_cache(cfg, exc) from None
-    cert = delta_search(g, k, cen, eps, window=window, d_max=d_max)
+    cert = delta_search(g, k, cen, eps, window=args.window, d_max=args.d_max)
     _emit({"g": g, "k": k, "b": b, "certificate": cert.as_payload()}, cfg.output)
     return 0
 
 
-def cmd_delta(args) -> int:
-    cfg = _config(args)
-    return _run_delta(cfg, args.g, args.k, args.epsilon, args.census, args.window, args.d_max)
-
-
 def cmd_asymptotics(args) -> int:
     cfg = _config(args)
-    if args.delta is not None:
-        if args.case is not None:
-            raise ParameterError("give either --case or --delta, not both")
-        g_text, k_text, eps = args.delta
-        try:
-            g, k = int(g_text), int(k_text)
-        except ValueError:
-            raise ParameterError(f"--delta wants integers G K, got {g_text!r} {k_text!r}")
-        return _run_delta(cfg, g, k, eps, args.census, args.window, args.d_max)
-    if args.case is None:
-        raise ParameterError("give --case odd|even or --delta G K EPSILON")
-    report = positivity_threshold(args.case, args.n_max)
-    _emit(report.as_payload(), cfg.output)
+    _emit(positivity_threshold(args.case).as_payload(), cfg.output)
     return 0
 
 
@@ -355,11 +300,6 @@ def build_parser() -> _Parser:
     family.add_argument("--base-genus", type=int, required=True, help="genus of the base curve")
     family.add_argument("--special-base", action="store_true", help="suppress the very-ampleness caution")
 
-    sweep = _Parser(add_help=False)
-    sweep.add_argument("--census", default=None, metavar="K,B", help="consistency check of the census selector")
-    sweep.add_argument("--window", type=int, default=8, help="persistence window of the band search")
-    sweep.add_argument("--d-max", type=int, default=10**6, help="plane-degree ceiling")
-
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
 
     p = sub.add_parser("census", parents=[common, shape], help="enumerate one (k, b), cache and print its collision census")
@@ -376,16 +316,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("audit", parents=[common, shape, family], help="audit chain for a cached census")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("asymptotics", parents=[common, sweep], help="positivity thresholds, or a band certificate via --delta")
-    p.add_argument("--case", choices=("odd", "even"), help="maximal-gonality parity")
-    p.add_argument("--n-max", type=int, default=200, help="sweep bound for the threshold scan")
-    p.add_argument("--delta", nargs=3, metavar=("G", "K", "EPSILON"), help="run the band search for fiber genus G, degree K")
+    p = sub.add_parser("asymptotics", parents=[common], help="where the estimated excess turns positive at maximal gonality")
+    p.add_argument("--case", choices=("odd", "even"), required=True, help="maximal-gonality parity")
     p.set_defaults(func=cmd_asymptotics)
 
-    p = sub.add_parser("delta", parents=[common, sweep], help="least plane degree whose family has |K2/chi - 8| <= epsilon")
+    p = sub.add_parser("delta", parents=[common], help="least plane degree whose family has |K2/chi - 8| <= epsilon")
     p.add_argument("g", type=int, help="fiber genus")
     p.add_argument("k", type=int, help="cover degree")
     p.add_argument("epsilon", help="band half-width, as a rational like 1/2")
+    p.add_argument("--window", type=int, default=8, help="persistence window of the band search")
+    p.add_argument("--d-max", type=int, default=10**6, help="plane-degree ceiling")
     p.set_defaults(func=cmd_delta)
 
     return parser

@@ -20,9 +20,11 @@ the closed forms, carrying two candidate cross terms side by side; see
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 
+from .cache import int_digit_limit
 from .degeneration import DegenerationCensus
-from .errors import InvariantViolation, ParameterError
+from .errors import CapacityError, InvariantViolation, ParameterError
 
 # Pointwise facts used by the audit narrative, not recomputed: a fiber
 # component of self-intersection -1 through a blown-up collision meets
@@ -92,7 +94,7 @@ class FamilyParams:
         floor = self.b * (self.base_genus + 3)
         if not self.special_base and self.c < floor:
             out.append(
-                f"branch degree {self.c} is below the very-ampleness floor {floor} "
+                f"branch degree {self.c} is below the very-ampleness floor {_magnitude(floor)} "
                 "for a general base curve of this genus"
             )
         return tuple(out)
@@ -144,14 +146,44 @@ class SurfaceInvariants:
         return out
 
 
+def _magnitude(n: int) -> str:
+    """``n`` in decimal, or as a lower bound 10^e once it is too long to
+    print: Python refuses str() of ints past 4300 digits."""
+    if n.bit_length() <= 1000:
+        return str(n)
+    e = int((n.bit_length() - 1) * log10(2))
+    if 10**e > abs(n):  # guard the float against rounding up
+        e -= 1
+    return f"at least 10^{e}" if n > 0 else f"at most -10^{e}"
+
+
+def _decimal(n: int, what: str) -> str:
+    """``n`` in decimal, or CapacityError when it has more digits than
+    the interpreter converts to a string."""
+    limit = int_digit_limit()
+    # below 2^(3 * limit) = 8^limit, n is short enough without computing 10^limit
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise CapacityError(
+            f"{what} is {_magnitude(n)}, more than the {limit} digits "
+            "this interpreter prints"
+        )
+    return str(n)
+
+
 def rational_payload(value) -> dict:
     """Exact rational as JSON-safe strings; the float is a convenience
-    approximation and never authoritative."""
+    approximation, never authoritative, and null outside float range.
+    Raises CapacityError when a part has more digits than the
+    interpreter prints."""
     fr = Fraction(value)
+    try:
+        approx = float(fr)
+    except OverflowError:
+        approx = None
     return {
-        "numerator": str(fr.numerator),
-        "denominator": str(fr.denominator),
-        "approx": float(fr),
+        "numerator": _decimal(fr.numerator, "a numerator"),
+        "denominator": _decimal(fr.denominator, "a denominator"),
+        "approx": approx,
     }
 
 
@@ -227,27 +259,6 @@ def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
         slope=Fraction(k2 - 8 * rel) / rel_chi if rel_chi else None,
         q_label=gy,
     )
-
-
-def euler_characteristic(p: FamilyParams) -> int:
-    return surface_invariants(p).euler
-
-
-def k_squared(p: FamilyParams) -> int:
-    return surface_invariants(p).k2
-
-
-def chi_holomorphic(p: FamilyParams) -> Fraction:
-    return surface_invariants(p).chi
-
-
-def index_excess(p: FamilyParams) -> Fraction:
-    return surface_invariants(p).excess
-
-
-def ratio_and_slope(p: FamilyParams) -> tuple[Fraction | None, Fraction | None]:
-    inv = surface_invariants(p)
-    return inv.ratio, inv.slope
 
 
 @dataclass(frozen=True)
@@ -339,7 +350,7 @@ def audit_chain(p: FamilyParams) -> AuditReport:
 
     ref_kg2, ref_ks2, ref_kf2 = chain(reference_cross)
     der_kg2, der_ks2, der_kf2 = chain(derived_cross)
-    closed = k_squared(p)
+    closed = surface_invariants(p).k2
     return AuditReport(
         exceptional_sq=exceptional_sq,
         strict_transform_sq=strict_transform_sq,

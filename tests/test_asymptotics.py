@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gonalgeo.asymptotics
 from gonalgeo import invariants
@@ -21,7 +23,6 @@ from gonalgeo.asymptotics import (
     delta_search,
     estimated_positivity,
     maximal_gonality,
-    positivity_report,
     positivity_threshold,
     threshold_polynomial,
 )
@@ -377,22 +378,6 @@ def test_delta_certificate_payload_notes_genus_one():
     assert payload["ratio"]["numerator"] == "8"
 
 
-def test_positivity_report(census_store):
-    _counts, cen = census_store(3, 4)
-    report = positivity_report(FamilyParams.from_census(cen, c=8, base_genus=2))
-    assert report.excess == 0
-    assert not report.positive_index
-    # k2 = -224 against 9*chi = -252: above the bound, as the caution-laden
-    # toy parameters should be
-    assert report.beyond_miyaoka_yau
-    assert report.k2 == -224
-    assert report.chi == -28
-    assert report.q_label == 29
-    payload = report.as_payload()
-    assert payload["positive_index"] is False
-    assert payload["excess"]["numerator"] == "0"
-
-
 def test_estimated_positivity():
     est = estimated_positivity(46, 268)
     assert isinstance(est, EstimatedPositivity)
@@ -406,17 +391,12 @@ def test_estimated_positivity():
         estimated_positivity(1, 4)
 
 
-def test_integer_threshold_sweep_matches_the_fraction_sweep():
-    def fraction_sweep(coeffs, n_max):
-        return next((n for n in range(1, n_max + 1) if _peval(coeffs, n) > 0), None)
-
-    polys = [threshold_polynomial(p) for p in (ODD, EVEN)]
-    polys += list(REFERENCE_THRESHOLD_POLYS.values())
-    polys += [
-        (Fraction(1, 7),), (Fraction(-1, 3),), (0,), (0, 0, 0),
-        (Fraction(-22, 7), Fraction(1, 3)), (5, Fraction(-11, 4), Fraction(1, 3)),
-        (Fraction(-1, 6), 0, Fraction(-1, 5), Fraction(1, 1000)),
-    ]
-    for coeffs in polys:
-        for n_max in (0, 1, 5, 9, 10, 43, 44, 200):
-            assert _first_positive(coeffs, n_max) == fraction_sweep(coeffs, n_max), (coeffs, n_max)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=5))
+# n^3/1000 - n^2/5 - 1/6 first turns positive at n = 201
+@example([Fraction(-1, 6), 0, Fraction(-1, 5), Fraction(1, 1000)])
+def test_bounded_threshold_sweep_matches_a_brute_force_sweep(coeffs):
+    # the roots lie below 51 for coefficients in [-50, 50], and below 202
+    # for the example, so the brute-force sweep sees every sign change
+    brute = next((n for n in range(1, 300) if _peval(coeffs, n) > 0), None)
+    assert _first_positive(coeffs) == brute

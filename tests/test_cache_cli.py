@@ -260,11 +260,54 @@ def test_cli_cached_count_too_long_to_read(tmp_path, capsys):
         assert code == 2
 
 
+def test_cli_epsilon_past_float_range_has_no_approximation(tmp_path, capsys):
+    code, out, _err = run_cli(
+        capsys, "delta", "0", "3", "1e400", "--cache-dir", str(tmp_path), "--output", "json",
+    )
+    assert code == 0
+    epsilon = json.loads(out)["certificate"]["epsilon"]
+    assert epsilon == {"numerator": "1" + "0" * 400, "denominator": "1", "approx": None}
+
+
+# an argument at the digit limit parses, but what the command derives from
+# it runs past the limit: the parameter genus for a large branch degree,
+# the very-ampleness floor and then the invariants for a large base genus,
+# and the base genus at d_min (about 72 / epsilon) for a tiny epsilon
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--k", "3", "--b", "4", "--c", "{nines}", "--base-genus", "0"),
+        ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "{nines}"),
+        ("delta", "2", "2", "1/1{zeros}", "--d-max", "{nines}"),
+    ],
+    ids=["branch-degree", "base-genus", "epsilon"],
+)
+def test_cli_values_too_long_to_print(tmp_path, capsys, argv):
+    d = str(tmp_path)
+    assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
+    digits = int_digit_limit() or 4300
+    argv = [a.format(nines="9" * digits, zeros="0" * (digits - 2)) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", d, "--output", "json")
+    if int_digit_limit():
+        assert code == 3
+        assert out == ""
+        assert "digits this interpreter prints" in err
+    else:
+        assert code == 0
+
+
 def test_cli_capacity_guard(tmp_path, capsys):
     # a budget too large to trip, so the guard's character-table bound answers
     code, _out, err = run_cli(
         capsys, "census", "--k", "13", "--b", "24", "--cache-dir", str(tmp_path),
         "--budget", str(10**30),
+    )
+    assert code == 3
+    assert "exceeds the bound 12" in err
+    # the oracle alone is held to the same bound
+    code, _out, err = run_cli(
+        capsys, "oracle-check", "--k", "13", "--b", "24", "--oracle-only",
+        "--cache-dir", str(tmp_path),
     )
     assert code == 3
     assert "exceeds the bound 12" in err
@@ -413,26 +456,7 @@ def test_cli_asymptotics(tmp_path, capsys):
     assert doc["claim_matches"] is False
     assert doc["reference_claim"] == 43
     assert doc["notes"]
-
-    d = str(tmp_path)
-    code, out, _err = run_cli(
-        capsys, "asymptotics", "--delta", "0", "3", "1/1", "--census", "3,4",
-        "--cache-dir", d, "--output", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["certificate"]["d_min"] == 3
-
-    code, _out, err = run_cli(
-        capsys, "asymptotics", "--delta", "0", "3", "1", "--census", "4,6",
-        "--cache-dir", d,
-    )
-    assert code == 4 and "does not match" in err
-
-    code, _out, err = run_cli(
-        capsys, "asymptotics", "--case", "odd", "--delta", "0", "3", "1",
-        "--cache-dir", d,
-    )
-    assert code == 4 and "not both" in err
+    assert "n_max" not in doc
 
     code, _out, err = run_cli(capsys, "asymptotics")
     assert code == 4
@@ -447,6 +471,22 @@ def test_cli_argument_errors(capsys):
     assert run_cli(capsys, "census", "--k", "1", "--b", "4")[0] == 4
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--workers", "0")[0] == 4
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--budget", "-2")[0] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("asymptotics", "--case", "odd", "--n-max", "10"),
+        ("asymptotics", "--delta", "0", "3", "1"),
+        ("delta", "0", "3", "1", "--census", "3,4"),
+    ],
+    ids=["n-max", "asymptotics-delta", "delta-census"],
+)
+def test_cli_removed_options_are_argument_errors(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
@@ -517,7 +557,6 @@ def test_cli_unsearchable_cache_dir(tmp_path, capsys, monkeypatch):
     for argv in (
         ("census", "--k", "3", "--b", "4"),
         ("delta", "0", "2", "1"),
-        ("asymptotics", "--delta", "0", "2", "1"),
     ):
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(d))
         _assert_unusable(code, out, err, str(d))

@@ -7,13 +7,15 @@ real censuses, coefficient independence from the base genus, and the
 audit chain against its closed forms.
 """
 
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gonalgeo.errors import ParameterError
+from gonalgeo.cache import int_digit_limit
+from gonalgeo.errors import CapacityError, ParameterError
 from gonalgeo.invariants import (
     MINUS_ONE_COMPONENT_MEETS,
     MINUS_TWO_COMPONENT_MEETS,
@@ -21,13 +23,8 @@ from gonalgeo.invariants import (
     FamilyParams,
     SurfaceInvariants,
     audit_chain,
-    chi_holomorphic,
-    euler_characteristic,
     genus_y,
-    index_excess,
-    k_squared,
     rational_payload,
-    ratio_and_slope,
     surface_invariants,
 )
 
@@ -90,14 +87,6 @@ def test_toy_family_frozen_values(toy):
     assert inv.q_label == 29
 
 
-def test_wrappers_agree(toy):
-    assert euler_characteristic(toy) == -112
-    assert k_squared(toy) == -224
-    assert chi_holomorphic(toy) == Fraction(-28)
-    assert index_excess(toy) == 0
-    assert ratio_and_slope(toy) == (Fraction(8), None)
-
-
 def test_degenerate_family_zeroes_out(census_store):
     _counts, cen = census_store(3, 4)
     flat = FamilyParams.from_census(cen, c=0, base_genus=1)
@@ -123,6 +112,27 @@ def test_payload_shapes(toy):
     assert rational_payload(Fraction(3, 2)) == {
         "numerator": "3", "denominator": "2", "approx": 1.5,
     }
+
+
+def test_rational_payload_past_float_range():
+    assert rational_payload(Fraction(-(10**400), 3)) == {
+        "numerator": "-" + "1" + "0" * 400, "denominator": "3", "approx": None,
+    }
+    # below float range the approximation underflows to zero, which is a float
+    assert rational_payload(Fraction(1, 10**400))["approx"] == 0.0
+
+
+def test_rational_payload_too_long_to_print():
+    limit = int_digit_limit()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    for value, message in (
+        (-(10**limit), "a numerator is at most -10^"),
+        (Fraction(1, 10**limit), "a denominator is at least 10^"),
+    ):
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            rational_payload(value)
+    assert rational_payload(10**limit - 1)["numerator"] == "9" * limit
 
 
 PACKS = st.tuples(
@@ -232,7 +242,7 @@ def test_audit_chain_on_random_packs(census_store, pack):
         assert kf2 == ks2 + 2 * m * cen.rational_splits
     # the first-principles chain lands on the closed form; the reference
     # intermediate misses it by the cross-term correction, never asserted
-    assert rep.kf2_closed_form == k_squared(p)
+    assert rep.kf2_closed_form == surface_invariants(p).k2
     assert rep.derived_matches_closed
     assert rep.derived_discrepancy == 0
     assert rep.reference_discrepancy == -(rep.reference_cross_term + 4 * m * n1)
