@@ -11,12 +11,10 @@ arithmetic.
 from .asymptotics import (
     ConjecturedEstimates,
     DeltaCertificate,
-    EstimatedPositivity,
     GonalityCase,
     PlaneCurveBase,
     ThresholdReport,
     delta_search,
-    estimated_positivity,
     maximal_gonality,
     positivity_threshold,
     threshold_polynomial,
@@ -92,7 +90,6 @@ __all__ = [
     "ConjecturedEstimates",
     "DegenerationCensus",
     "DeltaCertificate",
-    "EstimatedPositivity",
     "FamilyParams",
     "GonalGeoError",
     "GonalityCase",
@@ -124,7 +121,6 @@ __all__ = [
     "cover_genus",
     "delta_search",
     "disconnected_count",
-    "estimated_positivity",
     "full_census",
     "full_twist",
     "genus_y",

@@ -2,6 +2,14 @@
 and the exact search for the plane-degree threshold where the canonical
 ratio enters a prescribed band around 8.
 
+Each rule is stated once.  HMo's conjectured growth rule is
+``ConjecturedEstimates.excess_coefficient``, and the threshold
+polynomials are interpolated from it along ``GonalityCase``, the one
+statement of k and b as functions of n.  The band search reads the
+coefficients of K2 and chi in the branch degree from
+``invariants._census_coefficients``, the same source as
+``surface_invariants``.
+
 Everything is exact: threshold polynomials carry Fraction coefficients,
 band membership is a rational comparison, and the plane-curve model
 generates the base genus from an integer degree, so the square root in
@@ -12,10 +20,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import validate_cover_shape
 from .degeneration import DegenerationCensus
 from .errors import BudgetExceeded, InvariantViolation, ParameterError
-from .invariants import FamilyParams, _decimal, _magnitude, rational_payload, surface_invariants
+from .invariants import (
+    FamilyParams,
+    _census_coefficients,
+    _decimal,
+    _magnitude,
+    rational_payload,
+    surface_invariants,
+)
 
 ODD = "odd"
 EVEN = "even"
@@ -80,56 +94,32 @@ class ConjecturedEstimates:
         return (b - 1) * Fraction(k - 11, 9) - Fraction(k * (k - 1), 2)
 
 
-# polynomials in n as ascending Fraction coefficient tuples
-
-def _padd(a, b) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        Fraction(a[i] if i < len(a) else 0) + Fraction(b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
-
-
-def _pmul(a, b) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += Fraction(x) * Fraction(y)
-    return tuple(out)
-
-
-def _pscale(a, s) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) * s for x in a)
-
+# polynomials in n are ascending Fraction coefficient tuples
 
 def _peval(a, n) -> Fraction:
     return sum((Fraction(x) * n**i for i, x in enumerate(a)), Fraction(0))
 
 
-def _case_polys(parity: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # k and b as linear polynomials in n
-    if parity == ODD:
-        return (2, 1), (4, 6)
-    return (1, 1), (0, 6)
-
-
 def threshold_polynomial(parity: str) -> tuple[Fraction, ...]:
-    """Excess coefficient under the growth rules, as a polynomial in n.
+    """ConjecturedEstimates.excess_coefficient along one parity's packs,
+    as a polynomial in n.
 
-    Derived symbolically from the same expression as
-    ConjecturedEstimates.excess_coefficient, with k and b replaced by
-    their linear forms in n for the given parity.
+    GonalityCase makes k and b linear in n, so the coefficient is a
+    quadratic in n, fixed by its values v2, v3, v4 at n = 2, 3, 4 (packs
+    of both parities).  With the forward differences d1 = v3 - v2 and
+    d2 = v4 - 2 v3 + v2, it is v2 + d1 (n - 2) + d2 (n - 2)(n - 3)/2.
     """
-    k_poly, b_poly = _case_polys(parity)
-    overlap_part = _pscale(
-        _pmul(_padd(b_poly, (-1,)), _padd(k_poly, (-11,))), Fraction(1, 9)
+    est = ConjecturedEstimates()
+    v2, v3, v4 = (
+        est.excess_coefficient(case.k, case.b)
+        for case in (GonalityCase(parity, n) for n in (2, 3, 4))
     )
-    class_part = _pscale(_pmul(k_poly, _padd(k_poly, (-1,))), Fraction(1, 2))
-    return _padd(overlap_part, _pscale(class_part, -1))
+    d1, d2 = v3 - v2, v4 - 2 * v3 + v2
+    return (v2 - 2 * d1 + 3 * d2, d1 - Fraction(5, 2) * d2, d2 / 2)
 
 
 # the polynomials and thresholds recorded for these cases, kept verbatim
-# for comparison against the independent derivation above
+# for comparison against the derivation from the growth rule above
 REFERENCE_THRESHOLD_POLYS: dict[str, tuple[Fraction, ...]] = {
     ODD: (Fraction(-3), Fraction(-43, 6), Fraction(1, 6)),  # (n^2 - 43n - 18)/6
     EVEN: (Fraction(20), Fraction(-131), Fraction(3)),      # 3n^2 - 131n + 20
@@ -191,12 +181,6 @@ class ThresholdReport:
     reference_claim: int
     claim_matches: bool
     notes: tuple[str, ...]
-
-    def derived_value(self, n) -> Fraction:
-        return _peval(self.derived_coefficients, n)
-
-    def reference_value(self, n) -> Fraction:
-        return _peval(self.reference_coefficients, n)
 
     def as_payload(self) -> dict:
         return {
@@ -341,14 +325,15 @@ def _certificate(
     )
 
 
-def _band_line(census: DegenerationCensus, b: int) -> tuple[Fraction, Fraction, Fraction]:
+def _band_line(census: DegenerationCensus) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, X) with chi(d) = d*(A + B*(d - 3)) and K2 - 8*chi = b*d*X
     for the plane-curve family of degree d; see delta_search."""
-    n, n1, n3 = census.classes, census.type_one, census.type_three
-    g, e = census.g, census.rational_splits
-    chi_coeff = Fraction((b - 1) * (3 * n1 + (12 * g - 11) * (n3 // 3)) - 3 * n, 12)
-    excess_per_c = (b - 1) * (2 * e - n1 + Fraction(n3, 9)) - n
-    return b * chi_coeff, Fraction(n * (g - 1), 2), excess_per_c
+    k2_coeff, chi_coeff = _census_coefficients(census)
+    return (
+        census.b * chi_coeff,
+        Fraction(census.classes * (census.g - 1), 2),
+        k2_coeff - 8 * chi_coeff,
+    )
 
 
 def delta_search(
@@ -368,8 +353,10 @@ def delta_search(
         chi(d)       = c*chi_coeff + n(g - 1)(g_X - 1) = d*L(d),
         L(d)         = b*chi_coeff + n(g - 1)(d - 3)/2,
         K2 - 8*chi   = c*X = b*d*X,
-        X            = (b - 1)(2e - N1 + N3/9) - n,
-        ratio - 8    = b*X / L(d).
+        ratio - 8    = b*X / L(d),
+
+    with chi_coeff and X = k2_coeff - 8*chi_coeff from
+    invariants._census_coefficients.
 
     L is linear in d, so d is in the band exactly when L(d) != 0 and
     |L(d)| >= b|X|/epsilon.  When n(g - 1) != 0 the degrees outside the
@@ -395,7 +382,7 @@ def delta_search(
         raise ParameterError(
             f"census is for ({census.k}, {census.b}), the search wants ({k}, {b})"
         )
-    a0, slope, x = _band_line(census, b)
+    a0, slope, x = _band_line(census)
     floor_l = b * abs(x) / eps  # in the band iff L(d) != 0 and |L(d)| >= floor_l
 
     def closed_ratio(d: int) -> Fraction | None:
@@ -445,31 +432,3 @@ def delta_search(
                 f"for ({k}, {b}), the evaluation disagrees"
             )
     return _certificate(census, d_min, b, eps, window)
-
-
-@dataclass(frozen=True)
-class EstimatedPositivity:
-    """Excess sign under the growth rules, per unit branch degree times
-    equal-class count; an asymptotic indication, not a computation."""
-
-    k: int
-    b: int
-    coefficient: Fraction
-    positive: bool
-
-    def as_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "b": self.b,
-            "coefficient": rational_payload(self.coefficient),
-            "positive": self.positive,
-        }
-
-
-def estimated_positivity(
-    k: int, b: int, estimates: ConjecturedEstimates | None = None
-) -> EstimatedPositivity:
-    validate_cover_shape(k, b)
-    est = estimates if estimates is not None else ConjecturedEstimates()
-    coeff = est.excess_coefficient(k, b)
-    return EstimatedPositivity(k, b, coeff, coeff > 0)

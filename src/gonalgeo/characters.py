@@ -135,13 +135,13 @@ def _build_table(k: int) -> CharacterTable:
     return CharacterTable(k, classes, sizes, dims, rows)
 
 
-def character_table(k: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> CharacterTable:
-    """Character table of S_k, cached; k is capped by ``max_degree``."""
+def character_table(k: int) -> CharacterTable:
+    """Character table of S_k, cached; k is capped by DEFAULT_MAX_DEGREE."""
     if k < 1:
         raise ParameterError(f"degree must be at least 1, got {k}")
-    if k > max_degree:
+    if k > DEFAULT_MAX_DEGREE:
         raise CapacityError(
-            f"character table for degree {k} exceeds the bound {max_degree}"
+            f"character table for degree {k} exceeds the bound {DEFAULT_MAX_DEGREE}"
         )
     return _build_table(k)
 
@@ -151,6 +151,10 @@ def _check_shape(k: int, b: int) -> None:
         raise ParameterError(f"degree must be at least 2, got {k}")
     if b < 0 or b % 2:
         raise ParameterError(f"branch count must be even and nonnegative, got {b}")
+    if k > DEFAULT_MAX_DEGREE:
+        raise CapacityError(
+            f"degree {k} exceeds the bound {DEFAULT_MAX_DEGREE} on the character oracle"
+        )
 
 
 def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
@@ -201,12 +205,7 @@ def _content_terms(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-def _check_degree(k: int, max_degree: int) -> None:
-    if k > max_degree:
-        raise CapacityError(f"degree {k} exceeds the bound {max_degree} on the character oracle")
-
-
-def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> int:
+def disconnected_count(k: int, b: int) -> int:
     """Number of b-tuples of transpositions in S_k with identity product,
     transitive or not.
 
@@ -216,12 +215,11 @@ def disconnected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) 
     1
     """
     _check_shape(k, b)
-    _check_degree(k, max_degree)
     return _disconnected(k, b)
 
 
-# the memos key on (k, b) alone: the public entry points check the degree
-# bound once, so every bound shares one table of counts
+# the public entry points check the degree bound; the memos below do not,
+# so tests can reach past it
 @lru_cache(maxsize=None)
 def _disconnected(k: int, b: int) -> int:
     if k <= 1:
@@ -258,7 +256,7 @@ def _connected(k: int, b: int) -> int:
     return total
 
 
-def connected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> int:
+def connected_count(k: int, b: int) -> int:
     """Number of b-tuples of transpositions in S_k with identity product
     and transitive span.
 
@@ -268,5 +266,4 @@ def connected_count(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> 
     1
     """
     _check_shape(k, b)
-    _check_degree(k, max_degree)
     return _connected(k, b)

@@ -246,6 +246,14 @@ def cmd_audit(args) -> int:
     return 0
 
 
+def _ratio_text(ratio: Fraction | None) -> str:
+    """``str(ratio)``, with parts too long to print given as powers of ten."""
+    if ratio is None:
+        return "None"
+    text = _magnitude(ratio.numerator)
+    return text if ratio.denominator == 1 else f"{text}/{_magnitude(ratio.denominator)}"
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -349,7 +357,7 @@ def main(argv=None) -> int:
         trajectory = getattr(exc, "trajectory", None)
         if trajectory:
             for d, ratio in trajectory:
-                print(f"  d={d} ratio={ratio}", file=sys.stderr)
+                print(f"  d={_magnitude(d)} ratio={_ratio_text(ratio)}", file=sys.stderr)
         return 3
 
 

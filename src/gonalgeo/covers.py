@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .characters import DEFAULT_MAX_DEGREE
 from .errors import InvariantViolation, ParameterError
 from .perm import Perm, Transposition
 from .tables import GroupTables, group_tables
@@ -112,6 +111,20 @@ class MonodromyTuple:
         return cover_genus(self.degree, len(self.entries))
 
 
+def _class_divisor(k: int) -> int:
+    # relabeling acts freely only from degree 3 up; at degree 2 it is trivial
+    return factorial(k) if k >= 3 else 1
+
+
+def _classes(raw: int, k: int, what: str) -> int:
+    """Classes behind a raw tally at degree k, each hit _class_divisor(k)
+    times; a remainder is an InvariantViolation naming ``what``."""
+    div = _class_divisor(k)
+    if raw % div:
+        raise InvariantViolation(f"{what} {raw} at degree {k} is not divisible by {div}")
+    return raw // div
+
+
 @dataclass(frozen=True)
 class TupleCensus:
     """Raw and class-level tuple counts for one (k, b)."""
@@ -123,17 +136,12 @@ class TupleCensus:
     source: str  # "enumeration" or "oracle"
 
     def __post_init__(self):
-        expected = self.class_count * (factorial(self.k) if self.k >= 3 else 1)
+        expected = self.class_count * _class_divisor(self.k)
         if self.raw_count != expected:
             raise InvariantViolation(
                 f"raw count {self.raw_count} inconsistent with "
                 f"{self.class_count} classes at degree {self.k}"
             )
-
-
-def _class_divisor(k: int) -> int:
-    # relabeling acts freely only from degree 3 up; at degree 2 it is trivial
-    return factorial(k) if k >= 3 else 1
 
 
 def iter_tuples(k: int, b: int):
@@ -336,26 +344,16 @@ def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:
     equals the raw count.
     """
     raw = count_tuples(k, b, workers)
-    div = _class_divisor(k)
-    if raw % div:
-        raise InvariantViolation(
-            f"raw count {raw} for ({k}, {b}) is not divisible by {div}"
-        )
-    return TupleCensus(k, b, raw, raw // div, "enumeration")
+    return TupleCensus(k, b, raw, _classes(raw, k, "raw count"), "enumeration")
 
 
-def class_count_via_oracle(k: int, b: int, *, max_degree: int = DEFAULT_MAX_DEGREE) -> TupleCensus:
+def class_count_via_oracle(k: int, b: int) -> TupleCensus:
     """Tuple census computed from the character oracle instead of search."""
     from .characters import connected_count
 
     validate_cover_shape(k, b)
-    raw = connected_count(k, b, max_degree=max_degree)
-    div = _class_divisor(k)
-    if raw % div:
-        raise InvariantViolation(
-            f"oracle count {raw} for ({k}, {b}) is not divisible by {div}"
-        )
-    return TupleCensus(k, b, raw, raw // div, "oracle")
+    raw = connected_count(k, b)
+    return TupleCensus(k, b, raw, _classes(raw, k, "oracle count"), "oracle")
 
 
 def _entry_indices(t: MonodromyTuple, tab: GroupTables) -> tuple[int, ...]:

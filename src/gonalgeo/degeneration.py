@@ -36,7 +36,7 @@ from math import comb
 from .covers import (
     MonodromyTuple,
     TupleCensus,
-    _class_divisor,
+    _classes,
     _completion,
     block_layers,
     connected_series,
@@ -247,18 +247,11 @@ def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, Degenera
                 f"split cells for j = {j} sum to {cells}, not the two-block tally"
             )
 
-    div = _class_divisor(k)
-
-    def classes_of(raw: int, what) -> int:
-        if raw % div:
-            raise InvariantViolation(f"{what} tally {raw} not divisible by {div}")
-        return raw // div
-
-    central = classes_of(tally.get("central", 0), "central")
-    n22 = classes_of(tally.get("disjoint", 0), "disjoint-pair")
-    n3 = classes_of(tally.get("overlap", 0), "overlapping-pair")
+    central = _classes(tally.get("central", 0), k, "central tally")
+    n22 = _classes(tally.get("disjoint", 0), k, "disjoint-pair tally")
+    n3 = _classes(tally.get("overlap", 0), k, "overlapping-pair tally")
     split_table = {
-        cell: classes_of(v, f"split {cell}")
+        cell: _classes(v, k, f"split {cell} tally")
         for cell, v in sorted(splits.items(), key=repr)
     }
     n1 = central + sum(split_table.values())
@@ -355,17 +348,10 @@ def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
         fixed_bad += fixed * mult
         orbit_bad += orbit * mult
 
-    div = _class_divisor(k)
-
-    def classes_of(raw: int, what: str) -> int:
-        if raw % div:
-            raise InvariantViolation(f"{what} tally {raw} not divisible by {div}")
-        return raw // div
-
     return TwistOrbitReport(
         k, b,
-        classes_of(classes, "twist class"),
-        classes_of(n3, "twist overlapping-pair"),
-        classes_of(fixed_bad, "fixed-point failure"),
-        classes_of(orbit_bad, "orbit-size failure"),
+        _classes(classes, k, "twist class tally"),
+        _classes(n3, k, "twist overlapping-pair tally"),
+        _classes(fixed_bad, k, "fixed-point failure tally"),
+        _classes(orbit_bad, k, "orbit-size failure tally"),
     )

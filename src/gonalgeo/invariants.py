@@ -8,8 +8,12 @@ parameter curve of the family covers the base curve with degree the
 class count, simply branched over collisions of overlapping type, which
 fixes its genus; the surface fibered over the parameter curve then has
 every invariant a polynomial in the census counts and (c, base genus).
-Evaluation is exact throughout: integers where integrality is
-guaranteed, Fraction elsewhere, no floating point.
+K2 and chi are linear in c; their coefficients of c depend on the census
+alone and have one statement, ``_census_coefficients``, which the band
+search in ``asymptotics`` reads too.  The excess K2 - 8 chi is c times
+X = k2_coeff - 8 chi_coeff = (b - 1)(2e - N1 + N3/9) - N, so for c > 0
+the index has the sign of X.  Evaluation is exact throughout: integers
+where integrality is guaranteed, Fraction elsewhere, no floating point.
 
 The audit half of the module walks the long route to the canonical
 self-intersection (branch curve on a product, blow-up of its nodes,
@@ -202,6 +206,18 @@ def genus_y(p: FamilyParams) -> int:
     return 1 + doubled // 2
 
 
+def _census_coefficients(census: DegenerationCensus) -> tuple[int, Fraction]:
+    """(k2_coeff, chi_coeff): what K2 and chi gain per unit of branch
+    degree c, read off the census alone.  Their difference
+    k2_coeff - 8 * chi_coeff is the excess per unit of c,
+    (b - 1)(2e - N1 + N3/9) - N."""
+    n, n1, third = census.classes, census.type_one, census.type_three // 3
+    g, b, e = census.g, census.b, census.rational_splits
+    k2_coeff = (b - 1) * (2 * e + n1 + (8 * g - 7) * third) - 3 * n
+    chi_coeff = Fraction((b - 1) * (3 * n1 + (12 * g - 11) * third) - 3 * n, 12)
+    return k2_coeff, chi_coeff
+
+
 def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
     """Evaluate every closed-form invariant, with the built-in identity
     checks (Noether; excess closed form against direct subtraction).
@@ -224,9 +240,8 @@ def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
 
     r = cen.singular * m
     euler = 4 * (g - 1) * (gy - 1) + 2 * r
-    k2_coeff = (b - 1) * (2 * e + n1 + (8 * g - 7) * third) - 3 * n
+    k2_coeff, chi_coeff = _census_coefficients(cen)
     k2 = c * k2_coeff + 8 * n * (gx - 1) * (g - 1)
-    chi_coeff = Fraction((b - 1) * (3 * n1 + (12 * g - 11) * third) - 3 * n, 12)
     chi = c * chi_coeff + n * (gx - 1) * (g - 1)
 
     excess = c * ((b - 1) * (2 * e - n1 + Fraction(n3, 9)) - n)

@@ -17,11 +17,9 @@ from gonalgeo.asymptotics import (
     REFERENCE_THRESHOLD_POLYS,
     ConjecturedEstimates,
     DeltaCertificate,
-    EstimatedPositivity,
     GonalityCase,
     PlaneCurveBase,
     delta_search,
-    estimated_positivity,
     maximal_gonality,
     positivity_threshold,
     threshold_polynomial,
@@ -111,8 +109,8 @@ def test_positivity_threshold_odd_matches_the_record():
     assert len(report.notes) == 1
     assert "coefficient(s) [0]" in report.notes[0]
     assert "first positive n matches" in report.notes[0]
-    assert report.derived_value(44) == Fraction(44 * 44 - 43 * 44 - 24, 6)
-    assert report.reference_value(44) == Fraction(44 * 44 - 43 * 44 - 18, 6)
+    assert _peval(report.derived_coefficients, 44) == Fraction(44 * 44 - 43 * 44 - 24, 6)
+    assert _peval(report.reference_coefficients, 44) == Fraction(44 * 44 - 43 * 44 - 18, 6)
 
 
 def test_positivity_threshold_even_flags_the_recorded_claim():
@@ -122,8 +120,8 @@ def test_positivity_threshold_even_flags_the_recorded_claim():
     assert report.reference_claim == 43
     assert not report.claim_matches
     # the recorded polynomial is 18 times the derived one, same signs
-    assert report.reference_value(43) == -66
-    assert report.reference_value(44) == 64
+    assert _peval(report.reference_coefficients, 43) == -66
+    assert _peval(report.reference_coefficients, 44) == 64
     assert any("first positive n is 44" in note for note in report.notes)
     assert any("scaled by 18" in note for note in report.notes)
     payload = report.as_payload()
@@ -376,19 +374,6 @@ def test_delta_certificate_payload_notes_genus_one():
     payload = certified.as_payload()
     assert payload["sufficient_holds"] is True
     assert payload["ratio"]["numerator"] == "8"
-
-
-def test_estimated_positivity():
-    est = estimated_positivity(46, 268)
-    assert isinstance(est, EstimatedPositivity)
-    assert est.coefficient == Fraction(10, 3)
-    assert est.positive
-    assert est.as_payload()["coefficient"]["denominator"] == "3"
-    assert not estimated_positivity(4, 10).positive
-    with pytest.raises(ParameterError):
-        estimated_positivity(3, 3)
-    with pytest.raises(ParameterError):
-        estimated_positivity(1, 4)
 
 
 @settings(max_examples=300, deadline=None)

@@ -272,17 +272,23 @@ def test_cli_epsilon_past_float_range_has_no_approximation(tmp_path, capsys):
 # an argument at the digit limit parses, but what the command derives from
 # it runs past the limit: the parameter genus for a large branch degree,
 # the very-ampleness floor and then the invariants for a large base genus,
-# and the base genus at d_min (about 72 / epsilon) for a tiny epsilon
+# and the base genus at d_min (about 72 / epsilon) for a tiny epsilon; an
+# epsilon ten times smaller puts d_min past --d-max, and the trailing
+# trajectory prints its degrees and ratios as powers of ten
+TOO_LONG = "digits this interpreter prints"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message, unlimited_code",
     [
-        ("invariants", "--k", "3", "--b", "4", "--c", "{nines}", "--base-genus", "0"),
-        ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "{nines}"),
-        ("delta", "2", "2", "1/1{zeros}", "--d-max", "{nines}"),
+        (("invariants", "--k", "3", "--b", "4", "--c", "{nines}", "--base-genus", "0"), TOO_LONG, 0),
+        (("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "{nines}"), TOO_LONG, 0),
+        (("delta", "2", "2", "1/1{zeros}", "--d-max", "{nines}"), TOO_LONG, 0),
+        (("delta", "2", "2", "1/1{zeros}0", "--d-max", "{nines}"), "ratio=at least 10^", 3),
     ],
-    ids=["branch-degree", "base-genus", "epsilon"],
+    ids=["branch-degree", "base-genus", "epsilon", "trajectory"],
 )
-def test_cli_values_too_long_to_print(tmp_path, capsys, argv):
+def test_cli_values_too_long_to_print(tmp_path, capsys, argv, message, unlimited_code):
     d = str(tmp_path)
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
     digits = int_digit_limit() or 4300
@@ -291,9 +297,9 @@ def test_cli_values_too_long_to_print(tmp_path, capsys, argv):
     if int_digit_limit():
         assert code == 3
         assert out == ""
-        assert "digits this interpreter prints" in err
+        assert message in err
     else:
-        assert code == 0
+        assert code == unlimited_code
 
 
 def test_cli_capacity_guard(tmp_path, capsys):

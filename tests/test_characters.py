@@ -21,7 +21,7 @@ from gonalgeo.characters import (
     disconnected_count,
     partitions_of,
 )
-from gonalgeo.covers import class_count_via_oracle, count_tuples
+from gonalgeo.covers import count_tuples
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.perm import all_transpositions, compose, identity, transposition_perm
 
@@ -82,8 +82,6 @@ def test_capacity_and_parameter_errors():
         character_table(0)
     with pytest.raises(CapacityError):
         character_table(13)
-    with pytest.raises(CapacityError):
-        character_table(6, max_degree=5)
     with pytest.raises(ParameterError):
         disconnected_count(3, 3)
     with pytest.raises(ParameterError):
@@ -202,24 +200,11 @@ def test_content_terms_match_the_character_table():
 
 def test_oracle_counts_past_the_table_bound():
     # no character table of S_13 is built; the block walk is the check
-    assert connected_count(13, 24, max_degree=13) == count_tuples(13, 24)
-    # the memo now holds (13, 24); the default bound still refuses it
+    assert characters._connected(13, 24) == count_tuples(13, 24)
+    # the memo now holds (13, 24); the public bound still refuses it
     for count in (disconnected_count, connected_count):
         with pytest.raises(CapacityError, match="exceeds the bound 12"):
             count(13, 24)
-
-
-def test_oracle_memo_is_shared_across_degree_bounds():
-    characters._connected.cache_clear()
-    characters._disconnected.cache_clear()
-    connected_count(12, 26)
-    before = characters._connected.cache_info()
-    assert connected_count(12, 26, max_degree=16) == connected_count(12, 26)
-    after = characters._connected.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
-    assert after.hits == before.hits + 2
-    assert class_count_via_oracle(12, 26, max_degree=16).raw_count == connected_count(12, 26)
-    assert characters._connected.cache_info().currsize == before.currsize
 
 
 def test_a_cold_count_builds_no_character_table():

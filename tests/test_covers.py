@@ -8,6 +8,7 @@ from gonalgeo.covers import (
     MonodromyTuple,
     TupleCensus,
     _block_steps,
+    _classes,
     are_conjugate,
     canonical_form,
     class_count,
@@ -106,6 +107,13 @@ def test_tuple_census_consistency_guard():
         TupleCensus(3, 4, 24, 5, "enumeration")
     with pytest.raises(InvariantViolation):
         TupleCensus(2, 4, 2, 1, "enumeration")
+
+
+def test_class_division_is_by_k_factorial_from_degree_three():
+    assert _classes(48, 3, "raw count") == 8
+    assert _classes(7, 2, "raw count") == 7
+    with pytest.raises(InvariantViolation, match=r"split \(1, 0\) tally 25 at degree 4 is not divisible by 24"):
+        _classes(25, 4, "split (1, 0) tally")
 
 
 TUPLES_3_6 = None

@@ -22,6 +22,7 @@ from gonalgeo.invariants import (
     AuditReport,
     FamilyParams,
     SurfaceInvariants,
+    _census_coefficients,
     audit_chain,
     genus_y,
     rational_payload,
@@ -180,6 +181,18 @@ def test_coefficients_ignore_the_base_genus(census_store, pack):
     ]
     assert len({inv.k2_coeff for inv in invs}) == 1
     assert len({inv.chi_coeff for inv in invs}) == 1
+
+
+@pytest.mark.parametrize("k, b", ENVELOPE + [(3, 16), (4, 12)])
+def test_census_coefficients_are_the_evaluated_ones(census_store, k, b):
+    _counts, cen = census_store(k, b)
+    k2_coeff, chi_coeff = _census_coefficients(cen)
+    for c, gx in ((b, 0), (7 * b + 3, 4)):
+        inv = surface_invariants(FamilyParams.from_census(cen, c=c, base_genus=gx))
+        assert (inv.k2_coeff, inv.chi_coeff) == (k2_coeff, chi_coeff)
+    # the excess per unit of branch degree, in its closed form
+    x = (b - 1) * (2 * cen.rational_splits - cen.type_one + Fraction(cen.type_three, 9)) - cen.classes
+    assert k2_coeff - 8 * chi_coeff == x
 
 
 def test_audit_chain_toy_frozen(toy):
