@@ -3,7 +3,7 @@ cross-checks (``oracle-check``), invariant evaluation and the audit
 chain (``invariants``, ``audit``), the maximal-gonality positivity
 thresholds (``asymptotics --case``), and the band search (``delta``).
 
-Exit codes: 0 success, 2 invariant violation, 3 budget or capacity
+Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
 ceiling (including a reported value too long to print), 4 bad arguments
 or an unusable cache directory.  All output is deterministic for a
 given configuration and cache state; payloads carry no timestamps.
@@ -45,12 +45,23 @@ CENSUS_NOTES = (
 )
 
 
+class _Exit(Exception):
+    """A parser asked to exit (after printing help) with this status."""
+
+    def __init__(self, status: int):
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse but bad arguments raise instead of exiting with code 2,
-    so the exit-code contract stays ours."""
+    and help unwinds to ``main`` instead of exiting, so the exit-code
+    contract stays ours."""
 
     def error(self, message):
         raise ParameterError(message)
+
+    def exit(self, status=0, message=None):  # only help calls it, with no message
+        raise _Exit(status)
 
 
 @dataclass(frozen=True)
@@ -246,12 +257,19 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _ratio_text(ratio: Fraction | None) -> str:
-    """``str(ratio)``, with parts too long to print given as powers of ten."""
-    if ratio is None:
-        return "None"
-    text = _magnitude(ratio.numerator)
-    return text if ratio.denominator == 1 else f"{text}/{_magnitude(ratio.denominator)}"
+def _trajectory_lines(trajectory) -> list[str]:
+    """One line per (d, ratio) of a failed band search, which ends at
+    d_max.  Past 1000 bits a degree prints as its offset from d_max and a
+    ratio as its float, which stays near 8; otherwise both print exactly."""
+    d_max = trajectory[-1][0]
+    lines = []
+    for d, ratio in trajectory:
+        if d_max.bit_length() > 1000:
+            d = f"d_max-{d_max - d}"
+        if ratio is not None and max(abs(ratio.numerator), ratio.denominator).bit_length() > 1000:
+            ratio = f"~{float(ratio)!r}"
+        lines.append(f"  d={d} ratio={ratio}")
+    return lines
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -284,7 +302,35 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+# one row per command: name, shared option groups, help, own arguments as
+# (flags, keywords), handler
+_COMMANDS = (
+    ("census", ("common", "shape"), "enumerate one (k, b), cache and print its collision census", (), cmd_census),
+    ("oracle-check", ("common", "shape"), "compare enumeration against the character oracle", (
+        (("--oracle-only",), {"action": "store_true", "help": "skip enumeration; print the oracle count alone"}),
+    ), cmd_oracle_check),
+    ("invariants", ("common", "shape", "family"), "surface invariants for a cached census", (
+        (("--audit",), {"action": "store_true", "help": "append the audit chain"}),
+    ), cmd_invariants),
+    ("audit", ("common", "shape", "family"), "audit chain for a cached census", (), cmd_audit),
+    ("asymptotics", ("common",), "where the estimated excess turns positive at maximal gonality", (
+        (("--case",), {"choices": ("odd", "even"), "required": True, "help": "maximal-gonality parity"}),
+    ), cmd_asymptotics),
+    ("delta", ("common",), "least plane degree whose family has |K2/chi - 8| <= epsilon", (
+        (("g",), {"type": int, "help": "fiber genus"}),
+        (("k",), {"type": int, "help": "cover degree"}),
+        (("epsilon",), {"help": "band half-width, as a rational like 1/2"}),
+        (("--window",), {"type": int, "default": 8, "help": "persistence window of the band search"}),
+        (("--d-max",), {"type": int, "default": 10**6, "help": "plane-degree ceiling"}),
+    ), cmd_delta),
+)
+_COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with the subparser for ``command`` alone, or for every
+    command when ``command`` is None.  Parsing a line that starts with
+    ``command`` gives the same result either way."""
     parser = _Parser(
         prog="gonalgeo",
         description=(
@@ -308,44 +354,31 @@ def build_parser() -> _Parser:
     family.add_argument("--base-genus", type=int, required=True, help="genus of the base curve")
     family.add_argument("--special-base", action="store_true", help="suppress the very-ampleness caution")
 
+    groups = {"common": common, "shape": shape, "family": family}
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-
-    p = sub.add_parser("census", parents=[common, shape], help="enumerate one (k, b), cache and print its collision census")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("oracle-check", parents=[common, shape], help="compare enumeration against the character oracle")
-    p.add_argument("--oracle-only", action="store_true", help="skip enumeration; print the oracle count alone")
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("invariants", parents=[common, shape, family], help="surface invariants for a cached census")
-    p.add_argument("--audit", action="store_true", help="append the audit chain")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("audit", parents=[common, shape, family], help="audit chain for a cached census")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("asymptotics", parents=[common], help="where the estimated excess turns positive at maximal gonality")
-    p.add_argument("--case", choices=("odd", "even"), required=True, help="maximal-gonality parity")
-    p.set_defaults(func=cmd_asymptotics)
-
-    p = sub.add_parser("delta", parents=[common], help="least plane degree whose family has |K2/chi - 8| <= epsilon")
-    p.add_argument("g", type=int, help="fiber genus")
-    p.add_argument("k", type=int, help="cover degree")
-    p.add_argument("epsilon", help="band half-width, as a rational like 1/2")
-    p.add_argument("--window", type=int, default=8, help="persistence window of the band search")
-    p.add_argument("--d-max", type=int, default=10**6, help="plane-degree ceiling")
-    p.set_defaults(func=cmd_delta)
-
+    for name, parents, help_text, arguments, handler in _COMMANDS:
+        if command is None or name == command:
+            p = sub.add_parser(name, parents=[groups[g] for g in parents], help=help_text)
+            for flags, keywords in arguments:
+                p.add_argument(*flags, **keywords)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code, help included, without raising.  When the line
+    starts with a command name, only that command's parser is built;
+    otherwise the full one, so its errors and help list every command."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             parser.error("a command is required")
         return args.func(args)
+    except _Exit as exc:
+        return exc.status
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -356,8 +389,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         trajectory = getattr(exc, "trajectory", None)
         if trajectory:
-            for d, ratio in trajectory:
-                print(f"  d={_magnitude(d)} ratio={_ratio_text(ratio)}", file=sys.stderr)
+            for line in _trajectory_lines(trajectory):
+                print(line, file=sys.stderr)
         return 3
 
 

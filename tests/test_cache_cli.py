@@ -274,7 +274,7 @@ def test_cli_epsilon_past_float_range_has_no_approximation(tmp_path, capsys):
 # the very-ampleness floor and then the invariants for a large base genus,
 # and the base genus at d_min (about 72 / epsilon) for a tiny epsilon; an
 # epsilon ten times smaller puts d_min past --d-max, and the trailing
-# trajectory prints its degrees and ratios as powers of ten
+# trajectory prints its degrees as offsets from d_max and its ratios as floats
 TOO_LONG = "digits this interpreter prints"
 
 
@@ -284,7 +284,7 @@ TOO_LONG = "digits this interpreter prints"
         (("invariants", "--k", "3", "--b", "4", "--c", "{nines}", "--base-genus", "0"), TOO_LONG, 0),
         (("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "{nines}"), TOO_LONG, 0),
         (("delta", "2", "2", "1/1{zeros}", "--d-max", "{nines}"), TOO_LONG, 0),
-        (("delta", "2", "2", "1/1{zeros}0", "--d-max", "{nines}"), "ratio=at least 10^", 3),
+        (("delta", "2", "2", "1/1{zeros}0", "--d-max", "{nines}"), "d=d_max-7 ratio=~8.0", 3),
     ],
     ids=["branch-degree", "base-genus", "epsilon", "trajectory"],
 )
@@ -298,6 +298,8 @@ def test_cli_values_too_long_to_print(tmp_path, capsys, argv, message, unlimited
         assert code == 3
         assert out == ""
         assert message in err
+        trajectory = [line for line in err.splitlines() if line.startswith("  d=")]
+        assert len(set(trajectory)) == len(trajectory)
     else:
         assert code == unlimited_code
 
