@@ -46,9 +46,7 @@ from .covers import (
     count_tuples,
     cover_genus,
     iter_tuples,
-    tuple_stabilizer,
     validate_cover_shape,
-    verify_free_action,
 )
 from .degeneration import (
     CentralProfile,
@@ -56,7 +54,6 @@ from .degeneration import (
     NodeType,
     SplitProfile,
     TwistOrbitReport,
-    census,
     classify_node,
     full_census,
     full_twist,
@@ -107,7 +104,6 @@ __all__ = [
     "are_conjugate",
     "audit_chain",
     "canonical_form",
-    "census",
     "census_path",
     "census_payload",
     "character_table",
@@ -135,9 +131,7 @@ __all__ = [
     "resolve_cache_dir",
     "surface_invariants",
     "threshold_polynomial",
-    "tuple_stabilizer",
     "validate_cover_shape",
-    "verify_free_action",
     "verify_twist_orbits",
     "write_census",
 ]

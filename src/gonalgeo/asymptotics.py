@@ -24,6 +24,7 @@ from .degeneration import DegenerationCensus
 from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .invariants import (
     FamilyParams,
+    SurfaceInvariants,
     _census_coefficients,
     _decimal,
     _magnitude,
@@ -302,16 +303,15 @@ class DeltaCertificate:
 
 
 def _certificate(
-    census: DegenerationCensus, d: int, b: int, eps: Fraction, window: int
+    census: DegenerationCensus, inv: SurfaceInvariants, d: int, b: int, eps: Fraction, window: int
 ) -> DeltaCertificate:
+    """The certificate for d_min = d, from the invariants evaluated there."""
     base = PlaneCurveBase(d, b)
-    params = FamilyParams.from_census(census, base.c, base.base_genus)
-    inv = surface_invariants(params)
     lhs = Fraction(2 * base.base_genus - 2, 3 + base.root_8g_plus_1)
     rhs = None
-    if params.g != 1:
+    if census.g != 1:
         band = abs(inv.k2_coeff - 8 * inv.chi_coeff)
-        rhs = b * abs(band - eps * inv.chi_coeff) / (eps * (params.g - 1))
+        rhs = b * abs(band - eps * inv.chi_coeff) / (eps * (census.g - 1))
     return DeltaCertificate(
         d_min=d,
         base_genus=base.base_genus,
@@ -389,17 +389,15 @@ def delta_search(
         line = a0 + slope * (d - 3)
         return 8 + b * x / line if line else None
 
-    def evaluated_ratio(d: int) -> Fraction | None:
+    def evaluated(d: int) -> SurfaceInvariants:
         base = PlaneCurveBase(d, b)
-        ratio = surface_invariants(
-            FamilyParams.from_census(census, base.c, base.base_genus)
-        ).ratio
-        if ratio != closed_ratio(d):
+        inv = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
+        if inv.ratio != closed_ratio(d):
             raise InvariantViolation(
                 f"closed-form ratio {closed_ratio(d)} disagrees with the evaluated "
-                f"{ratio} at plane degree {d} for ({k}, {b})"
+                f"{inv.ratio} at plane degree {d} for ({k}, {b})"
             )
-        return ratio
+        return inv
 
     if slope == 0:
         d_min = 3 if a0 and abs(a0) >= floor_l else None
@@ -418,17 +416,18 @@ def delta_search(
             f"with persistence window {window}"
         )
         tail = range(max(3, d_max - max(window, 8) + 1), d_max + 1)
-        exc.trajectory = tuple((d, evaluated_ratio(d)) for d in tail)
+        exc.trajectory = tuple((d, evaluated(d).ratio) for d in tail)
         raise exc
+    at_min = evaluated(d_min)
     checks = [(d_min, True), (d_min + window, True)]
     if d_min > 3:
         checks.append((d_min - 1, False))
     for d, expected in checks:
-        ratio = evaluated_ratio(d)
+        ratio = (at_min if d == d_min else evaluated(d)).ratio
         if (ratio is not None and abs(ratio - 8) <= eps) != expected:
             raise InvariantViolation(
                 f"closed-form band search puts plane degree {d} "
                 f"{'inside' if expected else 'outside'} |ratio - 8| <= {eps} "
                 f"for ({k}, {b}), the evaluation disagrees"
             )
-    return _certificate(census, d_min, b, eps, window)
+    return _certificate(census, at_min, d_min, b, eps, window)

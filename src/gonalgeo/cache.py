@@ -185,11 +185,11 @@ def read_census(
 
 
 def load_or_compute(
-    cache_dir: os.PathLike | str, k: int, b: int, workers: int = 1
+    cache_dir: os.PathLike | str, k: int, b: int
 ) -> tuple[TupleCensus, DegenerationCensus]:
     """Cached census when present, else compute and cache it."""
     if census_path(cache_dir, k, b).exists():
         return read_census(cache_dir, k, b)
-    counts, census = full_census(k, b, workers)
+    counts, census = full_census(k, b)
     write_census(cache_dir, counts, census)
     return counts, census

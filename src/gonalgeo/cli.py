@@ -3,6 +3,12 @@ cross-checks (``oracle-check``), invariant evaluation and the audit
 chain (``invariants``, ``audit``), the maximal-gonality positivity
 thresholds (``asymptotics --case``), and the band search (``delta``).
 
+``census`` and ``delta`` reach the cache by one route (``_census``): the
+budget is checked only for a census that is not cached yet.  Options
+must be spelled out in full; an abbreviation is an unknown option.
+``--workers`` is deprecated: it is still parsed, a positive value only
+prints a warning, and it is hidden from help.
+
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
 ceiling (including a reported value too long to print), 4 bad arguments
 or an unusable cache directory.  All output is deterministic for a
@@ -18,17 +24,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
-from .cache import (
-    census_path,
-    census_payload,
-    load_or_compute,
-    read_census,
-    resolve_cache_dir,
-    write_census,
-)
+from .cache import census_path, census_payload, load_or_compute, read_census, resolve_cache_dir
 from .characters import disconnected_count
 from .covers import class_count, class_count_via_oracle, validate_cover_shape
-from .degeneration import full_census
 from .errors import (
     BudgetExceeded,
     CapacityError,
@@ -36,6 +34,11 @@ from .errors import (
     ParameterError,
 )
 from .invariants import FamilyParams, _decimal, _magnitude, audit_chain, surface_invariants
+
+# no longer called here (census goes through load_or_compute), but the
+# benchmark's span tracer wraps these names until ROADMAP item 5
+from .cache import write_census
+from .degeneration import full_census
 
 DEFAULT_ENUM_BUDGET = 30_000_000
 
@@ -67,21 +70,21 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class RunConfig:
     cache_dir: Path
-    workers: int
     output: str
     budget: int
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ParameterError(f"workers must be positive, got {self.workers}")
         if self.budget < 1:
             raise ParameterError(f"budget must be positive, got {self.budget}")
 
 
 def _config(args) -> RunConfig:
+    if args.workers is not None:
+        if args.workers < 1:
+            raise ParameterError(f"workers must be positive, got {args.workers}")
+        print("warning: --workers is deprecated and ignored", file=sys.stderr)
     return RunConfig(
         cache_dir=resolve_cache_dir(args.cache_dir),
-        workers=args.workers,
         output=args.output,
         budget=args.budget,
     )
@@ -108,10 +111,14 @@ def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
     )
 
 
-def _cached(cfg: RunConfig, k: int, b: int) -> bool:
+def _census(cfg: RunConfig, k: int, b: int) -> tuple:
+    """The census of (k, b), read from the cache or, within the budget,
+    computed and cached."""
     try:
-        return census_path(cfg.cache_dir, k, b).exists()
-    except OSError as exc:  # a cache directory that cannot be searched
+        if not census_path(cfg.cache_dir, k, b).exists():
+            _guard_budget(k, b, cfg.budget)
+        return load_or_compute(cfg.cache_dir, k, b)
+    except OSError as exc:  # a cache directory that cannot be searched or written
         raise _unusable_cache(cfg, exc) from None
 
 
@@ -179,15 +186,7 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
 def cmd_census(args) -> int:
     cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
-    if _cached(cfg, k, b):
-        counts, cen = read_census(cfg.cache_dir, k, b)
-    else:
-        _guard_budget(k, b, cfg.budget)
-        counts, cen = full_census(k, b, cfg.workers)
-        try:
-            write_census(cfg.cache_dir, counts, cen)
-        except OSError as exc:
-            raise _unusable_cache(cfg, exc) from None
+    counts, cen = _census(cfg, k, b)
     _emit(census_payload(counts, cen), cfg.output, notes=CENSUS_NOTES)
     return 0
 
@@ -204,7 +203,7 @@ def cmd_oracle_check(args) -> int:
     }
     if not args.oracle_only:
         _guard_budget(k, b, cfg.budget)
-        enum = class_count(k, b, cfg.workers)
+        enum = class_count(k, b)
         payload["enumeration_raw"] = str(enum.raw_count)
         payload["enumeration_classes"] = str(enum.class_count)
         payload["match"] = enum.raw_count == oracle.raw_count
@@ -285,12 +284,7 @@ def cmd_delta(args) -> int:
     b = 2 * g + 2 * k - 2
     validate_cover_shape(k, b)
     eps = _parse_fraction(args.epsilon)
-    if not _cached(cfg, k, b):
-        _guard_budget(k, b, cfg.budget)
-    try:
-        _counts, cen = load_or_compute(cfg.cache_dir, k, b, cfg.workers)
-    except OSError as exc:
-        raise _unusable_cache(cfg, exc) from None
+    _counts, cen = _census(cfg, k, b)
     cert = delta_search(g, k, cen, eps, window=args.window, d_max=args.d_max)
     _emit({"g": g, "k": k, "b": b, "certificate": cert.as_payload()}, cfg.output)
     return 0
@@ -333,6 +327,7 @@ def build_parser(command: str | None = None) -> _Parser:
     ``command`` gives the same result either way."""
     parser = _Parser(
         prog="gonalgeo",
+        allow_abbrev=False,
         description=(
             "Exact census of transposition monodromy tuples and the surface "
             "geography of the families they support."
@@ -340,7 +335,8 @@ def build_parser(command: str | None = None) -> _Parser:
     )
     common = _Parser(add_help=False)
     common.add_argument("--cache-dir", default=None, help="census cache directory (default: $GG_CACHE_DIR or ./census-cache)")
-    common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; enumeration runs in one process")
+    # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 5)
+    common.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--output", choices=("json", "csv", "table"), default="table", help="report format")
     common.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget, in estimated identity-product tuples")
 
@@ -358,7 +354,7 @@ def build_parser(command: str | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     for name, parents, help_text, arguments, handler in _COMMANDS:
         if command is None or name == command:
-            p = sub.add_parser(name, parents=[groups[g] for g in parents], help=help_text)
+            p = sub.add_parser(name, parents=[groups[g] for g in parents], help=help_text, allow_abbrev=False)
             for flags, keywords in arguments:
                 p.add_argument(*flags, **keywords)
             p.set_defaults(func=handler)

@@ -328,8 +328,8 @@ def _completion(state: tuple):
 def count_tuples(k: int, b: int, workers: int = 1) -> int:
     """Raw number of monodromy tuples for (k, b).
 
-    ``workers`` is accepted for compatibility; the count runs in one
-    process and does not depend on it.
+    ``workers`` is ignored: the count runs in one process.  It stays only
+    because the benchmark's pool probe passes it (ROADMAP item 5).
     """
     validate_cover_shape(k, b)
     # a fresh walk every call, outside the series memo: this is the
@@ -337,13 +337,13 @@ def count_tuples(k: int, b: int, workers: int = 1) -> int:
     return _walk_series(k, b)[b]
 
 
-def class_count(k: int, b: int, workers: int = 1) -> TupleCensus:
+def class_count(k: int, b: int) -> TupleCensus:
     """Tuple census with the class count derived as N / k!.
 
     For degree 2 the relabeling action is trivial and the class count
     equals the raw count.
     """
-    raw = count_tuples(k, b, workers)
+    raw = count_tuples(k, b)
     return TupleCensus(k, b, raw, _classes(raw, k, "raw count"), "enumeration")
 
 
@@ -394,42 +394,6 @@ def are_conjugate(s: MonodromyTuple, t: MonodromyTuple) -> bool:
         if all(row[a] == bb for a, bb in zip(si, ti)):
             return True
     return False
-
-
-def tuple_stabilizer(t: MonodromyTuple) -> list[Perm]:
-    """All relabelings fixing ``t`` entrywise, identity included."""
-    tab = group_tables(t.degree)
-    idx = _entry_indices(t, tab)
-    out = []
-    for g, row in enumerate(tab.conj_trans):
-        if all(row[i] == i for i in idx):
-            out.append(tab.perms[g])
-    return out
-
-
-@dataclass(frozen=True)
-class FreeActionReport:
-    checked: int
-    violations: int
-    witnesses: tuple[tuple[MonodromyTuple, int], ...]
-
-
-def verify_free_action(tuples) -> FreeActionReport:
-    """Count tuples with a nontrivial relabeling stabilizer.
-
-    Expected zero violations for degree 3 and up; degree below 3 is
-    rejected since the action is not free there to begin with.
-    """
-    checked = 0
-    witnesses = []
-    for t in tuples:
-        if t.degree < 3:
-            raise ParameterError("free action check needs degree at least 3")
-        checked += 1
-        stab = tuple_stabilizer(t)
-        if len(stab) != 1:
-            witnesses.append((t, len(stab)))
-    return FreeActionReport(checked, len(witnesses), tuple(witnesses))
 
 
 def class_representatives(k: int, b: int) -> list[MonodromyTuple]:

@@ -215,12 +215,8 @@ class DegenerationCensus:
         return self.type_one - sum(self.split_table.values())
 
 
-def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, DegenerationCensus]:
-    """Enumerate (k, b) once, returning raw counts and the type census.
-
-    ``workers`` is accepted for compatibility; the census runs in one
-    process and does not depend on it.
-    """
+def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
+    """Enumerate (k, b) once, returning raw counts and the type census."""
     validate_cover_shape(k, b)
     g = cover_genus(k, b)
     tally: dict = {}
@@ -267,11 +263,6 @@ def full_census(k: int, b: int, workers: int = 1) -> tuple[TupleCensus, Degenera
     raw_total = sum(tally.values())
     counts = TupleCensus(k, b, raw_total, census.classes, "enumeration")
     return counts, census
-
-
-def census(k: int, b: int, workers: int = 1) -> DegenerationCensus:
-    """Class-level collision census for (k, b)."""
-    return full_census(k, b, workers)[1]
 
 
 @dataclass(frozen=True)

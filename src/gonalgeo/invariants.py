@@ -222,8 +222,8 @@ def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
     """Evaluate every closed-form invariant, with the built-in identity
     checks (Noether; excess closed form against direct subtraction).
 
-    >>> from gonalgeo.degeneration import census
-    >>> pack = FamilyParams.from_census(census(3, 4), c=8, base_genus=2)
+    >>> from gonalgeo.degeneration import full_census
+    >>> pack = FamilyParams.from_census(full_census(3, 4)[1], c=8, base_genus=2)
     >>> inv = surface_invariants(pack)
     >>> inv.parameter_genus, inv.k2, inv.chi, inv.euler
     (29, -224, Fraction(-28, 1), -112)

@@ -6,7 +6,7 @@ is the map ``x -> p(q(x))``, so the right factor acts first.
 Transpositions are bare ``(a, b)`` pairs with ``a < b``.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import ParameterError
 
@@ -25,17 +25,6 @@ def identity(k: int) -> Perm:
     return tuple(range(1, k + 1))
 
 
-def is_permutation(p: Sequence[int]) -> bool:
-    """True when ``p`` is a word-form permutation of {1, ..., len(p)}.
-
-    >>> is_permutation((2, 3, 1))
-    True
-    >>> is_permutation((1, 1, 3))
-    False
-    """
-    return sorted(p) == list(range(1, len(p) + 1))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """The product ``p * q``: apply ``q`` first, then ``p``.
 
@@ -45,32 +34,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     if len(p) != len(q):
         raise ParameterError(f"degree mismatch: {len(p)} vs {len(q)}")
     return tuple(p[x - 1] for x in q)
-
-
-def inverse(p: Perm) -> Perm:
-    """The permutation undoing ``p``.
-
-    >>> inverse((2, 3, 1))
-    (3, 1, 2)
-    """
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
-def conjugate(p: Perm, g: Perm) -> Perm:
-    """``g * p * g^-1``; relabels ``p`` through ``g``.
-
-    >>> conjugate((2, 1, 3), (1, 3, 2))
-    (3, 2, 1)
-    """
-    if len(p) != len(g):
-        raise ParameterError(f"degree mismatch: {len(p)} vs {len(g)}")
-    out = [0] * len(p)
-    for x in range(1, len(p) + 1):
-        out[g[x - 1] - 1] = g[p[x - 1] - 1]
-    return tuple(out)
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:

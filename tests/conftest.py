@@ -19,8 +19,7 @@ def census_store():
 
     def get(k, b):
         if (k, b) not in cache:
-            workers = 4 if (k, b) in {(4, 10), (5, 8)} else 1
-            cache[(k, b)] = full_census(k, b, workers=workers)
+            cache[(k, b)] = full_census(k, b)
         return cache[(k, b)]
 
     return get

@@ -237,7 +237,9 @@ def _reference_delta_search(
                 streak_start = d
             streak_len += 1
             if streak_len == window + 1:
-                return _certificate(census, streak_start, b, eps, window)
+                base = PlaneCurveBase(streak_start, b)
+                at_start = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
+                return _certificate(census, at_start, streak_start, b, eps, window)
         else:
             streak_start, streak_len = None, 0
     exc = BudgetExceeded(
@@ -335,8 +337,8 @@ def test_band_search_evaluates_a_fixed_number_of_degrees(census_store, monkeypat
 
     monkeypatch.setattr(gonalgeo.asymptotics, "surface_invariants", counting)
     cert = delta_search(2, 3, cen, Fraction(1, 100), window=10**6, d_max=10**30)
-    # three cross-checks around the window, then the certificate
-    assert degrees == [cert.d_min, cert.d_min + 10**6, cert.d_min - 1, cert.d_min]
+    # three cross-checks around the window; the certificate reuses the first
+    assert degrees == [cert.d_min, cert.d_min + 10**6, cert.d_min - 1]
     assert cert.d_min > 3
 
 

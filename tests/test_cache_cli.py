@@ -524,6 +524,28 @@ def test_cli_workers_flag_changes_nothing(tmp_path, capsys):
     )
     assert serial[0] == parallel[0] == 0
     assert serial[1] == parallel[1]
+    assert serial[2] == ""
+    assert parallel[2] == "warning: --workers is deprecated and ignored\n"
+    code, out, _err = run_cli(capsys, "census", "--help")
+    assert code == 0 and "--workers" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--k", "3", "--b", "4", "--c", "8"),  # --c would abbreviate --cache-dir
+        ("delta", "0", "3", "1/2", "--b", "5"),  # --b would abbreviate --budget
+    ],
+    ids=["census-c", "delta-b"],
+)
+def test_cli_abbreviated_options_are_argument_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _assert_unusable(code, out, err, where):

@@ -33,7 +33,7 @@ REQUIRED = {
     "delta": (),
 }
 DEFAULTS = {
-    "--cache-dir": None, "--workers": 1, "--output": "table", "--budget": cli.DEFAULT_ENUM_BUDGET,
+    "--cache-dir": None, "--workers": None, "--output": "table", "--budget": cli.DEFAULT_ENUM_BUDGET,
     "--b": None, "--g": None, "--special-base": False, "--oracle-only": False, "--audit": False,
     "--window": 8, "--d-max": 10**6,
 }

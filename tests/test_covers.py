@@ -19,12 +19,9 @@ from gonalgeo.covers import (
     count_tuples,
     cover_genus,
     iter_tuples,
-    tuple_stabilizer,
-    verify_free_action,
 )
 from gonalgeo.characters import connected_count, disconnected_count, partitions_of
 from gonalgeo.errors import InvariantViolation, ParameterError
-from gonalgeo.perm import identity
 from gonalgeo.tables import group_tables
 
 from test_characters import brute_force_counts
@@ -149,22 +146,6 @@ def test_canonical_form_is_an_orbit_invariant(idx, g):
     assert canonical_form(t).entries <= t.entries
 
 
-def test_stabilizers_trivial_from_degree_three_up():
-    for t in iter_tuples(3, 4):
-        assert tuple_stabilizer(t) == [identity(3)]
-    report = verify_free_action(tuples_3_6())
-    assert report.checked == 240
-    assert report.violations == 0
-    assert report.witnesses == ()
-
-
-def test_degree_two_stabilizer_is_full():
-    t = MonodromyTuple(2, ((1, 2), (1, 2)))
-    assert tuple_stabilizer(t) == [(1, 2), (2, 1)]
-    with pytest.raises(ParameterError):
-        verify_free_action([t])
-
-
 def test_class_representatives():
     reps4 = class_representatives(3, 4)
     assert len(reps4) == 4
@@ -173,9 +154,10 @@ def test_class_representatives():
     for i, a in enumerate(reps4):
         for b in reps4[i + 1:]:
             assert not are_conjugate(a, b)
+    # relabeling acts freely: one representative per k! tuples
     assert len(class_representatives(3, 6)) == class_count(3, 6).class_count
     assert len(class_representatives(4, 6)) == 120
-    # every tuple is conjugate to exactly one representative
+    # every tuple is conjugate to exactly one representative, 3! of them each
     hits = {rep.entries: 0 for rep in reps4}
     for t in iter_tuples(3, 4):
         hits[canonical_form(t).entries] += 1
