@@ -303,9 +303,10 @@ class DeltaCertificate:
 
 
 def _certificate(
-    census: DegenerationCensus, inv: SurfaceInvariants, d: int, b: int, eps: Fraction, window: int
+    census: DegenerationCensus, inv: SurfaceInvariants, d: int, eps: Fraction, window: int
 ) -> DeltaCertificate:
     """The certificate for d_min = d, from the invariants evaluated there."""
+    b = census.b
     base = PlaneCurveBase(d, b)
     lhs = Fraction(2 * base.base_genus - 2, 3 + base.root_8g_plus_1)
     rhs = None
@@ -337,15 +338,14 @@ def _band_line(census: DegenerationCensus) -> tuple[Fraction, Fraction, Fraction
 
 
 def delta_search(
-    g: int,
-    k: int,
     census: DegenerationCensus,
     epsilon,
     window: int = 8,
     d_max: int = 10**6,
 ) -> DeltaCertificate:
     """Least plane degree d >= 3 whose ratio stays within epsilon of 8
-    for window consecutive further degrees, all at most d_max.
+    for window consecutive further degrees, all at most d_max, for the
+    families of the census's (k, b) and fiber genus g.
 
     The band inequality is solved, not swept.  With c = b*d and base
     genus g_X, g_X - 1 = d(d - 3)/2, so
@@ -377,11 +377,7 @@ def delta_search(
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if window < 0:
         raise ParameterError(f"window must be nonnegative, got {window}")
-    b = 2 * g + 2 * k - 2
-    if (census.k, census.b) != (k, b):
-        raise ParameterError(
-            f"census is for ({census.k}, {census.b}), the search wants ({k}, {b})"
-        )
+    k, b = census.k, census.b
     a0, slope, x = _band_line(census)
     floor_l = b * abs(x) / eps  # in the band iff L(d) != 0 and |L(d)| >= floor_l
 
@@ -391,7 +387,7 @@ def delta_search(
 
     def evaluated(d: int) -> SurfaceInvariants:
         base = PlaneCurveBase(d, b)
-        inv = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
+        inv = surface_invariants(FamilyParams(census, base.c, base.base_genus))
         if inv.ratio != closed_ratio(d):
             raise InvariantViolation(
                 f"closed-form ratio {closed_ratio(d)} disagrees with the evaluated "
@@ -430,4 +426,4 @@ def delta_search(
                 f"{'inside' if expected else 'outside'} |ratio - 8| <= {eps} "
                 f"for ({k}, {b}), the evaluation disagrees"
             )
-    return _certificate(census, at_min, d_min, b, eps, window)
+    return _certificate(census, at_min, d_min, eps, window)

@@ -10,6 +10,10 @@ one, never part of one.  Reading rejects a document whose keys or value
 types stray from the schema, that repeats a (j, i) cell, or that holds a
 count longer than the interpreter converts to an int, before any census
 invariant is checked.
+
+The functions here take or return a ``DegenerationCensus`` alone.  N,
+N_tilde, e and N_sing are written from its derived values; on reading,
+each must equal the value its stored counts give (InvariantViolation).
 """
 
 import json
@@ -18,9 +22,8 @@ import re
 import sys
 from pathlib import Path
 
-from .covers import TupleCensus
 from .degeneration import DegenerationCensus, full_census
-from .errors import ParameterError
+from .errors import InvariantViolation, ParameterError
 from .version import TOOL_VERSION
 
 ENV_CACHE_DIR = "GG_CACHE_DIR"
@@ -95,18 +98,13 @@ def census_path(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
     return Path(cache_dir) / f"census_k{k}_b{b}.json"
 
 
-def census_payload(counts: TupleCensus, census: DegenerationCensus) -> dict:
+def census_payload(census: DegenerationCensus) -> dict:
     """The frozen JSON document for one (k, b)."""
-    if (counts.k, counts.b) != (census.k, census.b):
-        raise ParameterError(
-            f"count pack ({counts.k}, {counts.b}) does not match "
-            f"census ({census.k}, {census.b})"
-        )
     return {
         "k": census.k,
         "b": census.b,
-        "N": str(counts.raw_count),
-        "N_tilde": str(counts.class_count),
+        "N": str(census.raw_count),
+        "N_tilde": str(census.classes),
         "N1": str(census.type_one),
         "N22": str(census.type_two_two),
         "N3": str(census.type_three),
@@ -120,15 +118,13 @@ def census_payload(counts: TupleCensus, census: DegenerationCensus) -> dict:
     }
 
 
-def write_census(
-    cache_dir: os.PathLike | str, counts: TupleCensus, census: DegenerationCensus
-) -> Path:
+def write_census(cache_dir: os.PathLike | str, census: DegenerationCensus) -> Path:
     """Write the document to a temporary file beside its path, then
     rename it into place, so a killed or concurrent writer never leaves
     a truncated document behind."""
     path = census_path(cache_dir, census.k, census.b)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(census_payload(counts, census), indent=2) + "\n"
+    text = json.dumps(census_payload(census), indent=2) + "\n"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     # O_EXCL with mode 0o666 gives the umask-derived mode write_text would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -142,11 +138,10 @@ def write_census(
     return path
 
 
-def read_census(
-    cache_dir: os.PathLike | str, k: int, b: int
-) -> tuple[TupleCensus, DegenerationCensus]:
-    """Load and re-validate one cached census; every census invariant is
-    checked again on the way in."""
+def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCensus:
+    """Load and re-validate one cached census: the stored counts go
+    through the census validators, and each derived key must equal its
+    value computed from them."""
     path = census_path(cache_dir, k, b)
     try:
         doc = json.loads(path.read_text())
@@ -164,32 +159,31 @@ def read_census(
         raise ParameterError(
             f"census document {path} is for ({doc['k']}, {doc['b']}), expected ({k}, {b})"
         )
-    g = (b - 2 * k + 2) // 2
-    split_table = {
-        (row["j"], row["i"]): int(row["count"]) for row in doc["M_table"]
-    }
     census = DegenerationCensus(
-        k=k,
-        b=b,
-        g=g,
-        classes=int(doc["N_tilde"]),
+        k, b,
         type_one=int(doc["N1"]),
         type_two_two=int(doc["N22"]),
         type_three=int(doc["N3"]),
-        split_table=split_table,
-        rational_splits=int(doc["e"]),
-        singular=int(doc["N_sing"]),
+        split_table={(row["j"], row["i"]): int(row["count"]) for row in doc["M_table"]},
     )
-    counts = TupleCensus(k, b, int(doc["N"]), census.classes, "enumeration")
-    return counts, census
+    for key, value in (
+        ("N", census.raw_count),
+        ("N_tilde", census.classes),
+        ("e", census.rational_splits),
+        ("N_sing", census.singular),
+    ):
+        if int(doc[key]) != value:
+            raise InvariantViolation(
+                f"census document {path}: {key} does not match the counts; "
+                "delete and recompute"
+            )
+    return census
 
 
-def load_or_compute(
-    cache_dir: os.PathLike | str, k: int, b: int
-) -> tuple[TupleCensus, DegenerationCensus]:
+def load_or_compute(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCensus:
     """Cached census when present, else compute and cache it."""
     if census_path(cache_dir, k, b).exists():
         return read_census(cache_dir, k, b)
-    counts, census = full_census(k, b)
-    write_census(cache_dir, counts, census)
-    return counts, census
+    census = full_census(k, b)[1]
+    write_census(cache_dir, census)
+    return census

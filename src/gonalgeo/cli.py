@@ -27,6 +27,7 @@ from .asymptotics import delta_search, positivity_threshold
 from .cache import census_path, census_payload, load_or_compute, read_census, resolve_cache_dir
 from .characters import disconnected_count
 from .covers import class_count, class_count_via_oracle, validate_cover_shape
+from .degeneration import DegenerationCensus
 from .errors import (
     BudgetExceeded,
     CapacityError,
@@ -111,7 +112,7 @@ def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
     )
 
 
-def _census(cfg: RunConfig, k: int, b: int) -> tuple:
+def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     """The census of (k, b), read from the cache or, within the budget,
     computed and cached."""
     try:
@@ -186,8 +187,7 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
 def cmd_census(args) -> int:
     cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
-    counts, cen = _census(cfg, k, b)
-    _emit(census_payload(counts, cen), cfg.output, notes=CENSUS_NOTES)
+    _emit(census_payload(_census(cfg, k, b)), cfg.output, notes=CENSUS_NOTES)
     return 0
 
 
@@ -218,8 +218,7 @@ def cmd_oracle_check(args) -> int:
 
 def _family(args, cfg: RunConfig) -> FamilyParams:
     k, b = _resolve_shape(args.k, args.b, args.g)
-    _counts, cen = read_census(cfg.cache_dir, k, b)
-    return FamilyParams.from_census(cen, args.c, args.base_genus, args.special_base)
+    return FamilyParams(read_census(cfg.cache_dir, k, b), args.c, args.base_genus, args.special_base)
 
 
 def cmd_invariants(args) -> int:
@@ -227,9 +226,9 @@ def cmd_invariants(args) -> int:
     params = _family(args, cfg)
     inv = surface_invariants(params)
     payload = {
-        "k": params.k,
-        "b": params.b,
-        "g": params.g,
+        "k": params.census.k,
+        "b": params.census.b,
+        "g": params.census.g,
         "c": params.c,
         "base_genus": params.base_genus,
         "cautions": list(params.cautions),
@@ -246,8 +245,8 @@ def cmd_audit(args) -> int:
     cfg = _config(args)
     params = _family(args, cfg)
     payload = {
-        "k": params.k,
-        "b": params.b,
+        "k": params.census.k,
+        "b": params.census.b,
         "c": params.c,
         "base_genus": params.base_genus,
         "audit": audit_chain(params).as_payload(),
@@ -280,13 +279,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 def cmd_delta(args) -> int:
     cfg = _config(args)
-    g, k = args.g, args.k
-    b = 2 * g + 2 * k - 2
-    validate_cover_shape(k, b)
+    k, b = _resolve_shape(args.k, None, args.g)
     eps = _parse_fraction(args.epsilon)
-    _counts, cen = _census(cfg, k, b)
-    cert = delta_search(g, k, cen, eps, window=args.window, d_max=args.d_max)
-    _emit({"g": g, "k": k, "b": b, "certificate": cert.as_payload()}, cfg.output)
+    cert = delta_search(_census(cfg, k, b), eps, window=args.window, d_max=args.d_max)
+    _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, cfg.output)
     return 0
 
 

@@ -36,6 +36,7 @@ from math import comb
 from .covers import (
     MonodromyTuple,
     TupleCensus,
+    _class_divisor,
     _classes,
     _completion,
     block_layers,
@@ -164,59 +165,68 @@ def full_twist(t: MonodromyTuple) -> MonodromyTuple:
 class DegenerationCensus:
     """Class-level tallies of collision types for one (k, b).
 
-    ``split_table`` maps (j, i) to the number of classes splitting into a
-    degree-j genus-i component plus its complement.  ``rational_splits``
-    counts the split classes with a genus-0 component (each once, even
-    when both components are rational); those fibers smooth out after
-    semistable reduction while the remaining ``singular`` classes do not.
+    Stored: the equal-, disjoint- and overlapping-pair class counts N1,
+    N22 and N3, and ``split_table``, mapping (j, i) to the classes that
+    split into a degree-j genus-i component plus its complement.  Derived
+    on access, without validating again: ``g``, ``classes``,
+    ``raw_count`` (classes times k!, or classes at k = 2), ``central``
+    (equal pairs that split nothing), ``rational_splits`` (split classes
+    with a genus-0 component, each once; they smooth out after
+    semistable reduction) and ``singular``, the other equal-pair classes.
+    Equality compares the split table too.
     """
 
     k: int
     b: int
-    g: int
-    classes: int
     type_one: int
     type_two_two: int
     type_three: int
-    split_table: dict[tuple[int, int], int] = field(compare=False)
-    rational_splits: int = 0
-    singular: int = 0
+    split_table: dict[tuple[int, int], int] = field(hash=False)
 
     def __post_init__(self):
         validate_cover_shape(self.k, self.b)
-        if self.g != cover_genus(self.k, self.b):
-            raise InvariantViolation(f"genus {self.g} wrong for ({self.k}, {self.b})")
-        counts = (self.classes, self.type_one, self.type_two_two, self.type_three)
-        if any(v < 0 for v in counts):
+        g = self.g
+        if min(self.type_one, self.type_two_two, self.type_three) < 0:
             raise InvariantViolation("negative census count")
-        if self.type_one + self.type_two_two + self.type_three != self.classes:
-            raise InvariantViolation("type counts do not add up to the class count")
         if self.type_three % 3:
             raise InvariantViolation("overlapping-pair count not divisible by 3")
-        split_total = 0
-        smooth = 0
         for (j, i), n in self.split_table.items():
-            if n < 0 or not (1 <= j <= self.k // 2) or not (0 <= i <= self.g):
+            if n < 0 or not (1 <= j <= self.k // 2) or not (0 <= i <= g):
                 raise InvariantViolation(f"bad split cell ({j}, {i}) -> {n}")
-            if 2 * j == self.k and i > self.g - i:
+            if 2 * j == self.k and i > g - i:
                 raise InvariantViolation(f"split cell ({j}, {i}) not canonical")
-            split_total += n
-            if i == 0 or i == self.g:
-                smooth += n
-        if split_total > self.type_one:
+        if sum(self.split_table.values()) > self.type_one:
             raise InvariantViolation("split classes exceed the equal-pair count")
-        if smooth != self.rational_splits:
-            raise InvariantViolation("rational-split tally does not match the table")
-        if self.rational_splits + self.singular != self.type_one:
-            raise InvariantViolation("equal-pair classes do not partition")
+
+    @property
+    def g(self) -> int:
+        return (self.b - 2 * self.k + 2) // 2
+
+    @property
+    def classes(self) -> int:
+        return self.type_one + self.type_two_two + self.type_three
+
+    @property
+    def raw_count(self) -> int:
+        return self.classes * _class_divisor(self.k)
 
     @property
     def central(self) -> int:
         return self.type_one - sum(self.split_table.values())
 
+    @property
+    def rational_splits(self) -> int:
+        g = self.g
+        return sum(n for (j, i), n in self.split_table.items() if i == 0 or i == g)
+
+    @property
+    def singular(self) -> int:
+        return self.type_one - self.rational_splits
+
 
 def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
-    """Enumerate (k, b) once, returning raw counts and the type census."""
+    """Enumerate (k, b) once, returning the tuple counts and the type
+    census; the TupleCensus restates the census's raw_count and classes."""
     validate_cover_shape(k, b)
     g = cover_genus(k, b)
     tally: dict = {}
@@ -250,19 +260,8 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
         cell: _classes(v, k, f"split {cell} tally")
         for cell, v in sorted(splits.items(), key=repr)
     }
-    n1 = central + sum(split_table.values())
-    smooth = sum(v for (j, i), v in split_table.items() if i == 0 or i == g)
-    census = DegenerationCensus(
-        k=k, b=b, g=g,
-        classes=n1 + n22 + n3,
-        type_one=n1, type_two_two=n22, type_three=n3,
-        split_table=split_table,
-        rational_splits=smooth,
-        singular=n1 - smooth,
-    )
-    raw_total = sum(tally.values())
-    counts = TupleCensus(k, b, raw_total, census.classes, "enumeration")
-    return counts, census
+    census = DegenerationCensus(k, b, central + sum(split_table.values()), n22, n3, split_table)
+    return TupleCensus(k, b, census.raw_count, census.classes, "enumeration"), census
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ MINUS_TWO_COMPONENT_MEETS = {"ramification": 2, "residual": 0}
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """One family of covers: a census plus the base-curve data.
+    """One family of covers: a census, which fixes k, g and b, plus the
+    base-curve data.
 
     ``c`` is the total degree of the moving branch divisor (the b branch
     points sweep out divisors of degrees summing to c).  Geometric
@@ -49,53 +50,32 @@ class FamilyParams:
     the invariant formulas are polynomial identities either way.
     """
 
-    k: int
-    g: int
-    b: int
+    census: DegenerationCensus
     c: int
     base_genus: int
-    census: DegenerationCensus
     special_base: bool = False
 
     def __post_init__(self):
-        if self.b != 2 * self.g + 2 * self.k - 2:
-            raise ParameterError(
-                f"branch count {self.b} does not match genus {self.g} and degree {self.k}"
-            )
-        if (self.census.k, self.census.b) != (self.k, self.b):
-            raise ParameterError(
-                f"census is for ({self.census.k}, {self.census.b}), "
-                f"family wants ({self.k}, {self.b})"
-            )
         if self.c < 0:
             raise ParameterError(f"branch divisor degree must be nonnegative, got {self.c}")
         if self.base_genus < 0:
             raise ParameterError(f"base genus must be nonnegative, got {self.base_genus}")
 
-    @classmethod
-    def from_census(
-        cls,
-        census: DegenerationCensus,
-        c: int,
-        base_genus: int,
-        special_base: bool = False,
-    ) -> "FamilyParams":
-        return cls(census.k, census.g, census.b, c, base_genus, census, special_base)
-
     @property
     def collision_count_base(self) -> int:
         """Points of the base curve where two branch points meet: (b-1)c."""
-        return (self.b - 1) * self.c
+        return (self.census.b - 1) * self.c
 
     @property
     def cautions(self) -> tuple[str, ...]:
         out = []
-        if self.c < self.b:
+        b = self.census.b
+        if self.c < b:
             out.append(
-                f"branch degree {self.c} is below the branch count {self.b}; "
+                f"branch degree {self.c} is below the branch count {b}; "
                 "no geometric family moves every branch point"
             )
-        floor = self.b * (self.base_genus + 3)
+        floor = b * (self.base_genus + 3)
         if not self.special_base and self.c < floor:
             out.append(
                 f"branch degree {self.c} is below the very-ampleness floor {_magnitude(floor)} "
@@ -200,7 +180,7 @@ def genus_y(p: FamilyParams) -> int:
     )
     if doubled % 2:
         raise InvariantViolation(
-            f"parameter-curve genus is not integral for ({p.k}, {p.b}), c={p.c}, "
+            f"parameter-curve genus is not integral for ({cen.k}, {cen.b}), c={p.c}, "
             f"base genus {p.base_genus}"
         )
     return 1 + doubled // 2
@@ -223,7 +203,7 @@ def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
     checks (Noether; excess closed form against direct subtraction).
 
     >>> from gonalgeo.degeneration import full_census
-    >>> pack = FamilyParams.from_census(full_census(3, 4)[1], c=8, base_genus=2)
+    >>> pack = FamilyParams(full_census(3, 4)[1], c=8, base_genus=2)
     >>> inv = surface_invariants(pack)
     >>> inv.parameter_genus, inv.k2, inv.chi, inv.euler
     (29, -224, Fraction(-28, 1), -112)
@@ -233,7 +213,7 @@ def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
     cen = p.census
     n, n1, n22, n3 = cen.classes, cen.type_one, cen.type_two_two, cen.type_three
     e = cen.rational_splits
-    g, b, c, gx = p.g, p.b, p.c, p.base_genus
+    g, b, c, gx = cen.g, cen.b, p.c, p.base_genus
     third = n3 // 3
     m = p.collision_count_base
     gy = genus_y(p)
@@ -341,7 +321,7 @@ def audit_chain(p: FamilyParams) -> AuditReport:
     cen = p.census
     n, n1, n22, n3 = cen.classes, cen.type_one, cen.type_two_two, cen.type_three
     e = cen.rational_splits
-    k, b, c, gx = p.k, p.b, p.c, p.base_genus
+    k, b, c, gx = cen.k, cen.b, p.c, p.base_genus
     third = n3 // 3
     m = p.collision_count_base
     gy = genus_y(p)

@@ -75,18 +75,16 @@ def test_criterion_4_noether_and_excess(census_store):
     for _ in range(120):
         k, b = rng.choice(ENVELOPE)
         _counts, cen = census_store(k, b)
-        p = FamilyParams.from_census(
-            cen, c=rng.randrange(0, 120), base_genus=rng.randrange(0, 9)
-        )
+        p = FamilyParams(cen, c=rng.randrange(0, 120), base_genus=rng.randrange(0, 9))
         inv = surface_invariants(p)  # both identities are hard-asserted inside
         assert 12 * inv.chi == inv.k2 + inv.euler
         assert inv.excess == inv.k2 - 8 * inv.chi
         packs += 1
     for k, b in ENVELOPE:
         _counts, cen = census_store(k, b)
-        surface_invariants(FamilyParams.from_census(cen, c=b, base_genus=1))
+        surface_invariants(FamilyParams(cen, c=b, base_genus=1))
     _counts, cen = census_store(3, 4)
-    toy = surface_invariants(FamilyParams.from_census(cen, c=8, base_genus=2))
+    toy = surface_invariants(FamilyParams(cen, c=8, base_genus=2))
     assert (toy.k2, toy.chi, toy.euler, toy.excess) == (-224, Fraction(-28), -112, 0)
     _verdict(4, f"Noether and excess identities on {packs} random packs "
                 "+ all censuses; toy values reproduced")
@@ -99,8 +97,8 @@ def test_criterion_5_coefficients_independent_of_base_genus(census_store):
         _counts, cen = census_store(k, b)
         c = rng.randrange(0, 120)
         gx1, gx2 = rng.sample(range(0, 40), 2)
-        one = surface_invariants(FamilyParams.from_census(cen, c=c, base_genus=gx1))
-        two = surface_invariants(FamilyParams.from_census(cen, c=c, base_genus=gx2))
+        one = surface_invariants(FamilyParams(cen, c=c, base_genus=gx1))
+        two = surface_invariants(FamilyParams(cen, c=c, base_genus=gx2))
         assert one.k2_coeff == two.k2_coeff
         assert one.chi_coeff == two.chi_coeff
     _verdict(5, "k2 and chi coefficients agree across base genera on 50 random packs")
@@ -125,13 +123,13 @@ def test_criterion_6_threshold_polynomials():
 def test_criterion_7_band_certificates(census_store):
     _counts, cen = census_store(3, 4)
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
-        cert = delta_search(0, 3, cen, eps)
+        cert = delta_search(cen, eps)
         assert abs(cert.ratio - 8) <= eps
         # re-walk the window above the certificate degree
         for d in range(cert.d_min, cert.d_min + cert.window + 1):
             base_genus = (d - 1) * (d - 2) // 2
             inv = surface_invariants(
-                FamilyParams.from_census(cen, c=cen.b * d, base_genus=base_genus)
+                FamilyParams(cen, c=cen.b * d, base_genus=base_genus)
             )
             assert inv.ratio is not None and abs(inv.ratio - 8) <= eps
         assert cert.d_min == 3
@@ -143,7 +141,7 @@ def test_criterion_8_audit_chain(census_store):
     for k, b in ENVELOPE:
         _counts, cen = census_store(k, b)
         for c, gx in ((b, 1), (2 * b + 1, 3)):
-            p = FamilyParams.from_census(cen, c=c, base_genus=gx)
+            p = FamilyParams(cen, c=c, base_genus=gx)
             rep = audit_chain(p)
             n1 = cen.type_one
             third = cen.type_three // 3

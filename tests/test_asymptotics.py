@@ -155,7 +155,7 @@ def test_plane_curve_base():
 def test_delta_search_on_the_small_census(census_store):
     _counts, cen = census_store(3, 4)
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
-        cert = delta_search(0, 3, cen, eps)
+        cert = delta_search(cen, eps)
         assert cert.d_min == 3
         assert cert.base_genus == 1
         assert cert.c == 4 * 3
@@ -166,26 +166,24 @@ def test_delta_search_on_the_small_census(census_store):
         assert cert.sufficient_lhs == 0
         assert cert.sufficient_rhs == -12
         assert cert.sufficient_holds is True
-    assert delta_search(0, 3, cen, "1/2", window=0).d_min == 3
-    assert delta_search(0, 3, cen, Fraction(1, 7), window=20).d_min == 3
+    assert delta_search(cen, "1/2", window=0).d_min == 3
+    assert delta_search(cen, Fraction(1, 7), window=20).d_min == 3
 
 
 def test_delta_search_parameter_errors(census_store):
     _counts, cen = census_store(3, 4)
     with pytest.raises(ParameterError):
-        delta_search(0, 3, cen, 0)
+        delta_search(cen, 0)
     with pytest.raises(ParameterError):
-        delta_search(0, 3, cen, Fraction(-1, 2))
+        delta_search(cen, Fraction(-1, 2))
     with pytest.raises(ParameterError):
-        delta_search(0, 3, cen, 1, window=-1)
-    with pytest.raises(ParameterError):
-        delta_search(1, 3, cen, 1)  # census is for (3, 4), not (3, 6)
+        delta_search(cen, 1, window=-1)
 
 
 def test_delta_search_exhaustion_reports_a_trajectory(census_store):
     _counts, cen = census_store(2, 4)
     with pytest.raises(BudgetExceeded) as info:
-        delta_search(1, 2, cen, 1, d_max=25)
+        delta_search(cen, 1, d_max=25)
     trajectory = info.value.trajectory
     assert len(trajectory) == 8
     assert trajectory[-1][0] == 25
@@ -206,8 +204,6 @@ def surface_invariants(p):
 
 
 def _reference_delta_search(
-    g: int,
-    k: int,
     census,
     epsilon,
     window: int = 8,
@@ -220,17 +216,13 @@ def _reference_delta_search(
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if window < 0:
         raise ParameterError(f"window must be nonnegative, got {window}")
-    b = 2 * g + 2 * k - 2
-    if (census.k, census.b) != (k, b):
-        raise ParameterError(
-            f"census is for ({census.k}, {census.b}), the search wants ({k}, {b})"
-        )
+    b = census.b
     streak_start = None
     streak_len = 0
     recent: deque = deque(maxlen=max(window, 8))
     for d in range(3, d_max + 1):
         base = PlaneCurveBase(d, b)
-        inv = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
+        inv = surface_invariants(FamilyParams(census, base.c, base.base_genus))
         recent.append((d, inv.ratio))
         if inv.ratio is not None and abs(inv.ratio - 8) <= eps:
             if streak_start is None:
@@ -238,8 +230,8 @@ def _reference_delta_search(
             streak_len += 1
             if streak_len == window + 1:
                 base = PlaneCurveBase(streak_start, b)
-                at_start = surface_invariants(FamilyParams.from_census(census, base.c, base.base_genus))
-                return _certificate(census, at_start, streak_start, b, eps, window)
+                at_start = surface_invariants(FamilyParams(census, base.c, base.base_genus))
+                return _certificate(census, at_start, streak_start, eps, window)
         else:
             streak_start, streak_len = None, 0
     exc = BudgetExceeded(
@@ -263,15 +255,14 @@ BAND_PAIRS = ENVELOPE + [(3, 12), (4, 12)]
 @pytest.mark.parametrize("k, b", BAND_PAIRS)
 def test_closed_form_band_search_matches_the_sweep(census_store, k, b):
     _counts, cen = census_store(k, b)
-    g = (b - 2 * k + 2) // 2
     outcomes = set()
     try:
         for eps in (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 10),
                     Fraction(1, 37), Fraction(1, 100)):
             for window in (0, 1, 8, 20):
                 for d_max in (2, 3, 10, 60, 700, 3000):
-                    want = _outcome(_reference_delta_search, g, k, cen, eps, window, d_max)
-                    got = _outcome(delta_search, g, k, cen, eps, window, d_max)
+                    want = _outcome(_reference_delta_search, cen, eps, window, d_max)
+                    got = _outcome(delta_search, cen, eps, window, d_max)
                     assert got == want, (eps, window, d_max)
                     outcomes.add(type(got))
     finally:
@@ -286,12 +277,10 @@ def test_closed_form_band_search_matches_the_sweep(census_store, k, b):
 # vanish at every degree.
 SYNTHETIC_CENSUSES = {
     "band-breaks-above-3": DegenerationCensus(
-        k=3, b=8, g=2, classes=7, type_one=0, type_two_two=7, type_three=0,
-        split_table={},
+        k=3, b=8, type_one=0, type_two_two=7, type_three=0, split_table={},
     ),
     "chi-identically-zero": DegenerationCensus(
-        k=3, b=8, g=2, classes=0, type_one=0, type_two_two=0, type_three=0,
-        split_table={},
+        k=3, b=8, type_one=0, type_two_two=0, type_three=0, split_table={},
     ),
 }
 
@@ -302,13 +291,13 @@ def test_closed_form_band_search_matches_the_sweep_off_the_census(cen):
         for eps in (Fraction(16), Fraction(8), Fraction(2), Fraction(1, 2)):
             for window in range(5):
                 for d_max in (3, 8, 12, 60, 200):
-                    want = _outcome(_reference_delta_search, 2, 3, cen, eps, window, d_max)
-                    got = _outcome(delta_search, 2, 3, cen, eps, window, d_max)
+                    want = _outcome(_reference_delta_search, cen, eps, window, d_max)
+                    got = _outcome(delta_search, cen, eps, window, d_max)
                     assert got == want, (eps, window, d_max)
     finally:
         _EVALUATED.clear()
-    assert delta_search(2, 3, SYNTHETIC_CENSUSES["band-breaks-above-3"], 8, window=2).d_min == 3
-    assert delta_search(2, 3, SYNTHETIC_CENSUSES["band-breaks-above-3"], 8, window=3).d_min == 9
+    assert delta_search(SYNTHETIC_CENSUSES["band-breaks-above-3"], 8, window=2).d_min == 3
+    assert delta_search(SYNTHETIC_CENSUSES["band-breaks-above-3"], 8, window=3).d_min == 9
 
 
 def test_genus_one_give_up_is_immediate_at_any_ceiling(census_store):
@@ -316,7 +305,7 @@ def test_genus_one_give_up_is_immediate_at_any_ceiling(census_store):
     for d_max in (10**6, 10**30):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded) as info:
-            delta_search(1, 2, cen, 1, d_max=d_max)
+            delta_search(cen, 1, d_max=d_max)
         assert time.perf_counter() - start < 0.5
         assert str(info.value) == (
             f"no plane degree d <= {d_max} certifies |ratio - 8| <= 1 "
@@ -332,11 +321,11 @@ def test_band_search_evaluates_a_fixed_number_of_degrees(census_store, monkeypat
     degrees = []
 
     def counting(p):
-        degrees.append(p.c // p.b)
+        degrees.append(p.c // p.census.b)
         return invariants.surface_invariants(p)
 
     monkeypatch.setattr(gonalgeo.asymptotics, "surface_invariants", counting)
-    cert = delta_search(2, 3, cen, Fraction(1, 100), window=10**6, d_max=10**30)
+    cert = delta_search(cen, Fraction(1, 100), window=10**6, d_max=10**30)
     # three cross-checks around the window; the certificate reuses the first
     assert degrees == [cert.d_min, cert.d_min + 10**6, cert.d_min - 1]
     assert cert.d_min > 3
@@ -347,13 +336,13 @@ def test_band_search_cross_check_catches_a_wrong_evaluation(census_store, monkey
 
     def skewed(p):
         inv = invariants.surface_invariants(p)
-        return inv if p.c // p.b < 40 else replace(inv, ratio=Fraction(0))
+        return inv if p.c // p.census.b < 40 else replace(inv, ratio=Fraction(0))
 
     monkeypatch.setattr(gonalgeo.asymptotics, "surface_invariants", skewed)
     with pytest.raises(InvariantViolation, match="closed-form ratio"):
-        delta_search(2, 3, cen, Fraction(1, 10))
+        delta_search(cen, Fraction(1, 10))
     with pytest.raises(InvariantViolation, match="closed-form ratio"):
-        delta_search(2, 3, cen, Fraction(1, 10), d_max=45)
+        delta_search(cen, Fraction(1, 10), d_max=45)
 
 
 def test_delta_certificate_payload_notes_genus_one():

@@ -33,8 +33,7 @@ def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
 
 
 def test_payload_schema(census_store):
-    counts, cen = census_store(3, 4)
-    payload = census_payload(counts, cen)
+    payload = census_payload(census_store(3, 4)[1])
     assert list(payload) == [
         "k", "b", "N", "N_tilde", "N1", "N22", "N3", "M_table", "e", "N_sing",
         "tool_version",
@@ -45,21 +44,17 @@ def test_payload_schema(census_store):
     assert payload["N1"] == "1" and payload["N22"] == "0" and payload["N3"] == "3"
     assert payload["M_table"] == [{"j": 1, "i": 0, "count": "1"}]
     assert payload["e"] == "1" and payload["N_sing"] == "0"
-    with pytest.raises(ParameterError):
-        census_payload(counts, census_store(3, 6)[1])
 
 
 def test_round_trip(tmp_path, census_store):
-    counts, cen = census_store(4, 6)
-    path = write_census(tmp_path, counts, cen)
+    cen = census_store(4, 6)[1]
+    path = write_census(tmp_path, cen)
     assert path == census_path(tmp_path, 4, 6)
-    counts2, cen2 = read_census(tmp_path, 4, 6)
-    assert counts2 == counts
+    cen2 = read_census(tmp_path, 4, 6)
     assert cen2 == cen
-    assert cen2.split_table == cen.split_table
     # rewriting is byte-identical
     before = path.read_bytes()
-    write_census(tmp_path, counts2, cen2)
+    write_census(tmp_path, cen2)
     assert path.read_bytes() == before
 
 
@@ -67,8 +62,7 @@ def test_read_census_failure_modes(tmp_path, census_store):
     with pytest.raises(ParameterError, match="run the census command first"):
         read_census(tmp_path, 3, 4)
 
-    counts, cen = census_store(3, 4)
-    path = write_census(tmp_path, counts, cen)
+    path = write_census(tmp_path, census_store(3, 4)[1])
 
     doc = json.loads(path.read_text())
     (tmp_path / "census_k3_b6.json").write_text(json.dumps(doc))
@@ -92,8 +86,8 @@ def test_read_census_failure_modes(tmp_path, census_store):
 
 
 def test_load_or_compute_uses_the_cache(tmp_path, monkeypatch):
-    counts, cen = load_or_compute(tmp_path, 3, 4)
-    assert counts.raw_count == 24
+    cen = load_or_compute(tmp_path, 3, 4)
+    assert cen.raw_count == 24
     # a second load must not recompute: make recomputation impossible
     import gonalgeo.cache as cache_mod
 
@@ -101,8 +95,7 @@ def test_load_or_compute_uses_the_cache(tmp_path, monkeypatch):
         raise AssertionError("cache miss where a hit was expected")
 
     monkeypatch.setattr(cache_mod, "full_census", boom)
-    counts2, cen2 = load_or_compute(tmp_path, 3, 4)
-    assert (counts2, cen2.split_table) == (counts, cen.split_table)
+    assert load_or_compute(tmp_path, 3, 4) == cen
 
 
 def test_write_census_leaves_no_partial_file(tmp_path, monkeypatch, census_store):
@@ -111,18 +104,18 @@ def test_write_census_leaves_no_partial_file(tmp_path, monkeypatch, census_store
     def refuse(src, dst):
         raise OSError("rename refused")
 
-    counts, cen = census_store(3, 4)
+    cen = census_store(3, 4)[1]
     monkeypatch.setattr(cache_mod.os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        write_census(tmp_path, counts, cen)
+        write_census(tmp_path, cen)
     assert list(tmp_path.iterdir()) == []
 
     monkeypatch.undo()
-    path = write_census(tmp_path, counts, cen)
+    path = write_census(tmp_path, cen)
     before = path.read_bytes()
     monkeypatch.setattr(cache_mod.os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        write_census(tmp_path, counts, cen)
+        write_census(tmp_path, cen)
     # the document already in place survives a failed rewrite untouched
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == before
@@ -367,18 +360,34 @@ def test_cli_invariants_requires_a_cached_census(tmp_path, capsys):
     assert "run the census command first" in err
 
 
-def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys):
+# (3, 4) has N = 24, N_tilde = 4, e = 1 and N_sing = 0; each derived key
+# changed alone must be named, a stored count that fails its own check
+# need not be
+TAMPERED_CACHE = {
+    "N1-and-N3": ({"N1": "2", "N3": "2"}, None),
+    "N": ({"N": "25"}, "N"),
+    "N_tilde": ({"N_tilde": "5"}, "N_tilde"),
+    "e": ({"e": "0"}, "e"),
+    "N_sing": ({"N_sing": "1"}, "N_sing"),
+}
+
+
+@pytest.mark.parametrize("change, key", TAMPERED_CACHE.values(), ids=TAMPERED_CACHE.keys())
+def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change, key):
     d = str(tmp_path)
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
     path = census_path(d, 3, 4)
     doc = json.loads(path.read_text())
-    path.write_text(json.dumps(doc | {"N1": "2", "N3": "2"}))
-    code, _out, err = run_cli(
+    path.write_text(json.dumps(doc | change))
+    code, out, err = run_cli(
         capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
         "--base-genus", "2", "--cache-dir", d,
     )
     assert code == 2
+    assert out == ""
     assert "invariant violation" in err
+    if key is not None:
+        assert f": {key} does not match the counts" in err
 
 
 MALFORMED_CACHE = {

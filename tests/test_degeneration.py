@@ -7,6 +7,7 @@ time.  Both routes are re-run against each other here.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from math import comb, factorial
 
@@ -272,28 +273,17 @@ def test_table_twist_is_full_twist_on_every_completion():
 
 
 def valid_34_kwargs():
-    return dict(
-        k=3, b=4, g=0, classes=4, type_one=1, type_two_two=0, type_three=3,
-        split_table={(1, 0): 1}, rational_splits=1, singular=0,
-    )
+    return dict(k=3, b=4, type_one=1, type_two_two=0, type_three=3, split_table={(1, 0): 1})
 
 
 def test_census_validators_reject_bad_data():
     DegenerationCensus(**valid_34_kwargs())  # baseline sanity
 
-    bad = valid_34_kwargs() | {"classes": 5}
+    bad = valid_34_kwargs() | {"type_three": 4}
     with pytest.raises(InvariantViolation):
         DegenerationCensus(**bad)
 
-    bad = valid_34_kwargs() | {"type_three": 4, "classes": 5}
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(**bad)
-
-    bad = valid_34_kwargs() | {"g": 1}
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(**bad)
-
-    bad = valid_34_kwargs() | {"type_one": -1, "classes": 2}
+    bad = valid_34_kwargs() | {"type_one": -1}
     with pytest.raises(InvariantViolation):
         DegenerationCensus(**bad)
 
@@ -308,17 +298,7 @@ def test_census_validators_reject_bad_data():
         DegenerationCensus(**bad)
 
     # more splits than equal-pair classes
-    bad = valid_34_kwargs() | {"split_table": {(1, 0): 2}, "rational_splits": 2}
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(**bad)
-
-    # rational tally out of step with the table
-    bad = valid_34_kwargs() | {"rational_splits": 0, "singular": 1}
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(**bad)
-
-    # equal-pair classes must partition into rational and singular
-    bad = valid_34_kwargs() | {"singular": 3}
+    bad = valid_34_kwargs() | {"split_table": {(1, 0): 2}}
     with pytest.raises(InvariantViolation):
         DegenerationCensus(**bad)
 
@@ -326,9 +306,31 @@ def test_census_validators_reject_bad_data():
 def test_equal_degree_cell_must_be_canonical():
     with pytest.raises(InvariantViolation):
         DegenerationCensus(
-            k=4, b=10, g=2, classes=3, type_one=3, type_two_two=0, type_three=0,
-            split_table={(2, 2): 1}, rational_splits=1, singular=2,
+            k=4, b=10, type_one=3, type_two_two=0, type_three=0, split_table={(2, 2): 1},
         )
+
+
+def test_derived_counts_follow_the_stored_ones():
+    cen = DegenerationCensus(**valid_34_kwargs())
+    assert (cen.g, cen.classes, cen.raw_count) == (0, 4, 24)
+    assert (cen.central, cen.rational_splits, cen.singular) == (0, 1, 0)
+    two = DegenerationCensus(k=2, b=6, type_one=2, type_two_two=0, type_three=0, split_table={(1, 0): 1})
+    # relabeling is trivial at degree 2, so each class is one tuple
+    assert (two.g, two.raw_count, two.central, two.rational_splits, two.singular) == (2, 2, 1, 1, 1)
+
+
+def test_equality_compares_the_split_table(census_store):
+    cen = census_store(4, 10)[1]
+    assert cen.split_table == {(1, 0): 1092, (2, 0): 28, (2, 1): 35}
+    # one class moved between two rational cells: every count agrees
+    moved = replace(cen, split_table={(1, 0): 1093, (2, 0): 27, (2, 1): 35})
+    assert (moved.classes, moved.rational_splits, moved.singular) == (
+        cen.classes, cen.rational_splits, cen.singular,
+    )
+    assert moved != cen
+    assert replace(cen, split_table=dict(reversed(cen.split_table.items()))) == cen
+    # the table stays out of the hash, so a census stays hashable
+    assert hash(moved) == hash(cen)
 
 
 def _labeled_tally(k, b):

@@ -35,35 +35,31 @@ from conftest import ENVELOPE
 @pytest.fixture(scope="session")
 def toy(census_store):
     _counts, cen = census_store(3, 4)
-    return FamilyParams.from_census(cen, c=8, base_genus=2)
+    return FamilyParams(cen, c=8, base_genus=2)
 
 
 def test_family_params_validation(census_store):
     _counts, cen = census_store(3, 4)
-    pack = FamilyParams.from_census(cen, c=8, base_genus=2)
-    assert (pack.k, pack.g, pack.b) == (3, 0, 4)
+    pack = FamilyParams(cen, c=8, base_genus=2)
+    assert (pack.census.k, pack.census.g, pack.census.b) == (3, 0, 4)
     assert pack.collision_count_base == 24
     with pytest.raises(ParameterError):
-        FamilyParams(k=3, g=1, b=4, c=8, base_genus=2, census=cen)
+        FamilyParams(cen, c=-1, base_genus=2)
     with pytest.raises(ParameterError):
-        FamilyParams(k=4, g=0, b=6, c=8, base_genus=2, census=cen)
-    with pytest.raises(ParameterError):
-        FamilyParams.from_census(cen, c=-1, base_genus=2)
-    with pytest.raises(ParameterError):
-        FamilyParams.from_census(cen, c=8, base_genus=-1)
+        FamilyParams(cen, c=8, base_genus=-1)
 
 
 def test_cautions(census_store):
     _counts, cen = census_store(3, 4)
-    comfortable = FamilyParams.from_census(cen, c=30, base_genus=2)
+    comfortable = FamilyParams(cen, c=30, base_genus=2)
     assert comfortable.cautions == ()
-    toy = FamilyParams.from_census(cen, c=8, base_genus=2)
+    toy = FamilyParams(cen, c=8, base_genus=2)
     assert len(toy.cautions) == 1
     assert "very-ampleness floor 20" in toy.cautions[0]
-    tight = FamilyParams.from_census(cen, c=2, base_genus=2)
+    tight = FamilyParams(cen, c=2, base_genus=2)
     assert len(tight.cautions) == 2
     assert "below the branch count" in tight.cautions[0]
-    special = FamilyParams.from_census(cen, c=8, base_genus=2, special_base=True)
+    special = FamilyParams(cen, c=8, base_genus=2, special_base=True)
     assert special.cautions == ()
 
 
@@ -90,7 +86,7 @@ def test_toy_family_frozen_values(toy):
 
 def test_degenerate_family_zeroes_out(census_store):
     _counts, cen = census_store(3, 4)
-    flat = FamilyParams.from_census(cen, c=0, base_genus=1)
+    flat = FamilyParams(cen, c=0, base_genus=1)
     inv = surface_invariants(flat)
     assert (inv.k2, inv.chi, inv.euler, inv.parameter_genus) == (0, 0, 0, 1)
     assert inv.ratio is None and inv.slope is None
@@ -148,22 +144,22 @@ PACKS = st.tuples(
 def test_identities_on_random_packs(census_store, pack):
     (k, b), c, gx = pack
     _counts, cen = census_store(k, b)
-    p = FamilyParams.from_census(cen, c=c, base_genus=gx)
+    p = FamilyParams(cen, c=c, base_genus=gx)
     inv = surface_invariants(p)
     # the two identities are also asserted inside; re-check from the outside
     assert 12 * inv.chi == inv.k2 + inv.euler
     assert inv.excess == inv.k2 - 8 * inv.chi
     assert inv.positive_index == (inv.excess > 0)
-    assert inv.chi == c * inv.chi_coeff + cen.classes * (gx - 1) * (p.g - 1)
-    assert inv.k2 == c * inv.k2_coeff + 8 * cen.classes * (gx - 1) * (p.g - 1)
-    assert inv.euler == 4 * (p.g - 1) * (inv.parameter_genus - 1) + 2 * inv.singular_fiber_count
+    assert inv.chi == c * inv.chi_coeff + cen.classes * (gx - 1) * (cen.g - 1)
+    assert inv.k2 == c * inv.k2_coeff + 8 * cen.classes * (gx - 1) * (cen.g - 1)
+    assert inv.euler == 4 * (cen.g - 1) * (inv.parameter_genus - 1) + 2 * inv.singular_fiber_count
     assert inv.singular_fiber_count == cen.singular * p.collision_count_base
     assert inv.chi_integral == (inv.chi.denominator == 1)
     if inv.chi == 0:
         assert inv.ratio is None
     else:
         assert inv.ratio == Fraction(inv.k2) / inv.chi
-    rel = (p.g - 1) * (inv.parameter_genus - 1)
+    rel = (cen.g - 1) * (inv.parameter_genus - 1)
     if inv.chi == rel:
         assert inv.slope is None
     else:
@@ -176,7 +172,7 @@ def test_coefficients_ignore_the_base_genus(census_store, pack):
     (k, b), c = pack
     _counts, cen = census_store(k, b)
     invs = [
-        surface_invariants(FamilyParams.from_census(cen, c=c, base_genus=gx))
+        surface_invariants(FamilyParams(cen, c=c, base_genus=gx))
         for gx in (0, 3, 11)
     ]
     assert len({inv.k2_coeff for inv in invs}) == 1
@@ -188,7 +184,7 @@ def test_census_coefficients_are_the_evaluated_ones(census_store, k, b):
     _counts, cen = census_store(k, b)
     k2_coeff, chi_coeff = _census_coefficients(cen)
     for c, gx in ((b, 0), (7 * b + 3, 4)):
-        inv = surface_invariants(FamilyParams.from_census(cen, c=c, base_genus=gx))
+        inv = surface_invariants(FamilyParams(cen, c=c, base_genus=gx))
         assert (inv.k2_coeff, inv.chi_coeff) == (k2_coeff, chi_coeff)
     # the excess per unit of branch degree, in its closed form
     x = (b - 1) * (2 * cen.rational_splits - cen.type_one + Fraction(cen.type_three, 9)) - cen.classes
@@ -231,7 +227,7 @@ def test_audit_payload(toy):
 def test_audit_chain_on_random_packs(census_store, pack):
     (k, b), c, gx = pack
     _counts, cen = census_store(k, b)
-    p = FamilyParams.from_census(cen, c=c, base_genus=gx)
+    p = FamilyParams(cen, c=c, base_genus=gx)
     rep = audit_chain(p)
     n, n1, n22 = cen.classes, cen.type_one, cen.type_two_two
     third = cen.type_three // 3
