@@ -38,11 +38,9 @@ from .covers import (
     MonodromyTuple,
     TupleCensus,
     are_conjugate,
-    canonical_form,
     class_count,
     class_count_via_oracle,
     class_representatives,
-    conjugate_tuple,
     count_tuples,
     cover_genus,
     iter_tuples,
@@ -103,7 +101,6 @@ __all__ = [
     "__version__",
     "are_conjugate",
     "audit_chain",
-    "canonical_form",
     "census_path",
     "census_payload",
     "character_table",
@@ -111,7 +108,6 @@ __all__ = [
     "class_count_via_oracle",
     "class_representatives",
     "classify_node",
-    "conjugate_tuple",
     "connected_count",
     "count_tuples",
     "cover_genus",

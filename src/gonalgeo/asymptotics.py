@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .degeneration import DegenerationCensus
+from .digits import _decimal, _magnitude
 from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .invariants import (
     FamilyParams,
     SurfaceInvariants,
     _census_coefficients,
-    _decimal,
-    _magnitude,
     rational_payload,
     surface_invariants,
 )

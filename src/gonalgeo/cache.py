@@ -13,16 +13,18 @@ invariant is checked.
 
 The functions here take or return a ``DegenerationCensus`` alone.  N,
 N_tilde, e and N_sing are written from its derived values; on reading,
-each must equal the value its stored counts give (InvariantViolation).
+the stored counts must pass the census validators and each derived key
+must equal the value they give.  Either failure is an
+InvariantViolation that names the document.
 """
 
 import json
 import os
 import re
-import sys
 from pathlib import Path
 
 from .degeneration import DegenerationCensus, full_census
+from .digits import int_digit_limit
 from .errors import InvariantViolation, ParameterError
 from .version import TOOL_VERSION
 
@@ -40,13 +42,6 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def int_digit_limit() -> int:
-    """Most digits the interpreter converts between int and str, 0 for
-    no limit.  Read, never set: the limit is interpreter-wide state."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else 0
 
 
 def _is_decimal(value) -> bool:
@@ -159,13 +154,16 @@ def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCen
         raise ParameterError(
             f"census document {path} is for ({doc['k']}, {doc['b']}), expected ({k}, {b})"
         )
-    census = DegenerationCensus(
-        k, b,
-        type_one=int(doc["N1"]),
-        type_two_two=int(doc["N22"]),
-        type_three=int(doc["N3"]),
-        split_table={(row["j"], row["i"]): int(row["count"]) for row in doc["M_table"]},
-    )
+    try:
+        census = DegenerationCensus(
+            k, b,
+            type_one=int(doc["N1"]),
+            type_two_two=int(doc["N22"]),
+            type_three=int(doc["N3"]),
+            split_table={(row["j"], row["i"]): int(row["count"]) for row in doc["M_table"]},
+        )
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"census document {path}: {exc}; delete and recompute") from None
     for key, value in (
         ("N", census.raw_count),
         ("N_tilde", census.classes),

@@ -21,20 +21,22 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, log10
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_path, census_payload, load_or_compute, read_census, resolve_cache_dir
-from .characters import disconnected_count
-from .covers import class_count, class_count_via_oracle, validate_cover_shape
+from .characters import _check_shape, disconnected_count
+from .covers import class_count, class_count_via_oracle, cover_genus, validate_cover_shape
 from .degeneration import DegenerationCensus
+from .digits import _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import (
     BudgetExceeded,
     CapacityError,
     InvariantViolation,
     ParameterError,
 )
-from .invariants import FamilyParams, _decimal, _magnitude, audit_chain, surface_invariants
+from .invariants import FamilyParams, audit_chain, surface_invariants
 
 # no longer called here (census goes through load_or_compute), but the
 # benchmark's span tracer wraps these names until ROADMAP item 5
@@ -124,13 +126,37 @@ def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
 
 
 def _guard_budget(k: int, b: int, budget: int) -> None:
-    estimate = disconnected_count(k, b)
-    if estimate > budget:
-        raise BudgetExceeded(
-            f"estimated {_magnitude(estimate)} identity-product tuples for ({k}, {b}) exceed "
-            f"the enumeration budget {budget}; raise --budget to force, or use "
-            "'oracle-check --oracle-only' for the count without enumeration"
-        )
+    """Refuse (k, b) when D(k, b), its identity-product tuples, exceed
+    the budget.  For even b every term of D = sum dim^2 f^b / k! is
+    nonnegative, and the trivial and sign characters give
+    D >= 2 C(k, 2)^b / k!.  Once that bound is past the budget and too
+    long to print exactly, it answers without computing D."""
+    _check_shape(k, b)  # the oracle's degree bound comes first
+    e = _floor_log10(log10(2) + b * log10(comb(k, 2)) - log10(factorial(k)))
+    if e > _EXACT_BITS * log10(2) and e > log10(budget):
+        estimate = f"at least 10^{e}"
+    else:
+        count = disconnected_count(k, b)
+        if count <= budget:
+            return
+        estimate = _magnitude(count)
+    raise BudgetExceeded(
+        f"estimated {estimate} identity-product tuples for ({k}, {b}) exceed "
+        f"the enumeration budget {budget}; raise --budget to force, or use "
+        "'oracle-check --oracle-only' for the count without enumeration"
+    )
+
+
+def _guard_digits(k: int, b: int) -> None:
+    """Refuse (k, b) before the oracle counts it when its connected count
+    has more digits than the interpreter prints.  Appending (t, t) keeps
+    a tuple connected, so Conn(k, b + 2) >= C(k, 2) Conn(k, b), and
+    Conn(k, b) >= C(k, 2)^g from Conn(k, 2k - 2) >= 1, g the genus."""
+    _check_shape(k, b)  # the oracle's degree bound comes first
+    limit = int_digit_limit()
+    e = _floor_log10(cover_genus(k, b) * log10(comb(k, 2)))
+    if limit and e >= limit:
+        raise _unprintable(f"the oracle count for ({k}, {b})", f"at least 10^{e}", limit)
 
 
 _RATIONAL_KEYS = {"numerator", "denominator", "approx"}
@@ -194,6 +220,7 @@ def cmd_census(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
+    _guard_digits(k, b)
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -257,14 +284,14 @@ def cmd_audit(args) -> int:
 
 def _trajectory_lines(trajectory) -> list[str]:
     """One line per (d, ratio) of a failed band search, which ends at
-    d_max.  Past 1000 bits a degree prints as its offset from d_max and a
-    ratio as its float, which stays near 8; otherwise both print exactly."""
+    d_max.  Too long to print exactly, a degree prints as its offset from
+    d_max and a ratio as its float, which stays near 8."""
     d_max = trajectory[-1][0]
     lines = []
     for d, ratio in trajectory:
-        if d_max.bit_length() > 1000:
+        if d_max.bit_length() > _EXACT_BITS:
             d = f"d_max-{d_max - d}"
-        if ratio is not None and max(abs(ratio.numerator), ratio.denominator).bit_length() > 1000:
+        if ratio is not None and max(abs(ratio.numerator), ratio.denominator).bit_length() > _EXACT_BITS:
             ratio = f"~{float(ratio)!r}"
         lines.append(f"  d={d} ratio={ratio}")
     return lines

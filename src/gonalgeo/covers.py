@@ -10,8 +10,9 @@ the running product needs more transpositions than the slots that remain,
 or the symbol graph has more spare components than remaining entries can
 join up.
 
-Iteration and class representatives walk this pruned tree depth first,
-one tuple at a time, through the dense S_k tables.  Counting does not:
+Iteration and class representatives are one depth-first walk of this
+pruned tree, one tuple at a time, through the dense S_k tables; class
+representatives also prune by relabelings.  Counting does not walk it:
 everything below a node depends only on its search state, and nothing
 about a state depends on how the sheets are labeled.  The counter
 therefore steps unlabeled block states layer by layer, each mapped to
@@ -29,7 +30,8 @@ and there are at most as many states as partitions of partitions of k.
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
 count.  Class representatives, when asked for, are the lexicographically
-least tuples of their orbits.
+least tuples of their orbits, and ``are_conjugate`` tells whether two
+tuples share one.
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvariantViolation, ParameterError
-from .perm import Perm, Transposition
+from .perm import Transposition
 from .tables import GroupTables, group_tables
 
 
@@ -78,14 +80,6 @@ class MonodromyTuple:
             raise ParameterError(f"degree must be at least 2, got {k}")
         if len(self.entries) % 2:
             raise ParameterError("entry count must be even; the product is odd otherwise")
-        parent = list(range(k + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         # the running product in word form; multiplying by (a b) on the
         # right swaps slots a and b
         acc = list(range(1, k + 1))
@@ -94,12 +88,9 @@ class MonodromyTuple:
             if not (1 <= a < b <= k):
                 raise ParameterError(f"bad transposition {t} for degree {k}")
             acc[a - 1], acc[b - 1] = acc[b - 1], acc[a - 1]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
         if acc != list(range(1, k + 1)):
             raise ParameterError(f"entries do not multiply to the identity: {self.entries}")
-        if len({find(x) for x in range(1, k + 1)}) != 1:
+        if len(set(_leaders(k, self.entries))) != 1:
             raise ParameterError(f"entries do not act transitively: {self.entries}")
 
     @property
@@ -109,6 +100,24 @@ class MonodromyTuple:
     @property
     def genus(self) -> int:
         return cover_genus(self.degree, len(self.entries))
+
+
+def _leaders(k: int, entries) -> list[int]:
+    """Blocks the entries, as edges, cut {1, ..., k} into, by union-find:
+    slot ``x - 1`` holds the least symbol of the block of ``x``."""
+    parent = list(range(k + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in entries:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(1, k + 1)]
 
 
 def _class_divisor(k: int) -> int:
@@ -133,34 +142,33 @@ class TupleCensus:
     b: int
     raw_count: int
     class_count: int
-    source: str  # "enumeration" or "oracle"
-
-    def __post_init__(self):
-        expected = self.class_count * _class_divisor(self.k)
-        if self.raw_count != expected:
-            raise InvariantViolation(
-                f"raw count {self.raw_count} inconsistent with "
-                f"{self.class_count} classes at degree {self.k}"
-            )
 
 
-def iter_tuples(k: int, b: int):
-    """Yield every monodromy tuple for (k, b) in lexicographic order."""
-    validate_cover_shape(k, b)
-    tab = group_tables(k)
+def _walk(tab: GroupTables, b: int, relabelings: list[int]):
+    """Monodromy tuples of length b in lexicographic order, by the pruned
+    depth-first search, skipping every tuple that one of ``relabelings``
+    (indices into ``tab.perms``) maps lower.
+
+    At every depth only the relabelings that fix the prefix entrywise
+    stay live; a branch is dropped the moment one of them would map the
+    next entry lower.  With no relabelings every tuple is yielded.
+    """
+    k = tab.k
     trans = tab.transpositions
     mul, merge = tab.mul_trans, tab.merge_trans
-    minf, nbl, trans_of = tab.min_factors, tab.nblocks, tab.trans_of
+    minf, nbl, trans_of, conj = tab.min_factors, tab.nblocks, tab.trans_of, tab.conj_trans
     stack: list[int] = []
 
-    def rec(p: int, c: int):
+    def rec(p: int, c: int, live: list[int]):
         rem = b - len(stack)
         if rem == 1:
             t = trans_of[p]
-            if t >= 0 and nbl[merge[c][t]] == 1:
-                stack.append(t)
-                yield MonodromyTuple(k, tuple(trans[i] for i in stack))
-                stack.pop()
+            if t < 0 or nbl[merge[c][t]] != 1:
+                return
+            for g in live:
+                if conj[g][t] < t:
+                    return
+            yield MonodromyTuple(k, tuple(trans[i] for i in stack) + (trans[t],))
             return
         nxt = rem - 1
         mrow, crow = mul[p], merge[c]
@@ -171,11 +179,25 @@ def iter_tuples(k: int, b: int):
             c2 = crow[t]
             if nbl[c2] - 1 > nxt:
                 continue
-            stack.append(t)
-            yield from rec(p2, c2)
-            stack.pop()
+            nlive = []
+            for g in live:
+                tg = conj[g][t]
+                if tg < t:
+                    break
+                if tg == t:
+                    nlive.append(g)
+            else:
+                stack.append(t)
+                yield from rec(p2, c2, nlive)
+                stack.pop()
 
-    yield from rec(tab.identity, tab.discrete)
+    yield from rec(tab.identity, tab.discrete, relabelings)
+
+
+def iter_tuples(k: int, b: int):
+    """Yield every monodromy tuple for (k, b) in lexicographic order."""
+    validate_cover_shape(k, b)
+    yield from _walk(group_tables(k), b, [])
 
 
 def prefix_states(tab: GroupTables, b: int) -> dict:
@@ -344,7 +366,7 @@ def class_count(k: int, b: int) -> TupleCensus:
     equals the raw count.
     """
     raw = count_tuples(k, b)
-    return TupleCensus(k, b, raw, _classes(raw, k, "raw count"), "enumeration")
+    return TupleCensus(k, b, raw, _classes(raw, k, "raw count"))
 
 
 def class_count_via_oracle(k: int, b: int) -> TupleCensus:
@@ -353,34 +375,7 @@ def class_count_via_oracle(k: int, b: int) -> TupleCensus:
 
     validate_cover_shape(k, b)
     raw = connected_count(k, b)
-    return TupleCensus(k, b, raw, _classes(raw, k, "oracle count"), "oracle")
-
-
-def _entry_indices(t: MonodromyTuple, tab: GroupTables) -> tuple[int, ...]:
-    return tuple(tab.trans_index[e] for e in t.entries)
-
-
-def conjugate_tuple(t: MonodromyTuple, g: Perm) -> MonodromyTuple:
-    """Relabel every entry of ``t`` through ``g``."""
-    if len(g) != t.degree:
-        raise ParameterError(f"degree mismatch: {len(g)} vs {t.degree}")
-    out = []
-    for a, b in t.entries:
-        ia, ib = g[a - 1], g[b - 1]
-        out.append((ia, ib) if ia < ib else (ib, ia))
-    return MonodromyTuple(t.degree, tuple(out))
-
-
-def canonical_form(t: MonodromyTuple) -> MonodromyTuple:
-    """Lexicographically least relabeling of ``t``; constant on orbits.
-
-    >>> canonical_form(MonodromyTuple(3, ((1, 3), (1, 3), (2, 3), (2, 3)))).entries
-    ((1, 2), (1, 2), (1, 3), (1, 3))
-    """
-    tab = group_tables(t.degree)
-    idx = _entry_indices(t, tab)
-    best = min(tuple(row[i] for i in idx) for row in tab.conj_trans)
-    return MonodromyTuple(t.degree, tuple(tab.transpositions[i] for i in best))
+    return TupleCensus(k, b, raw, _classes(raw, k, "oracle count"))
 
 
 def are_conjugate(s: MonodromyTuple, t: MonodromyTuple) -> bool:
@@ -388,8 +383,8 @@ def are_conjugate(s: MonodromyTuple, t: MonodromyTuple) -> bool:
     if s.degree != t.degree or s.length != t.length:
         return False
     tab = group_tables(s.degree)
-    si = _entry_indices(s, tab)
-    ti = _entry_indices(t, tab)
+    si = [tab.trans_index[e] for e in s.entries]
+    ti = [tab.trans_index[e] for e in t.entries]
     for row in tab.conj_trans:
         if all(row[a] == bb for a, bb in zip(si, ti)):
             return True
@@ -397,57 +392,9 @@ def are_conjugate(s: MonodromyTuple, t: MonodromyTuple) -> bool:
 
 
 def class_representatives(k: int, b: int) -> list[MonodromyTuple]:
-    """One lexicographically least representative per relabeling class.
-
-    The search walks the same tree as ``iter_tuples`` but keeps, at every
-    depth, the set of relabelings that fix the prefix entrywise; a branch
-    is dropped the moment any of them would map the next entry lower.
-    """
+    """One lexicographically least representative per relabeling class:
+    the walk of ``iter_tuples``, pruned by every relabeling but the
+    identity."""
     validate_cover_shape(k, b)
     tab = group_tables(k)
-    trans = tab.transpositions
-    mul, merge = tab.mul_trans, tab.merge_trans
-    minf, nbl, trans_of, conj = tab.min_factors, tab.nblocks, tab.trans_of, tab.conj_trans
-    nt = len(trans)
-    out: list[MonodromyTuple] = []
-    stack: list[int] = []
-
-    def rec(p: int, c: int, live: list[int]):
-        rem = b - len(stack)
-        if rem == 1:
-            t = trans_of[p]
-            if t < 0 or nbl[merge[c][t]] != 1:
-                return
-            for g in live:
-                if conj[g][t] < t:
-                    return
-            entries = tuple(trans[i] for i in stack) + (trans[t],)
-            out.append(MonodromyTuple(k, entries))
-            return
-        nxt = rem - 1
-        mrow, crow = mul[p], merge[c]
-        for t in range(nt):
-            p2 = mrow[t]
-            if minf[p2] > nxt:
-                continue
-            c2 = crow[t]
-            if nbl[c2] - 1 > nxt:
-                continue
-            nlive = []
-            smaller = False
-            for g in live:
-                tg = conj[g][t]
-                if tg < t:
-                    smaller = True
-                    break
-                if tg == t:
-                    nlive.append(g)
-            if smaller:
-                continue
-            stack.append(t)
-            rec(p2, c2, nlive)
-            stack.pop()
-
-    initial = [g for g in range(len(tab.perms)) if g != tab.identity]
-    rec(tab.identity, tab.discrete, initial)
-    return out
+    return list(_walk(tab, b, [g for g in range(len(tab.perms)) if g != tab.identity]))

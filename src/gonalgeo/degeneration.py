@@ -25,7 +25,8 @@ hit k! times).
 The full-twist check runs over labeled search states, in a pass of its
 own, twisting each completion through the dense S_k tables.
 ``class_representatives``, ``full_twist`` and ``are_conjugate`` do the
-same check one class at a time and serve as its independent reference.
+same check one class at a time and serve as its independent reference;
+like ``refine_type_one`` they work on transposition pairs directly.
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .covers import (
     _class_divisor,
     _classes,
     _completion,
+    _leaders,
     block_layers,
     connected_series,
     cover_genus,
@@ -46,7 +48,7 @@ from .covers import (
     validate_cover_shape,
 )
 from .errors import InvariantViolation, ParameterError
-from .perm import Transposition, compose, orbits, transposition_perm
+from .perm import Transposition
 from .tables import GroupTables, group_tables
 
 
@@ -107,17 +109,17 @@ def refine_type_one(t: MonodromyTuple) -> TypeOneProfile:
         raise ParameterError(f"last two entries {last2} are not an equal pair")
     g = cover_genus(k, b)
     rest = t.entries[:-2]
-    blocks = orbits([transposition_perm(k, e) for e in rest], k)
+    leaders = _leaders(k, rest)
+    blocks = sorted(set(leaders))
     if len(blocks) == 1:
         return CentralProfile()
     if len(blocks) != 2:
         raise InvariantViolation(
             f"{len(blocks)} orbits after dropping the pair; transitivity is broken: {t.entries}"
         )
-    small, large = sorted(blocks, key=len)
-    j = len(small)
-    members = set(small)
-    beta1 = sum(1 for e in rest if e[0] in members)
+    small = min(blocks, key=leaders.count)
+    j = leaders.count(small)
+    beta1 = sum(1 for e in rest if leaders[e[0] - 1] == small)
     i = _component_genus(j, beta1, g, k, b, t.entries)
     return SplitProfile(j, i, 2 * i + 2 * j - 2)
 
@@ -150,15 +152,17 @@ def full_twist(t: MonodromyTuple) -> MonodromyTuple:
     Fixes equal and disjoint pairs pointwise; on overlapping pairs it has
     order three.
     """
-    k = t.degree
     x, y = t.entries[-2:]
-    sigma = compose(transposition_perm(k, x), transposition_perm(k, y))
+
+    def swap(pair: Transposition, s: int) -> int:
+        return pair[1] if s == pair[0] else pair[0] if s == pair[1] else s
 
     def twist(e: Transposition) -> Transposition:
-        a, b = sigma[e[0] - 1], sigma[e[1] - 1]
+        # sigma = x * y: y acts first
+        a, b = (swap(x, swap(y, s)) for s in e)
         return (a, b) if a < b else (b, a)
 
-    return MonodromyTuple(k, t.entries[:-2] + (twist(x), twist(y)))
+    return MonodromyTuple(t.degree, t.entries[:-2] + (twist(x), twist(y)))
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
         for cell, v in sorted(splits.items(), key=repr)
     }
     census = DegenerationCensus(k, b, central + sum(split_table.values()), n22, n3, split_table)
-    return TupleCensus(k, b, census.raw_count, census.classes, "enumeration"), census
+    return TupleCensus(k, b, census.raw_count, census.classes), census
 
 
 @dataclass(frozen=True)

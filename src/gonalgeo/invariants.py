@@ -24,11 +24,10 @@ the closed forms, carrying two candidate cross terms side by side; see
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10
 
-from .cache import int_digit_limit
 from .degeneration import DegenerationCensus
-from .errors import CapacityError, InvariantViolation, ParameterError
+from .digits import _decimal, _magnitude
+from .errors import InvariantViolation, ParameterError
 
 # Pointwise facts used by the audit narrative, not recomputed: a fiber
 # component of self-intersection -1 through a blown-up collision meets
@@ -128,30 +127,6 @@ class SurfaceInvariants:
         if notes:
             out["notes"] = notes
         return out
-
-
-def _magnitude(n: int) -> str:
-    """``n`` in decimal, or as a lower bound 10^e once it is too long to
-    print: Python refuses str() of ints past 4300 digits."""
-    if n.bit_length() <= 1000:
-        return str(n)
-    e = int((n.bit_length() - 1) * log10(2))
-    if 10**e > abs(n):  # guard the float against rounding up
-        e -= 1
-    return f"at least 10^{e}" if n > 0 else f"at most -10^{e}"
-
-
-def _decimal(n: int, what: str) -> str:
-    """``n`` in decimal, or CapacityError when it has more digits than
-    the interpreter converts to a string."""
-    limit = int_digit_limit()
-    # below 2^(3 * limit) = 8^limit, n is short enough without computing 10^limit
-    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
-        raise CapacityError(
-            f"{what} is {_magnitude(n)}, more than the {limit} digits "
-            "this interpreter prints"
-        )
-    return str(n)
 
 
 def rational_payload(value) -> dict:

@@ -6,8 +6,6 @@ is the map ``x -> p(q(x))``, so the right factor acts first.
 Transpositions are bare ``(a, b)`` pairs with ``a < b``.
 """
 
-from collections.abc import Iterable
-
 from .errors import ParameterError
 
 Perm = tuple[int, ...]
@@ -84,35 +82,3 @@ def all_transpositions(k: int) -> list[Transposition]:
         raise ParameterError(f"need degree at least 2 for transpositions, got {k}")
     return [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
 
-
-def orbits(gens: Iterable[Perm], k: int) -> list[tuple[int, ...]]:
-    """Orbit partition of {1, ..., k} under the group the generators span.
-
-    Returns the blocks as sorted tuples, ordered by least element.  With no
-    generators every symbol is its own orbit.
-
-    >>> orbits([(2, 1, 3)], 3)
-    [(1, 2), (3,)]
-    >>> orbits([], 2)
-    [(1,), (2,)]
-    """
-    parent = list(range(k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        if len(g) != k:
-            raise ParameterError(f"generator degree {len(g)} does not match {k}")
-        for x in range(1, k + 1):
-            rx, ry = find(x), find(g[x - 1])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-    blocks: dict[int, list[int]] = {}
-    for x in range(1, k + 1):
-        blocks.setdefault(find(x), []).append(x)
-    return [tuple(blocks[r]) for r in sorted(blocks)]

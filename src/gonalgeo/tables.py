@@ -1,9 +1,9 @@
 """Dense lookup tables for symmetric groups small enough to enumerate.
 
-They serve the searches that keep labeled tuples or states: tuple
-iteration, class representatives, canonical forms and the full-twist
-check.  Counts and censuses step unlabeled block states and need none
-of them.  Everything those inner loops touch is flattened into lists
+They serve the searches that keep labeled tuples or states: the one
+walk behind tuple iteration and class representatives, the conjugacy
+test, and the full-twist check.  Counts and censuses step unlabeled
+block states and need none of them.  Everything those inner loops touch is flattened into lists
 indexed by small integers: the group elements, the transpositions,
 right-multiplication of an element by a transposition, conjugation of a
 transposition by a group element, and the lattice of set partitions of the
@@ -18,7 +18,7 @@ from itertools import permutations
 from .errors import CapacityError
 from .perm import Perm, all_transpositions, cycle_type, transposition_perm
 
-# bounds tuple iteration, class representatives, canonical forms and the
+# bounds tuple iteration, class representatives, the conjugacy test and the
 # twist check; beyond it the k!-sized tables dwarf any feasible labeled search
 MAX_TABLE_DEGREE = 7
 
@@ -112,7 +112,7 @@ def group_tables(k: int) -> GroupTables:
     if k > MAX_TABLE_DEGREE:
         raise CapacityError(
             f"degree {k} exceeds the table bound {MAX_TABLE_DEGREE} of tuple "
-            "iteration, class representatives, canonical forms and the twist "
+            "iteration, class representatives, the conjugacy test and the twist "
             "check; counts and censuses need no tables"
         )
     return GroupTables(k)

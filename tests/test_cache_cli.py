@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,13 +17,13 @@ from gonalgeo.cache import (
     ENV_CACHE_DIR,
     census_path,
     census_payload,
-    int_digit_limit,
     load_or_compute,
     read_census,
     resolve_cache_dir,
     write_census,
 )
 from gonalgeo.cli import main
+from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import InvariantViolation, ParameterError
 
 
@@ -220,6 +223,40 @@ def test_cli_budget_guard_on_an_estimate_too_long_to_print(tmp_path, capsys):
     assert "oracle-check --oracle-only" in err
 
 
+def test_cli_budget_guard_decides_from_a_lower_bound(tmp_path, capsys):
+    # D(3, b) = 3^(b - 1) has about 10^30 digits: the guard must refuse
+    # from 2 C(k, 2)^b / k!, exact at k = 3, without computing D
+    b = 2 * 10**30 + 4
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "census", "--k", "3", "--g", str(10**30), "--cache-dir", str(tmp_path),
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    e = int(re.search(r"estimated at least 10\^(\d+) identity-product tuples", err)[1])
+    # log10(3) = 0.47712125471966243...: the bound is true and tight
+    assert (b - 1) * Fraction("0.47712125471") < e <= (b - 1) * Fraction("0.47712125471966244")
+
+
+def test_cli_oracle_only_refuses_from_a_lower_bound_past_the_digit_limit(tmp_path, capsys):
+    limit = int_digit_limit()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    # Conn(3, 2g + 4) >= 3^g, here hundreds of times the limit's digits
+    b = 2 * 1000 * limit + 4
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "oracle-check", "--k", "3", "--b", str(b), "--oracle-only",
+        "--cache-dir", str(tmp_path),
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert f"the oracle count for (3, {b}) is at least 10^" in err
+    assert f"more than the {limit} digits this interpreter prints" in err
+
+
 def test_cli_oracle_count_too_long_to_print(tmp_path, capsys):
     # the connected count for (3, 10000) has 4771 digits
     code, out, err = run_cli(
@@ -363,17 +400,25 @@ def test_cli_invariants_requires_a_cached_census(tmp_path, capsys):
 # (3, 4) has N = 24, N_tilde = 4, e = 1 and N_sing = 0; each derived key
 # changed alone must be named, a stored count that fails its own check
 # need not be
+# each change to the (3, 4) document, and what the error must say after naming it
 TAMPERED_CACHE = {
-    "N1-and-N3": ({"N1": "2", "N3": "2"}, None),
-    "N": ({"N": "25"}, "N"),
-    "N_tilde": ({"N_tilde": "5"}, "N_tilde"),
-    "e": ({"e": "0"}, "e"),
-    "N_sing": ({"N_sing": "1"}, "N_sing"),
+    "N1-and-N3": (
+        {"N1": "2", "N3": "2"},
+        "overlapping-pair count not divisible by 3; delete and recompute",
+    ),
+    "split-cell": (
+        {"M_table": [{"j": 1, "i": 0, "count": "50"}]},
+        "split classes exceed the equal-pair count; delete and recompute",
+    ),
+    "N": ({"N": "25"}, "N does not match the counts"),
+    "N_tilde": ({"N_tilde": "5"}, "N_tilde does not match the counts"),
+    "e": ({"e": "0"}, "e does not match the counts"),
+    "N_sing": ({"N_sing": "1"}, "N_sing does not match the counts"),
 }
 
 
-@pytest.mark.parametrize("change, key", TAMPERED_CACHE.values(), ids=TAMPERED_CACHE.keys())
-def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change, key):
+@pytest.mark.parametrize("change, message", TAMPERED_CACHE.values(), ids=TAMPERED_CACHE.keys())
+def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change, message):
     d = str(tmp_path)
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
     path = census_path(d, 3, 4)
@@ -385,9 +430,7 @@ def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change, 
     )
     assert code == 2
     assert out == ""
-    assert "invariant violation" in err
-    if key is not None:
-        assert f": {key} does not match the counts" in err
+    assert f"invariant violation: census document {path}: {message}" in err
 
 
 MALFORMED_CACHE = {

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gonalgeo.cache import int_digit_limit
+from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, ParameterError
 from gonalgeo.invariants import (
     MINUS_ONE_COMPONENT_MEETS,

@@ -8,7 +8,6 @@ from gonalgeo.perm import (
     compose,
     cycle_type,
     identity,
-    orbits,
     transposition_perm,
 )
 
@@ -63,15 +62,6 @@ def test_all_transpositions():
         all_transpositions(1)
 
 
-def test_orbits_small():
-    assert orbits([], 3) == [(1,), (2,), (3,)]
-    assert orbits([(2, 1, 3)], 3) == [(1, 2), (3,)]
-    assert orbits([(2, 1, 4, 3)], 4) == [(1, 2), (3, 4)]
-    assert orbits([(2, 1, 3), (1, 3, 2)], 3) == [(1, 2, 3)]
-    with pytest.raises(ParameterError):
-        orbits([(1, 2)], 3)
-
-
 @given(perms(n=3))
 def test_compose_is_associative(ps):
     p, q, r = ps
@@ -84,9 +74,3 @@ def test_cycle_type_is_a_partition_of_the_degree(p):
     assert sum(ct) == len(p)
     assert list(ct) == sorted(ct, reverse=True)
 
-
-@given(perms())
-def test_single_generator_orbits_match_cycles(p):
-    blocks = orbits([p], len(p))
-    assert sorted(len(blk) for blk in blocks) == sorted(cycle_type(p))
-    assert sorted(x for blk in blocks for x in blk) == list(range(1, len(p) + 1))
