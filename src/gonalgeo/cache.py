@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 
 from .degeneration import DegenerationCensus, full_census
-from .digits import int_digit_limit
+from .digits import _decimal, int_digit_limit
 from .errors import InvariantViolation, ParameterError
 from .version import TOOL_VERSION
 
@@ -94,11 +94,12 @@ def census_path(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
 
 
 def census_payload(census: DegenerationCensus) -> dict:
-    """The frozen JSON document for one (k, b)."""
+    """The frozen JSON document for one (k, b), or CapacityError when N,
+    the largest count, has more digits than the interpreter prints."""
     return {
         "k": census.k,
         "b": census.b,
-        "N": str(census.raw_count),
+        "N": _decimal(census.raw_count, f"the tuple count N for ({census.k}, {census.b})"),
         "N_tilde": str(census.classes),
         "N1": str(census.type_one),
         "N22": str(census.type_two_two),
@@ -117,9 +118,9 @@ def write_census(cache_dir: os.PathLike | str, census: DegenerationCensus) -> Pa
     """Write the document to a temporary file beside its path, then
     rename it into place, so a killed or concurrent writer never leaves
     a truncated document behind."""
+    text = json.dumps(census_payload(census), indent=2) + "\n"
     path = census_path(cache_dir, census.k, census.b)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(census_payload(census), indent=2) + "\n"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     # O_EXCL with mode 0o666 gives the umask-derived mode write_text would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

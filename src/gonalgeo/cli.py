@@ -4,10 +4,10 @@ chain (``invariants``, ``audit``), the maximal-gonality positivity
 thresholds (``asymptotics --case``), and the band search (``delta``).
 
 ``census`` and ``delta`` reach the cache by one route (``_census``): the
-budget is checked only for a census that is not cached yet.  Options
-must be spelled out in full; an abbreviation is an unknown option.
-``--workers`` is deprecated: it is still parsed, a positive value only
-prints a warning, and it is hidden from help.
+budget, in block-state visits (``covers.block_states``), is checked only
+for a census that is not cached yet.  Options must be spelled out in full;
+an abbreviation is an unknown option.  ``--workers`` is deprecated: it is
+still parsed, a positive value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
 ceiling (including a reported value too long to print), 4 bad arguments
@@ -21,15 +21,14 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, log10
+from math import comb, log10
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_path, census_payload, load_or_compute, read_census, resolve_cache_dir
-from .characters import _check_shape, disconnected_count
-from .covers import class_count, class_count_via_oracle, cover_genus, validate_cover_shape
+from .covers import block_states, class_count, class_count_via_oracle, cover_genus, validate_cover_shape
 from .degeneration import DegenerationCensus
-from .digits import _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
+from .digits import _EXACT_BITS, _decimal, _floor_log10, _unprintable, int_digit_limit
 from .errors import (
     BudgetExceeded,
     CapacityError,
@@ -38,12 +37,13 @@ from .errors import (
 )
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
-# no longer called here (census goes through load_or_compute), but the
-# benchmark's span tracer wraps these names until ROADMAP item 5
+# no longer called here (census goes through load_or_compute, the guard
+# prices the walk), but the benchmark's span tracer wraps these names until ROADMAP item 5
 from .cache import write_census
+from .characters import disconnected_count
 from .degeneration import full_census
 
-DEFAULT_ENUM_BUDGET = 30_000_000
+DEFAULT_ENUM_BUDGET = 1_000_000
 
 CENSUS_NOTES = (
     "split cells list the smaller-degree component; "
@@ -120,43 +120,33 @@ def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     try:
         if not census_path(cfg.cache_dir, k, b).exists():
             _guard_budget(k, b, cfg.budget)
+            _guard_digits(k, b, "the tuple count N")
         return load_or_compute(cfg.cache_dir, k, b)
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise _unusable_cache(cfg, exc) from None
 
 
 def _guard_budget(k: int, b: int, budget: int) -> None:
-    """Refuse (k, b) when D(k, b), its identity-product tuples, exceed
-    the budget.  For even b every term of D = sum dim^2 f^b / k! is
-    nonnegative, and the trivial and sign characters give
-    D >= 2 C(k, 2)^b / k!.  Once that bound is past the budget and too
-    long to print exactly, it answers without computing D."""
-    _check_shape(k, b)  # the oracle's degree bound comes first
-    e = _floor_log10(log10(2) + b * log10(comb(k, 2)) - log10(factorial(k)))
-    if e > _EXACT_BITS * log10(2) and e > log10(budget):
-        estimate = f"at least 10^{e}"
-    else:
-        count = disconnected_count(k, b)
-        if count <= budget:
-            return
-        estimate = _magnitude(count)
-    raise BudgetExceeded(
-        f"estimated {estimate} identity-product tuples for ({k}, {b}) exceed "
-        f"the enumeration budget {budget}; raise --budget to force, or use "
-        "'oracle-check --oracle-only' for the count without enumeration"
-    )
+    """Refuse (k, b) when its census walk, at most S(k) block states in
+    each of b - 2 branching layers, is priced past the budget."""
+    if block_states(k, b - 2, budget) > budget:
+        raise BudgetExceeded(
+            f"the census walk for ({k}, {b}) takes more block-state visits than "
+            f"the enumeration budget {budget}; raise --budget to force, or use "
+            "'oracle-check --oracle-only' for the count without enumeration"
+        )
 
 
-def _guard_digits(k: int, b: int) -> None:
-    """Refuse (k, b) before the oracle counts it when its connected count
-    has more digits than the interpreter prints.  Appending (t, t) keeps
-    a tuple connected, so Conn(k, b + 2) >= C(k, 2) Conn(k, b), and
-    Conn(k, b) >= C(k, 2)^g from Conn(k, 2k - 2) >= 1, g the genus."""
-    _check_shape(k, b)  # the oracle's degree bound comes first
+def _guard_digits(k: int, b: int, what: str) -> None:
+    """Refuse (k, b), before the oracle or the walk counts it, when its
+    connected count has more digits than the interpreter prints.
+    Appending (t, t) keeps a tuple connected, so Conn(k, b + 2) >=
+    C(k, 2) Conn(k, b); from Conn(k, 2k - 2) >= 1, Conn(k, b) >= C(k, 2)^g."""
     limit = int_digit_limit()
-    e = _floor_log10(cover_genus(k, b) * log10(comb(k, 2)))
+    # a genus past 10^300 puts the bound past any digit limit, and past a float
+    e = _floor_log10(min(cover_genus(k, b), 10**300) * log10(comb(k, 2)))
     if limit and e >= limit:
-        raise _unprintable(f"the oracle count for ({k}, {b})", f"at least 10^{e}", limit)
+        raise _unprintable(f"{what} for ({k}, {b})", f"at least 10^{e}", limit)
 
 
 _RATIONAL_KEYS = {"numerator", "denominator", "approx"}
@@ -220,7 +210,7 @@ def cmd_census(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
-    _guard_digits(k, b)
+    _guard_digits(k, b, "the oracle count")
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -361,7 +351,7 @@ def build_parser(command: str | None = None) -> _Parser:
     # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 5)
     common.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--output", choices=("json", "csv", "table"), default="table", help="report format")
-    common.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget, in estimated identity-product tuples")
+    common.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget, in block-state visits: S(k) states in each of b - 2 layers")
 
     shape = _Parser(add_help=False)
     shape.add_argument("--k", type=int, required=True, help="cover degree")

@@ -242,7 +242,7 @@ def _block_steps(state: tuple) -> tuple:
     successor.  The need is the larger of (k - #cycles), the fewest
     transpositions with the running product, and (#blocks - 1), the
     fewest joins left.  Memoised for the life of the process: one entry
-    per state reached, at most the partitions of partitions of k."""
+    per state reached, at most ``block_states(k)``."""
     steps: dict = {}
 
     def add(blocks: list, n: int) -> None:
@@ -271,6 +271,24 @@ def _block_steps(state: tuple) -> tuple:
         (nxt, n, max(k - sum(map(len, nxt)), len(nxt) - 1))
         for nxt, n in steps.items()
     )
+
+
+def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
+    """``layers`` times S(k), the block states of degree k: partitions of
+    partitions of k, the Euler transform of the partition numbers p.  The
+    census walk visits at most S(k) states in each of its b - 2 branching
+    layers.  S grows with k, so with a ``budget`` this stops at the first
+    j <= k whose product passes it and returns that product."""
+    # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
+    p, s, sigma, c = [1], [1], [0], [0]
+    for n in range(1, k + 1):
+        sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
+        p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
+        c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
+        s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
+        if budget is not None and layers * s[n] > budget:
+            break
+    return layers * s[-1]
 
 
 def block_layers(k: int, top: int):

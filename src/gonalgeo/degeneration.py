@@ -31,7 +31,6 @@ like ``refine_type_one`` they work on transposition pairs directly.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from math import comb
 
 from .covers import (
@@ -234,7 +233,8 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     validate_cover_shape(k, b)
     g = cover_genus(k, b)
     tally: dict = {}
-    for state, mult in next(islice(block_layers(k, b), b - 2, None)).items():
+    layer = next(states for depth, states in enumerate(block_layers(k, b)) if depth == b - 2)
+    for state, mult in layer.items():
         done = _completion(state)
         if done:
             kind, n = done
@@ -244,11 +244,12 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     for j in range(1, k // 2 + 1):
         cells = 0
         for beta1 in range(b - 1):
-            n = (comb(k, j) * comb(b - 2, beta1) * j * (k - j)
-                 * conn[j][beta1] * conn[k - j][b - 2 - beta1])
-            if 2 * j == k:
-                n //= 2
+            # most terms are zero: test them before paying for the binomials
+            n = conn[j][beta1] * conn[k - j][b - 2 - beta1]
             if n:
+                n *= comb(k, j) * comb(b - 2, beta1) * j * (k - j)
+                if 2 * j == k:
+                    n //= 2
                 cells += n
                 cell = (j, _component_genus(j, beta1, g, k, b, f"split cell ({j}, {beta1})"))
                 splits[cell] = splits.get(cell, 0) + n

@@ -203,40 +203,114 @@ def test_cli_oracle_check(tmp_path, capsys):
 
 
 def test_cli_budget_guard(tmp_path, capsys):
+    # (4, 10): S(4) = 14 block states in each of 8 layers, priced at 112
     code, _out, err = run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "1000",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "111",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert "budget" in err
+    assert "the census walk for (4, 10) takes more block-state visits" in err
+    assert "budget 111" in err
     assert "oracle-check --oracle-only" in err
-
-
-def test_cli_budget_guard_on_an_estimate_too_long_to_print(tmp_path, capsys):
-    # about 95000 digits, past the interpreter's int-to-str limit of 4300
-    code, out, err = run_cli(
-        capsys, "census", "--k", "3", "--g", "100000", "--cache-dir", str(tmp_path),
+    assert not census_path(tmp_path, 4, 10).exists()
+    assert run_cli(
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "112",
+        "--cache-dir", str(tmp_path),
+    )[0] == 0
+    # enumerating oracle-check is priced the same way
+    code, _out, err = run_cli(
+        capsys, "oracle-check", "--k", "4", "--b", "10", "--budget", "111",
+        "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert out == ""
-    assert "estimated at least 10^95425 identity-product tuples" in err
-    assert "oracle-check --oracle-only" in err
+    assert "the census walk for (4, 10)" in err
 
 
-def test_cli_budget_guard_decides_from_a_lower_bound(tmp_path, capsys):
-    # D(3, b) = 3^(b - 1) has about 10^30 digits: the guard must refuse
-    # from 2 C(k, 2)^b / k!, exact at k = 3, without computing D
-    b = 2 * 10**30 + 4
+# each is priced within the default budget and finishes in seconds; the
+# census at degree 13 is past the oracle's degree bound, which it never calls
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--k", "4", "--b", "12"),
+        ("census", "--k", "3", "--b", "18"),
+        ("census", "--k", "13", "--b", "24"),
+        ("delta", "19", "11", "1/10"),
+        ("oracle-check", "--k", "9", "--b", "16"),
+    ],
+    ids=["4-12", "3-18", "13-24", "delta-19", "oracle-9-16"],
+)
+def test_cli_budget_guard_accepts_a_cheap_walk(tmp_path, capsys, argv):
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[0] == 0
+
+
+# the walk's price, S(k) (b - 2), passes the default budget of 10^6; at a
+# degree of a million even S(1) (b - 2) does, and so does the first S(j)
+# past 10^90 / (b - 2), long before S(10^6)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--k", "15", "--b", "82"),
+        ("census", "--k", "16", "--b", "90"),
+        ("census", "--k", "2", "--g", str(10**30)),
+        ("census", "--k", "3", "--g", str(10**30)),
+        ("census", "--k", "1000000", "--g", "0"),
+        ("census", "--k", "1000000", "--g", "0", "--budget", str(10**90)),
+        ("delta", str(10**30), "3", "1/10"),
+    ],
+    ids=["15-82", "16-90", "k2-huge-g", "k3-huge-g", "k-million", "k-million-budget", "delta-huge-g"],
+)
+def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv):
     start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "census", "--k", "3", "--g", str(10**30), "--cache-dir", str(tmp_path),
-    )
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
-    e = int(re.search(r"estimated at least 10\^(\d+) identity-product tuples", err)[1])
-    # log10(3) = 0.47712125471966243...: the bound is true and tight
-    assert (b - 1) * Fraction("0.47712125471") < e <= (b - 1) * Fraction("0.47712125471966244")
+    assert "takes more block-state visits than the enumeration budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each is priced inside its budget, but Conn(3, b) >= 3^g has about
+# 477000 digits, or a genus past the range of a float; the cache directory
+# is new, since a file name for b past 250 digits is too long to look up
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("census", "--k", "3", "--g", str(10**6), "--budget", str(10**8)),
+         "the tuple count N for (3, 2000004) is at least 10^477121"),
+        (("delta", str(10**400), "3", "1/10", "--budget", str(10**500)),
+         f"the tuple count N for (3, {2 * 10**400 + 4}) is at least 10^"),
+        (("oracle-check", "--k", "3", "--g", str(10**400), "--oracle-only"),
+         f"the oracle count for (3, {2 * 10**400 + 4}) is at least 10^"),
+    ],
+    ids=["census", "delta-huge-g", "oracle-huge-g"],
+)
+def test_cli_refuses_from_the_digit_bound_before_counting(tmp_path, capsys, argv, message):
+    if not int_digit_limit():
+        pytest.skip("this interpreter prints integers of any length")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_census_too_long_to_print(tmp_path, capsys):
+    # priced at 6 * 9998, but N for (3, 10000) has 4771 digits
+    d = tmp_path / "cache"
+    code, out, err = run_cli(
+        capsys, "census", "--k", "3", "--b", "10000", "--cache-dir", str(d), "--output", "json",
+    )
+    if int_digit_limit() and int_digit_limit() < 4771:
+        assert code == 3
+        assert out == ""
+        assert "the tuple count N for (3, 10000) is at least 10^4770" in err
+        assert not d.exists() or list(d.iterdir()) == []
+    else:
+        assert code == 0
+        assert len(json.loads(out)["N"]) == 4771
+        assert census_path(d, 3, 10000).exists()
 
 
 def test_cli_oracle_only_refuses_from_a_lower_bound_past_the_digit_limit(tmp_path, capsys):
@@ -335,14 +409,7 @@ def test_cli_values_too_long_to_print(tmp_path, capsys, argv, message, unlimited
 
 
 def test_cli_capacity_guard(tmp_path, capsys):
-    # a budget too large to trip, so the guard's character-table bound answers
-    code, _out, err = run_cli(
-        capsys, "census", "--k", "13", "--b", "24", "--cache-dir", str(tmp_path),
-        "--budget", str(10**30),
-    )
-    assert code == 3
-    assert "exceeds the bound 12" in err
-    # the oracle alone is held to the same bound
+    # the census walk has no degree bound; the oracle keeps its own
     code, _out, err = run_cli(
         capsys, "oracle-check", "--k", "13", "--b", "24", "--oracle-only",
         "--cache-dir", str(tmp_path),

@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from gonalgeo.covers import (
     _block_steps,
     _classes,
     are_conjugate,
+    block_states,
     class_count,
     class_count_via_oracle,
     class_representatives,
@@ -287,13 +289,27 @@ def partitions_of_partitions(k):
 
 
 def test_step_memo_is_bounded_by_the_block_shapes():
-    assert [partitions_of_partitions(k) for k in range(1, 10)] == [
-        1, 3, 6, 14, 27, 58, 111, 223, 424,
+    shapes = [block_states(k) for k in range(1, 17)]
+    assert shapes == [partitions_of_partitions(k) for k in range(1, 17)]
+    assert shapes == [
+        1, 3, 6, 14, 27, 58, 111, 223, 424, 817, 1527, 2870, 5279, 9710, 17622, 31877,
     ]
-    bound = partitions_of_partitions(12)
-    assert bound == 2870
+    assert block_states(12, layers=20) == 20 * 2870
+    bound = block_states(12)
     _block_steps.cache_clear()
     assert count_tuples(12, 22) == connected_count(12, 22)
     info = _block_steps.cache_info()
     assert info.currsize <= bound
     assert info.hits > 0
+
+
+def test_block_states_stops_at_the_first_degree_past_the_budget():
+    # S(1) = 1, S(2) = 3, S(3) = 6: priced over 10 layers, a budget of 40
+    # stops at degree 3, and a budget of 60 is not passed
+    assert block_states(50, 10, budget=40) == 60
+    assert block_states(3, 10, budget=60) == 60
+    assert block_states(2, 10, budget=20) == 30
+    # a degree of a million at a budget of 10^90 stops long before the end
+    start = time.perf_counter()
+    assert block_states(10**6, 2 * 10**6 - 4, budget=10**90) > 10**90
+    assert time.perf_counter() - start < 1
