@@ -28,13 +28,8 @@ from .asymptotics import delta_search, positivity_threshold
 from .cache import census_path, census_payload, load_or_compute, read_census, resolve_cache_dir
 from .covers import block_states, class_count, class_count_via_oracle, cover_genus, validate_cover_shape
 from .degeneration import DegenerationCensus
-from .digits import _EXACT_BITS, _decimal, _floor_log10, _unprintable, int_digit_limit
-from .errors import (
-    BudgetExceeded,
-    CapacityError,
-    InvariantViolation,
-    ParameterError,
-)
+from .digits import _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
+from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
 # no longer called here (census goes through load_or_compute, the guard
@@ -102,8 +97,9 @@ def _resolve_shape(k: int | None, b: int | None, g: int | None) -> tuple[int, in
         b = 2 * g + 2 * k - 2
     elif g is not None and b != 2 * g + 2 * k - 2:
         raise ParameterError(
-            f"--b {b} and --g {g} disagree: b must be 2g + 2k - 2 = {2 * g + 2 * k - 2}"
+            f"--b {b} and --g {g} disagree: b must be 2g + 2k - 2 = {_magnitude(2 * g + 2 * k - 2)}"
         )
+    _decimal(b, "the branch count b")  # past the digit limit, b fits no message or file name
     validate_cover_shape(k, b)
     return k, b
 
@@ -116,11 +112,14 @@ def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
 
 def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     """The census of (k, b), read from the cache or, within the budget,
-    computed and cached."""
+    computed and cached.  A census whose N is too long to print is never
+    cached, and is not looked up: its file name may be too long."""
     try:
-        if not census_path(cfg.cache_dir, k, b).exists():
+        too_long = _digit_refusal(k, b, "the tuple count N")
+        if too_long or not census_path(cfg.cache_dir, k, b).exists():
             _guard_budget(k, b, cfg.budget)
-            _guard_digits(k, b, "the tuple count N")
+            if too_long:
+                raise too_long
         return load_or_compute(cfg.cache_dir, k, b)
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise _unusable_cache(cfg, exc) from None
@@ -137,16 +136,15 @@ def _guard_budget(k: int, b: int, budget: int) -> None:
         )
 
 
-def _guard_digits(k: int, b: int, what: str) -> None:
-    """Refuse (k, b), before the oracle or the walk counts it, when its
-    connected count has more digits than the interpreter prints.
+def _digit_refusal(k: int, b: int, what: str) -> CapacityError | None:
+    """The refusal of (k, b), before the oracle or the walk counts it,
+    when its connected count has more digits than the interpreter prints.
     Appending (t, t) keeps a tuple connected, so Conn(k, b + 2) >=
     C(k, 2) Conn(k, b); from Conn(k, 2k - 2) >= 1, Conn(k, b) >= C(k, 2)^g."""
     limit = int_digit_limit()
     # a genus past 10^300 puts the bound past any digit limit, and past a float
     e = _floor_log10(min(cover_genus(k, b), 10**300) * log10(comb(k, 2)))
-    if limit and e >= limit:
-        raise _unprintable(f"{what} for ({k}, {b})", f"at least 10^{e}", limit)
+    return _unprintable(f"{what} for ({k}, {b})", f"at least 10^{e}", limit) if limit and e >= limit else None
 
 
 _RATIONAL_KEYS = {"numerator", "denominator", "approx"}
@@ -210,7 +208,8 @@ def cmd_census(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
-    _guard_digits(k, b, "the oracle count")
+    if too_long := _digit_refusal(k, b, "the oracle count"):
+        raise too_long
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -309,8 +308,27 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
-# one row per command: name, shared option groups, help, own arguments as
-# (flags, keywords), handler
+# the options shared by several commands, as rows of (flags, keywords)
+_GROUPS = {
+    "common": (
+        (("--cache-dir",), {"default": None, "help": "census cache directory (default: $GG_CACHE_DIR or ./census-cache)"}),
+        # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 5)
+        (("--workers",), {"type": int, "default": None, "help": argparse.SUPPRESS}),
+        (("--output",), {"choices": ("json", "csv", "table"), "default": "table", "help": "report format"}),
+        (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "enumeration budget, in block-state visits: S(k) states in each of b - 2 layers"}),
+    ),
+    "shape": (
+        (("--k",), {"type": int, "required": True, "help": "cover degree"}),
+        (("--b",), {"type": int, "help": "branch point count"}),
+        (("--g",), {"type": int, "help": "fiber genus (alternative to --b; b = 2g + 2k - 2)"}),
+    ),
+    "family": (
+        (("--c",), {"type": int, "required": True, "help": "total degree of the moving branch divisor"}),
+        (("--base-genus",), {"type": int, "required": True, "help": "genus of the base curve"}),
+        (("--special-base",), {"action": "store_true", "help": "suppress the very-ampleness caution"}),
+    ),
+}
+# one row per command: name, shared option groups, help, own arguments, handler
 _COMMANDS = (
     ("census", ("common", "shape"), "enumerate one (k, b), cache and print its collision census", (), cmd_census),
     ("oracle-check", ("common", "shape"), "compare enumeration against the character oracle", (
@@ -346,29 +364,11 @@ def build_parser(command: str | None = None) -> _Parser:
             "geography of the families they support."
         ),
     )
-    common = _Parser(add_help=False)
-    common.add_argument("--cache-dir", default=None, help="census cache directory (default: $GG_CACHE_DIR or ./census-cache)")
-    # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 5)
-    common.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
-    common.add_argument("--output", choices=("json", "csv", "table"), default="table", help="report format")
-    common.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget, in block-state visits: S(k) states in each of b - 2 layers")
-
-    shape = _Parser(add_help=False)
-    shape.add_argument("--k", type=int, required=True, help="cover degree")
-    shape.add_argument("--b", type=int, help="branch point count")
-    shape.add_argument("--g", type=int, help="fiber genus (alternative to --b; b = 2g + 2k - 2)")
-
-    family = _Parser(add_help=False)
-    family.add_argument("--c", type=int, required=True, help="total degree of the moving branch divisor")
-    family.add_argument("--base-genus", type=int, required=True, help="genus of the base curve")
-    family.add_argument("--special-base", action="store_true", help="suppress the very-ampleness caution")
-
-    groups = {"common": common, "shape": shape, "family": family}
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-    for name, parents, help_text, arguments, handler in _COMMANDS:
+    for name, groups, help_text, arguments, handler in _COMMANDS:
         if command is None or name == command:
-            p = sub.add_parser(name, parents=[groups[g] for g in parents], help=help_text, allow_abbrev=False)
-            for flags, keywords in arguments:
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            for flags, keywords in sum((_GROUPS[group] for group in groups), ()) + arguments:
                 p.add_argument(*flags, **keywords)
             p.set_defaults(func=handler)
     return parser

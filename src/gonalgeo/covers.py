@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
+from .digits import _magnitude
 from .errors import InvariantViolation, ParameterError
 from .perm import Transposition
 from .tables import GroupTables, group_tables
@@ -62,7 +63,7 @@ def validate_cover_shape(k: int, b: int) -> None:
         raise ParameterError(f"branch count must be even and at least 2, got {b}")
     if b < 2 * k - 2:
         raise ParameterError(
-            f"branch count {b} below 2k - 2 = {2 * k - 2}: the cover genus would be negative"
+            f"branch count {b} below 2k - 2 = {_magnitude(2 * k - 2)}: the cover genus would be negative"
         )
 
 

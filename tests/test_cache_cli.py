@@ -270,8 +270,14 @@ def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv):
 
 
 # each is priced inside its budget, but Conn(3, b) >= 3^g has about
-# 477000 digits, or a genus past the range of a float; the cache directory
-# is new, since a file name for b past 250 digits is too long to look up
+# 477000 digits, or a genus past the range of a float; a census too long to
+# print is never cached, so the existing cache directory is not searched,
+# where a file name for b past 250 digits would be too long to look up.  A
+# genus at the digit limit parses, but b = 2g + 2k - 2 has one digit more
+NINES = "9" * (int_digit_limit() or 4300)
+B_TOO_LONG = "the branch count b is at least 10^"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -281,18 +287,35 @@ def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv):
          f"the tuple count N for (3, {2 * 10**400 + 4}) is at least 10^"),
         (("oracle-check", "--k", "3", "--g", str(10**400), "--oracle-only"),
          f"the oracle count for (3, {2 * 10**400 + 4}) is at least 10^"),
+        (("census", "--k", "3", "--g", NINES), B_TOO_LONG),
+        (("delta", NINES, "3", "1/10"), B_TOO_LONG),
+        (("oracle-check", "--k", "3", "--g", NINES, "--oracle-only"), B_TOO_LONG),
     ],
-    ids=["census", "delta-huge-g", "oracle-huge-g"],
+    ids=["census", "delta-huge-g", "oracle-huge-g", "census-g-at-limit", "delta-g-at-limit", "oracle-g-at-limit"],
 )
 def test_cli_refuses_from_the_digit_bound_before_counting(tmp_path, capsys, argv, message):
     if not int_digit_limit():
         pytest.skip("this interpreter prints integers of any length")
+    d = tmp_path / "cache"
+    d.mkdir()
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(d))
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
     assert message in err
+    assert f"more than the {int_digit_limit()} digits this interpreter prints" in err
+    assert list(d.iterdir()) == []
+
+
+def test_cli_argument_errors_at_the_digit_limit(tmp_path, capsys):
+    for argv, message in (
+        (("census", "--k", "3", "--b", "4", "--g", NINES), "disagree: b must be 2g + 2k - 2 = "),
+        (("census", "--k", NINES, "--b", "4"), "branch count 4 below 2k - 2 = "),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and message in err
     assert list(tmp_path.iterdir()) == []
 
 

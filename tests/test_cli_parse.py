@@ -182,3 +182,36 @@ def test_lines_not_led_by_a_command_build_every_command(capsys, built, argv):
 def test_full_parser_builds_every_command(built):
     build_parser()
     assert built == list(COMMANDS)
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """The _Parser objects constructed while the test runs."""
+    made = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(name, "--help") for name in COMMANDS] + [("asymptotics", "--case", "odd")],
+    ids=[*COMMANDS, "asymptotics-run"],
+)
+def test_command_led_line_constructs_two_parsers(tmp_path, capsys, parsers, argv):
+    # the program's parser and the command's own; the shared options are
+    # rows of cli._GROUPS, not parent parsers
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+    assert len(parsers) == 2
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_same_from_either_parser(command):
+    alone = _outcome(build_parser(command), [command, "--help"])
+    assert alone[:2] == ("help", 0)
+    assert alone == _outcome(build_parser(), [command, "--help"])
