@@ -11,8 +11,10 @@ with dim_lam = k! / (product of hook lengths of lam) and f_lam =
 |C| chi_lam(tau) / dim_lam the content sum of lam, the sum of j - i over
 its cells (i, j).  Both are read off the diagram, so a count never
 builds a character table; each degree keeps its p(k) pairs
-(dim_lam^2, f_lam), checked against three identities.  Connected counts
-follow by peeling off the sub-cover attached to the block of symbol 1.
+(dim_lam^2, f_lam), checked against three identities.  The connected
+count is an exponential sum too, k! Conn(k, b) = sum of w f^b over one
+table of (w, f) per degree, built once by peeling off the block of
+symbol 1 on the exponents, so no memo is keyed by b.
 
 The full character table, by the border-strip recursion on beta-sets
 with every entry an exact integer and both orthogonality relations
@@ -205,6 +207,17 @@ def _content_terms(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
+def _evaluate(terms: tuple[tuple[int, int], ...], k: int, b: int) -> int:
+    """(1 / k!) times the sum of w f^b over the (w, f) ``terms`` of
+    degree k; a remainder or a negative count is an InvariantViolation."""
+    value, rem = divmod(sum(w * f**b for w, f in terms), factorial(k))
+    if rem:
+        raise InvariantViolation(f"class-algebra count for ({k}, {b}) not integral")
+    if value < 0:
+        raise InvariantViolation(f"connected count for ({k}, {b}) went negative")
+    return value
+
+
 def disconnected_count(k: int, b: int) -> int:
     """Number of b-tuples of transpositions in S_k with identity product,
     transitive or not.
@@ -215,45 +228,30 @@ def disconnected_count(k: int, b: int) -> int:
     1
     """
     _check_shape(k, b)
-    return _disconnected(k, b)
-
-
-# the public entry points check the degree bound; the memos below do not,
-# so tests can reach past it
-@lru_cache(maxsize=None)
-def _disconnected(k: int, b: int) -> int:
-    if k <= 1:
-        return 1 if b == 0 else 0
-    total = sum(sq * f**b for sq, f in _content_terms(k))
-    value, rem = divmod(total, factorial(k))
-    if rem:
-        raise InvariantViolation(f"class-algebra count for ({k}, {b}) not integral")
-    return value
+    return _evaluate(_content_terms(k), k, b)
 
 
 @lru_cache(maxsize=None)
-def _connected(k: int, b: int) -> int:
-    if k == 1:
-        return 1 if b == 0 else 0
-    total = _disconnected(k, b)
-    # remove tuples whose block containing symbol 1 is a proper sub-cover;
-    # restricting to the block through 1 counts each split exactly once.
-    # A block of all k symbols is the whole cover, so j stops below k, and
-    # the terms sharing b1 share the factor C(b, b1)
-    parts = [0] * (b // 2 + 1)
+def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
+    """``(w, f)`` with k! Conn(k, b) the sum of w f^b for every b, one
+    term per exponent.  The block through symbol 1 has some j < k symbols
+    and b1 of the b entries; summed over b1 with C(b, b1), the product of
+    the two exponential sums multiplies weights and adds exponents, so
+    W_k = D_k - sum over j < k of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
+    Like ``_content_terms``, it does not check the degree bound.
+
+    >>> _connected_terms(2)
+    ((1, 1), (1, -1), (-2, 0))
+    """
+    weights: dict[int, int] = {}
+    for sq, f in _content_terms(k):
+        weights[f] = weights.get(f, 0) + sq
     for j in range(1, k):
-        weight = comb(k - 1, j - 1)
-        for b1 in range(0, b + 1, 2):
-            rest = _disconnected(k - j, b - b1)
-            if rest == 0:
-                continue
-            inner = _connected(j, b1)
-            if inner:
-                parts[b1 // 2] += weight * inner * rest
-    total -= sum(comb(b, 2 * i) * part for i, part in enumerate(parts) if part)
-    if total < 0:
-        raise InvariantViolation(f"connected count for ({k}, {b}) went negative")
-    return total
+        scale = comb(k - 1, j - 1) * comb(k, j)
+        for w, f in _connected_terms(j):
+            for sq, g in _content_terms(k - j):
+                weights[f + g] = weights.get(f + g, 0) - scale * w * sq
+    return tuple((w, f) for f, w in weights.items() if w)
 
 
 def connected_count(k: int, b: int) -> int:
@@ -266,4 +264,4 @@ def connected_count(k: int, b: int) -> int:
     1
     """
     _check_shape(k, b)
-    return _connected(k, b)
+    return _evaluate(_connected_terms(k), k, b)

@@ -10,18 +10,20 @@ an abbreviation is an unknown option.  ``--workers`` is deprecated: it is
 still parsed, a positive value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
-ceiling (including a reported value too long to print), 4 bad arguments
+ceiling (including a reported value too long to print, or a census
+file name too long for the file system), 4 bad arguments
 or an unusable cache directory.  All output is deterministic for a
 given configuration and cache state; payloads carry no timestamps.
 """
 
 import argparse
 import csv
+import errno
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log10
+from math import comb, isqrt, log10
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
@@ -113,7 +115,8 @@ def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
 def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     """The census of (k, b), read from the cache or, within the budget,
     computed and cached.  A census whose N is too long to print is never
-    cached, and is not looked up: its file name may be too long."""
+    cached, and is not looked up: its file name may be too long.  A file
+    name that is too long anyway is a capacity ceiling, not a bad cache."""
     try:
         too_long = _digit_refusal(k, b, "the tuple count N")
         if too_long or not census_path(cfg.cache_dir, k, b).exists():
@@ -122,13 +125,23 @@ def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
                 raise too_long
         return load_or_compute(cfg.cache_dir, k, b)
     except OSError as exc:  # a cache directory that cannot be searched or written
+        if exc.errno == errno.ENAMETOOLONG:
+            raise CapacityError(
+                f"the census cache file name for ({k}, {b}) is too long for the file system"
+            ) from None
         raise _unusable_cache(cfg, exc) from None
 
 
 def _guard_budget(k: int, b: int, budget: int) -> None:
     """Refuse (k, b) when its census walk, at most S(k) block states in
-    each of b - 2 branching layers, is priced past the budget."""
-    if block_states(k, b - 2, budget) > budget:
+    each of b - 2 branching layers, is priced past the budget.  A huge
+    degree is refused before the exact price, from S(k) >= p(k) >= 2^s
+    for the largest s with (s + 1)(s + 2)/2 - 1 <= k: the subsets of
+    {2, ..., s + 1}, padded with 1s, are distinct partitions of k, and
+    each partition is a one-block state."""
+    s = (isqrt(8 * k + 9) - 1) // 2 - 1
+    # past the budget's bit length, 2^s alone passes it
+    if (b - 2) << min(s, budget.bit_length()) > budget or block_states(k, b - 2, budget) > budget:
         raise BudgetExceeded(
             f"the census walk for ({k}, {b}) takes more block-state visits than "
             f"the enumeration budget {budget}; raise --budget to force, or use "

@@ -22,7 +22,8 @@ from gonalgeo.cache import (
     resolve_cache_dir,
     write_census,
 )
-from gonalgeo.cli import main
+from gonalgeo.cli import _guard_budget, main
+from gonalgeo.covers import block_states
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import InvariantViolation, ParameterError
 
@@ -266,6 +267,41 @@ def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv):
     assert code == 3
     assert out == ""
     assert "takes more block-state visits than the enumeration budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_budget_guard_lower_bound_never_passes_the_exact_price():
+    # priced over one layer, a budget of exactly S(n) must not be refused
+    for n in range(1, 201):
+        _guard_budget(n, 3, block_states(n))
+
+
+def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
+    # S(10^6) >= 2^1412; the Euler transform up to the first S(j) past
+    # 10^300 would take over a second
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "census", "--k", "1000000", "--g", "0", "--budget", str(10**300),
+        "--cache-dir", str(tmp_path),
+    )
+    assert time.perf_counter() - start < 0.3
+    assert code == 3
+    assert out == ""
+    assert "the census walk for (1000000, 1999998) takes more block-state visits" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_census_file_name_too_long_to_look_up_is_a_capacity_error(tmp_path, capsys):
+    # C(2, 2)^g = 1, so the digit bound passes a degree-2 census of any
+    # genus, and the budget passes its walk; b has 401 digits
+    b = 2 * 10**400 + 2
+    code, out, err = run_cli(
+        capsys, "census", "--k", "2", "--g", str(10**400), "--budget", str(10**500),
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: the census cache file name for (2, {b}) is too long for the file system\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -200,8 +200,8 @@ def test_content_terms_match_the_character_table():
 
 def test_oracle_counts_past_the_table_bound():
     # no character table of S_13 is built; the block walk is the check
-    assert characters._connected(13, 24) == count_tuples(13, 24)
-    # the memo now holds (13, 24); the public bound still refuses it
+    assert characters._evaluate(characters._connected_terms(13), 13, 24) == count_tuples(13, 24)
+    # the degree-13 table is now memoised; the public bound still refuses it
     for count in (disconnected_count, connected_count):
         with pytest.raises(CapacityError, match="exceeds the bound 12"):
             count(13, 24)
@@ -209,17 +209,46 @@ def test_oracle_counts_past_the_table_bound():
 
 def test_a_cold_count_builds_no_character_table():
     for memo in (
-        characters._connected,
-        characters._disconnected,
+        characters._connected_terms,
         characters._content_terms,
         characters._build_table,
         characters._chi,
     ):
         memo.cache_clear()
     connected_count(12, 26)
-    assert characters._content_terms.cache_info().currsize == 11
+    assert characters._content_terms.cache_info().currsize == 12
     assert characters._build_table.cache_info().currsize == 0
     assert characters._chi.cache_info().currsize == 0
+
+
+def test_the_connected_memo_is_keyed_by_degree_alone():
+    characters._connected_terms.cache_clear()
+    for b in range(22, 401, 2):
+        connected_count(12, b)
+    assert characters._connected_terms.cache_info().currsize <= 12
+
+
+def test_connected_counts_at_large_b_match_the_walk():
+    assert connected_count(4, 400) == count_tuples(4, 400)
+    assert connected_count(6, 120) == count_tuples(6, 120)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_a_perturbed_connected_weight_is_caught(monkeypatch, k):
+    terms = characters._connected_terms(k)
+
+    def caught(b: int) -> bool:
+        # a term with f = 0 moves only the count at b = 0, where no tuple is transitive
+        want = count_tuples(k, b) if b else 0
+        try:
+            return connected_count(k, b) != want
+        except InvariantViolation:
+            return True
+
+    for i, (w, f) in enumerate(terms):
+        skewed = terms[:i] + ((w + 1, f),) + terms[i + 1:]
+        monkeypatch.setattr(characters, "_connected_terms", lambda d: skewed)
+        assert any(caught(b) for b in (0, *range(2 * k - 2, 2 * k + 4, 2))), (k, f)
 
 
 SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT = (
