@@ -21,11 +21,12 @@ InvariantViolation that names the document.
 import json
 import os
 import re
+from itertools import chain
 from pathlib import Path
 
 from .degeneration import DegenerationCensus, full_census
 from .digits import _decimal, int_digit_limit
-from .errors import InvariantViolation, ParameterError
+from .errors import CapacityError, InvariantViolation, ParameterError
 from .version import TOOL_VERSION
 
 ENV_CACHE_DIR = "GG_CACHE_DIR"
@@ -93,6 +94,32 @@ def census_path(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
     return Path(cache_dir) / f"census_k{k}_b{b}.json"
 
 
+def _temporary(name: str) -> str:
+    return f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+
+
+def census_file(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
+    """The census path of (k, b), or CapacityError when its name, or the
+    temporary name written beside it, is longer than the cache directory
+    (or, not made yet, its nearest existing ancestor) allows.  Nothing is
+    created, so this is asked before any walk."""
+    path = census_path(cache_dir, k, b)
+    limit = 255  # where the platform cannot say
+    for d in chain((path.parent,), path.parent.parents):
+        try:
+            limit = os.pathconf(d, "PC_NAME_MAX")
+            break
+        except OSError:  # not made yet, or not searchable: ask its parent
+            continue
+        except (AttributeError, ValueError):  # no such query on this platform
+            break
+    if 0 <= limit < len(os.fsencode(_temporary(path.name))):
+        raise CapacityError(
+            f"the census cache file name for ({k}, {b}) is too long for the file system"
+        )
+    return path
+
+
 def census_payload(census: DegenerationCensus) -> dict:
     """The frozen JSON document for one (k, b), or CapacityError when N,
     the largest count, has more digits than the interpreter prints."""
@@ -121,7 +148,7 @@ def write_census(cache_dir: os.PathLike | str, census: DegenerationCensus) -> Pa
     text = json.dumps(census_payload(census), indent=2) + "\n"
     path = census_path(cache_dir, census.k, census.b)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    tmp = path.with_name(_temporary(path.name))
     # O_EXCL with mode 0o666 gives the umask-derived mode write_text would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -137,8 +164,9 @@ def write_census(cache_dir: os.PathLike | str, census: DegenerationCensus) -> Pa
 def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCensus:
     """Load and re-validate one cached census: the stored counts go
     through the census validators, and each derived key must equal its
-    value computed from them."""
-    path = census_path(cache_dir, k, b)
+    value computed from them.  A file name too long for the file system
+    is a CapacityError (``census_file``), not a bad cache."""
+    path = census_file(cache_dir, k, b)
     try:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
@@ -181,7 +209,7 @@ def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCen
 
 def load_or_compute(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCensus:
     """Cached census when present, else compute and cache it."""
-    if census_path(cache_dir, k, b).exists():
+    if census_file(cache_dir, k, b).exists():
         return read_census(cache_dir, k, b)
     census = full_census(k, b)[1]
     write_census(cache_dir, census)

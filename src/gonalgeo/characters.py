@@ -238,7 +238,8 @@ def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     and b1 of the b entries; summed over b1 with C(b, b1), the product of
     the two exponential sums multiplies weights and adds exponents, so
     W_k = D_k - sum over j < k of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
-    Like ``_content_terms``, it does not check the degree bound.
+    Like ``_content_terms``, it does not check the degree bound: the
+    collision census reads its split cells from it past degree 12.
 
     >>> _connected_terms(2)
     ((1, 1), (1, -1), (-2, 0))

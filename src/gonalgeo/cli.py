@@ -18,7 +18,6 @@ given configuration and cache state; payloads carry no timestamps.
 
 import argparse
 import csv
-import errno
 import json
 import sys
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from math import comb, isqrt, log10
 from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
-from .cache import census_path, census_payload, load_or_compute, read_census, resolve_cache_dir
+from .cache import census_file, census_payload, load_or_compute, read_census, resolve_cache_dir
 from .covers import block_states, class_count, class_count_via_oracle, cover_genus, validate_cover_shape
 from .degeneration import DegenerationCensus
 from .digits import _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
@@ -35,7 +34,7 @@ from .errors import BudgetExceeded, CapacityError, InvariantViolation, Parameter
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
 # no longer called here (census goes through load_or_compute, the guard
-# prices the walk), but the benchmark's span tracer wraps these names until ROADMAP item 5
+# prices the walk), but the benchmark's span tracer wraps these names until ROADMAP item 6
 from .cache import write_census
 from .characters import disconnected_count
 from .degeneration import full_census
@@ -115,20 +114,17 @@ def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
 def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     """The census of (k, b), read from the cache or, within the budget,
     computed and cached.  A census whose N is too long to print is never
-    cached, and is not looked up: its file name may be too long.  A file
-    name that is too long anyway is a capacity ceiling, not a bad cache."""
+    cached, and is not looked up: its file name may be too long.  One
+    whose file name is too long anyway (``census_file``) is refused
+    before the cache is searched or the walk priced."""
     try:
         too_long = _digit_refusal(k, b, "the tuple count N")
-        if too_long or not census_path(cfg.cache_dir, k, b).exists():
+        if too_long or not census_file(cfg.cache_dir, k, b).exists():
             _guard_budget(k, b, cfg.budget)
             if too_long:
                 raise too_long
         return load_or_compute(cfg.cache_dir, k, b)
     except OSError as exc:  # a cache directory that cannot be searched or written
-        if exc.errno == errno.ENAMETOOLONG:
-            raise CapacityError(
-                f"the census cache file name for ({k}, {b}) is too long for the file system"
-            ) from None
         raise _unusable_cache(cfg, exc) from None
 
 
@@ -325,7 +321,7 @@ def cmd_asymptotics(args) -> int:
 _GROUPS = {
     "common": (
         (("--cache-dir",), {"default": None, "help": "census cache directory (default: $GG_CACHE_DIR or ./census-cache)"}),
-        # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 5)
+        # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 6)
         (("--workers",), {"type": int, "default": None, "help": argparse.SUPPRESS}),
         (("--output",), {"choices": ("json", "csv", "table"), "default": "table", "help": "report format"}),
         (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "enumeration budget, in block-state visits: S(k) states in each of b - 2 layers"}),

@@ -23,9 +23,9 @@ cuts the l-cycle through x and y into a d-cycle and an (l - d)-cycle,
 which l transpositions do (l / 2 when 2d = l), or joins an a-cycle and
 a b-cycle, which a * b transpositions do, merging their blocks when
 they differ: the cut-and-join recursion (Goulden and Jackson, Proc. AMS
-125, 1997).  The connected count after any number of entries is the
-weight of the identity on one block.  No step touches a k!-sized table,
-and there are at most as many states as partitions of partitions of k.
+125, 1997).  The connected count is the weight of the identity on one
+block after all b entries (``block_layer``).  No step touches a k!-sized
+table, and there are at most as many states as partitions of partitions of k.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
@@ -292,49 +292,21 @@ def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
     return layers * s[-1]
 
 
-def block_layers(k: int, top: int):
-    """Unlabeled block states after 0, 1, ..., top entries, one dict per
-    layer mapping each state to the number of pruned prefixes that reach
-    it.  The walk starts from k singleton blocks and drops a successor
-    that needs more entries than remain before ``top``: it cannot reach
-    the identity on one block at any layer up to ``top``."""
+def block_layer(k: int, b: int, left: int = 0) -> dict:
+    """Unlabeled block states after the first b - left of b entries,
+    each mapped to the number of pruned prefixes that reach it.  The
+    walk starts from k singleton blocks and drops a successor that needs
+    more entries than remain: it cannot reach the identity on one block
+    by entry b."""
     layer = {((1,),) * k: 1}
-    yield layer
-    for left in range(top - 1, -1, -1):
+    for rem in range(b - 1, left - 1, -1):
         out: dict = {}
         for state, mult in layer.items():
             for nxt, n, need in _block_steps(state):
-                if need <= left:
+                if need <= rem:
                     out[nxt] = out.get(nxt, 0) + mult * n
         layer = out
-        yield layer
-
-
-def _walk_series(j: int, top: int) -> list[int]:
-    done = ((1,) * j,)
-    return [layer.get(done, 0) for layer in block_layers(j, top)]
-
-
-# degree -> the longest connected series walked so far in this process
-_SERIES: dict[int, list[int]] = {}
-
-
-def connected_series(j: int, top: int) -> list[int]:
-    """Connected counts of degree j after 0, 1, ..., top entries, from
-    one walk: entry beta counts the beta-tuples of transpositions in S_j
-    with identity product and transitive span.
-
-    Memoised per degree for the life of the process: a series reaching
-    ``top`` answers every shorter one, and a longer ``top`` walks again
-    and replaces it.  Callers get a fresh list.
-
-    >>> connected_series(3, 6)
-    [0, 0, 0, 0, 24, 0, 240]
-    """
-    series = _SERIES.get(j)
-    if series is None or len(series) <= top:
-        series = _SERIES[j] = _walk_series(j, top)
-    return series[:top + 1]
+    return layer
 
 
 def _completion(state: tuple):
@@ -370,12 +342,12 @@ def count_tuples(k: int, b: int, workers: int = 1) -> int:
     """Raw number of monodromy tuples for (k, b).
 
     ``workers`` is ignored: the count runs in one process.  It stays only
-    because the benchmark's pool probe passes it (ROADMAP item 5).
+    because the benchmark's pool probe passes it (ROADMAP item 6).
     """
     validate_cover_shape(k, b)
-    # a fresh walk every call, outside the series memo: this is the
-    # enumeration that the character oracle checks
-    return _walk_series(k, b)[b]
+    # a fresh walk every call: this is the enumeration that the
+    # character oracle checks
+    return block_layer(k, b).get(((1,) * k,), 0)
 
 
 def class_count(k: int, b: int) -> TupleCensus:

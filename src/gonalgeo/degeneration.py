@@ -9,18 +9,18 @@ orbit keeps a connected cover of lower genus, two orbits split the cover
 into a pair of components joined at a point.
 
 The census tallies these types over every class of tuples for one (k, b),
-from the same layered walk over unlabeled block states as the raw count:
-each state reached after b - 2 entries classifies all of its two-entry
-completions at once, by the running product's cycle type on its blocks,
-weighted by the number of prefixes that reach it.  A split into a
-degree-j component carrying beta1 of the other b - 2 entries and its
-complement takes C(k, j) C(b - 2, beta1) j (k - j) Conn(j, beta1)
-Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k, with Conn read
-off walks of the smaller degrees (``connected_series`` walks each degree
-once per process, and again only for a longer series); for each j these
-cells must add up to the census walk's two-block tally.  Every raw tally
-is divided by k! (relabeling acts freely for k >= 3, so each class is
-hit k! times).
+from the same layered walk over unlabeled block states as the raw count,
+at degree k alone: each state reached after b - 2 entries classifies all
+of its two-entry completions at once, by the running product's cycle
+type on its blocks, weighted by the number of prefixes that reach it.  A
+split into a degree-j component carrying beta1 of the other b - 2
+entries and its complement takes C(k, j) C(b - 2, beta1) j (k - j)
+Conn(j, beta1) Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k,
+with Conn read from the class-algebra exponential sums of
+``characters``, not from a walk; for each j these cells must add up to
+the census walk's two-block tally, so the two sources check each other.
+Every raw tally is divided by k! (relabeling acts freely for k >= 3, so
+each class is hit k! times).
 
 The full-twist check runs over labeled search states, in a pass of its
 own, twisting each completion through the dense S_k tables.
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
+from .characters import _connected_terms, _evaluate
 from .covers import (
     MonodromyTuple,
     TupleCensus,
@@ -40,8 +41,7 @@ from .covers import (
     _classes,
     _completion,
     _leaders,
-    block_layers,
-    connected_series,
+    block_layer,
     cover_genus,
     prefix_states,
     validate_cover_shape,
@@ -233,20 +233,20 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     validate_cover_shape(k, b)
     g = cover_genus(k, b)
     tally: dict = {}
-    layer = next(states for depth, states in enumerate(block_layers(k, b)) if depth == b - 2)
-    for state, mult in layer.items():
+    for state, mult in block_layer(k, b, 2).items():
         done = _completion(state)
         if done:
             kind, n = done
             tally[kind] = tally.get(kind, 0) + n * mult
-    conn = {d: connected_series(d, b - 2) for d in range(1, k)}
     splits: dict = {}
     for j in range(1, k // 2 + 1):
+        # class-algebra sums, read past the oracle's public degree bound
+        small, large = _connected_terms(j), _connected_terms(k - j)
         cells = 0
-        for beta1 in range(b - 1):
-            # most terms are zero: test them before paying for the binomials
-            n = conn[j][beta1] * conn[k - j][b - 2 - beta1]
-            if n:
+        # a connected side of degree d needs at least 2d - 2 entries
+        for beta1 in range(2 * j - 2, b - 2 * (k - j) + 1, 2):
+            n = _evaluate(small, j, beta1) * _evaluate(large, k - j, b - 2 - beta1)
+            if n:  # a single sheet carries no entries
                 n *= comb(k, j) * comb(b - 2, beta1) * j * (k - j)
                 if 2 * j == k:
                     n //= 2
@@ -263,7 +263,7 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     n3 = _classes(tally.get("overlap", 0), k, "overlapping-pair tally")
     split_table = {
         cell: _classes(v, k, f"split {cell} tally")
-        for cell, v in sorted(splits.items(), key=repr)
+        for cell, v in sorted(splits.items())
     }
     census = DegenerationCensus(k, b, central + sum(split_table.values()), n22, n3, split_table)
     return TupleCensus(k, b, census.raw_count, census.classes), census

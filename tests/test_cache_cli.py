@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -15,6 +16,8 @@ import gonalgeo
 from gonalgeo.cache import (
     DEFAULT_CACHE_DIR,
     ENV_CACHE_DIR,
+    _temporary,
+    census_file,
     census_path,
     census_payload,
     load_or_compute,
@@ -25,7 +28,7 @@ from gonalgeo.cache import (
 from gonalgeo.cli import _guard_budget, main
 from gonalgeo.covers import block_states
 from gonalgeo.digits import int_digit_limit
-from gonalgeo.errors import InvariantViolation, ParameterError
+from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
@@ -303,6 +306,54 @@ def test_cli_census_file_name_too_long_to_look_up_is_a_capacity_error(tmp_path, 
     assert out == ""
     assert err == f"error: the census cache file name for (2, {b}) is too long for the file system\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("made, argv", [
+    (True, ("invariants", "--c", "8", "--base-genus", "2")),
+    (True, ("audit", "--c", "8", "--base-genus", "2")),
+    (False, ("invariants", "--c", "8", "--base-genus", "2")),
+    (False, ("census", "--budget", str(10**500))),
+])
+def test_a_census_file_name_too_long_is_refused_before_any_walk(tmp_path, capsys, made, argv):
+    # a cache directory not made yet is judged by its nearest existing
+    # ancestor, is not made, and the census is refused before its walk of
+    # 2 * 10^400 layers starts
+    d = tmp_path / "D"
+    if made:
+        d.mkdir()
+    command, *extra = argv
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, command, "--k", "2", "--g", str(10**400), *extra, "--cache-dir", str(d)
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: the census cache file name for (2, {2 * 10**400 + 2}) is too long for the file system\n"
+    )
+    assert list(tmp_path.iterdir()) == ([d] if made else [])
+    assert not made or list(d.iterdir()) == []
+
+
+@pytest.mark.parametrize("made", [True, False])
+def test_census_file_refuses_exactly_what_the_file_system_would(tmp_path, made):
+    d = tmp_path / "D" if made else tmp_path / "D" / "E"
+    if made:
+        d.mkdir()
+    # the temporary name adds a dot, the pid, 8 hex digits, two more dots
+    # and ".tmp" to "census_k3_b<digits>.json"
+    digits = os.pathconf(tmp_path, "PC_NAME_MAX") - 31 - len(str(os.getpid()))
+    longest = int("2" * digits)
+    path = census_file(d, 3, longest)
+    assert path == census_path(d, 3, longest)
+    assert d.exists() is made
+    d.mkdir(parents=True, exist_ok=True)
+    (d / _temporary(path.name)).touch()  # the file system takes the name, and refuses one digit more
+    with pytest.raises(OSError) as refused:
+        (d / _temporary(census_path(d, 3, longest * 10 + 2).name)).touch()
+    assert refused.value.errno == errno.ENAMETOOLONG
+    with pytest.raises(CapacityError, match=f"for \\(3, 2{{{digits + 1}}}\\) is too long"):
+        census_file(d, 3, longest * 10 + 2)
 
 
 # each is priced inside its budget, but Conn(3, b) >= 3^g has about

@@ -14,7 +14,6 @@ from gonalgeo.covers import (
     class_count,
     class_count_via_oracle,
     class_representatives,
-    connected_series,
     count_tuples,
     cover_genus,
     iter_tuples,
@@ -262,18 +261,10 @@ def test_block_steps_equal_the_labeled_successors():
     assert checked == 1180
 
 
-def test_connected_series_matches_the_oracle():
-    for j in range(1, 10):
-        top = 2 * j + 20
-        series = connected_series(j, top)
-        assert len(series) == top + 1
-        assert not any(series[1::2]), j
-        for beta in range(0, top + 1, 2):
-            # the oracle starts at degree 2; a single sheet is connected
-            # only with no branch points
-            want = connected_count(j, beta) if j > 1 else int(beta == 0)
-            assert series[beta] == want, (j, beta)
-        assert not any(series[:2 * j - 2]), j
+def test_the_walk_matches_the_oracle_over_a_grid():
+    for j in range(2, 10):
+        for beta in range(2 * j - 2, 2 * j + 21, 2):
+            assert count_tuples(j, beta) == connected_count(j, beta), (j, beta)
 
 
 def partitions_of_partitions(k):

@@ -6,6 +6,7 @@ classify each with refine_type_one / classify_node, one tuple at a
 time.  Both routes are re-run against each other here.
 """
 
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from gonalgeo import covers
+from gonalgeo import characters, covers, degeneration
 from gonalgeo.characters import connected_count
 from gonalgeo.covers import (
     MonodromyTuple,
@@ -420,24 +421,42 @@ def test_census_past_the_old_reach(k, b):
     assert {cell: n * factorial(k) for cell, n in cen.split_table.items()} == dict(cells)
 
 
-def test_census_walks_each_smaller_degree_once(monkeypatch):
-    monkeypatch.setattr(covers, "_SERIES", {})
-    walked = []
-    layers = covers.block_layers
+def test_census_orders_split_cells_without_printing_counts():
+    # a split count of 12 Conn(3, 1398), about 667 digits, past the lowest
+    # limit the interpreter allows on int-to-str conversion
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        counts, cen = full_census(4, 1400)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert counts.raw_count == connected_count(4, 1400)
+    assert max(cen.split_table.values()) > 10**640
 
-    def counting(k, top):
-        walked.append((k, top))
-        return layers(k, top)
 
-    monkeypatch.setattr(covers, "block_layers", counting)
+def test_census_walks_its_own_degree_alone(monkeypatch):
+    degrees = []
+    steps = covers._block_steps
+
+    def recording(state):
+        degrees.append(sum(map(sum, state)))
+        return steps(state)
+
+    monkeypatch.setattr(covers, "_block_steps", recording)
     first = full_census(6, 14)
     assert full_census(6, 14) == first
-    assert walked == [(d, 12) for d in range(1, 6)]
-    # the memo answers this length and shorter ones; a longer one walks again
-    series = covers.connected_series(3, 12)
-    assert covers.connected_series(3, 6) == [0, 0, 0, 0, 24, 0, 240]
-    assert walked == [(d, 12) for d in range(1, 6)]
-    series[4] = 0  # callers own what they get
-    assert covers.connected_series(3, 12)[4] == 24
-    assert covers.connected_series(3, 16)[4::2] == [connected_count(3, b) for b in range(4, 17, 2)]
-    assert walked[-1] == (3, 16)
+    assert set(degrees) == {6}
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
+    terms = characters._connected_terms
+    # d! more weight on the largest exponent f moves k! Conn(d, beta) by
+    # d! f^beta: still integral and positive, but no longer the walk's
+    top = max(f for w, f in terms(d))
+    skewed = tuple((w + factorial(d) * (f == top), f) for w, f in terms(d))
+    monkeypatch.setattr(degeneration, "_connected_terms", lambda n: skewed if n == d else terms(n))
+    with pytest.raises(InvariantViolation, match=f"split cells for j = {min(d, 6 - d)} sum to"):
+        full_census(6, 14)
