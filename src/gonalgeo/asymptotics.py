@@ -369,7 +369,7 @@ def delta_search(
     d_min - 1 (when d_min > 3), and any disagreement with the closed
     form raises InvariantViolation.  Raises BudgetExceeded when no
     window fits below d_max, with the trailing trajectory of the last
-    max(window, 8) degrees up to d_max attached.
+    8 degrees up to d_max attached, whatever the window.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -410,7 +410,7 @@ def delta_search(
             f"no plane degree d <= {d_max} certifies |ratio - 8| <= {eps} "
             f"with persistence window {window}"
         )
-        tail = range(max(3, d_max - max(window, 8) + 1), d_max + 1)
+        tail = range(max(3, d_max - 7), d_max + 1)
         exc.trajectory = tuple((d, evaluated(d).ratio) for d in tail)
         raise exc
     at_min = evaluated(d_min)

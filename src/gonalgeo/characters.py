@@ -21,14 +21,13 @@ with every entry an exact integer and both orthogonality relations
 checked, is kept as the independent reference for those pairs.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import mul
 
-from .errors import CapacityError, InvariantViolation, ParameterError
-
-DEFAULT_MAX_DEGREE = 12
+from .errors import InvariantViolation, ParameterError
 
 
 @lru_cache(maxsize=None)
@@ -53,13 +52,7 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...],
 
 def centralizer_order(mu: tuple[int, ...]) -> int:
     """Order of the centralizer of a permutation with cycle type ``mu``."""
-    z = 1
-    mult: dict[int, int] = {}
-    for part in mu:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part**m * factorial(m)
-    return z
+    return prod(part**m * factorial(m) for part, m in Counter(mu).items())
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +131,9 @@ def _build_table(k: int) -> CharacterTable:
 
 
 def character_table(k: int) -> CharacterTable:
-    """Character table of S_k, cached; k is capped by DEFAULT_MAX_DEGREE."""
+    """Character table of S_k, cached: the tests' reference; no count builds one."""
     if k < 1:
         raise ParameterError(f"degree must be at least 1, got {k}")
-    if k > DEFAULT_MAX_DEGREE:
-        raise CapacityError(
-            f"character table for degree {k} exceeds the bound {DEFAULT_MAX_DEGREE}"
-        )
     return _build_table(k)
 
 
@@ -153,10 +142,6 @@ def _check_shape(k: int, b: int) -> None:
         raise ParameterError(f"degree must be at least 2, got {k}")
     if b < 0 or b % 2:
         raise ParameterError(f"branch count must be even and nonnegative, got {b}")
-    if k > DEFAULT_MAX_DEGREE:
-        raise CapacityError(
-            f"degree {k} exceeds the bound {DEFAULT_MAX_DEGREE} on the character oracle"
-        )
 
 
 def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
@@ -238,8 +223,6 @@ def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     and b1 of the b entries; summed over b1 with C(b, b1), the product of
     the two exponential sums multiplies weights and adds exponents, so
     W_k = D_k - sum over j < k of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
-    Like ``_content_terms``, it does not check the degree bound: the
-    collision census reads its split cells from it past degree 12.
 
     >>> _connected_terms(2)
     ((1, 1), (1, -1), (-2, 0))

@@ -5,8 +5,10 @@ thresholds (``asymptotics --case``), and the band search (``delta``).
 
 ``census`` and ``delta`` reach the cache by one route (``_census``): the
 budget, in block-state visits (``covers.block_states``), is checked only
-for a census that is not cached yet.  Options must be spelled out in full;
-an abbreviation is an unknown option.  ``--workers`` is deprecated: it is
+for a census that is not cached yet.  ``oracle-check`` prices its oracle
+against the budget in term products (``covers.oracle_products``), and its
+enumeration as a census.  Options must be spelled out in full; an
+abbreviation is an unknown option.  ``--workers`` is deprecated: it is
 still parsed, a positive value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
@@ -27,7 +29,7 @@ from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_file, census_payload, load_or_compute, read_census, resolve_cache_dir
-from .covers import block_states, class_count, class_count_via_oracle, cover_genus, validate_cover_shape
+from .covers import block_states, class_count, class_count_via_oracle, cover_genus, oracle_products, validate_cover_shape
 from .degeneration import DegenerationCensus
 from .digits import _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
@@ -89,9 +91,7 @@ def _config(args) -> RunConfig:
     )
 
 
-def _resolve_shape(k: int | None, b: int | None, g: int | None) -> tuple[int, int]:
-    if k is None:
-        raise ParameterError("--k is required")
+def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     if b is None and g is None:
         raise ParameterError("give --b or --g")
     if b is None:
@@ -128,17 +128,22 @@ def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
         raise _unusable_cache(cfg, exc) from None
 
 
-def _guard_budget(k: int, b: int, budget: int) -> None:
+def _guard_budget(k: int, b: int, budget: int, oracle: bool = False) -> None:
     """Refuse (k, b) when its census walk, at most S(k) block states in
-    each of b - 2 branching layers, is priced past the budget.  A huge
-    degree is refused before the exact price, from S(k) >= p(k) >= 2^s
-    for the largest s with (s + 1)(s + 2)/2 - 1 <= k: the subsets of
-    {2, ..., s + 1}, padded with 1s, are distinct partitions of k, and
-    each partition is a one-block state."""
+    each of b - 2 branching layers, or with ``oracle`` the character
+    oracle's ``covers.oracle_products``, is priced past the budget.  A
+    huge degree is refused before the exact price: per layer, each is at
+    least p(k) >= 2^s for the largest s with (s + 1)(s + 2)/2 - 1 <= k,
+    as the subsets of {2, ..., s + 1}, padded with 1s, are partitions of k."""
     s = (isqrt(8 * k + 9) - 1) // 2 - 1
+    layers = 1 if oracle else b - 2
     # past the budget's bit length, 2^s alone passes it
-    if (b - 2) << min(s, budget.bit_length()) > budget or block_states(k, b - 2, budget) > budget:
+    if layers << min(s, budget.bit_length()) > budget or (
+        oracle_products(k, budget) if oracle else block_states(k, layers, budget)
+    ) > budget:
         raise BudgetExceeded(
+            f"the character oracle for ({k}, {b}) forms more term products "
+            f"than the budget {budget}; raise --budget to force" if oracle else
             f"the census walk for ({k}, {b}) takes more block-state visits than "
             f"the enumeration budget {budget}; raise --budget to force, or use "
             "'oracle-check --oracle-only' for the count without enumeration"
@@ -190,12 +195,7 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
     rows: list = []
     _walk(payload, "", rows)
     if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        for row in rows:
-            if row[0] == "scalar":
-                writer.writerow([row[1], row[2]])
-            else:
-                writer.writerow([row[1], row[2], row[3], row[4]])
+        csv.writer(sys.stdout).writerows(row[1:] for row in rows)
         return
     width = max((len(row[1]) for row in rows), default=0)
     for row in rows:
@@ -219,6 +219,7 @@ def cmd_oracle_check(args) -> int:
     k, b = _resolve_shape(args.k, args.b, args.g)
     if too_long := _digit_refusal(k, b, "the oracle count"):
         raise too_long
+    _guard_budget(k, b, cfg.budget, oracle=True)
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -324,7 +325,7 @@ _GROUPS = {
         # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 6)
         (("--workers",), {"type": int, "default": None, "help": argparse.SUPPRESS}),
         (("--output",), {"choices": ("json", "csv", "table"), "default": "table", "help": "report format"}),
-        (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "enumeration budget, in block-state visits: S(k) states in each of b - 2 layers"}),
+        (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "budget per counting engine: block-state visits for a walk (S(k) states in each of b - 2 layers), term products for the character oracle"}),
     ),
     "shape": (
         (("--k",), {"type": int, "required": True, "help": "cover degree"}),

@@ -274,22 +274,38 @@ def _block_steps(state: tuple) -> tuple:
     )
 
 
-def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
-    """``layers`` times S(k), the block states of degree k: partitions of
-    partitions of k, the Euler transform of the partition numbers p.  The
-    census walk visits at most S(k) states in each of its b - 2 branching
-    layers.  S grows with k, so with a ``budget`` this stops at the first
-    j <= k whose product passes it and returns that product."""
+def _priced(k: int, price, budget: int | None) -> int:
+    """``price(S(n), oracle_products(n))`` at n = k, or at the first
+    n <= k where it passes the ``budget``; both grow with n."""
     # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
-    p, s, sigma, c = [1], [1], [0], [0]
+    p, s, sigma, c, products = [1], [1], [0], [0], 0
     for n in range(1, k + 1):
         sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
         p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
         c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
         s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-        if budget is not None and layers * s[n] > budget:
+        products += p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n))
+        value = price(s[n], products + n * n - n + 1)
+        if budget is not None and value > budget:
             break
-    return layers * s[-1]
+    return value
+
+
+def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
+    """``layers`` times S(k), the block states of degree k: partitions of
+    partitions of k, the Euler transform of the partition numbers p.  The
+    census walk visits at most S(k) states in each of its b - 2 branching
+    layers.  With a ``budget``, the product stops as ``_priced`` says."""
+    return _priced(k, lambda states, _: layers * states, budget)
+
+
+def oracle_products(k: int, budget: int | None = None) -> int:
+    """Products the character oracle forms for a count at degree k: the
+    p(d) content terms of each d <= k, at most (j(j - 1) + 1) p(d - j)
+    as ``characters._connected_terms`` peels j < d off d (one connected
+    term per exponent in -C(j, 2) .. C(j, 2)), and k(k - 1) + 1 powers.
+    With a ``budget``, they stop as ``_priced`` says."""
+    return _priced(k, lambda _, products: products, budget)
 
 
 def block_layer(k: int, b: int, left: int = 0) -> dict:

@@ -240,7 +240,7 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
             tally[kind] = tally.get(kind, 0) + n * mult
     splits: dict = {}
     for j in range(1, k // 2 + 1):
-        # class-algebra sums, read past the oracle's public degree bound
+        # split cells from the class-algebra sums, a source apart from the walk
         small, large = _connected_terms(j), _connected_terms(k - j)
         cells = 0
         # a connected side of degree d needs at least 2d - 2 entries

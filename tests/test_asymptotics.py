@@ -219,7 +219,7 @@ def _reference_delta_search(
     b = census.b
     streak_start = None
     streak_len = 0
-    recent: deque = deque(maxlen=max(window, 8))
+    recent: deque = deque(maxlen=8)
     for d in range(3, d_max + 1):
         base = PlaneCurveBase(d, b)
         inv = surface_invariants(FamilyParams(census, base.c, base.base_genus))

@@ -26,7 +26,7 @@ from gonalgeo.cache import (
     write_census,
 )
 from gonalgeo.cli import _guard_budget, main
-from gonalgeo.covers import block_states
+from gonalgeo.covers import block_states, oracle_products
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 
@@ -196,9 +196,20 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert doc["match"] is True
     assert doc["oracle_raw"] == doc["enumeration_raw"] == "240"
 
+    # the oracle for (4, 10) forms 46 term products and the walk takes 112
+    # block-state visits; --oracle-only prices the oracle alone
+    code, out, err = run_cli(
+        capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
+        "--budget", "45", "--cache-dir", str(tmp_path), "--output", "json",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the character oracle for (4, 10) forms more term products "
+        "than the budget 45; raise --budget to force\n"
+    )
     code, out, _err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "1", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "46", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -230,8 +241,7 @@ def test_cli_budget_guard(tmp_path, capsys):
     assert "the census walk for (4, 10)" in err
 
 
-# each is priced within the default budget and finishes in seconds; the
-# census at degree 13 is past the oracle's degree bound, which it never calls
+# each is priced within the default budget and finishes in seconds
 @pytest.mark.parametrize(
     "argv",
     [
@@ -277,6 +287,13 @@ def test_budget_guard_lower_bound_never_passes_the_exact_price():
     # priced over one layer, a budget of exactly S(n) must not be refused
     for n in range(1, 201):
         _guard_budget(n, 3, block_states(n))
+
+
+def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
+    # a budget of exactly the oracle's products must not be refused; the
+    # price has no layers, so a long tuple changes nothing
+    for n in range(1, 201):
+        _guard_budget(n, 10**9, oracle_products(n), oracle=True)
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
@@ -519,13 +536,54 @@ def test_cli_values_too_long_to_print(tmp_path, capsys, argv, message, unlimited
 
 
 def test_cli_capacity_guard(tmp_path, capsys):
-    # the census walk has no degree bound; the oracle keeps its own
-    code, _out, err = run_cli(
-        capsys, "oracle-check", "--k", "13", "--b", "24", "--oracle-only",
+    # neither engine has a degree bound: at degree 13 the oracle answers
+    # and the walk checks it, each priced within the default budget
+    code, out, _err = run_cli(
+        capsys, "oracle-check", "--k", "13", "--b", "24",
+        "--cache-dir", str(tmp_path), "--output", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["match"] is True
+    assert doc["oracle_raw"] == doc["enumeration_raw"]
+
+
+def test_cli_census_refusal_advice_works(tmp_path, capsys):
+    # the walk for (15, 82) is refused with advice to ask the oracle alone,
+    # which is priced at 24 584 term products and answers
+    code, out, err = run_cli(capsys, "census", "--k", "15", "--b", "82", "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert "use 'oracle-check --oracle-only'" in err
+    code, out, _err = run_cli(
+        capsys, "oracle-check", "--k", "15", "--b", "82", "--oracle-only",
+        "--cache-dir", str(tmp_path), "--output", "json",
+    )
+    assert code == 0
+    assert "enumeration_raw" not in json.loads(out)
+    assert list(tmp_path.iterdir()) == []
+
+
+# the oracle's price grows with the degree alone: degree 20 is priced at
+# 159 550 term products, degree 26 at 1 068 585, past the default budget,
+# where the exact price stops; 2^1412 refuses degree 10^6 before it
+@pytest.mark.parametrize(
+    "k, b, code",
+    [(20, 112, 0), (26, 60, 3), (60, 118, 3), (1000000, 1999998, 3)],
+)
+def test_cli_oracle_is_priced_by_its_products(tmp_path, capsys, k, b, code):
+    start = time.perf_counter()
+    got, out, err = run_cli(
+        capsys, "oracle-check", "--k", str(k), "--b", str(b), "--oracle-only",
         "--cache-dir", str(tmp_path),
     )
-    assert code == 3
-    assert "exceeds the bound 12" in err
+    assert time.perf_counter() - start < 2
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == (
+            f"error: the character oracle for ({k}, {b}) forms more term products "
+            "than the budget 1000000; raise --budget to force\n"
+        )
 
 
 def test_cli_invariants_and_audit(tmp_path, capsys):
@@ -678,6 +736,18 @@ def test_cli_delta_exhaustion_prints_the_trajectory(tmp_path, capsys):
     )
     assert code == 3
     assert "d=25 ratio=0" in err
+
+
+def test_cli_delta_exhaustion_prints_eight_degrees_whatever_the_window(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "delta", "3", "3", "1/10", "--window", str(10**12), "--cache-dir", str(tmp_path)
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    trajectory = [line for line in err.splitlines() if line.startswith("  d=")]
+    # the last 8 degrees up to the default --d-max of 10^6
+    assert [line.split()[0] for line in trajectory] == [f"d={d}" for d in range(999993, 10**6 + 1)]
 
 
 def test_cli_asymptotics(tmp_path, capsys):

@@ -21,8 +21,8 @@ from gonalgeo.characters import (
     disconnected_count,
     partitions_of,
 )
-from gonalgeo.covers import count_tuples
-from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
+from gonalgeo.covers import count_tuples, oracle_products
+from gonalgeo.errors import InvariantViolation, ParameterError
 from gonalgeo.perm import all_transpositions, compose, identity, transposition_perm
 
 
@@ -80,8 +80,6 @@ def test_dimension_facts():
 def test_capacity_and_parameter_errors():
     with pytest.raises(ParameterError):
         character_table(0)
-    with pytest.raises(CapacityError):
-        character_table(13)
     with pytest.raises(ParameterError):
         disconnected_count(3, 3)
     with pytest.raises(ParameterError):
@@ -199,12 +197,21 @@ def test_content_terms_match_the_character_table():
 
 
 def test_oracle_counts_past_the_table_bound():
-    # no character table of S_13 is built; the block walk is the check
-    assert characters._evaluate(characters._connected_terms(13), 13, 24) == count_tuples(13, 24)
-    # the degree-13 table is now memoised; the public bound still refuses it
-    for count in (disconnected_count, connected_count):
-        with pytest.raises(CapacityError, match="exceeds the bound 12"):
-            count(13, 24)
+    # the oracle has no degree bound: at degree 13 the block walk checks
+    # the connected count and the reference table of S_13 the disconnected one
+    assert connected_count(13, 24) == count_tuples(13, 24)
+    assert disconnected_count(13, 24) == table_count(13, 24)
+
+
+def test_the_oracle_price_covers_the_products_it_forms():
+    # content terms of every degree d <= k, the peel's products for each
+    # j < d, and one power per connected term of degree k
+    formed = 0
+    for k in range(1, 31):
+        formed += len(partitions_of(k)) + sum(
+            len(characters._connected_terms(j)) * len(partitions_of(k - j)) for j in range(1, k)
+        )
+        assert oracle_products(k) >= formed + len(characters._connected_terms(k)), k
 
 
 def test_a_cold_count_builds_no_character_table():
