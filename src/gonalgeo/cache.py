@@ -6,8 +6,9 @@ string so arbitrary precision survives any JSON reader; k and b are
 plain integers; M_table is a list of {j, i, count} rows sorted by
 (j, i).  Writing is deterministic, so rewriting an unchanged census is
 byte-identical, and atomic: a reader sees the old document or the new
-one, never part of one.  Reading rejects a document whose keys or value
-types stray from the schema, that repeats a (j, i) cell, or that holds a
+one, never part of one.  Reading rejects a document that is not JSON
+in UTF-8 or nests too deeply to parse, whose keys or value types stray
+from the schema, that repeats a (j, i) cell, or that holds a
 count longer than the interpreter converts to an int, before any census
 invariant is checked.
 
@@ -168,10 +169,11 @@ def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCen
     is a CapacityError (``census_file``), not a bad cache."""
     path = census_file(cache_dir, k, b)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParameterError(f"no cached census at {path}; run the census command first")
-    except json.JSONDecodeError as exc:
+    # bytes that are not UTF-8, or arrays nested past the recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParameterError(f"unreadable census document {path}: {exc}")
     except OSError as exc:
         raise ParameterError(f"cannot read census document {path}: {exc.strerror or exc}")

@@ -7,9 +7,12 @@ thresholds (``asymptotics --case``), and the band search (``delta``).
 budget, in block-state visits (``covers.block_states``), is checked only
 for a census that is not cached yet.  ``oracle-check`` prices its oracle
 against the budget in term products (``covers.oracle_products``), and its
-enumeration as a census.  Options must be spelled out in full; an
-abbreviation is an unknown option.  ``--workers`` is deprecated: it is
-still parsed, a positive value only prints a warning, and it is hidden from help.
+enumeration as a census.  A line led by a command name is parsed by that
+command's parser alone (``_command_parser``), any other line by the full
+parser (``build_parser``); both add a command's options from one table.
+Options must be spelled out in full; an abbreviation is an unknown
+option.  ``--workers`` is deprecated: it is still parsed, a positive
+value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
 ceiling (including a reported value too long to print, or a census
@@ -296,7 +299,29 @@ def _trajectory_lines(trajectory) -> list[str]:
     return lines
 
 
+def _fraction_digits(text: str) -> int:
+    """The most digits of the numerator or denominator that ``Fraction(text)``
+    builds before reducing, 0 for a text it would refuse anyway.  An
+    exponent makes it build a power of ten with that many digits."""
+    body = text.strip().lstrip("+-").replace("_", "")
+    if "/" in body:
+        return max(len(part.strip()) for part in body.split("/"))
+    mantissa, _, exponent = body.replace("E", "e").partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    try:
+        shift = int(exponent or 0) - len(decimals)
+    except ValueError:
+        return 0
+    digits = len((whole + decimals).lstrip("0")) or 1
+    return digits + shift if shift >= 0 else max(digits, 1 - shift)
+
+
 def _parse_fraction(text: str) -> Fraction:
+    limit = int_digit_limit()
+    if limit and _fraction_digits(text) > limit:
+        raise ParameterError(
+            f"the numerator or denominator of epsilon has more than the {limit} digits this interpreter reads"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -359,13 +384,28 @@ _COMMANDS = (
         (("--d-max",), {"type": int, "default": 10**6, "help": "plane-degree ceiling"}),
     ), cmd_delta),
 )
-_COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+_COMMAND_ROWS = {row[0]: row for row in _COMMANDS}
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser with the subparser for ``command`` alone, or for every
-    command when ``command`` is None.  Parsing a line that starts with
-    ``command`` gives the same result either way."""
+def _add_rows(parser: _Parser, groups, arguments, handler) -> _Parser:
+    """Add a command's shared option groups, then its own rows, and its
+    handler as ``func``: the one walk of the table, for either parser."""
+    for flags, keywords in sum((_GROUPS[group] for group in groups), ()) + arguments:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command alone, for the words after its name: it
+    parses them as ``build_parser()``'s subparser for ``name`` does, but
+    leaves ``command`` unset."""
+    _name, groups, _help, arguments, handler = _COMMAND_ROWS[name]
+    return _add_rows(_Parser(prog=f"gonalgeo {name}", allow_abbrev=False), groups, arguments, handler)
+
+
+def build_parser() -> _Parser:
+    """The program's parser, with a subparser for every command."""
     parser = _Parser(
         prog="gonalgeo",
         allow_abbrev=False,
@@ -376,23 +416,21 @@ def build_parser(command: str | None = None) -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     for name, groups, help_text, arguments, handler in _COMMANDS:
-        if command is None or name == command:
-            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-            for flags, keywords in sum((_GROUPS[group] for group in groups), ()) + arguments:
-                p.add_argument(*flags, **keywords)
-            p.set_defaults(func=handler)
+        _add_rows(sub.add_parser(name, help=help_text, allow_abbrev=False), groups, arguments, handler)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
-    return its exit code, help included, without raising.  When the line
-    starts with a command name, only that command's parser is built;
-    otherwise the full one, so its errors and help list every command."""
+    return its exit code, help included, without raising.  A line that
+    starts with a command name is parsed by that command's parser alone,
+    one ``_Parser`` with no program parser around it; any other line by
+    the full parser, so its errors and help list every command."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
+    led = bool(argv) and argv[0] in _COMMAND_ROWS
+    parser = _command_parser(argv[0]) if led else build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if led else argv)
         if not hasattr(args, "func"):
             parser.error("a command is required")
         return args.func(args)

@@ -695,6 +695,30 @@ def test_cli_malformed_cache_is_a_schema_error(tmp_path, capsys, edit):
     assert "does not match the schema" in err
 
 
+# bytes that are not UTF-8, and arrays nested past the recursion limit,
+# are no JSON document; every command that reads the (3, 4) census says so
+UNPARSABLE_CACHE = {"not-utf-8": b"\xff\xfe{", "nested-too-deep": b"[" * 100_000}
+READERS = {
+    "invariants": ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2"),
+    "audit": ("audit", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2"),
+    "census": ("census", "--k", "3", "--b", "4"),
+    "delta": ("delta", "0", "3", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize("document", UNPARSABLE_CACHE.values(), ids=UNPARSABLE_CACHE.keys())
+def test_cli_unparsable_cache_is_an_unreadable_document(tmp_path, capsys, document, argv):
+    d = str(tmp_path)
+    assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
+    path = census_path(d, 3, 4)
+    path.write_bytes(document)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", d)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: unreadable census document {path}: ")
+    assert path.read_bytes() == document
+
+
 def test_cli_import_leaves_multiprocessing_out():
     src = Path(gonalgeo.__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -726,6 +750,26 @@ def test_cli_delta(tmp_path, capsys):
         capsys, "delta", "0", "3", "half", "--cache-dir", d
     )
     assert code == 4 and "rational" in err
+
+
+# Fraction builds 10^5000 for 1e-5000, too long to print in the give-up
+# message, and 10^9999999 for 1e-9999999, about 11 s of work; both are
+# refused from their digit counts before Fraction runs
+@pytest.mark.skipif(not int_digit_limit(), reason="without a digit limit no epsilon is too long")
+@pytest.mark.parametrize("epsilon", ["1e-5000", "1e-9999999"])
+def test_cli_epsilon_past_the_digit_limit_is_refused_at_once(tmp_path, capsys, epsilon):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "delta", "3", "3", epsilon, "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == f"error: the numerator or denominator of epsilon has more than the {int_digit_limit()} digits this interpreter reads\n"
+
+
+def test_cli_epsilon_in_exponent_notation_is_the_same_rational(tmp_path, capsys):
+    d = str(tmp_path)
+    decimal = run_cli(capsys, "delta", "2", "3", "1e-3", "--cache-dir", d, "--output", "json")
+    assert decimal[0] == 0
+    assert decimal == run_cli(capsys, "delta", "2", "3", "1/1000", "--cache-dir", d, "--output", "json")
 
 
 def test_cli_delta_exhaustion_prints_the_trajectory(tmp_path, capsys):

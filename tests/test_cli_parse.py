@@ -78,7 +78,7 @@ def clean_argv(draw):
     chosen += [option for option in REQUIRED[command] if option not in chosen]
     chosen = draw(st.permutations(chosen))
     argv = [command]
-    expected = {"command": command, "func": HANDLERS[command]}
+    expected = {"func": HANDLERS[command]}
     expected |= {_dest(o): DEFAULTS[o] for o in options if o not in REQUIRED[command]}
     if command == "delta":
         g, k = draw(st.integers(-3, 40)), draw(st.integers(-3, 40))
@@ -108,6 +108,8 @@ def any_argv(draw):
 
 
 def _outcome(parser, argv):
+    """What ``parser`` makes of ``argv``: its namespace without
+    ``command``, which only the full parser sets, its error or its help."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
@@ -116,7 +118,7 @@ def _outcome(parser, argv):
         return ("error", str(exc))
     except cli._Exit as exc:
         return ("help", exc.status, out.getvalue())
-    return ("parsed", vars(args))
+    return ("parsed", {key: value for key, value in vars(args).items() if key != "command"})
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,9 +127,10 @@ def test_one_command_parser_parses_as_the_full_parser(drawn):
     argv, expected = drawn
     full = _outcome(build_parser(), argv)
     if argv[0] in COMMANDS:
-        assert _outcome(build_parser(argv[0]), argv) == full
+        assert _outcome(cli._command_parser(argv[0]), argv[1:]) == full
     if expected is not None:
         assert full == ("parsed", expected)
+        assert vars(build_parser().parse_args(argv))["command"] == argv[0]
 
 
 def run_cli(capsys, *argv):
@@ -162,21 +165,15 @@ def built(monkeypatch):
     return names
 
 
-def test_process_entry_builds_only_the_named_command(tmp_path, monkeypatch, capsys, built):
-    argv = ["census", "--k", "3", "--b", "4", "--cache-dir", str(tmp_path)]
-    monkeypatch.setattr(sys, "argv", ["gonalgeo", *argv])
-    assert main() == 0
-    assert built == ["census"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [(), ("-h",), ("cen",), ("--output", "json", "census", "--k", "3")],
     ids=["bare", "help", "abbreviation", "option-first"],
 )
-def test_lines_not_led_by_a_command_build_every_command(capsys, built, argv):
+def test_lines_not_led_by_a_command_build_every_command(capsys, built, parsers, argv):
     main(list(argv))
     assert built == list(COMMANDS)
+    assert parsers == {"_Parser": 1 + len(COMMANDS), "_SubParsersAction": 1}
 
 
 def test_full_parser_builds_every_command(built):
@@ -186,15 +183,15 @@ def test_full_parser_builds_every_command(built):
 
 @pytest.fixture
 def parsers(monkeypatch):
-    """The _Parser objects constructed while the test runs."""
-    made = []
-    init = cli._Parser.__init__
+    """The _Parser and _SubParsersAction objects constructed while the
+    test runs, by class name."""
+    made = {"_Parser": 0, "_SubParsersAction": 0}
+    for cls in (cli._Parser, argparse._SubParsersAction):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
 
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     return made
 
 
@@ -203,15 +200,23 @@ def parsers(monkeypatch):
     [(name, "--help") for name in COMMANDS] + [("asymptotics", "--case", "odd")],
     ids=[*COMMANDS, "asymptotics-run"],
 )
-def test_command_led_line_constructs_two_parsers(tmp_path, capsys, parsers, argv):
-    # the program's parser and the command's own; the shared options are
-    # rows of cli._GROUPS, not parent parsers
+def test_command_led_line_constructs_one_parser(tmp_path, capsys, parsers, argv):
+    # the command's own, with no program parser and no subparsers action
     assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
-    assert len(parsers) == 2
+    assert parsers == {"_Parser": 1, "_SubParsersAction": 0}
+
+
+def test_process_entry_builds_only_the_named_command(tmp_path, monkeypatch, capsys, parsers, built):
+    argv = ["census", "--k", "3", "--b", "4", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", ["gonalgeo", *argv])
+    assert main() == 0
+    assert parsers == {"_Parser": 1, "_SubParsersAction": 0}
+    assert built == []
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_help_is_the_same_from_either_parser(command):
-    alone = _outcome(build_parser(command), [command, "--help"])
+    alone = _outcome(cli._command_parser(command), ["--help"])
     assert alone[:2] == ("help", 0)
+    assert alone[2].startswith(f"usage: gonalgeo {command} [-h]")
     assert alone == _outcome(build_parser(), [command, "--help"])
