@@ -11,7 +11,7 @@ coefficients of K2 and chi in the branch degree from
 ``surface_invariants``.
 
 Everything is exact: threshold polynomials carry Fraction coefficients,
-band membership is a rational comparison, and the plane-curve model
+band membership is an integer comparison, and the plane-curve model
 generates the base genus from an integer degree, so the square root in
 the classical degree formula never produces an approximation.
 """
@@ -19,6 +19,7 @@ the classical degree formula never produces an approximation.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .degeneration import DegenerationCensus
 from .digits import _decimal, _magnitude
@@ -197,9 +198,16 @@ class ThresholdReport:
 
 def positivity_threshold(parity: str) -> ThresholdReport:
     """First n where the estimated excess polynomial for one parity is
-    positive, exactly, against the recorded polynomial and claim."""
+    positive, exactly, against the recorded polynomial and claim.  Its
+    inputs are constants of this module, so each parity's report is
+    derived once per process and shared; it is frozen."""
     if parity not in (ODD, EVEN):
         raise ParameterError(f"parity must be {ODD!r} or {EVEN!r}, got {parity!r}")
+    return _threshold_report(parity)
+
+
+@cache
+def _threshold_report(parity: str) -> ThresholdReport:
     derived = threshold_polynomial(parity)
     reference = REFERENCE_THRESHOLD_POLYS[parity]
     claim = REFERENCE_THRESHOLD_CLAIMS[parity]
@@ -304,14 +312,18 @@ class DeltaCertificate:
 def _certificate(
     census: DegenerationCensus, inv: SurfaceInvariants, d: int, eps: Fraction, window: int
 ) -> DeltaCertificate:
-    """The certificate for d_min = d, from the invariants evaluated there."""
+    """The certificate for d_min = d, from the invariants evaluated there.
+    The right side, b |X - eps chi_coeff| / (eps (g - 1)) with
+    X = |k2_coeff - 8 chi_coeff|, is one Fraction of integers scaled by 12."""
     b = census.b
     base = PlaneCurveBase(d, b)
     lhs = Fraction(2 * base.base_genus - 2, 3 + base.root_8g_plus_1)
     rhs = None
     if census.g != 1:
-        band = abs(inv.k2_coeff - 8 * inv.chi_coeff)
-        rhs = b * abs(band - eps * inv.chi_coeff) / (eps * (census.g - 1))
+        k2_coeff, chi_coeff12 = _census_coefficients(census)
+        en, ed = eps.numerator, eps.denominator
+        band12 = abs(12 * k2_coeff - 8 * chi_coeff12)
+        rhs = Fraction(b * abs(band12 * ed - en * chi_coeff12), 12 * en * (census.g - 1))
     return DeltaCertificate(
         d_min=d,
         base_genus=base.base_genus,
@@ -325,14 +337,15 @@ def _certificate(
     )
 
 
-def _band_line(census: DegenerationCensus) -> tuple[Fraction, Fraction, Fraction]:
-    """(A, B, X) with chi(d) = d*(A + B*(d - 3)) and K2 - 8*chi = b*d*X
-    for the plane-curve family of degree d; see delta_search."""
-    k2_coeff, chi_coeff = _census_coefficients(census)
+def _band_line(census: DegenerationCensus) -> tuple[int, int, int]:
+    """(A, B, X), integers with 12 chi(d) = d*(A + B*(d - 3)) and
+    12 (K2 - 8 chi) = b*d*X for the plane-curve family of degree d; see
+    delta_search."""
+    k2_coeff, chi_coeff12 = _census_coefficients(census)
     return (
-        census.b * chi_coeff,
-        Fraction(census.classes * (census.g - 1), 2),
-        k2_coeff - 8 * chi_coeff,
+        census.b * chi_coeff12,
+        6 * census.classes * (census.g - 1),
+        12 * k2_coeff - 8 * chi_coeff12,
     )
 
 
@@ -362,8 +375,10 @@ def delta_search(
     band are the integers of one open interval around the zero d0 of L
     (or d0 alone when X = 0); when g = 1 or n = 0, L is constant and
     d = 3 decides for every degree.  d_min is 3 when the window fits
-    below that interval, else the first degree past it.  Everything is
-    exact Fraction arithmetic.
+    below that interval, else the first degree past it.  The arithmetic
+    is in integers, on 12 L(d) and 12 X (``_band_line``), with epsilon
+    cleared of its denominator; the interval's ends are floor and
+    ceiling quotients.
 
     surface_invariants is evaluated at d_min, d_min + window and
     d_min - 1 (when d_min > 3), and any disagreement with the closed
@@ -377,33 +392,37 @@ def delta_search(
     if window < 0:
         raise ParameterError(f"window must be nonnegative, got {window}")
     k, b = census.k, census.b
+    en, ed = eps.numerator, eps.denominator
     a0, slope, x = _band_line(census)
-    floor_l = b * abs(x) / eps  # in the band iff L(d) != 0 and |L(d)| >= floor_l
-
-    def closed_ratio(d: int) -> Fraction | None:
-        line = a0 + slope * (d - 3)
-        return 8 + b * x / line if line else None
+    floor_l = ed * b * abs(x)  # in the band iff L(d) != 0 and en * |12 L(d)| >= floor_l
 
     def evaluated(d: int) -> SurfaceInvariants:
         base = PlaneCurveBase(d, b)
         inv = surface_invariants(FamilyParams(census, base.c, base.base_genus))
-        if inv.ratio != closed_ratio(d):
+        line = a0 + slope * (d - 3)  # the closed ratio is 8 + b*x / line
+        ratio = inv.ratio
+        if (ratio is None) != (line == 0) or (
+            ratio is not None and ratio.numerator * line != ratio.denominator * (8 * line + b * x)
+        ):
+            closed = Fraction(8 * line + b * x, line) if line else None
             raise InvariantViolation(
-                f"closed-form ratio {closed_ratio(d)} disagrees with the evaluated "
-                f"{inv.ratio} at plane degree {d} for ({k}, {b})"
+                f"closed-form ratio {closed} disagrees with the evaluated "
+                f"{ratio} at plane degree {d} for ({k}, {b})"
             )
         return inv
 
     if slope == 0:
-        d_min = 3 if a0 and abs(a0) >= floor_l else None
+        d_min = 3 if a0 and en * abs(a0) >= floor_l else None
     else:
-        d0 = 3 - a0 / slope
-        radius = floor_l / abs(slope)
-        # integers p..q lie outside the band; p > q when none do
-        if radius:
-            p, q = math.floor(d0 - radius) + 1, math.ceil(d0 + radius) - 1
+        # the integers p..q lie outside the band, strictly between
+        # (n0 - floor_l) / den and (n0 + floor_l) / den, or at n0 / den when
+        # floor_l = 0, for the zero n0 / den of L; p > q when none do
+        den = en * abs(slope)
+        n0 = en * (3 * abs(slope) - (a0 if slope > 0 else -a0))
+        if floor_l:
+            p, q = (n0 - floor_l) // den + 1, -(-(n0 + floor_l) // den) - 1
         else:
-            p, q = math.ceil(d0), math.floor(d0)
+            p, q = -(-n0 // den), n0 // den
         d_min = 3 if p > q or q < 3 or p - 3 > window else q + 1
     if d_min is None or d_min + window > d_max:
         exc = BudgetExceeded(
@@ -419,7 +438,10 @@ def delta_search(
         checks.append((d_min - 1, False))
     for d, expected in checks:
         ratio = (at_min if d == d_min else evaluated(d)).ratio
-        if (ratio is not None and abs(ratio - 8) <= eps) != expected:
+        inside = ratio is not None and (
+            ed * abs(ratio.numerator - 8 * ratio.denominator) <= en * ratio.denominator
+        )
+        if inside != expected:
             raise InvariantViolation(
                 f"closed-form band search puts plane degree {d} "
                 f"{'inside' if expected else 'outside'} |ratio - 8| <= {eps} "

@@ -95,15 +95,21 @@ def census_path(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
     return Path(cache_dir) / f"census_k{k}_b{b}.json"
 
 
-def _temporary(name: str) -> str:
-    return f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+def _temporary(name: str, tag: str | None = None) -> str:
+    """The temporary name a census is written under beside ``name``:
+    a dot, the name, the pid, a tag of 8 random hex digits unless one is
+    given, and ".tmp"."""
+    return f".{name}.{os.getpid()}.{tag or os.urandom(4).hex()}.tmp"
 
 
 def census_file(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
     """The census path of (k, b), or CapacityError when its name, or the
     temporary name written beside it, is longer than the cache directory
     (or, not made yet, its nearest existing ancestor) allows.  Nothing is
-    created, so this is asked before any walk."""
+    created, so this is asked before any walk, once per query: the
+    path it returns is handed on to ``load_or_compute`` and
+    ``read_census``.  The temporary name is measured with a fixed tag of
+    its length, so no random digits are drawn."""
     path = census_path(cache_dir, k, b)
     limit = 255  # where the platform cannot say
     for d in chain((path.parent,), path.parent.parents):
@@ -114,7 +120,7 @@ def census_file(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
             continue
         except (AttributeError, ValueError):  # no such query on this platform
             break
-    if 0 <= limit < len(os.fsencode(_temporary(path.name))):
+    if 0 <= limit < len(os.fsencode(_temporary(path.name, "0" * 8))):
         raise CapacityError(
             f"the census cache file name for ({k}, {b}) is too long for the file system"
         )
@@ -162,12 +168,15 @@ def write_census(cache_dir: os.PathLike | str, census: DegenerationCensus) -> Pa
     return path
 
 
-def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCensus:
+def read_census(
+    cache_dir: os.PathLike | str, k: int, b: int, path: Path | None = None
+) -> DegenerationCensus:
     """Load and re-validate one cached census: the stored counts go
     through the census validators, and each derived key must equal its
     value computed from them.  A file name too long for the file system
-    is a CapacityError (``census_file``), not a bad cache."""
-    path = census_file(cache_dir, k, b)
+    is a CapacityError (``census_file``), not a bad cache; ``path``, when
+    given, is ``census_file``'s answer for (k, b) and is not asked again."""
+    path = path or census_file(cache_dir, k, b)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -209,10 +218,14 @@ def read_census(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCen
     return census
 
 
-def load_or_compute(cache_dir: os.PathLike | str, k: int, b: int) -> DegenerationCensus:
-    """Cached census when present, else compute and cache it."""
-    if census_file(cache_dir, k, b).exists():
-        return read_census(cache_dir, k, b)
+def load_or_compute(
+    cache_dir: os.PathLike | str, k: int, b: int, path: Path | None = None
+) -> DegenerationCensus:
+    """Cached census when present, else compute and cache it; ``path``
+    as for ``read_census``."""
+    path = path or census_file(cache_dir, k, b)
+    if path.exists():
+        return read_census(cache_dir, k, b, path)
     census = full_census(k, b)[1]
     write_census(cache_dir, census)
     return census

@@ -34,7 +34,7 @@ from .asymptotics import delta_search, positivity_threshold
 from .cache import census_file, census_payload, load_or_compute, read_census, resolve_cache_dir
 from .covers import block_states, class_count, class_count_via_oracle, cover_genus, oracle_products, validate_cover_shape
 from .degeneration import DegenerationCensus
-from .digits import _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
+from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
@@ -119,14 +119,16 @@ def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     computed and cached.  A census whose N is too long to print is never
     cached, and is not looked up: its file name may be too long.  One
     whose file name is too long anyway (``census_file``) is refused
-    before the cache is searched or the walk priced."""
+    before the cache is searched or the walk priced; the name is checked
+    once, and its path handed on."""
     try:
         too_long = _digit_refusal(k, b, "the tuple count N")
-        if too_long or not census_file(cfg.cache_dir, k, b).exists():
+        path = None if too_long else census_file(cfg.cache_dir, k, b)
+        if too_long or not path.exists():
             _guard_budget(k, b, cfg.budget)
             if too_long:
                 raise too_long
-        return load_or_compute(cfg.cache_dir, k, b)
+        return load_or_compute(cfg.cache_dir, k, b, path)
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise _unusable_cache(cfg, exc) from None
 
@@ -317,10 +319,15 @@ def _fraction_digits(text: str) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """Epsilon as a Fraction, refused before it is built when its parts
+    would pass the interpreter's digit limit, or, with the limit lifted,
+    the interpreter's default limit: nothing else bounds it then."""
     limit = int_digit_limit()
-    if limit and _fraction_digits(text) > limit:
+    if _fraction_digits(text) > (limit or DEFAULT_DIGIT_LIMIT):
         raise ParameterError(
             f"the numerator or denominator of epsilon has more than the {limit} digits this interpreter reads"
+            if limit else
+            f"the numerator or denominator of epsilon has more than {DEFAULT_DIGIT_LIMIT} digits"
         )
     try:
         return Fraction(text)

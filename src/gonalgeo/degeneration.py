@@ -31,6 +31,7 @@ like ``refine_type_one`` they work on transposition pairs directly.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import comb
 
 from .characters import _connected_terms, _evaluate
@@ -171,7 +172,7 @@ class DegenerationCensus:
     Stored: the equal-, disjoint- and overlapping-pair class counts N1,
     N22 and N3, and ``split_table``, mapping (j, i) to the classes that
     split into a degree-j genus-i component plus its complement.  Derived
-    on access, without validating again: ``g``, ``classes``,
+    on first access and kept, without validating again: ``g``, ``classes``,
     ``raw_count`` (classes times k!, or classes at k = 2), ``central``
     (equal pairs that split nothing), ``rational_splits`` (split classes
     with a genus-0 component, each once; they smooth out after
@@ -201,28 +202,28 @@ class DegenerationCensus:
         if sum(self.split_table.values()) > self.type_one:
             raise InvariantViolation("split classes exceed the equal-pair count")
 
-    @property
+    @cached_property
     def g(self) -> int:
         return (self.b - 2 * self.k + 2) // 2
 
-    @property
+    @cached_property
     def classes(self) -> int:
         return self.type_one + self.type_two_two + self.type_three
 
-    @property
+    @cached_property
     def raw_count(self) -> int:
         return self.classes * _class_divisor(self.k)
 
-    @property
+    @cached_property
     def central(self) -> int:
         return self.type_one - sum(self.split_table.values())
 
-    @property
+    @cached_property
     def rational_splits(self) -> int:
         g = self.g
         return sum(n for (j, i), n in self.split_table.items() if i == 0 or i == g)
 
-    @property
+    @cached_property
     def singular(self) -> int:
         return self.type_one - self.rational_splits
 

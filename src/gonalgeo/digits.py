@@ -14,6 +14,9 @@ from .errors import CapacityError
 
 # past this many bits a number in a message prints as a magnitude
 _EXACT_BITS = 1000
+# the interpreter's default int-to-str limit, a ceiling for input that
+# nothing else bounds when the limit is lifted
+DEFAULT_DIGIT_LIMIT = 4300
 
 
 def int_digit_limit() -> int:

@@ -12,8 +12,9 @@ K2 and chi are linear in c; their coefficients of c depend on the census
 alone and have one statement, ``_census_coefficients``, which the band
 search in ``asymptotics`` reads too.  The excess K2 - 8 chi is c times
 X = k2_coeff - 8 chi_coeff = (b - 1)(2e - N1 + N3/9) - N, so for c > 0
-the index has the sign of X.  Evaluation is exact throughout: integers
-where integrality is guaranteed, Fraction elsewhere, no floating point.
+the index has the sign of X.  Evaluation is exact throughout and in
+integers, on chi scaled by 12 and the excess by 9; a Fraction is built
+only for a rational that is reported, and nothing is floating point.
 
 The audit half of the module walks the long route to the canonical
 self-intersection (branch curve on a product, blow-up of its nodes,
@@ -130,18 +131,20 @@ class SurfaceInvariants:
 
 
 def rational_payload(value) -> dict:
-    """Exact rational as JSON-safe strings; the float is a convenience
-    approximation, never authoritative, and null outside float range.
-    Raises CapacityError when a part has more digits than the
-    interpreter prints."""
-    fr = Fraction(value)
+    """Exact rational as JSON-safe strings, from an int or a Fraction
+    read as it is: both carry ``numerator`` and ``denominator`` (1 for an
+    int), so no Fraction is built here; the evaluations build one for
+    each rational they report (``surface_invariants``).  The float is a
+    convenience approximation, never authoritative, and null outside
+    float range.  Raises CapacityError when a part has more digits than
+    the interpreter prints."""
     try:
-        approx = float(fr)
+        approx = float(value)
     except OverflowError:
         approx = None
     return {
-        "numerator": _decimal(fr.numerator, "a numerator"),
-        "denominator": _decimal(fr.denominator, "a denominator"),
+        "numerator": _decimal(value.numerator, "a numerator"),
+        "denominator": _decimal(value.denominator, "a denominator"),
         "approx": approx,
     }
 
@@ -161,21 +164,37 @@ def genus_y(p: FamilyParams) -> int:
     return 1 + doubled // 2
 
 
-def _census_coefficients(census: DegenerationCensus) -> tuple[int, Fraction]:
-    """(k2_coeff, chi_coeff): what K2 and chi gain per unit of branch
-    degree c, read off the census alone.  Their difference
-    k2_coeff - 8 * chi_coeff is the excess per unit of c,
+def _census_coefficients(census: DegenerationCensus) -> tuple[int, int]:
+    """(k2_coeff, 12 chi_coeff): what K2 and twelve times chi gain per
+    unit of branch degree c, read off the census alone, in integers.
+    The excess per unit of c, k2_coeff - 8 chi_coeff, is
     (b - 1)(2e - N1 + N3/9) - N."""
     n, n1, third = census.classes, census.type_one, census.type_three // 3
     g, b, e = census.g, census.b, census.rational_splits
     k2_coeff = (b - 1) * (2 * e + n1 + (8 * g - 7) * third) - 3 * n
-    chi_coeff = Fraction((b - 1) * (3 * n1 + (12 * g - 11) * third) - 3 * n, 12)
-    return k2_coeff, chi_coeff
+    chi_coeff12 = (b - 1) * (3 * n1 + (12 * g - 11) * third) - 3 * n
+    return k2_coeff, chi_coeff12
+
+
+def _closed_forms(p: FamilyParams) -> tuple[int, int, int, int]:
+    """(k2_coeff, 12 chi_coeff, K2, 12 chi) of the family, all integers:
+    K2 and chi are linear in c, and both carry the term of the base
+    genus, N (g_X - 1)(g - 1), K2 eight times and chi once."""
+    cen = p.census
+    k2_coeff, chi_coeff12 = _census_coefficients(cen)
+    fixed = cen.classes * (p.base_genus - 1) * (cen.g - 1)
+    return k2_coeff, chi_coeff12, p.c * k2_coeff + 8 * fixed, p.c * chi_coeff12 + 12 * fixed
 
 
 def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
     """Evaluate every closed-form invariant, with the built-in identity
     checks (Noether; excess closed form against direct subtraction).
+
+    The arithmetic is in integers, on chi and chi_coeff scaled by 12 and
+    the excess scaled by 9, so both identities are integer equations:
+    12 chi = K2 + e, and 4 (9 excess) = 3 (12 K2 - 8 (12 chi)).  One
+    Fraction is built for each rational reported, chi, chi_coeff,
+    excess, ratio = 12 K2 / (12 chi) and slope, at the end.
 
     >>> from gonalgeo.degeneration import full_census
     >>> pack = FamilyParams(full_census(3, 4)[1], c=8, base_genus=2)
@@ -187,46 +206,42 @@ def surface_invariants(p: FamilyParams) -> SurfaceInvariants:
     """
     cen = p.census
     n, n1, n22, n3 = cen.classes, cen.type_one, cen.type_two_two, cen.type_three
-    e = cen.rational_splits
-    g, b, c, gx = cen.g, cen.b, p.c, p.base_genus
-    third = n3 // 3
+    g, b = cen.g, cen.b
     m = p.collision_count_base
     gy = genus_y(p)
 
     r = cen.singular * m
     euler = 4 * (g - 1) * (gy - 1) + 2 * r
-    k2_coeff, chi_coeff = _census_coefficients(cen)
-    k2 = c * k2_coeff + 8 * n * (gx - 1) * (g - 1)
-    chi = c * chi_coeff + n * (gx - 1) * (g - 1)
+    k2_coeff, chi_coeff12, k2, chi12 = _closed_forms(p)
 
-    excess = c * ((b - 1) * (2 * e - n1 + Fraction(n3, 9)) - n)
-    if excess != k2 - 8 * chi:
+    excess9 = p.c * ((b - 1) * (18 * cen.rational_splits - 9 * n1 + n3) - 9 * n)
+    if 4 * excess9 != 3 * (12 * k2 - 8 * chi12):
         raise InvariantViolation(
-            f"excess closed form {excess} disagrees with direct K2 - 8*chi "
-            f"{k2 - 8 * chi}: transcription bug"
+            f"excess closed form {Fraction(excess9, 9)} disagrees with direct K2 - 8*chi "
+            f"{k2 - Fraction(8 * chi12, 12)}: transcription bug"
         )
-    if 12 * chi != k2 + euler:
+    if chi12 != k2 + euler:
         raise InvariantViolation(
-            f"Noether identity failed: 12*chi={12 * chi}, K2+e={k2 + euler}"
+            f"Noether identity failed: 12*chi={chi12}, K2+e={k2 + euler}"
         )
 
     rel = (g - 1) * (gy - 1)
-    rel_chi = chi - rel
+    rel_chi12 = chi12 - 12 * rel
     return SurfaceInvariants(
         parameter_genus=gy,
         collision_count_base=m,
-        collision_count_parameter=(n1 + n22 + third) * m,
+        collision_count_parameter=(n1 + n22 + n3 // 3) * m,
         singular_fiber_count=r,
         euler=euler,
         k2=k2,
-        chi=chi,
-        chi_integral=chi.denominator == 1,
+        chi=Fraction(chi12, 12),
+        chi_integral=chi12 % 12 == 0,
         k2_coeff=k2_coeff,
-        chi_coeff=chi_coeff,
-        excess=excess,
-        positive_index=excess > 0,
-        ratio=Fraction(k2) / chi if chi else None,
-        slope=Fraction(k2 - 8 * rel) / rel_chi if rel_chi else None,
+        chi_coeff=Fraction(chi_coeff12, 12),
+        excess=Fraction(excess9, 9),
+        positive_index=excess9 > 0,
+        ratio=Fraction(12 * k2, chi12) if chi12 else None,
+        slope=Fraction(12 * (k2 - 8 * rel), rel_chi12) if rel_chi12 else None,
         q_label=gy,
     )
 
@@ -320,7 +335,7 @@ def audit_chain(p: FamilyParams) -> AuditReport:
 
     ref_kg2, ref_ks2, ref_kf2 = chain(reference_cross)
     der_kg2, der_ks2, der_kf2 = chain(derived_cross)
-    closed = surface_invariants(p).k2
+    closed = _closed_forms(p)[2]
     return AuditReport(
         exceptional_sq=exceptional_sq,
         strict_transform_sq=strict_transform_sq,

@@ -376,3 +376,66 @@ def test_bounded_threshold_sweep_matches_a_brute_force_sweep(coeffs):
     # for the example, so the brute-force sweep sees every sign change
     brute = next((n for n in range(1, 300) if _peval(coeffs, n) > 0), None)
     assert _first_positive(coeffs) == brute
+
+
+# every certificate of the envelope at epsilon 1, 1/10 and 1/100, as the
+# Fraction band search gave them: (d_min, ratio, lhs, rhs, holds), with the
+# default window 8 and ceiling 10^6; None is the genus-1 give-up
+ENVELOPE_CERTIFICATES = {
+    (2, 2): [(4, "8", "1/2", "0", True)] * 3,
+    (2, 4): [None] * 3,
+    (2, 6): [(63, "7", "30", "30", True), (711, "79/10", "354", "354", True),
+             (7191, "799/100", "3594", "3594", True)],
+    (2, 8): [(55, "7", "26", "26", True), (631, "79/10", "314", "314", True),
+             (6391, "799/100", "3194", "3194", True)],
+    (2, 10): [(57, "708/101", "27", "80/3", True), (657, "7908/1001", "327", "980/3", True),
+              (6657, "79908/10001", "3327", "9980/3", True)],
+    (3, 4): [(3, "8", "0", "-12", True)] * 3,
+    (3, 6): [None] * 3,
+    (3, 8): [(15, "7", "6", "2184", False), (414, "15176/1921", "411/2", "74760", False),
+             (4402, "460280/57607", "4399/2", "800520", False)],
+    (3, 10): [(3, "27888/3827", "0", "21980", False), (290, "216160/27361", "287/2", "469060", False),
+              (3284, "2180224/272869", "3281/2", "5379460", False)],
+    (4, 6): [(3, "8", "0", "-810", True)] * 3,
+    (4, 8): [None] * 3,
+    (4, 10): [(3, "54374/7499", "0", "1185030", False), (300, "444038/56207", "297/2", "30669030", False),
+              (3383, "4488934/561819", "1690", "349209630", False)],
+    (5, 8): [(3, "8", "0", "-90720", True)] * 3,
+}
+
+
+@pytest.mark.parametrize("k, b", ENVELOPE)
+def test_envelope_certificates_are_the_fraction_search_ones(census_store, k, b):
+    _counts, cen = census_store(k, b)
+    for eps, want in zip((Fraction(1), Fraction(1, 10), Fraction(1, 100)), ENVELOPE_CERTIFICATES[k, b]):
+        if want is None:
+            with pytest.raises(BudgetExceeded) as info:
+                delta_search(cen, eps)
+            assert str(info.value) == (
+                f"no plane degree d <= 1000000 certifies |ratio - 8| <= {eps} with persistence window 8"
+            )
+            assert info.value.trajectory == tuple((d, Fraction(0)) for d in range(999993, 10**6 + 1))
+            assert all(type(ratio) is Fraction for _d, ratio in info.value.trajectory)
+            continue
+        d, ratio, lhs, rhs, holds = want
+        cert = delta_search(cen, eps)
+        assert cert == DeltaCertificate(
+            d_min=d, base_genus=(d - 1) * (d - 2) // 2, c=b * d, ratio=Fraction(ratio),
+            epsilon=eps, window=8, sufficient_lhs=Fraction(lhs), sufficient_rhs=Fraction(rhs),
+            sufficient_holds=holds,
+        )
+        assert all(
+            type(getattr(cert, name)) is Fraction
+            for name in ("ratio", "epsilon", "sufficient_lhs", "sufficient_rhs")
+        )
+
+
+def test_threshold_report_is_derived_once_and_its_payload_is_fresh():
+    for parity in (ODD, EVEN):
+        report = positivity_threshold(parity)
+        assert positivity_threshold(parity) is report
+        payload = report.as_payload()
+        payload["notes"].append("changed by a caller")
+        payload["derived_coefficients"][0]["numerator"] = "0"
+        assert report.as_payload() != payload
+        assert "changed by a caller" not in report.notes

@@ -6,13 +6,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gonalgeo
+import gonalgeo.cache
+import gonalgeo.cli
 from gonalgeo.cache import (
     DEFAULT_CACHE_DIR,
     ENV_CACHE_DIR,
@@ -25,8 +33,9 @@ from gonalgeo.cache import (
     resolve_cache_dir,
     write_census,
 )
-from gonalgeo.cli import _guard_budget, main
+from gonalgeo.cli import _guard_budget, _parse_fraction, main
 from gonalgeo.covers import block_states, oracle_products
+from gonalgeo.degeneration import full_census
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 
@@ -719,6 +728,110 @@ def test_cli_unparsable_cache_is_an_unreadable_document(tmp_path, capsys, docume
     assert path.read_bytes() == document
 
 
+@pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
+def test_a_query_checks_its_census_file_name_once(tmp_path, capsys, monkeypatch, argv):
+    d = str(tmp_path)
+    assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
+    checked = []
+
+    def counted(*args):
+        checked.append(args)
+        return census_file(*args)
+
+    def refused(n):
+        raise AssertionError("a census read drew random bytes")
+
+    monkeypatch.setattr(gonalgeo.cli, "census_file", counted)
+    monkeypatch.setattr(gonalgeo.cache, "census_file", counted)
+    monkeypatch.setattr(os, "urandom", refused)
+    assert run_cli(capsys, *argv, "--cache-dir", d)[0] == 0
+    assert checked == [(Path(d), 3, 4)]
+
+
+@cache
+def _census_document(k: int, b: int) -> str:
+    return json.dumps(census_payload(full_census(k, b)[1]), indent=2) + "\n"
+
+
+# (k, b) whose documents are mutated: no split cells at (2, 6), cells of two
+# degrees at (4, 6), genus 1 at (3, 6), where delta gives up
+MUTATED_PAIRS = ((2, 6), (4, 6), (3, 6))
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(allow_nan=False),
+    st.text(max_size=5), st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+DIGITS = st.one_of(
+    st.integers(-5, 200).map(str),
+    st.integers(-5, 10**30).map(str),
+    st.text("0123456789-+ _.e", max_size=8),
+    st.integers(4295, 4305).map(lambda n: "1" * n),  # about the digit limit
+)
+
+
+@st.composite
+def mutated_census_documents(draw):
+    """((k, b), the text of its cache document after one to three
+    mutations, or None when the document is deleted)."""
+    k, b = draw(st.sampled_from(MUTATED_PAIRS))
+    doc = json.loads(_census_document(k, b))
+    for _ in range(draw(st.integers(1, 3))):
+        keys = sorted(doc) if isinstance(doc, dict) else []
+        # counts and cells twice as often: a change there keeps the schema
+        kind = draw(st.sampled_from(
+            ("digits", "digits", "cell", "cell", "drop", "add", "type", "truncate", "delete")
+        ))
+        if kind == "delete":
+            return (k, b), None
+        if kind == "truncate":
+            text = json.dumps(doc, indent=2)
+            return (k, b), text[:draw(st.integers(0, len(text) - 1))]
+        if not keys:
+            continue
+        if kind == "drop":
+            del doc[draw(st.sampled_from(keys))]
+        elif kind == "add":
+            doc[draw(st.text(max_size=6))] = draw(ANY_VALUE)
+        elif kind == "type":
+            doc[draw(st.sampled_from(keys))] = draw(ANY_VALUE)
+        elif kind == "digits":
+            doc[draw(st.sampled_from(["N", "N_tilde", "N1", "N22", "N3", "e", "N_sing"]))] = draw(DIGITS)
+        elif isinstance(doc.get("M_table"), list):
+            rows = doc["M_table"]
+            action = draw(st.sampled_from(("drop", "repeat", "new", "edit")))
+            if action == "new" or not rows:
+                rows.append({"j": draw(st.integers(-1, 4)), "i": draw(st.integers(-1, 3)), "count": draw(DIGITS)})
+            elif action == "drop":
+                rows.pop(draw(st.integers(0, len(rows) - 1)))
+            elif action == "repeat":
+                rows.append(deepcopy(draw(st.sampled_from(rows))))
+            elif isinstance(row := rows[draw(st.integers(0, len(rows) - 1))], dict):
+                field = draw(st.sampled_from(("j", "i", "count")))
+                row[field] = draw(DIGITS if field == "count" else st.one_of(st.integers(-2, 5), ANY_VALUE))
+    return (k, b), json.dumps(doc, indent=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_census_documents())
+def test_cli_survives_mutated_census_documents(case):
+    # every reader exits with a contract code, never raises, and leaves no
+    # temporary file behind, whatever the document holds
+    (k, b), text = case
+    g = (b - 2 * k + 2) // 2
+    shape = ("--k", str(k), "--b", str(b))
+    family = (*shape, "--c", "8", "--base-genus", "2")
+    with tempfile.TemporaryDirectory() as d:
+        path = census_path(d, k, b)
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        for argv in (("invariants", *family), ("audit", *family), ("census", *shape), ("delta", str(g), str(k), "1/10")):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--cache-dir", d])
+            assert code in (0, 2, 3, 4), (argv, err.getvalue())
+            assert [p.name for p in Path(d).iterdir() if p.name.endswith(".tmp")] == []
+            assert "Traceback" not in err.getvalue()
+
+
 def test_cli_import_leaves_multiprocessing_out():
     src = Path(gonalgeo.__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -763,6 +876,29 @@ def test_cli_epsilon_past_the_digit_limit_is_refused_at_once(tmp_path, capsys, e
     assert time.perf_counter() - start < 1
     assert (code, out) == (4, "")
     assert err == f"error: the numerator or denominator of epsilon has more than the {int_digit_limit()} digits this interpreter reads\n"
+
+
+# with the limit lifted, the interpreter's default of 4300 digits still
+# bounds epsilon: Fraction would spend about 2 s building 10^3000000, and
+# the give-up message far longer printing it
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit to lift")
+@pytest.mark.parametrize("epsilon", ["1e-4300", "1e-3000000", "1/1" + "0" * 4300])
+def test_cli_epsilon_has_a_digit_ceiling_with_the_limit_lifted(tmp_path, capsys, epsilon):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ParameterError):
+            _parse_fraction(epsilon)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "delta", "3", "3", epsilon, "--cache-dir", str(tmp_path / "D"))
+        assert time.perf_counter() - start < 1
+        # 10^4299 has the 4300 digits allowed
+        assert _parse_fraction("1e-4299") == _parse_fraction("1/1" + "0" * 4299) == Fraction(1, 10**4299)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (4, "")
+    assert err == "error: the numerator or denominator of epsilon has more than 4300 digits\n"
+    assert not (tmp_path / "D").exists()
 
 
 def test_cli_epsilon_in_exponent_notation_is_the_same_rational(tmp_path, capsys):

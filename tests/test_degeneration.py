@@ -460,3 +460,29 @@ def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
     monkeypatch.setattr(degeneration, "_connected_terms", lambda n: skewed if n == d else terms(n))
     with pytest.raises(InvariantViolation, match=f"split cells for j = {min(d, 6 - d)} sum to"):
         full_census(6, 14)
+
+
+class _CountedTable(dict):
+    """A split table that counts how often its cells are summed."""
+
+    sums = 0
+
+    def items(self):
+        self.sums += 1
+        return super().items()
+
+    def values(self):
+        self.sums += 1
+        return super().values()
+
+
+def test_derived_counts_are_computed_once_per_census(census_store):
+    _counts, cen = census_store(4, 6)
+    table = _CountedTable(cen.split_table)
+    fresh = DegenerationCensus(4, 6, cen.type_one, cen.type_two_two, cen.type_three, table)
+    table.sums = 0  # the validators' own pass
+    for _ in range(5):
+        derived = (fresh.g, fresh.classes, fresh.raw_count, fresh.central, fresh.rational_splits, fresh.singular)
+    assert derived == (cen.g, cen.classes, cen.raw_count, cen.central, cen.rational_splits, cen.singular)
+    assert table.sums == 2  # central and rational_splits, once each
+    assert fresh == cen

@@ -8,14 +8,16 @@ audit chain against its closed forms.
 """
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from gonalgeo import invariants
 from gonalgeo.digits import int_digit_limit
-from gonalgeo.errors import CapacityError, ParameterError
+from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.invariants import (
     MINUS_ONE_COMPONENT_MEETS,
     MINUS_TWO_COMPONENT_MEETS,
@@ -182,7 +184,8 @@ def test_coefficients_ignore_the_base_genus(census_store, pack):
 @pytest.mark.parametrize("k, b", ENVELOPE + [(3, 16), (4, 12)])
 def test_census_coefficients_are_the_evaluated_ones(census_store, k, b):
     _counts, cen = census_store(k, b)
-    k2_coeff, chi_coeff = _census_coefficients(cen)
+    k2_coeff, chi_coeff12 = _census_coefficients(cen)
+    chi_coeff = Fraction(chi_coeff12, 12)
     for c, gx in ((b, 0), (7 * b + 3, 4)):
         inv = surface_invariants(FamilyParams(cen, c=c, base_genus=gx))
         assert (inv.k2_coeff, inv.chi_coeff) == (k2_coeff, chi_coeff)
@@ -255,3 +258,96 @@ def test_audit_chain_on_random_packs(census_store, pack):
     assert rep.derived_matches_closed
     assert rep.derived_discrepancy == 0
     assert rep.reference_discrepancy == -(rep.reference_cross_term + 4 * m * n1)
+
+
+def _fraction_surface_invariants(p: FamilyParams) -> SurfaceInvariants:
+    """The Fraction evaluation that the integer kernel replaced, kept
+    verbatim (bar the identity checks) as the reference for every field."""
+    cen = p.census
+
+    def _census_coefficients(census):
+        n, n1, third = census.classes, census.type_one, census.type_three // 3
+        g, b, e = census.g, census.b, census.rational_splits
+        k2_coeff = (b - 1) * (2 * e + n1 + (8 * g - 7) * third) - 3 * n
+        chi_coeff = Fraction((b - 1) * (3 * n1 + (12 * g - 11) * third) - 3 * n, 12)
+        return k2_coeff, chi_coeff
+
+    n, n1, n22, n3 = cen.classes, cen.type_one, cen.type_two_two, cen.type_three
+    e = cen.rational_splits
+    g, b, c, gx = cen.g, cen.b, p.c, p.base_genus
+    third = n3 // 3
+    m = p.collision_count_base
+    gy = genus_y(p)
+
+    r = cen.singular * m
+    euler = 4 * (g - 1) * (gy - 1) + 2 * r
+    k2_coeff, chi_coeff = _census_coefficients(cen)
+    k2 = c * k2_coeff + 8 * n * (gx - 1) * (g - 1)
+    chi = c * chi_coeff + n * (gx - 1) * (g - 1)
+
+    excess = c * ((b - 1) * (2 * e - n1 + Fraction(n3, 9)) - n)
+
+    rel = (g - 1) * (gy - 1)
+    rel_chi = chi - rel
+    return SurfaceInvariants(
+        parameter_genus=gy,
+        collision_count_base=m,
+        collision_count_parameter=(n1 + n22 + third) * m,
+        singular_fiber_count=r,
+        euler=euler,
+        k2=k2,
+        chi=chi,
+        chi_integral=chi.denominator == 1,
+        k2_coeff=k2_coeff,
+        chi_coeff=chi_coeff,
+        excess=excess,
+        positive_index=excess > 0,
+        ratio=Fraction(k2) / chi if chi else None,
+        slope=Fraction(k2 - 8 * rel) / rel_chi if rel_chi else None,
+        q_label=gy,
+    )
+
+
+def test_integer_kernel_matches_the_fraction_reference(census_store):
+    vanishing = set()
+    for k, b in ENVELOPE:
+        _counts, cen = census_store(k, b)
+        for c in (0, 1, b - 1, b, 40 * b):
+            for gx in (0, 1, 2, 6):
+                p = FamilyParams(cen, c=c, base_genus=gx)
+                got, want = surface_invariants(p), _fraction_surface_invariants(p)
+                for field in fields(SurfaceInvariants):
+                    a, r = getattr(got, field.name), getattr(want, field.name)
+                    assert (a, type(a)) == (r, type(r)), (k, b, c, gx, field.name)
+                assert got.as_payload() == want.as_payload()
+                vanishing.add((got.ratio is None, got.slope is None))
+    # the grid meets chi = 0 and chi = (g - 1)(g_Y - 1) together (base
+    # genus 1 on (2, 2)), each alone ((2, 6) at c = 1, base genus 0; (2, 2)
+    # at base genus 0), and neither
+    assert vanishing == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_each_identity_check_catches_a_change_on_its_other_side(toy, monkeypatch):
+    closed_forms = invariants._closed_forms
+
+    def shifted(p):
+        # K2 and 12 chi both gain 12: Noether still holds, the excess does not
+        k2_coeff, chi_coeff12, k2, chi12 = closed_forms(p)
+        return k2_coeff, chi_coeff12, k2 + 12, chi12 + 12
+
+    monkeypatch.setattr(invariants, "_closed_forms", shifted)
+    with pytest.raises(InvariantViolation, match="excess closed form"):
+        surface_invariants(toy)
+    monkeypatch.undo()
+    # a parameter genus one higher moves the Euler number alone
+    monkeypatch.setattr(invariants, "genus_y", lambda p: genus_y(p) + 1)
+    with pytest.raises(InvariantViolation, match="Noether identity failed"):
+        surface_invariants(toy)
+
+
+def test_audit_chain_does_not_evaluate_the_invariants(toy, monkeypatch):
+    def refused(p):
+        raise AssertionError("audit_chain evaluated surface_invariants")
+
+    monkeypatch.setattr(invariants, "surface_invariants", refused)
+    assert audit_chain(toy).kf2_closed_form == -224
