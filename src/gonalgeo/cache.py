@@ -16,7 +16,10 @@ The functions here take or return a ``DegenerationCensus`` alone.  N,
 N_tilde, e and N_sing are written from its derived values; on reading,
 the stored counts must pass the census validators and each derived key
 must equal the value they give.  Either failure is an
-InvariantViolation that names the document.
+InvariantViolation that names the document.  ``tool_version`` names the
+version that wrote the document and must be a string, but is not
+compared: a document from another version is read like any other, since
+every count and derived key in it is validated again on reading.
 """
 
 import json

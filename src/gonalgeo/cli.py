@@ -25,10 +25,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, log10
-from pathlib import Path
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_file, census_payload, load_or_compute, read_census, resolve_cache_dir
@@ -39,7 +37,7 @@ from .errors import BudgetExceeded, CapacityError, InvariantViolation, Parameter
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
 # no longer called here (census goes through load_or_compute, the guard
-# prices the walk), but the benchmark's span tracer wraps these names until ROADMAP item 6
+# prices the walk), but the benchmark's span tracer still wraps these names
 from .cache import write_census
 from .characters import disconnected_count
 from .degeneration import full_census
@@ -71,29 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(status)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    cache_dir: Path
-    output: str
-    budget: int
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ParameterError(f"budget must be positive, got {self.budget}")
-
-
-def _config(args) -> RunConfig:
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ParameterError(f"workers must be positive, got {args.workers}")
-        print("warning: --workers is deprecated and ignored", file=sys.stderr)
-    return RunConfig(
-        cache_dir=resolve_cache_dir(args.cache_dir),
-        output=args.output,
-        budget=args.budget,
-    )
-
-
 def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     if b is None and g is None:
         raise ParameterError("give --b or --g")
@@ -108,13 +83,7 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     return k, b
 
 
-def _unusable_cache(cfg: RunConfig, exc: OSError) -> ParameterError:
-    return ParameterError(
-        f"cannot use {cfg.cache_dir} as the census cache: {exc.strerror or exc}"
-    )
-
-
-def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
+def _census(args, k: int, b: int) -> DegenerationCensus:
     """The census of (k, b), read from the cache or, within the budget,
     computed and cached.  A census whose N is too long to print is never
     cached, and is not looked up: its file name may be too long.  One
@@ -123,14 +92,16 @@ def _census(cfg: RunConfig, k: int, b: int) -> DegenerationCensus:
     once, and its path handed on."""
     try:
         too_long = _digit_refusal(k, b, "the tuple count N")
-        path = None if too_long else census_file(cfg.cache_dir, k, b)
+        path = None if too_long else census_file(args.cache_dir, k, b)
         if too_long or not path.exists():
-            _guard_budget(k, b, cfg.budget)
+            _guard_budget(k, b, args.budget)
             if too_long:
                 raise too_long
-        return load_or_compute(cfg.cache_dir, k, b, path)
+        return load_or_compute(args.cache_dir, k, b, path)
     except OSError as exc:  # a cache directory that cannot be searched or written
-        raise _unusable_cache(cfg, exc) from None
+        raise ParameterError(
+            f"cannot use {args.cache_dir} as the census cache: {exc.strerror or exc}"
+        ) from None
 
 
 def _guard_budget(k: int, b: int, budget: int, oracle: bool = False) -> None:
@@ -213,18 +184,16 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
 
 
 def cmd_census(args) -> int:
-    cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
-    _emit(census_payload(_census(cfg, k, b)), cfg.output, notes=CENSUS_NOTES)
+    _emit(census_payload(_census(args, k, b)), args.output, notes=CENSUS_NOTES)
     return 0
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = _config(args)
     k, b = _resolve_shape(args.k, args.b, args.g)
     if too_long := _digit_refusal(k, b, "the oracle count"):
         raise too_long
-    _guard_budget(k, b, cfg.budget, oracle=True)
+    _guard_budget(k, b, args.budget, oracle=True)
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -233,7 +202,7 @@ def cmd_oracle_check(args) -> int:
         "oracle_classes": str(oracle.class_count),
     }
     if not args.oracle_only:
-        _guard_budget(k, b, cfg.budget)
+        _guard_budget(k, b, args.budget)
         enum = class_count(k, b)
         payload["enumeration_raw"] = str(enum.raw_count)
         payload["enumeration_classes"] = str(enum.class_count)
@@ -243,18 +212,17 @@ def cmd_oracle_check(args) -> int:
                 f"enumeration {enum.raw_count} and oracle {oracle.raw_count} "
                 f"disagree for ({k}, {b})"
             )
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return 0
 
 
-def _family(args, cfg: RunConfig) -> FamilyParams:
+def _family(args) -> FamilyParams:
     k, b = _resolve_shape(args.k, args.b, args.g)
-    return FamilyParams(read_census(cfg.cache_dir, k, b), args.c, args.base_genus, args.special_base)
+    return FamilyParams(read_census(args.cache_dir, k, b), args.c, args.base_genus, args.special_base)
 
 
 def cmd_invariants(args) -> int:
-    cfg = _config(args)
-    params = _family(args, cfg)
+    params = _family(args)
     inv = surface_invariants(params)
     payload = {
         "k": params.census.k,
@@ -268,13 +236,12 @@ def cmd_invariants(args) -> int:
     }
     if args.audit:
         payload["audit"] = audit_chain(params).as_payload()
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return 0
 
 
 def cmd_audit(args) -> int:
-    cfg = _config(args)
-    params = _family(args, cfg)
+    params = _family(args)
     payload = {
         "k": params.census.k,
         "b": params.census.b,
@@ -282,7 +249,7 @@ def cmd_audit(args) -> int:
         "base_genus": params.base_genus,
         "audit": audit_chain(params).as_payload(),
     }
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -336,17 +303,15 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def cmd_delta(args) -> int:
-    cfg = _config(args)
     k, b = _resolve_shape(args.k, None, args.g)
     eps = _parse_fraction(args.epsilon)
-    cert = delta_search(_census(cfg, k, b), eps, window=args.window, d_max=args.d_max)
-    _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, cfg.output)
+    cert = delta_search(_census(args, k, b), eps, window=args.window, d_max=args.d_max)
+    _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, args.output)
     return 0
 
 
 def cmd_asymptotics(args) -> int:
-    cfg = _config(args)
-    _emit(positivity_threshold(args.case).as_payload(), cfg.output)
+    _emit(positivity_threshold(args.case).as_payload(), args.output)
     return 0
 
 
@@ -354,7 +319,7 @@ def cmd_asymptotics(args) -> int:
 _GROUPS = {
     "common": (
         (("--cache-dir",), {"default": None, "help": "census cache directory (default: $GG_CACHE_DIR or ./census-cache)"}),
-        # deprecated and ignored; still parsed because the benchmark sends it (ROADMAP item 6)
+        # deprecated and ignored; still parsed because the benchmark still sends it
         (("--workers",), {"type": int, "default": None, "help": argparse.SUPPRESS}),
         (("--output",), {"choices": ("json", "csv", "table"), "default": "table", "help": "report format"}),
         (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "budget per counting engine: block-state visits for a walk (S(k) states in each of b - 2 layers), term products for the character oracle"}),
@@ -432,7 +397,9 @@ def main(argv=None) -> int:
     return its exit code, help included, without raising.  A line that
     starts with a command name is parsed by that command's parser alone,
     one ``_Parser`` with no program parser around it; any other line by
-    the full parser, so its errors and help list every command."""
+    the full parser, so its errors and help list every command.  The
+    options every command shares are checked, and the cache directory
+    resolved, before the command runs."""
     argv = sys.argv[1:] if argv is None else argv
     led = bool(argv) and argv[0] in _COMMAND_ROWS
     parser = _command_parser(argv[0]) if led else build_parser()
@@ -440,6 +407,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv[1:] if led else argv)
         if not hasattr(args, "func"):
             parser.error("a command is required")
+        if args.workers is not None:
+            if args.workers < 1:
+                raise ParameterError(f"workers must be positive, got {args.workers}")
+            print("warning: --workers is deprecated and ignored", file=sys.stderr)
+        args.cache_dir = resolve_cache_dir(args.cache_dir)
+        if args.budget < 1:
+            raise ParameterError(f"budget must be positive, got {args.budget}")
         return args.func(args)
     except _Exit as exc:
         return exc.status

@@ -23,9 +23,12 @@ cuts the l-cycle through x and y into a d-cycle and an (l - d)-cycle,
 which l transpositions do (l / 2 when 2d = l), or joins an a-cycle and
 a b-cycle, which a * b transpositions do, merging their blocks when
 they differ: the cut-and-join recursion (Goulden and Jackson, Proc. AMS
-125, 1997).  The connected count is the weight of the identity on one
-block after all b entries (``block_layer``).  No step touches a k!-sized
-table, and there are at most as many states as partitions of partitions of k.
+125, 1997).  The walk stops after b - 2 entries, where the last two
+entries complete each state in the ways ``_completion`` names; the
+connected count is the sum of that completion tally
+(``completion_tally``), which the collision census splits by kind.  No
+step touches a k!-sized table, and there are at most as many states as
+partitions of partitions of k.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
@@ -308,23 +311,6 @@ def oracle_products(k: int, budget: int | None = None) -> int:
     return _priced(k, lambda _, products: products, budget)
 
 
-def block_layer(k: int, b: int, left: int = 0) -> dict:
-    """Unlabeled block states after the first b - left of b entries,
-    each mapped to the number of pruned prefixes that reach it.  The
-    walk starts from k singleton blocks and drops a successor that needs
-    more entries than remain: it cannot reach the identity on one block
-    by entry b."""
-    layer = {((1,),) * k: 1}
-    for rem in range(b - 1, left - 1, -1):
-        out: dict = {}
-        for state, mult in layer.items():
-            for nxt, n, need in _block_steps(state):
-                if need <= rem:
-                    out[nxt] = out.get(nxt, 0) + mult * n
-        layer = out
-    return layer
-
-
 def _completion(state: tuple):
     """How the last two entries complete a block state: ``(kind, n)``,
     with n the number of connected completing pairs per prefix, or None
@@ -354,16 +340,39 @@ def _completion(state: tuple):
     return None
 
 
+def completion_tally(k: int, b: int) -> dict:
+    """The census walk: unlabeled block states after the first b - 2 of b
+    entries, each weighted by the number of pruned prefixes that reach
+    it, and their two-entry completions tallied by ``_completion`` kind,
+    each kind mapped to its raw count of connected tuples.  The walk
+    starts from k singleton blocks and drops a successor that needs more
+    entries than remain: the last two entries could not complete it."""
+    layer = {((1,),) * k: 1}
+    for rem in range(b - 1, 1, -1):
+        out: dict = {}
+        for state, mult in layer.items():
+            for nxt, n, need in _block_steps(state):
+                if need <= rem:
+                    out[nxt] = out.get(nxt, 0) + mult * n
+        layer = out
+    tally: dict = {}
+    for state, mult in layer.items():
+        if done := _completion(state):
+            kind, n = done
+            tally[kind] = tally.get(kind, 0) + n * mult
+    return tally
+
+
 def count_tuples(k: int, b: int, workers: int = 1) -> int:
-    """Raw number of monodromy tuples for (k, b).
+    """Raw number of monodromy tuples for (k, b): the sum of the census
+    walk's completion tally, so the character oracle checks the walk
+    that every census field is read from.
 
     ``workers`` is ignored: the count runs in one process.  It stays only
-    because the benchmark's pool probe passes it (ROADMAP item 6).
+    because the benchmark's pool probe still passes it.
     """
     validate_cover_shape(k, b)
-    # a fresh walk every call: this is the enumeration that the
-    # character oracle checks
-    return block_layer(k, b).get(((1,) * k,), 0)
+    return sum(completion_tally(k, b).values())
 
 
 def class_count(k: int, b: int) -> TupleCensus:

@@ -9,7 +9,7 @@ orbit keeps a connected cover of lower genus, two orbits split the cover
 into a pair of components joined at a point.
 
 The census tallies these types over every class of tuples for one (k, b),
-from the same layered walk over unlabeled block states as the raw count,
+from the walk whose sum is the raw count (``covers.completion_tally``),
 at degree k alone: each state reached after b - 2 entries classifies all
 of its two-entry completions at once, by the running product's cycle
 type on its blocks, weighted by the number of prefixes that reach it.  A
@@ -40,9 +40,8 @@ from .covers import (
     TupleCensus,
     _class_divisor,
     _classes,
-    _completion,
     _leaders,
-    block_layer,
+    completion_tally,
     cover_genus,
     prefix_states,
     validate_cover_shape,
@@ -233,12 +232,7 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     census; the TupleCensus restates the census's raw_count and classes."""
     validate_cover_shape(k, b)
     g = cover_genus(k, b)
-    tally: dict = {}
-    for state, mult in block_layer(k, b, 2).items():
-        done = _completion(state)
-        if done:
-            kind, n = done
-            tally[kind] = tally.get(kind, 0) + n * mult
+    tally = completion_tally(k, b)
     splits: dict = {}
     for j in range(1, k // 2 + 1):
         # split cells from the class-algebra sums, a source apart from the walk

@@ -2,6 +2,7 @@ import time
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from gonalgeo.asymptotics import (
     threshold_polynomial,
 )
 from gonalgeo.asymptotics import _certificate, _first_positive, _peval
-from gonalgeo.degeneration import DegenerationCensus
+from gonalgeo.degeneration import DegenerationCensus, full_census
 from gonalgeo.errors import BudgetExceeded, InvariantViolation, ParameterError
 from gonalgeo.invariants import FamilyParams
 
@@ -439,3 +440,36 @@ def test_threshold_report_is_derived_once_and_its_payload_is_fresh():
         payload["derived_coefficients"][0]["numerator"] = "0"
         assert report.as_payload() != payload
         assert "changed by a caller" not in report.notes
+
+
+def _estimate_deviations(k: int, b: int) -> tuple[Fraction, ...]:
+    """How far the exact census of (k, b) lies from the limits of HMo's
+    estimates at fixed k: N3/N1 - 2(k - 2), N22/N1 - (k - 2)(k - 3)/2,
+    N/N1 - C(k, 2) (N the class count) and e/N1."""
+    cen = full_census(k, b)[1]
+    n1 = cen.type_one
+    return (
+        Fraction(cen.type_three, n1) - 2 * (k - 2),
+        Fraction(cen.type_two_two, n1) - Fraction((k - 2) * (k - 3), 2),
+        Fraction(cen.classes, n1) - comb(k, 2),
+        Fraction(cen.rational_splits, n1),
+    )
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_the_estimates_are_exact_limits_at_fixed_degree(k):
+    # the trivial and sign characters lead every connected count, so N3/N1
+    # tends to 3|C_3| / C(k, 2) = 2(k - 2) (3-cycles, not their k - 2
+    # supports per pair), N22/N1 to (k - 2)(k - 3)/2 and N/N1 to C(k, 2);
+    # the split cells carry lower exponents only.  The next exponent is
+    # C(k - 1, 2), so each step of 2 in b shrinks a deviation by about
+    # (1 - 2/k)^2
+    rows = [_estimate_deviations(k, b) for b in range(2 * k + 8, 2 * k + 49, 2)]
+    rate = (1 - Fraction(2, k)) ** 2
+    for field, column in enumerate(zip(*rows)):
+        assert all(dev >= 0 for dev in column), (k, field)
+        if k == 3 and field == 1:  # no (2, 2) class at degree 3
+            assert set(column) == {0}
+            continue
+        assert all(a > b for a, b in zip(column, column[1:])), (k, field)
+        assert abs(column[-1] / column[-2] / rate - 1) < Fraction(5, 100), (k, field)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import gonalgeo
 import gonalgeo.cache
 import gonalgeo.cli
+import gonalgeo.covers
 from gonalgeo.cache import (
     DEFAULT_CACHE_DIR,
     ENV_CACHE_DIR,
@@ -224,6 +225,26 @@ def test_cli_oracle_check(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["oracle_raw"] == "4959360"
     assert "enumeration_raw" not in doc
+
+
+def test_oracle_check_reads_the_census_walk(tmp_path, capsys, monkeypatch):
+    # a completion rule that counts 3 disjoint completions instead of 2
+    # skews the census, and the oracle must see it: the enumeration it
+    # checks is the sum of the same completion tally
+    completion = gonalgeo.covers._completion
+
+    def skewed(state):
+        done = completion(state)
+        return ("disjoint", 3) if done and done[0] == "disjoint" else done
+
+    monkeypatch.setattr(gonalgeo.covers, "_completion", skewed)
+    code, out, err = run_cli(capsys, "oracle-check", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "disagree" in err
+    # the census reads the same skewed tally; the oracle's N is 131040
+    code, out, _err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path), "--output", "json")
+    assert code == 0
+    assert json.loads(out)["N"] == "142560"
 
 
 def test_cli_budget_guard(tmp_path, capsys):
@@ -632,6 +653,27 @@ def test_cli_invariants_and_audit(tmp_path, capsys):
     assert audit["reference_discrepancy"]["numerator"] == "-256"
 
 
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_a_document_from_another_tool_version_reads_like_any_other(tmp_path, capsys, output):
+    # tool_version is not compared on reading: every count and derived key
+    # is validated again, so the version that wrote a document changes nothing
+    d = str(tmp_path)
+    argvs = (
+        ("invariants", "--k", "4", "--b", "8", "--c", "32", "--base-genus", "2", "--audit"),
+        ("census", "--k", "4", "--b", "8"),
+    )
+    assert run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", d)[0] == 0
+    before = [run_cli(capsys, *argv, "--cache-dir", d, "--output", output) for argv in argvs]
+    path = census_path(d, 4, 8)
+    doc = json.loads(path.read_text())
+    doc["tool_version"] = "0.0.0"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    after = [run_cli(capsys, *argv, "--cache-dir", d, "--output", output) for argv in argvs]
+    assert after == before
+    assert [code for code, _out, _err in after] == [0, 0]
+    assert json.loads(path.read_text())["tool_version"] == "0.0.0"
+
+
 def test_cli_invariants_requires_a_cached_census(tmp_path, capsys):
     code, _out, err = run_cli(
         capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
@@ -841,6 +883,29 @@ def test_cli_import_leaves_multiprocessing_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_concurrent_census_writers_leave_one_whole_document(tmp_path):
+    # two processes compute (10, 52) at once into one empty directory, each
+    # for about 0.4 s: both write, and the rename leaves one whole document
+    src = Path(gonalgeo.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def census(cache_dir):
+        argv = [sys.executable, "-m", "gonalgeo", "census", "--k", "10", "--b", "52", "--cache-dir", str(cache_dir)]
+        return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+    lone = census(tmp_path / "lone")
+    assert lone.communicate(timeout=60)[1] == "" and lone.returncode == 0
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    writers = [census(shared), census(shared)]
+    for writer in writers:
+        assert writer.communicate(timeout=60)[1] == ""
+        assert writer.returncode == 0
+    assert sorted(p.name for p in shared.iterdir()) == ["census_k10_b52.json"]
+    assert census_path(shared, 10, 52).read_bytes() == census_path(tmp_path / "lone", 10, 52).read_bytes()
 
 
 def test_cli_delta(tmp_path, capsys):

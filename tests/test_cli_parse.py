@@ -1,7 +1,11 @@
 import argparse
 import contextlib
 import io
+import os
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +135,74 @@ def test_one_command_parser_parses_as_the_full_parser(drawn):
     if expected is not None:
         assert full == ("parsed", expected)
         assert vars(build_parser().parse_args(argv))["command"] == argv[0]
+
+
+# the values a drawn line gives an option or a positional: small, zero,
+# negative and large ints, an int past the digit limit, words, and
+# rationals whose parts are zero or past the digit limit; "@" stands for
+# the temporary cache directory
+INTS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["10" * 6, "1" * 4301]))
+WORDS = st.sampled_from(["x", "json", "odd", "1/0", "1e-5000", "1/10", "@", "@/sub"])
+EPSILONS = st.sampled_from(["1/10", "1/2", "3", "0", "1/0", "1e-5000"])
+
+
+def _drawn_value(option: str, noisy: bool):
+    """Strategy for the value after an option: of its kind, or on a noisy
+    line any int or word."""
+    kind = ALL_OPTIONS.get(option, "int")
+    if kind == "text":
+        return st.sampled_from(["@", "@/sub"])
+    if noisy:
+        return st.one_of(INTS, WORDS)
+    if kind == "int":
+        # degrees from 2, genera from 0 and even branch counts, mostly
+        low, step = {"--k": (2, 1), "k": (2, 1), "--b": (1, 2), "--g": (0, 1), "g": (0, 1)}.get(option, (1, 1))
+        return st.one_of(st.integers(low, 8).map(lambda n: str(n * step)), st.just("10" * 6))
+    return st.sampled_from(kind)
+
+
+@st.composite
+def run_argv(draw):
+    """A command line for ``main``: a command name, its required options
+    and --b or --g where it has them, and drawn options of its own, each
+    with a value of its kind; a noisy line also takes any value, an
+    option of any command and a stray word.  Last comes a --budget of at
+    most 10^4."""
+    noisy = draw(st.sampled_from((False, False, False, True)))
+    command = draw(st.sampled_from(COMMANDS))
+    own = sorted(OPTIONS[command])
+    chosen = list(REQUIRED[command]) + draw(st.lists(st.sampled_from(own), unique=True, max_size=4))
+    if "--b" in own:
+        chosen.append(draw(st.sampled_from(("--b", "--g"))))
+    if noisy:
+        chosen.append(draw(st.sampled_from(sorted(ALL_OPTIONS))))
+    argv = [command]
+    if command == "delta":
+        genus, degree = draw(_drawn_value("g", noisy)), draw(_drawn_value("k", noisy))
+        argv += [genus, degree, draw(st.one_of(EPSILONS, INTS, WORDS) if noisy else EPSILONS)]
+    for option in draw(st.permutations(chosen)):
+        argv.append(option)
+        if ALL_OPTIONS[option] != "flag":
+            argv.append(draw(_drawn_value(option, noisy)))
+    if noisy:
+        argv.append(draw(st.one_of(INTS, WORDS)))
+    budget = st.integers(-1, 10**4) if noisy else st.sampled_from((10**4, 1000, 1))
+    return argv + ["--budget", str(draw(budget))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=run_argv())
+def test_drawn_command_lines_end_in_a_contract_code(argv):
+    # any line, run through main, returns 0, 2, 3 or 4 without raising,
+    # prints no traceback and leaves no temporary file in the cache
+    with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ, {"GG_CACHE_DIR": d}):
+        line = [token.replace("@", d) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(line)
+        assert code in (0, 2, 3, 4), (line, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert [p for p in Path(d).rglob("*") if p.name.endswith(".tmp")] == []
 
 
 def run_cli(capsys, *argv):
