@@ -4,7 +4,9 @@ The schema is frozen for interchange.  Keys, in order: k, b, N, N_tilde,
 N1, N22, N3, M_table, e, N_sing, tool_version.  Every count is a decimal
 string so arbitrary precision survives any JSON reader; k and b are
 plain integers; M_table is a list of {j, i, count} rows sorted by
-(j, i).  Writing is deterministic, so rewriting an unchanged census is
+(j, i).  A document is the bytes of ``json.dumps(payload, indent=2)``
+and a newline, encoded by ``json_text``, which the CLI's json reports
+share.  Writing is deterministic, so rewriting an unchanged census is
 byte-identical, and atomic: a reader sees the old document or the new
 one, never part of one.  Reading rejects a document that is not JSON
 in UTF-8 or nests too deeply to parse, whose keys or value types stray
@@ -43,6 +45,8 @@ _SCHEMA_KEYS = (
 _COUNT_KEYS = ("N", "N_tilde", "N1", "N22", "N3", "e", "N_sing")
 _CELL_KEYS = {"j", "i", "count"}
 _DECIMAL = re.compile(r"-?[0-9]+")
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _is_int(value) -> bool:
@@ -130,6 +134,33 @@ def census_file(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
     return path
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, with strings
+    through the C encoder that an indent otherwise turns off.  ``indent``
+    is the line break and indentation before a closing bracket.  Keys
+    must be strings.  Ints print by ``int.__repr__``, so one past the
+    interpreter's digit limit is a ValueError, as it is for
+    ``json.dumps``; floats and any other scalar are left to
+    ``json.dumps``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([json_text(item, inner) for item in value]) + indent + "]"
+    return json.dumps(value)
+
+
 def census_payload(census: DegenerationCensus) -> dict:
     """The frozen JSON document for one (k, b), or CapacityError when N,
     the largest count, has more digits than the interpreter prints."""
@@ -151,11 +182,14 @@ def census_payload(census: DegenerationCensus) -> dict:
     }
 
 
-def write_census(cache_dir: os.PathLike | str, census: DegenerationCensus) -> Path:
+def write_census(
+    cache_dir: os.PathLike | str, census: DegenerationCensus, text: str | None = None
+) -> Path:
     """Write the document to a temporary file beside its path, then
     rename it into place, so a killed or concurrent writer never leaves
-    a truncated document behind."""
-    text = json.dumps(census_payload(census), indent=2) + "\n"
+    a truncated document behind.  ``text``, when given, is the document
+    already encoded: ``json_text(census_payload(census)) + "\\n"``."""
+    text = text or json_text(census_payload(census)) + "\n"
     path = census_path(cache_dir, census.k, census.b)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(_temporary(path.name))

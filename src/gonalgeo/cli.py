@@ -5,13 +5,15 @@ thresholds (``asymptotics --case``), and the band search (``delta``).
 
 ``census`` and ``delta`` reach the cache by one route (``_census``): the
 budget, in block-state visits (``covers.block_states``), is checked only
-for a census that is not cached yet.  ``oracle-check`` prices its oracle
-against the budget in term products (``covers.oracle_products``), and its
-enumeration as a census.  A line led by a command name is parsed by that
-command's parser alone (``_command_parser``), any other line by the full
-parser (``build_parser``); both add a command's options from one table.
-Options must be spelled out in full; an abbreviation is an unknown
-option.  ``--workers`` is deprecated: it is still parsed, a positive
+for a census that is not cached yet, and a census computed there is
+encoded once, for its cache document and a json report alike.
+``oracle-check`` prices its oracle against the budget in term products
+(``covers.oracle_products``), and its enumeration as a census.  A line
+led by a command name is parsed by that command's parser alone
+(``_command_parser``), any other line by the full parser
+(``build_parser``); both add a command's options from one table, and
+each reads the terminal width once.  Options must be spelled out in
+full; an abbreviation is an unknown option.  ``--workers`` is deprecated: it is still parsed, a positive
 value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
@@ -23,24 +25,24 @@ given configuration and cache state; payloads carry no timestamps.
 
 import argparse
 import csv
-import json
+import shutil
 import sys
 from fractions import Fraction
 from math import comb, isqrt, log10
 
 from .asymptotics import delta_search, positivity_threshold
-from .cache import census_file, census_payload, load_or_compute, read_census, resolve_cache_dir
+from .cache import census_file, census_payload, json_text, read_census, resolve_cache_dir, write_census
 from .covers import block_states, class_count, class_count_via_oracle, cover_genus, oracle_products, validate_cover_shape
-from .degeneration import DegenerationCensus
+from .degeneration import DegenerationCensus, full_census
 from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
-# no longer called here (census goes through load_or_compute, the guard
-# prices the walk), but the benchmark's span tracer still wraps these names
-from .cache import write_census
+# not called here (``_census`` computes and writes a census itself, so
+# that one encoding serves the cache and the report; the guard prices the
+# walk), but the benchmark's span tracer still wraps these names
+from .cache import load_or_compute
 from .characters import disconnected_count
-from .degeneration import full_census
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -62,8 +64,17 @@ class _Parser(argparse.ArgumentParser):
     and help unwinds to ``main`` instead of exiting, so the exit-code
     contract stays ours."""
 
+    _width = None
+
     def error(self, message):
         raise ParameterError(message)
+
+    def _get_formatter(self):
+        # argparse builds a formatter for every add_argument's metavar
+        # check, and each would read the terminal width: read it once
+        if self._width is None:
+            self._width = shutil.get_terminal_size().columns - 2
+        return self.formatter_class(prog=self.prog, width=self._width)
 
     def exit(self, status=0, message=None):  # only help calls it, with no message
         raise _Exit(status)
@@ -83,21 +94,27 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     return k, b
 
 
-def _census(args, k: int, b: int) -> DegenerationCensus:
+def _census(args, k: int, b: int) -> tuple[DegenerationCensus, dict | None, str | None]:
     """The census of (k, b), read from the cache or, within the budget,
-    computed and cached.  A census whose N is too long to print is never
-    cached, and is not looked up: its file name may be too long.  One
-    whose file name is too long anyway (``census_file``) is refused
-    before the cache is searched or the walk priced; the name is checked
-    once, and its path handed on."""
+    computed and cached, with the payload and document text it was
+    written as, both None for a census read.  A census whose N is too
+    long to print is never cached, and is not looked up: its file name
+    may be too long.  One whose file name is too long anyway
+    (``census_file``) is refused before the cache is searched or the walk
+    priced; the name is checked once, and its path handed on."""
     try:
         too_long = _digit_refusal(k, b, "the tuple count N")
         path = None if too_long else census_file(args.cache_dir, k, b)
-        if too_long or not path.exists():
-            _guard_budget(k, b, args.budget)
-            if too_long:
-                raise too_long
-        return load_or_compute(args.cache_dir, k, b, path)
+        if not too_long and path.exists():
+            return read_census(args.cache_dir, k, b, path), None, None
+        _guard_budget(k, b, args.budget)
+        if too_long:
+            raise too_long
+        census = full_census(k, b)[1]
+        payload = census_payload(census)
+        text = json_text(payload) + "\n"
+        write_census(args.cache_dir, census, text)
+        return census, payload, text
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise ParameterError(
             f"cannot use {args.cache_dir} as the census cache: {exc.strerror or exc}"
@@ -164,9 +181,10 @@ def _walk(value, path: str, out: list) -> None:
         out.append(("scalar", path, "" if value is None else str(value)))
 
 
-def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
+def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = (), text: str | None = None) -> None:
+    """Print a report; ``text``, when given, is its json already encoded."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(text or json_text(payload) + "\n")
         return
     rows: list = []
     _walk(payload, "", rows)
@@ -185,7 +203,8 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = ()) -> None:
 
 def cmd_census(args) -> int:
     k, b = _resolve_shape(args.k, args.b, args.g)
-    _emit(census_payload(_census(args, k, b)), args.output, notes=CENSUS_NOTES)
+    census, payload, text = _census(args, k, b)
+    _emit(payload or census_payload(census), args.output, CENSUS_NOTES, text)
     return 0
 
 
@@ -305,7 +324,7 @@ def _parse_fraction(text: str) -> Fraction:
 def cmd_delta(args) -> int:
     k, b = _resolve_shape(args.k, None, args.g)
     eps = _parse_fraction(args.epsilon)
-    cert = delta_search(_census(args, k, b), eps, window=args.window, d_max=args.d_max)
+    cert = delta_search(_census(args, k, b)[0], eps, window=args.window, d_max=args.d_max)
     _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, args.output)
     return 0
 

@@ -277,18 +277,34 @@ def _block_steps(state: tuple) -> tuple:
     )
 
 
+# p(n), S(n), sigma(n), c(n) and the content and peeled term products up
+# to degree n, at index n; kept for the life of the process and grown by
+# _priced only to the largest degree it prices
+_PRICE_TABLES = ([1], [1], [0], [0], [0])
+
+
+def _grow_prices(tables) -> None:
+    """Append degree n = len(p) to the price tables."""
+    p, s, sigma, c, products = tables
+    n = len(p)
+    # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
+    sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
+    p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
+    c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
+    s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
+    products.append(products[-1] + p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n)))
+
+
 def _priced(k: int, price, budget: int | None) -> int:
     """``price(S(n), oracle_products(n))`` at n = k, or at the first
-    n <= k where it passes the ``budget``; both grow with n."""
-    # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
-    p, s, sigma, c, products = [1], [1], [0], [0], 0
+    n <= k where it passes the ``budget``; both grow with n.  The tables
+    grow to that n at most, so a refused degree stops them there."""
+    tables = _PRICE_TABLES
+    s, products = tables[1], tables[4]
     for n in range(1, k + 1):
-        sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
-        p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
-        c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
-        s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-        products += p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n))
-        value = price(s[n], products + n * n - n + 1)
+        if n == len(s):
+            _grow_prices(tables)
+        value = price(s[n], products[n] + n * n - n + 1)
         if budget is not None and value > budget:
             break
     return value

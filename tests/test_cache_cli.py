@@ -29,6 +29,7 @@ from gonalgeo.cache import (
     census_file,
     census_path,
     census_payload,
+    json_text,
     load_or_compute,
     read_census,
     resolve_cache_dir,
@@ -61,6 +62,47 @@ def test_payload_schema(census_store):
     assert payload["N1"] == "1" and payload["N22"] == "0" and payload["N3"] == "3"
     assert payload["M_table"] == [{"j": 1, "i": 0, "count": "1"}]
     assert payload["e"] == "1" and payload["N_sing"] == "0"
+
+
+# JSON values whose strings carry quotes, backslashes, control and
+# non-ASCII characters, with negative and long ints and finite floats
+_JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800'), st.characters()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=False, allow_infinity=False) | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_an_int_past_the_digit_limit():
+    limit = int_digit_limit()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length")
+    doc = {"counts": [1, 10**limit]}
+    with pytest.raises(ValueError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(ValueError):
+        json_text(doc)
+    assert json_text({"counts": [1, 10**limit - 1]}) == json.dumps({"counts": [1, 10**limit - 1]}, indent=2)
+
+
+def test_a_cold_census_prints_the_document_it_writes(tmp_path, capsys):
+    # one payload and one encoding serve the cache file and the report
+    assert main(["census", "--k", "4", "--b", "10", "--output", "json", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == census_path(tmp_path, 4, 10).read_text()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    # a warm census prints the same, from the document it reads
+    assert main(["census", "--k", "4", "--b", "10", "--output", "json", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_round_trip(tmp_path, census_store):

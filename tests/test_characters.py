@@ -154,8 +154,24 @@ def test_connected_never_exceeds_disconnected():
 
 def test_genus_zero_counts_are_hurwitz_up_to_the_oracle_bound():
     # b = 2k - 2 branch points give a genus-0 cover: (2k - 2)! k^(k - 3)
-    for k in range(2, 13):
+    for k in range(2, 26):
         assert connected_count(k, 2 * k - 2) * k**3 == factorial(2 * k - 2) * k**k, k
+
+
+def genus_one_times_24(k: int) -> int:
+    """24 Conn(k, 2k), the genus-1 simple Hurwitz count (Goulden and
+    Jackson; Vakil): (2k)! (k^k - k^(k-1) - sum over 2 <= i <= k of
+    (i - 2)! C(k, i) k^(k-i))."""
+    tail = sum(factorial(i - 2) * comb(k, i) * k ** (k - i) for i in range(2, k + 1))
+    return factorial(2 * k) * (k**k - k ** (k - 1) - tail)
+
+
+def test_genus_one_counts_match_the_closed_form():
+    # a third source beside the oracle and the walk, at every degree either reaches
+    for k in range(2, 26):
+        assert 24 * connected_count(k, 2 * k) == genus_one_times_24(k), k
+    for k in range(2, 12):
+        assert 24 * count_tuples(k, 2 * k) == genus_one_times_24(k), k
 
 
 @pytest.mark.parametrize("bad", [((4,), (4,)), ((2, 2), (3, 1)), ((1, 1, 1, 1), (2, 1, 1))])

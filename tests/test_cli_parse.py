@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gonalgeo
 from gonalgeo import cli
 from gonalgeo.cli import build_parser, main
 from gonalgeo.errors import ParameterError
@@ -292,3 +295,40 @@ def test_command_help_is_the_same_from_either_parser(command):
     assert alone[:2] == ("help", 0)
     assert alone[2].startswith(f"usage: gonalgeo {command} [-h]")
     assert alone == _outcome(build_parser(), [command, "--help"])
+
+
+def test_a_parser_reads_the_terminal_width_once(monkeypatch, capsys):
+    # argparse builds a formatter for every add_argument; without the
+    # parser's own width each of them asks the terminal again
+    reads = []
+    size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    assert main(["census", "--help"]) == 0
+    assert len(reads) == 1
+    reads.clear()
+    build_parser()
+    assert len(reads) == 1 + len(COMMANDS)
+
+
+def test_help_takes_the_width_each_parser_reads(monkeypatch, capsys):
+    # the width is read per parser, not kept for the process: one process
+    # prints each width's help as a fresh interpreter does
+    src = Path(gonalgeo.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    texts = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["census", "--help"]) == 0
+        texts.append(capsys.readouterr().out)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gonalgeo", "census", "--help"],
+            env=env | {"COLUMNS": columns}, capture_output=True, text=True, check=True,
+        )
+        assert fresh.stdout == texts[-1], columns
+    assert texts[0] != texts[1]

@@ -1,3 +1,4 @@
+import random
 import time
 from math import comb
 
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from gonalgeo import covers
 from gonalgeo.covers import (
     MonodromyTuple,
     _block_steps,
@@ -17,6 +19,7 @@ from gonalgeo.covers import (
     count_tuples,
     cover_genus,
     iter_tuples,
+    oracle_products,
 )
 from gonalgeo.characters import connected_count, disconnected_count, partitions_of
 from gonalgeo.errors import InvariantViolation, ParameterError
@@ -304,3 +307,72 @@ def test_block_states_stops_at_the_first_degree_past_the_budget():
     start = time.perf_counter()
     assert block_states(10**6, 2 * 10**6 - 4, budget=10**90) > 10**90
     assert time.perf_counter() - start < 1
+
+
+def priced_from_scratch(k: int, price, budget: int | None) -> int:
+    """The price recurrence rebuilt from n = 1 on every call: the oracle
+    for the kept tables of ``covers._priced``."""
+    # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
+    p, s, sigma, c, products = [1], [1], [0], [0], 0
+    for n in range(1, k + 1):
+        sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
+        p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
+        c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
+        s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
+        products += p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n))
+        value = price(s[n], products + n * n - n + 1)
+        if budget is not None and value > budget:
+            break
+    return value
+
+
+PRICE_DEGREES = 120
+LAYERS = 7
+
+
+def scratch_prices() -> list[tuple[int, int]]:
+    """(S(n), oracle_products(n)) at index n <= PRICE_DEGREES, each from
+    the recurrence's own price call at n."""
+    seen = [(1, 1)]
+    priced_from_scratch(PRICE_DEGREES, lambda states, products: seen.append((states, products)), None)
+    return seen
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_kept_price_tables_equal_the_recurrence_from_scratch(monkeypatch, order):
+    want = scratch_prices()
+    degrees = list(range(1, PRICE_DEGREES + 1))
+    if order == "descending":
+        degrees.reverse()
+    elif order == "shuffled":
+        random.Random(20).shuffle(degrees)
+    monkeypatch.setattr(covers, "_PRICE_TABLES", ([1], [1], [0], [0], [0]))
+    for k in degrees:
+        assert block_states(k, LAYERS) == LAYERS * want[k][0], k
+        assert oracle_products(k) == want[k][1], k
+    # a budget just under the price at n stops every degree from n up at n
+    for n in degrees:
+        states, products = want[n]
+        for k in (n, PRICE_DEGREES):
+            assert block_states(k, LAYERS, LAYERS * states - 1) == LAYERS * states, (n, k)
+            assert oracle_products(k, products - 1) == products, (n, k)
+        if n > 1:
+            assert block_states(n - 1, LAYERS, LAYERS * states - 1) == LAYERS * want[n - 1][0], n
+            assert oracle_products(n - 1, products - 1) == want[n - 1][1], n
+    # the kept tables answer as the recurrence does, budget and all
+    for n in (1, 2, 17, 60, PRICE_DEGREES):
+        budget = LAYERS * want[n][0] - 1
+        assert block_states(PRICE_DEGREES, LAYERS, budget) == priced_from_scratch(
+            PRICE_DEGREES, lambda states, _: LAYERS * states, budget
+        )
+
+
+def test_a_refused_degree_grows_the_price_tables_no_further(monkeypatch):
+    want = scratch_prices()
+    for n in range(1, PRICE_DEGREES + 1):
+        tables = ([1], [1], [0], [0], [0])
+        monkeypatch.setattr(covers, "_PRICE_TABLES", tables)
+        assert block_states(10**6, LAYERS, LAYERS * want[n][0] - 1) == LAYERS * want[n][0]
+        assert all(len(table) == n + 1 for table in tables), n
+        assert oracle_products(10**6, want[n][1] - 1) == want[n][1]
+        assert all(len(table) == n + 1 for table in tables), n

@@ -396,6 +396,18 @@ def test_census_past_the_table_bound():
     assert cen.classes == counts.class_count
 
 
+def test_genus_zero_collisions_are_minimal_factorization_counts():
+    # b = 2k - 2: the pairs ahead of a 3-cycle or a double transposition
+    # are minimal transitive factorizations, r! k^(n - 3) prod mu^mu / (mu - 1)!
+    # with r = 2k - 4 and n = k - 2 cycles; the census counts each 3-cycle
+    # completion 3 times, each double transposition twice
+    for k in range(3, 12):
+        cen = full_census(k, 2 * k - 2)[1]
+        scale = factorial(2 * k - 4) * k**k
+        assert cen.type_three * factorial(k) * k**5 == 81 * comb(k, 3) * scale, k
+        assert cen.type_two_two * factorial(k) * k**5 == 96 * comb(k, 4) * scale, k
+
+
 def _conn(j, beta):
     return connected_count(j, beta) if j > 1 else int(beta == 0)
 
