@@ -3,12 +3,15 @@
 A cover datum for a connected k-sheeted cover of the line with b simple
 branch points is a length-b tuple of transpositions in S_k whose
 left-to-right product is the identity and whose entries act transitively
-on the k symbols.  Tuples are built left to right; the last entry is
-forced to be the inverse of the running product and is accepted only when
-that inverse is itself a transposition.  A branch is abandoned as soon as
-the running product needs more transpositions than the slots that remain,
-or the symbol graph has more spare components than remaining entries can
-join up.
+on the k symbols.  Tuples are built left to right.  Each entry moves
+the need (k - c) + 2(B - 1) by exactly one, with c the cycles of the
+running product and B the blocks the entries cut the symbols into: a
+cut or a join across blocks lowers it, a join inside a block raises it.
+It is 0 only at a connected identity and any other state can lower it,
+so a prefix can be completed exactly while its need fits the entries
+left.  The census walk, tuple iteration and ``prefix_states`` keep a
+prefix by that rule alone; one entry before the end the running product
+is a transposition inside one block, and the last entry is its inverse.
 
 Iteration and class representatives are one depth-first walk of this
 pruned tree, one tuple at a time, through the dense S_k tables; class
@@ -167,8 +170,6 @@ def _walk(tab: GroupTables, b: int, relabelings: list[int]):
         rem = b - len(stack)
         if rem == 1:
             t = trans_of[p]
-            if t < 0 or nbl[merge[c][t]] != 1:
-                return
             for g in live:
                 if conj[g][t] < t:
                     return
@@ -177,11 +178,8 @@ def _walk(tab: GroupTables, b: int, relabelings: list[int]):
         nxt = rem - 1
         mrow, crow = mul[p], merge[c]
         for t in range(len(trans)):
-            p2 = mrow[t]
-            if minf[p2] > nxt:
-                continue
-            c2 = crow[t]
-            if nbl[c2] - 1 > nxt:
+            p2, c2 = mrow[t], crow[t]
+            if minf[p2] + 2 * nbl[c2] - 2 > nxt:
                 continue
             nlive = []
             for g in live:
@@ -211,7 +209,9 @@ def prefix_states(tab: GroupTables, b: int) -> dict:
     Maps each state ``(p, c)`` to the number of pruned prefixes that
     reach it: ``p`` indexes the running product, ``c`` the partition the
     entries cut the symbols into.  Everything below a state depends on
-    the state alone, so merging prefixes layer by layer is exact.
+    the state alone, so merging prefixes layer by layer is exact.  A
+    prefix is kept while its need fits the entries left, so every state
+    it returns has a completing pair.
     """
     mul, merge = tab.mul_trans, tab.merge_trans
     minf, nbl = tab.min_factors, tab.nblocks
@@ -223,11 +223,8 @@ def prefix_states(tab: GroupTables, b: int) -> dict:
         for (p, c), mult in layer.items():
             mrow, crow = mul[p], merge[c]
             for t in range(nt):
-                p2 = mrow[t]
-                if minf[p2] > nxt:
-                    continue
-                c2 = crow[t]
-                if nbl[c2] - 1 > nxt:
+                p2, c2 = mrow[t], crow[t]
+                if minf[p2] + 2 * nbl[c2] - 2 > nxt:
                     continue
                 key = (p2, c2)
                 out[key] = out.get(key, 0) + mult
@@ -243,10 +240,9 @@ def _block(cycles) -> tuple:
 def _block_steps(state: tuple) -> tuple:
     """One-entry successors of a block state: ``(successor, number of
     transpositions leading there, entries it still needs)`` per distinct
-    successor.  The need is the larger of (k - #cycles), the fewest
-    transpositions with the running product, and (#blocks - 1), the
-    fewest joins left.  Memoised for the life of the process: one entry
-    per state reached, at most ``block_states(k)``."""
+    successor, the need being (k - #cycles) + 2 (#blocks - 1).  Memoised
+    for the life of the process: one entry per state reached, at most
+    ``block_states(k)``."""
     steps: dict = {}
 
     def add(blocks: list, n: int) -> None:
@@ -272,7 +268,7 @@ def _block_steps(state: tuple) -> tuple:
                     add(rest2 + [_block(joined)], l * l2)
     k = sum(map(sum, state))
     return tuple(
-        (nxt, n, max(k - sum(map(len, nxt)), len(nxt) - 1))
+        (nxt, n, k - sum(map(len, nxt)) + 2 * len(nxt) - 2)
         for nxt, n in steps.items()
     )
 
@@ -328,17 +324,18 @@ def oracle_products(k: int, budget: int | None = None) -> int:
 
 
 def _completion(state: tuple):
-    """How the last two entries complete a block state: ``(kind, n)``,
-    with n the number of connected completing pairs per prefix, or None
-    when there are none.
+    """How the last two entries complete a block state the walk kept two
+    entries from the end: ``(kind, n)``, with n the number of connected
+    completing pairs per prefix.
 
-    The kind is "central" (identity product, connected), "overlap" (a
-    3-cycle), "disjoint" (a double transposition), or the smaller block
-    size j for an identity product on two blocks, which only its pair
-    (x y)(x y) can join: the pair multiplies to the inverse of the
-    running product, so the entries of any other pair lie inside one
-    block each.  No entry counts are kept; a split's cells come from
-    connected counts of its two sides.
+    A kept state needs at most two entries, so it is one of four kinds:
+    "central" (identity product, connected), "overlap" (a 3-cycle),
+    "disjoint" (a double transposition), or the smaller block size j for
+    an identity product on two blocks, which only its pair (x y)(x y)
+    can join: the pair multiplies to the inverse of the running product,
+    so the entries of any other pair lie inside one block each.  Any
+    other state is an InvariantViolation.  No entry counts are kept; a
+    split's cells come from connected counts of its two sides.
     """
     if len(state) == 1:
         ct = state[0]
@@ -349,11 +346,10 @@ def _completion(state: tuple):
             return "overlap", 3
         if moved == (2, 2):
             return "disjoint", 2
-        return None
-    if len(state) == 2 and all(l == 1 for ct in state for l in ct):
+    elif len(state) == 2 and all(l == 1 for ct in state for l in ct):
         s1, s2 = map(len, state)
         return min(s1, s2), s1 * s2
-    return None
+    raise InvariantViolation(f"the walk kept {state} two entries from the end: no pair completes it")
 
 
 def completion_tally(k: int, b: int) -> dict:
@@ -361,8 +357,8 @@ def completion_tally(k: int, b: int) -> dict:
     entries, each weighted by the number of pruned prefixes that reach
     it, and their two-entry completions tallied by ``_completion`` kind,
     each kind mapped to its raw count of connected tuples.  The walk
-    starts from k singleton blocks and drops a successor that needs more
-    entries than remain: the last two entries could not complete it."""
+    starts from k singleton blocks and keeps a successor while its need
+    fits the entries left."""
     layer = {((1,),) * k: 1}
     for rem in range(b - 1, 1, -1):
         out: dict = {}
@@ -373,9 +369,8 @@ def completion_tally(k: int, b: int) -> dict:
         layer = out
     tally: dict = {}
     for state, mult in layer.items():
-        if done := _completion(state):
-            kind, n = done
-            tally[kind] = tally.get(kind, 0) + n * mult
+        kind, n = _completion(state)
+        tally[kind] = tally.get(kind, 0) + n * mult
     return tally
 
 

@@ -277,7 +277,7 @@ def test_oracle_check_reads_the_census_walk(tmp_path, capsys, monkeypatch):
 
     def skewed(state):
         done = completion(state)
-        return ("disjoint", 3) if done and done[0] == "disjoint" else done
+        return ("disjoint", 3) if done[0] == "disjoint" else done
 
     monkeypatch.setattr(gonalgeo.covers, "_completion", skewed)
     code, out, err = run_cli(capsys, "oracle-check", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path))
@@ -287,6 +287,20 @@ def test_oracle_check_reads_the_census_walk(tmp_path, capsys, monkeypatch):
     code, out, _err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path), "--output", "json")
     assert code == 0
     assert json.loads(out)["N"] == "142560"
+
+
+def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    # with every need reported as 0 the walk keeps states the last two
+    # entries cannot complete; the first it meets is a 3-cycle on one of
+    # two blocks
+    steps = gonalgeo.covers._block_steps
+    monkeypatch.setattr(
+        gonalgeo.covers, "_block_steps", lambda state: tuple((s, n, 0) for s, n, _ in steps(state))
+    )
+    code, out, err = run_cli(capsys, "census", "--k", "5", "--b", "10", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "invariant violation: the walk kept ((1, 1), (3,)) two entries from the end: no pair completes it\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_budget_guard(tmp_path, capsys):

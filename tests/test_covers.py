@@ -253,7 +253,7 @@ def test_block_steps_equal_the_labeled_successors():
             successors = {}
             for t in range(len(tab.transpositions)):
                 nxt = labeled_step(tab, state, t)
-                need = max(tab.min_factors[nxt[0]], tab.nblocks[nxt[1]] - 1)
+                need = tab.min_factors[nxt[0]] + 2 * tab.nblocks[nxt[1]] - 2
                 key = block_key(tab, nxt)
                 n, need0 = successors.get(key, (0, need))
                 assert need0 == need, (state, key)
@@ -292,9 +292,38 @@ def test_step_memo_is_bounded_by_the_block_shapes():
     bound = block_states(12)
     _block_steps.cache_clear()
     assert count_tuples(12, 22) == connected_count(12, 22)
+    assert _block_steps.cache_info().currsize <= bound
+    # at genus 0 the need equals the entries left, so no state recurs
+    # across layers; one genus up, states recur and the memo is hit
+    assert count_tuples(12, 24) == connected_count(12, 24)
     info = _block_steps.cache_info()
     assert info.currsize <= bound
     assert info.hits > 0
+
+
+def kept_states(monkeypatch, k, b):
+    """States the census walk keeps after each of its b - 2 entries: those
+    it steps past the start, and those it completes."""
+    stepped, completed = [], []
+    steps, completion = covers._block_steps, covers._completion
+    monkeypatch.setattr(covers, "_block_steps", lambda s: stepped.append(s) or steps(s))
+    monkeypatch.setattr(covers, "_completion", lambda s: completed.append(s) or completion(s))
+    covers.completion_tally(k, b)
+    monkeypatch.undo()
+    return len(stepped) - 1 + len(completed), len(completed)
+
+
+def test_one_exact_rule_prunes_the_census_walk(monkeypatch):
+    # a prefix is kept exactly while (k - cycles) + 2 (blocks - 1) fits the
+    # entries left; the larger of k - cycles and blocks - 1 keeps 16 274
+    # states at (10, 52), 66 of them in the last layer
+    assert kept_states(monkeypatch, 10, 52) == (14686, 8)
+    assert kept_states(monkeypatch, 12, 22)[0] == 2867
+    assert kept_states(monkeypatch, 15, 28)[0] == 17619
+    # the labeled search behind the twist check keeps its last layer by the
+    # same rule: two separate bounds keep 215 states at (5, 8), 36 at (4, 10)
+    assert len(covers.prefix_states(group_tables(5), 8)) == 50
+    assert len(covers.prefix_states(group_tables(4), 10)) == 19
 
 
 def test_block_states_stops_at_the_first_degree_past_the_budget():

@@ -248,7 +248,7 @@ def _witness_prefixes(tab, b):
         for (p, c), prefix in layer.items():
             for t in range(len(tab.transpositions)):
                 p2, c2 = tab.mul_trans[p][t], tab.merge_trans[c][t]
-                if tab.min_factors[p2] <= nxt and tab.nblocks[c2] - 1 <= nxt:
+                if tab.min_factors[p2] + 2 * tab.nblocks[c2] - 2 <= nxt:
                     out.setdefault((p2, c2), prefix + (t,))
         layer = out
     return layer
