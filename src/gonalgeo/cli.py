@@ -12,8 +12,12 @@ encoded once, for its cache document and a json report alike.
 led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
-each reads the terminal width once.  Options must be spelled out in
-full; an abbreviation is an unknown option.  ``--workers`` is deprecated: it is still parsed, a positive
+each reads the terminal width once.  The option groups that several
+commands share are built once per process and handed to each command's
+parser as argparse parents (``_group``); every call still builds its
+command's parser, with ``-h``, the command's own rows and its handler.
+Options must be spelled out in full; an abbreviation is an unknown
+option.  ``--workers`` is deprecated: it is still parsed, a positive
 value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
@@ -25,6 +29,7 @@ given configuration and cache state; payloads carry no timestamps.
 
 import argparse
 import csv
+import functools
 import shutil
 import sys
 from fractions import Fraction
@@ -378,10 +383,26 @@ _COMMANDS = (
 _COMMAND_ROWS = {row[0]: row for row in _COMMANDS}
 
 
-def _add_rows(parser: _Parser, groups, arguments, handler) -> _Parser:
-    """Add a command's shared option groups, then its own rows, and its
-    handler as ``func``: the one walk of the table, for either parser."""
-    for flags, keywords in sum((_GROUPS[group] for group in groups), ()) + arguments:
+@functools.cache
+def _group(name: str) -> argparse.ArgumentParser:
+    """One shared option group's rows, built once per process into a
+    container that command parsers adopt as an argparse parent, sharing
+    its actions.  It never parses or prints help, so a fixed width spares
+    its metavar checks a terminal read each."""
+    container = argparse.ArgumentParser(add_help=False, allow_abbrev=False, formatter_class=functools.partial(argparse.HelpFormatter, width=80))
+    for flags, keywords in _GROUPS[name]:
+        container.add_argument(*flags, **keywords)
+    return container
+
+
+def _add_rows(make, row, *args, **settings) -> _Parser:
+    """Build a command's parser by ``make`` (``_Parser``, or a subparsers
+    action's ``add_parser``) with its shared option groups as parents,
+    then add its own rows and its handler as ``func``: the one walk of
+    the table, for either parser."""
+    _name, groups, _help, arguments, handler = row
+    parser = make(*args, parents=[_group(group) for group in groups], allow_abbrev=False, **settings)
+    for flags, keywords in arguments:
         parser.add_argument(*flags, **keywords)
     parser.set_defaults(func=handler)
     return parser
@@ -391,8 +412,7 @@ def _command_parser(name: str) -> _Parser:
     """The parser of one command alone, for the words after its name: it
     parses them as ``build_parser()``'s subparser for ``name`` does, but
     leaves ``command`` unset."""
-    _name, groups, _help, arguments, handler = _COMMAND_ROWS[name]
-    return _add_rows(_Parser(prog=f"gonalgeo {name}", allow_abbrev=False), groups, arguments, handler)
+    return _add_rows(_Parser, _COMMAND_ROWS[name], prog=f"gonalgeo {name}")
 
 
 def build_parser() -> _Parser:
@@ -406,8 +426,8 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-    for name, groups, help_text, arguments, handler in _COMMANDS:
-        _add_rows(sub.add_parser(name, help=help_text, allow_abbrev=False), groups, arguments, handler)
+    for row in _COMMANDS:
+        _add_rows(sub.add_parser, row, row[0], help=row[2])
     return parser
 
 

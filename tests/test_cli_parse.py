@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import os
 import shutil
@@ -128,6 +129,17 @@ def _outcome(parser, argv):
     return ("parsed", {key: value for key, value in vars(args).items() if key != "command"})
 
 
+def _reference_parser(name):
+    """A command's parser built the way it was before the shared groups
+    became parents: a fresh ``_Parser`` with one add_argument per row."""
+    _name, groups, _help, arguments, handler = cli._COMMAND_ROWS[name]
+    parser = cli._Parser(prog=f"gonalgeo {name}", allow_abbrev=False)
+    for flags, keywords in [row for group in groups for row in cli._GROUPS[group]] + list(arguments):
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(clean_argv(), any_argv()))
 def test_one_command_parser_parses_as_the_full_parser(drawn):
@@ -135,6 +147,7 @@ def test_one_command_parser_parses_as_the_full_parser(drawn):
     full = _outcome(build_parser(), argv)
     if argv[0] in COMMANDS:
         assert _outcome(cli._command_parser(argv[0]), argv[1:]) == full
+        assert _outcome(_reference_parser(argv[0]), argv[1:]) == full
     if expected is not None:
         assert full == ("parsed", expected)
         assert vars(build_parser().parse_args(argv))["command"] == argv[0]
@@ -295,6 +308,71 @@ def test_command_help_is_the_same_from_either_parser(command):
     assert alone[:2] == ("help", 0)
     assert alone[2].startswith(f"usage: gonalgeo {command} [-h]")
     assert alone == _outcome(build_parser(), [command, "--help"])
+    assert alone == _outcome(_reference_parser(command), ["--help"])
+
+
+def test_each_shared_group_is_built_once_per_process(monkeypatch, capsys, parsers):
+    # a fresh cache stands in for a fresh process
+    made = []
+
+    def counting(name, _build=cli._group.__wrapped__):
+        made.append(name)
+        return _build(name)
+
+    monkeypatch.setattr(cli, "_group", functools.cache(counting))
+    assert main(["invariants", "--help"]) == 0
+    assert made == ["common", "shape", "family"]
+    # the groups never parse, so they are plain containers, not _Parsers
+    assert parsers == {"_Parser": 1, "_SubParsersAction": 0}
+    for command in COMMANDS:
+        assert main([command, "--help"]) == 0
+    build_parser()
+    main([])
+    assert made == ["common", "shape", "family"]
+    # a command's parser adopts the group's actions, not copies of them
+    for command, group, option in (("census", "shape", "--k"), ("delta", "common", "--budget"), ("audit", "family", "--c")):
+        assert cli._command_parser(command)._option_string_actions[option] is cli._group(group)._option_string_actions[option]
+
+
+def _fields(action):
+    # every field parsing reads; ``action.container`` is left out: argparse
+    # reassigns it whenever a parser adopts the action, and reads it only
+    # under conflict_handler="resolve", which no parser here uses
+    return tuple(getattr(action, field) for field in (
+        "option_strings", "dest", "default", "type", "choices", "required", "help", "nargs", "metavar",
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(clean_argv(), any_argv()))
+def test_parsing_through_main_leaves_the_shared_groups_as_built(drawn):
+    # valid lines, errors and help, each run at a --budget small enough
+    # that no walk runs long, relative cache directories landing in a
+    # temporary working directory; afterwards every shared action still
+    # equals a freshly built one
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ, {"GG_CACHE_DIR": d}):
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(drawn[0] + ["--budget", "1000"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    for name in cli._GROUPS:
+        fresh = cli._group.__wrapped__(name)._actions
+        assert [_fields(action) for action in cli._group(name)._actions] == [_fields(action) for action in fresh]
+
+
+def test_command_parsers_built_in_turn_share_no_defaults():
+    groups = [cli._group(name)._defaults for name in cli._GROUPS]
+    for command in COMMANDS:
+        first, second = cli._command_parser(command), cli._command_parser(command)
+        assert first._defaults is not second._defaults
+        assert all(first._defaults is not group for group in groups)
+        first.set_defaults(func=None, extra=1)
+        assert second._defaults == {"func": HANDLERS[command]}
+    assert groups == [{}, {}, {}]
 
 
 def test_a_parser_reads_the_terminal_width_once(monkeypatch, capsys):
