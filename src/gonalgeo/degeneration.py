@@ -19,6 +19,8 @@ Conn(j, beta1) Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k,
 with Conn read from the class-algebra exponential sums of
 ``characters``, not from a walk; for each j these cells must add up to
 the census walk's two-block tally, so the two sources check each other.
+The cells of one size j are one pass over the component genus i, with
+beta1 = 2i + 2j - 2 and C(b - 2, beta1) carried from cell to cell.
 Every raw tally is divided by k! (relabeling acts freely for k >= 3, so
 each class is hit k! times).
 
@@ -119,29 +121,20 @@ def refine_type_one(t: MonodromyTuple) -> TypeOneProfile:
     small = min(blocks, key=leaders.count)
     j = leaders.count(small)
     beta1 = sum(1 for e in rest if leaders[e[0] - 1] == small)
-    i = _component_genus(j, beta1, g, k, b, t.entries)
-    return SplitProfile(j, i, 2 * i + 2 * j - 2)
-
-
-def _component_genus(
-    j: int, beta1: int, g: int, k: int, b: int, witness
-) -> int:
-    """Genus i of a degree-j component carrying beta1 of the other b - 2
-    branch points, checked against its complement; folded to
-    min(i, g - i) when the components tie in degree."""
-    num = beta1 - 2 * j + 2
-    if num < 0 or num % 2:
+    # the genus rule, stated apart from full_census's: each side is a
+    # cover of the line, and the two genera add up to g
+    i, odd = divmod(beta1 - 2 * j + 2, 2)
+    if i < 0 or odd:
         raise InvariantViolation(
             f"orbit of size {j} carries {beta1} branch points, "
-            f"not a valid cover of the line: {witness}"
+            f"not a valid cover of the line: {t.entries}"
         )
-    i = num // 2
-    beta2 = (b - 2) - beta1
-    if i > g or beta2 != 2 * (g - i) + 2 * (k - j) - 2:
+    if i > g or (b - 2) - beta1 != 2 * (g - i) + 2 * (k - j) - 2:
         raise InvariantViolation(
-            f"component genera {i}, {g - i} do not balance the branch counts: {witness}"
+            f"component genera {i}, {g - i} do not balance the branch counts: {t.entries}"
         )
-    return min(i, g - i) if 2 * j == k else i
+    i = min(i, g - i) if 2 * j == k else i
+    return SplitProfile(j, i, 2 * i + 2 * j - 2)
 
 
 def full_twist(t: MonodromyTuple) -> MonodromyTuple:
@@ -230,24 +223,27 @@ class DegenerationCensus:
 def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     """Enumerate (k, b) once, returning the tuple counts and the type
     census; the TupleCensus restates the census's raw_count and classes."""
-    validate_cover_shape(k, b)
     g = cover_genus(k, b)
     tally = completion_tally(k, b)
     splits: dict = {}
     for j in range(1, k // 2 + 1):
         # split cells from the class-algebra sums, a source apart from the walk
         small, large = _connected_terms(j), _connected_terms(k - j)
+        size = comb(k, j) * j * (k - j) // (2 if 2 * j == k else 1)
+        # the degree-j side of genus i carries beta1 = 2i + 2j - 2 entries;
+        # a single sheet carries none
+        beta1 = 2 * j - 2
+        ways = comb(b - 2, beta1)
         cells = 0
-        # a connected side of degree d needs at least 2d - 2 entries
-        for beta1 in range(2 * j - 2, b - 2 * (k - j) + 1, 2):
-            n = _evaluate(small, j, beta1) * _evaluate(large, k - j, b - 2 - beta1)
-            if n:  # a single sheet carries no entries
-                n *= comb(k, j) * comb(b - 2, beta1) * j * (k - j)
-                if 2 * j == k:
-                    n //= 2
+        for i in range(g + 1 if j > 1 else 1):
+            n = size * ways * _evaluate(small, j, beta1) * _evaluate(large, k - j, b - 2 - beta1)
+            if n:  # zero only when both sides are single sheets, at k = 2
                 cells += n
-                cell = (j, _component_genus(j, beta1, g, k, b, f"split cell ({j}, {beta1})"))
+                cell = (j, min(i, g - i) if 2 * j == k else i)
                 splits[cell] = splits.get(cell, 0) + n
+            # C(b - 2, beta1 + 2) from C(b - 2, beta1)
+            ways = ways * (b - 2 - beta1) * (b - 3 - beta1) // ((beta1 + 1) * (beta1 + 2))
+            beta1 += 2
         if cells != tally.get(j, 0):
             raise InvariantViolation(
                 f"split cells for j = {j} sum to {cells}, not the two-block tally"

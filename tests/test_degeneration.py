@@ -412,9 +412,15 @@ def _conn(j, beta):
     return connected_count(j, beta) if j > 1 else int(beta == 0)
 
 
-@pytest.mark.parametrize("k, b", [(9, 46), (10, 52)])
+@pytest.mark.parametrize("k, b", [
+    (9, 46), (10, 52),
+    # long runs of carried binomials, and equal-size splits at k = 2, 4, 6, 8
+    (2, 200), (3, 300), (4, 400), (5, 120), (6, 60), (8, 40),
+])
 def test_census_past_the_old_reach(k, b):
-    # DegenerationCensus runs its validators on construction
+    # DegenerationCensus runs its validators on construction; every split
+    # cell is checked against its closed form, each binomial and each
+    # connected count computed afresh
     counts, cen = full_census(k, b)
     assert isinstance(cen, DegenerationCensus)
     assert counts.raw_count == connected_count(k, b)
@@ -430,7 +436,22 @@ def test_census_past_the_old_reach(k, b):
                 n, i = n // 2, min(i, g - i)
             if n:
                 cells[(j, i)] += n
-    assert {cell: n * factorial(k) for cell, n in cen.split_table.items()} == dict(cells)
+    div = factorial(k) if k > 2 else 1
+    assert {cell: n * div for cell, n in cen.split_table.items()} == dict(cells)
+
+
+def test_split_binomials_are_carried_along_each_size(monkeypatch):
+    calls = []
+
+    def counted(n, r):
+        calls.append((n, r))
+        return comb(n, r)
+
+    monkeypatch.setattr(degeneration, "comb", counted)
+    k, b = 4, 2000
+    assert full_census(k, b)[0].raw_count == connected_count(k, b)
+    # the size factor and the first C(b - 2, beta1) of each split size
+    assert len(calls) <= 2 * (k // 2)
 
 
 def test_census_orders_split_cells_without_printing_counts():
