@@ -10,28 +10,26 @@ cut or a join across blocks lowers it, a join inside a block raises it.
 It is 0 only at a connected identity and any other state can lower it,
 so a prefix can be completed exactly while its need fits the entries
 left.  The census walk, tuple iteration and ``prefix_states`` keep a
-prefix by that rule alone; one entry before the end the running product
-is a transposition inside one block, and the last entry is its inverse.
+prefix by that rule alone, and it ends every walk: with no entry left
+only the connected identity is kept, so no tuple is completed by hand.
 
 Iteration and class representatives are one depth-first walk of this
-pruned tree, one tuple at a time, through the dense S_k tables; class
-representatives also prune by relabelings.  Counting does not walk it:
-everything below a node depends only on its search state, and nothing
-about a state depends on how the sheets are labeled.  The counter
-therefore steps unlabeled block states layer by layer, each mapped to
-the number of prefixes that reach it.  A block state is the sorted tuple
-of blocks of the symbol partition, each block given by the cycle type of
-the running product on it.  Multiplying by a transposition (x y) either
-cuts the l-cycle through x and y into a d-cycle and an (l - d)-cycle,
-which l transpositions do (l / 2 when 2d = l), or joins an a-cycle and
-a b-cycle, which a * b transpositions do, merging their blocks when
-they differ: the cut-and-join recursion (Goulden and Jackson, Proc. AMS
-125, 1997).  The walk stops after b - 2 entries, where the last two
-entries complete each state in the ways ``_completion`` names; the
-connected count is the sum of that completion tally
-(``completion_tally``), which the collision census splits by kind.  No
-step touches a k!-sized table, and there are at most as many states as
-partitions of partitions of k.
+pruned tree through the dense S_k tables; class representatives also
+prune by relabelings.  Counting does not walk it: nothing below a node
+depends on more than its search state, or on how the sheets are
+labeled, so the counter steps unlabeled block states layer by layer,
+each mapped to the number of prefixes that reach it.  A block state is
+the sorted tuple of blocks of the symbol partition, each given by the
+cycle type of the running product on it.  Multiplying by a
+transposition (x y) either cuts the l-cycle through x and y into a
+d-cycle and an (l - d)-cycle, which l transpositions do (l / 2 when
+2d = l), or joins an a-cycle and a b-cycle, which a * b transpositions
+do, merging their blocks when they differ: the cut-and-join recursion
+(Goulden and Jackson, Proc. AMS 125, 1997).  Two entries from the end
+each state takes its kind and carries it to the end, so the connected
+count is the sum of the walk's tally by kind (``completion_tally``),
+which the collision census splits.  No step touches a k!-sized table,
+and there are at most as many states as partitions of partitions of k.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
 is free on the transitive tuples, so the raw count is k! times the class
@@ -42,7 +40,7 @@ tuples share one.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .digits import _magnitude
 from .errors import InvariantViolation, ParameterError
@@ -163,17 +161,13 @@ def _walk(tab: GroupTables, b: int, relabelings: list[int]):
     k = tab.k
     trans = tab.transpositions
     mul, merge = tab.mul_trans, tab.merge_trans
-    minf, nbl, trans_of, conj = tab.min_factors, tab.nblocks, tab.trans_of, tab.conj_trans
+    minf, nbl, conj = tab.min_factors, tab.nblocks, tab.conj_trans
     stack: list[int] = []
 
     def rec(p: int, c: int, live: list[int]):
         rem = b - len(stack)
-        if rem == 1:
-            t = trans_of[p]
-            for g in live:
-                if conj[g][t] < t:
-                    return
-            yield MonodromyTuple(k, tuple(trans[i] for i in stack) + (trans[t],))
+        if not rem:
+            yield MonodromyTuple(k, tuple(trans[i] for i in stack))
             return
         nxt = rem - 1
         mrow, crow = mul[p], merge[c]
@@ -323,55 +317,44 @@ def oracle_products(k: int, budget: int | None = None) -> int:
     return _priced(k, lambda _, products: products, budget)
 
 
-def _completion(state: tuple):
-    """How the last two entries complete a block state the walk kept two
-    entries from the end: ``(kind, n)``, with n the number of connected
-    completing pairs per prefix.
-
-    A kept state needs at most two entries, so it is one of four kinds:
-    "central" (identity product, connected), "overlap" (a 3-cycle),
-    "disjoint" (a double transposition), or the smaller block size j for
-    an identity product on two blocks, which only its pair (x y)(x y)
-    can join: the pair multiplies to the inverse of the running product,
-    so the entries of any other pair lie inside one block each.  Any
-    other state is an InvariantViolation.  No entry counts are kept; a
-    split's cells come from connected counts of its two sides.
-    """
+def _kind(state: tuple):
+    """The kind of a state kept two entries from the end, one of the four
+    that need at most two: "central" (identity product, connected),
+    "overlap" (a 3-cycle), "disjoint" (a double transposition), or the
+    smaller block size j of an identity product on two blocks.  Any other
+    state is an InvariantViolation."""
     if len(state) == 1:
-        ct = state[0]
-        moved = tuple(l for l in ct if l > 1)
+        moved = tuple(l for l in state[0] if l > 1)
         if not moved:
-            return "central", comb(len(ct), 2)
+            return "central"
         if moved == (3,):
-            return "overlap", 3
+            return "overlap"
         if moved == (2, 2):
-            return "disjoint", 2
+            return "disjoint"
     elif len(state) == 2 and all(l == 1 for ct in state for l in ct):
-        s1, s2 = map(len, state)
-        return min(s1, s2), s1 * s2
+        return min(map(len, state))
     raise InvariantViolation(f"the walk kept {state} two entries from the end: no pair completes it")
 
 
 def completion_tally(k: int, b: int) -> dict:
-    """The census walk: unlabeled block states after the first b - 2 of b
+    """The census walk: unlabeled block states after each of the b
     entries, each weighted by the number of pruned prefixes that reach
-    it, and their two-entry completions tallied by ``_completion`` kind,
-    each kind mapped to its raw count of connected tuples.  The walk
-    starts from k singleton blocks and keeps a successor while its need
-    fits the entries left."""
-    layer = {((1,),) * k: 1}
-    for rem in range(b - 1, 1, -1):
+    it, from k singleton blocks, keeping a successor while its need fits
+    the entries left.  Two entries from the end each state takes its
+    ``_kind``, which rides in the layer key to the end, where each kind
+    maps to its raw count of connected tuples."""
+    layer = {(((1,),) * k, None): 1}
+    for rem in range(b - 1, -1, -1):
         out: dict = {}
-        for state, mult in layer.items():
+        for (state, kind), mult in layer.items():
+            if rem == 1:
+                kind = _kind(state)
             for nxt, n, need in _block_steps(state):
                 if need <= rem:
-                    out[nxt] = out.get(nxt, 0) + mult * n
+                    key = (nxt, kind)
+                    out[key] = out.get(key, 0) + mult * n
         layer = out
-    tally: dict = {}
-    for state, mult in layer.items():
-        kind, n = _completion(state)
-        tally[kind] = tally.get(kind, 0) + n * mult
-    return tally
+    return {kind: mult for (_, kind), mult in layer.items()}
 
 
 def count_tuples(k: int, b: int, workers: int = 1) -> int:

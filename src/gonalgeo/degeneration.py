@@ -10,9 +10,10 @@ into a pair of components joined at a point.
 
 The census tallies these types over every class of tuples for one (k, b),
 from the walk whose sum is the raw count (``covers.completion_tally``),
-at degree k alone: each state reached after b - 2 entries classifies all
-of its two-entry completions at once, by the running product's cycle
-type on its blocks, weighted by the number of prefixes that reach it.  A
+at degree k alone: each state reached after b - 2 entries takes its kind
+from the running product's cycle type on its blocks and carries it to
+the end.  The central tally must be C(k, 2) Conn(k, b - 2), any
+transposition twice after a connected prefix, and the sum Conn(k, b).  A
 split into a degree-j component carrying beta1 of the other b - 2
 entries and its complement takes C(k, j) C(b - 2, beta1) j (k - j)
 Conn(j, beta1) Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k,
@@ -248,6 +249,11 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
             raise InvariantViolation(
                 f"split cells for j = {j} sum to {cells}, not the two-block tally"
             )
+    conn = _connected_terms(k)
+    if tally.get("central", 0) != k * (k - 1) // 2 * _evaluate(conn, k, b - 2):
+        raise InvariantViolation(f"central tally at ({k}, {b}) is not C(k, 2) Conn(k, b - 2)")
+    if sum(tally.values()) != _evaluate(conn, k, b):
+        raise InvariantViolation(f"the walk's tallies at ({k}, {b}) do not sum to Conn(k, b)")
 
     central = _classes(tally.get("central", 0), k, "central tally")
     n22 = _classes(tally.get("disjoint", 0), k, "disjoint-pair tally")
@@ -292,30 +298,32 @@ def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
     its twist share the prefix of b - 2 entries, so a relabeling
     carrying one to the other fixes every prefix entry.  The twist
     commutes with relabeling, so both checks give one answer on a whole
-    class, and each tally counts every class k! times (once for k = 2),
-    like the census tallies.
+    class, and each tally counts every class k! times (once for k = 2).
 
-    An overlapping pair lies inside one 3-cycle of the running product,
-    hence inside one block of the prefix partition, so it joins nothing:
-    it completes a tuple only when the prefix is already connected.  A
+    Each entry moves the need by one, from 2k - 2 with b entries left, so
+    the need and the entries left share their parity.  A first entry u
+    is kept, by the walk's rule, when the need after it is at most 1;
+    then it is 1: the product p u is a transposition, the prefix with u
+    is connected, and the last entry v is p u itself.  An overlapping
+    pair lies inside one 3-cycle of p, hence inside one block, so it
+    completes a tuple only when the prefix is already connected.  A
     relabeling fixing every edge of a connected prefix graph on k >= 3
     symbols fixes every symbol (a symbol with two distinct neighbours y,
     z maps into {x, y} & {x, z}; a leaf's neighbour has a second one), so
-    the twisted tuple is conjugate to the original only when it equals
-    it.
+    the twisted tuple is conjugate to the original only when it equals it.
     """
     validate_cover_shape(k, b)
     tab = group_tables(k)
     trans, trans_of = tab.transpositions, tab.trans_of
-    mul, merge, nbl = tab.mul_trans, tab.merge_trans, tab.nblocks
+    mul, merge, minf, nbl = tab.mul_trans, tab.merge_trans, tab.min_factors, tab.nblocks
     classes = n3 = fixed_bad = orbit_bad = 0
     for (p, c), mult in prefix_states(tab, b).items():
         mrow, crow = mul[p], merge[c]
         pairs = overlapping = fixed = orbit = 0
         for u in range(len(trans)):
-            v = trans_of[mrow[u]]
-            if v < 0 or nbl[merge[crow[u]][v]] != 1:
+            if minf[mrow[u]] + 2 * nbl[crow[u]] - 2 > 1:
                 continue
+            v = trans_of[mrow[u]]
             pairs += 1
             u2, v2 = _table_twist(tab, u, v)
             if classify_node(trans[u], trans[v]) is not NodeType.THREE:

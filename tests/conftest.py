@@ -1,5 +1,6 @@
 import pytest
 
+from gonalgeo import covers
 from gonalgeo.degeneration import full_census
 
 # every (k, b) the test suite enumerates, smallest first
@@ -9,6 +10,20 @@ ENVELOPE = [
     (4, 6), (4, 8), (4, 10),
     (5, 8),
 ]
+
+
+def skew_double_transposition_step(monkeypatch):
+    """Make the walk take the step from the double transposition to a
+    transposition, at degree 4, 3 ways instead of 2."""
+    steps = covers._block_steps
+
+    def skewed(state):
+        return tuple(
+            (nxt, n + (state == ((2, 2),) and nxt == ((2, 1, 1),)), need)
+            for nxt, n, need in steps(state)
+        )
+
+    monkeypatch.setattr(covers, "_block_steps", skewed)
 
 
 @pytest.fixture(scope="session")

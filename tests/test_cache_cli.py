@@ -41,6 +41,8 @@ from gonalgeo.degeneration import full_census
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 
+from conftest import skew_double_transposition_step
+
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
@@ -270,23 +272,19 @@ def test_cli_oracle_check(tmp_path, capsys):
 
 
 def test_oracle_check_reads_the_census_walk(tmp_path, capsys, monkeypatch):
-    # a completion rule that counts 3 disjoint completions instead of 2
-    # skews the census, and the oracle must see it: the enumeration it
-    # checks is the sum of the same completion tally
-    completion = gonalgeo.covers._completion
-
-    def skewed(state):
-        done = completion(state)
-        return ("disjoint", 3) if done[0] == "disjoint" else done
-
-    monkeypatch.setattr(gonalgeo.covers, "_completion", skewed)
+    # a step from the double transposition to a transposition taken 3
+    # ways instead of 2 skews the walk, and the oracle must see it: the
+    # enumeration it checks is the sum of the same tally
+    skew_double_transposition_step(monkeypatch)
     code, out, err = run_cli(capsys, "oracle-check", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")
     assert "disagree" in err
-    # the census reads the same skewed tally; the oracle's N is 131040
-    code, out, _err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path), "--output", "json")
-    assert code == 0
-    assert json.loads(out)["N"] == "142560"
+    # the census reads the same skewed tally, and checks it against the
+    # class-algebra sums itself
+    code, out, err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path), "--output", "json")
+    assert (code, out) == (2, "")
+    assert "central tally at (4, 8) is not C(k, 2) Conn(k, b - 2)" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, monkeypatch):

@@ -302,15 +302,16 @@ def test_step_memo_is_bounded_by_the_block_shapes():
 
 
 def kept_states(monkeypatch, k, b):
-    """States the census walk keeps after each of its b - 2 entries: those
-    it steps past the start, and those it completes."""
-    stepped, completed = [], []
-    steps, completion = covers._block_steps, covers._completion
-    monkeypatch.setattr(covers, "_block_steps", lambda s: stepped.append(s) or steps(s))
-    monkeypatch.setattr(covers, "_completion", lambda s: completed.append(s) or completion(s))
+    """States the census walk keeps after each of its first b - 2 entries:
+    those it steps, past the start, before it reads the first kind, and
+    those whose kind it reads two entries from the end."""
+    stepped, kinds = [], []
+    steps, kind = covers._block_steps, covers._kind
+    monkeypatch.setattr(covers, "_block_steps", lambda s: stepped.append(len(kinds)) or steps(s))
+    monkeypatch.setattr(covers, "_kind", lambda s: kinds.append(s) or kind(s))
     covers.completion_tally(k, b)
     monkeypatch.undo()
-    return len(stepped) - 1 + len(completed), len(completed)
+    return stepped.count(0) - 1 + len(kinds), len(kinds)
 
 
 def test_one_exact_rule_prunes_the_census_walk(monkeypatch):

@@ -6,6 +6,7 @@ classify each with refine_type_one / classify_node, one tuple at a
 time.  Both routes are re-run against each other here.
 """
 
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -42,7 +43,7 @@ from gonalgeo.errors import InvariantViolation, ParameterError
 from gonalgeo.perm import all_transpositions, compose, cycle_type, transposition_perm
 from gonalgeo.tables import group_tables
 
-from conftest import ENVELOPE
+from conftest import ENVELOPE, skew_double_transposition_step
 from test_covers import labeled_layers
 
 # (k, b) -> (classes, n1, n22, n3, split table, e, n_sing)
@@ -481,6 +482,20 @@ def test_census_walks_its_own_degree_alone(monkeypatch):
     first = full_census(6, 14)
     assert full_census(6, 14) == first
     assert set(degrees) == {6}
+
+
+@pytest.mark.parametrize("b, caught", [
+    (6, "the walk's tallies at (4, 6) do not sum to Conn(k, b)"),
+    (8, "central tally at (4, 8) is not C(k, 2) Conn(k, b - 2)"),
+])
+def test_a_skewed_walk_step_breaks_the_class_algebra_checks(monkeypatch, b, caught):
+    # the step from the double transposition to a transposition, taken 3
+    # ways instead of 2: at genus 0 no central pair passes through it and
+    # the sum catches the disjoint tally; one genus up the central tally
+    # moves too, and is checked first
+    skew_double_transposition_step(monkeypatch)
+    with pytest.raises(InvariantViolation, match=re.escape(caught)):
+        full_census(4, b)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
