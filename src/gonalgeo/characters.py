@@ -14,7 +14,10 @@ builds a character table; each degree keeps its p(k) pairs
 (dim_lam^2, f_lam), checked against three identities.  The connected
 count is an exponential sum too, k! Conn(k, b) = sum of w f^b over one
 table of (w, f) per degree, built once by peeling off the block of
-symbol 1 on the exponents, so no memo is keyed by b.
+symbol 1 on the exponents, so no memo is keyed by b; so is the count
+of transitive tuples with a 3-cycle product, T3.  The collision census
+(``degeneration.full_census``) reads every field from these tables,
+each checked when it is built against the minimal factorization counts.
 
 The full character table, by the border-strip recursion on beta-sets
 with every entry an exact integer and both orthogonality relations
@@ -154,13 +157,13 @@ def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
     return [row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
 
 
-def _content_sum(lam: tuple[int, ...]) -> int:
-    """Sum of j - i over the cells (i, j) of the diagram of ``lam``.
+def _content_sum(lam: tuple[int, ...], power: int = 1) -> int:
+    """Sum of (j - i)^power over the cells (i, j) of the diagram of ``lam``.
 
-    >>> _content_sum((3, 1))
-    2
+    >>> _content_sum((3, 1)), _content_sum((3, 1), 2)
+    (2, 6)
     """
-    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(lam))
+    return sum((j - i) ** power for i, row in enumerate(lam) for j in range(row))
 
 
 @lru_cache(maxsize=None)
@@ -216,26 +219,65 @@ def disconnected_count(k: int, b: int) -> int:
     return _evaluate(_content_terms(k), k, b)
 
 
+def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """``terms`` of ``kind`` at degree k, once their count (1 / k!) sum w f^m is 0
+    at every even m below the need rule's least length and the minimal count
+    (an integer at every k) at it; every identity that fails is named."""
+    if kind == "connected":  # Hurwitz
+        least, count, formula = 2 * k - 2, factorial(2 * k - 2) * k**k // k**3, "(2k - 2)! k^k / k^3"
+    else:  # the 3-cycles, by Goulden and Jackson
+        least, count, formula = 2 * k - 4, 27 * comb(k, 3) * factorial(2 * k - 4) * k**k // k**5, "27 C(k, 3) (2k - 4)! k^k / k^5"
+    failed = [f"no tuples of length {m}" for m in range(0, least, 2) if sum(w * f**m for w, f in terms)]
+    if sum(w * f**least for w, f in terms) != factorial(k) * count:
+        failed.append(f"{formula} tuples of length {least}")
+    if failed:
+        raise InvariantViolation(f"{kind} terms of degree {k} fail " + "; ".join(failed))
+    return terms
+
+
+def _peel(k: int, weigh, sizes, scale, block_terms) -> tuple[tuple[int, int], ...]:
+    """``(w, f)`` over all tuples of degree k, lam weighed dim_lam^2 ``weigh(lam)``,
+    less ``scale(j)`` (``block_terms(j)`` * D_{k-j}) for each marked block size
+    j in ``sizes``: over C(b, b1) shares, weights multiply and exponents add."""
+    weights: dict[int, int] = {}
+    for lam, (sq, f) in zip(partitions_of(k), _content_terms(k)):
+        weights[f] = weights.get(f, 0) + sq * weigh(lam)
+    for j, c in zip(sizes, map(scale, sizes)):
+        for w, f in block_terms(j):
+            for sq, g in _content_terms(k - j):
+                weights[f + g] = weights.get(f + g, 0) - c * w * sq
+    return tuple((w, f) for f, w in weights.items() if w)
+
+
 @lru_cache(maxsize=None)
 def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     """``(w, f)`` with k! Conn(k, b) the sum of w f^b for every b, one
-    term per exponent.  The block through symbol 1 has some j < k symbols
-    and b1 of the b entries; summed over b1 with C(b, b1), the product of
-    the two exponential sums multiplies weights and adds exponents, so
-    W_k = D_k - sum over j < k of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
+    term per exponent.  The block through symbol 1 has j < k symbols, so
+    W_k = D_k - sum over j of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
 
     >>> _connected_terms(2)
     ((1, 1), (1, -1), (-2, 0))
     """
-    weights: dict[int, int] = {}
-    for sq, f in _content_terms(k):
-        weights[f] = weights.get(f, 0) + sq
-    for j in range(1, k):
-        scale = comb(k - 1, j - 1) * comb(k, j)
-        for w, f in _connected_terms(j):
-            for sq, g in _content_terms(k - j):
-                weights[f + g] = weights.get(f + g, 0) - scale * w * sq
-    return tuple((w, f) for f, w in weights.items() if w)
+    terms = _peel(k, lambda lam: 1, range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms)
+    return _check_least("connected", k, terms)
+
+
+@lru_cache(maxsize=None)
+def _three_cycle_terms(k: int) -> tuple[tuple[int, int], ...]:
+    """``(w, f)`` with k! T3(k, b) the sum of w f^b for every b, T3 counting the
+    transitive b-tuples with a 3-cycle product.  Over all tuples lam weighs
+    p2(lam) - C(k, 2), its squared contents' sum less C(k, 2): the 3-cycles'
+    central character, as the squared Jucys-Murphy elements sum to C(k, 2)
+    and the 3-cycles' class sum.  The 3-cycle's support fixes its block of
+    3 <= j < k symbols: W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
+
+    >>> _three_cycle_terms(3)
+    ((2, 3), (-4, 0), (2, -3))
+    """
+    if k < 3:
+        return ()
+    terms = _peel(k, lambda lam: _content_sum(lam, 2) - comb(k, 2), range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms)
+    return _check_least("three-cycle", k, terms)
 
 
 def connected_count(k: int, b: int) -> int:

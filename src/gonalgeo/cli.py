@@ -5,10 +5,11 @@ thresholds (``asymptotics --case``), and the band search (``delta``).
 
 ``census`` and ``delta`` reach the cache by one route (``_census``): the
 budget, in block-state visits (``covers.block_states``), is checked only
-for a census that is not cached yet, and a census computed there is
-encoded once, for its cache document and a json report alike.
-``oracle-check`` prices its oracle against the budget in term products
-(``covers.oracle_products``), and its enumeration as a census.  A line
+for a census that is not cached yet, and a census computed there, by
+class algebra alone, is encoded once, for its cache document and a json
+report alike.  ``oracle-check`` prices its oracle against the budget in
+term products (``covers.oracle_products``), and its enumeration, the
+walk it compares field by field with the census, as a census.  A line
 led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
@@ -37,17 +38,18 @@ from math import comb, isqrt, log10
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_file, census_payload, json_text, read_census, resolve_cache_dir, write_census
-from .covers import block_states, class_count, class_count_via_oracle, cover_genus, oracle_products, validate_cover_shape
-from .degeneration import DegenerationCensus, full_census
+from .covers import block_states, class_count_via_oracle, cover_genus, oracle_products, validate_cover_shape
+from .degeneration import DegenerationCensus, cross_check_walk, full_census
 from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
 # not called here (``_census`` computes and writes a census itself, so
-# that one encoding serves the cache and the report; the guard prices the
-# walk), but the benchmark's span tracer still wraps these names
+# that one encoding serves the cache and the report; ``oracle-check`` walks
+# in ``cross_check_walk``), but the benchmark's span tracer still wraps these
 from .cache import load_or_compute
 from .characters import disconnected_count
+from .covers import class_count
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -127,12 +129,16 @@ def _census(args, k: int, b: int) -> tuple[DegenerationCensus, dict | None, str 
 
 
 def _guard_budget(k: int, b: int, budget: int, oracle: bool = False) -> None:
-    """Refuse (k, b) when its census walk, at most S(k) block states in
+    """Refuse (k, b) when its walk, at most S(k) block states in
     each of b - 2 branching layers, or with ``oracle`` the character
     oracle's ``covers.oracle_products``, is priced past the budget.  A
     huge degree is refused before the exact price: per layer, each is at
     least p(k) >= 2^s for the largest s with (s + 1)(s + 2)/2 - 1 <= k,
-    as the subsets of {2, ..., s + 1}, padded with 1s, are partitions of k."""
+    as the subsets of {2, ..., s + 1}, padded with 1s, are partitions of k.
+
+    A census is still priced as the walk, which only ``oracle-check`` takes:
+    it costs no more at any shape measured, and ``oracle_products`` lacks the
+    term in b of its split cells ((12, 200000) would pass, to run for hours)."""
     s = (isqrt(8 * k + 9) - 1) // 2 - 1
     layers = 1 if oracle else b - 2
     # past the budget's bit length, 2^s alone passes it
@@ -227,15 +233,11 @@ def cmd_oracle_check(args) -> int:
     }
     if not args.oracle_only:
         _guard_budget(k, b, args.budget)
-        enum = class_count(k, b)
+        enum = cross_check_walk(k, b)
         payload["enumeration_raw"] = str(enum.raw_count)
         payload["enumeration_classes"] = str(enum.class_count)
+        # the walk matched the census field by field, and the census's N is the oracle's
         payload["match"] = enum.raw_count == oracle.raw_count
-        if not payload["match"]:
-            raise InvariantViolation(
-                f"enumeration {enum.raw_count} and oracle {oracle.raw_count} "
-                f"disagree for ({k}, {b})"
-            )
     _emit(payload, args.output)
     return 0
 

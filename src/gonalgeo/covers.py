@@ -9,7 +9,7 @@ running product and B the blocks the entries cut the symbols into: a
 cut or a join across blocks lowers it, a join inside a block raises it.
 It is 0 only at a connected identity and any other state can lower it,
 so a prefix can be completed exactly while its need fits the entries
-left.  The census walk, tuple iteration and ``prefix_states`` keep a
+left.  The block-state walk, tuple iteration and ``prefix_states`` keep a
 prefix by that rule alone, and it ends every walk: with no entry left
 only the connected identity is kept, so no tuple is completed by hand.
 
@@ -27,8 +27,9 @@ d-cycle and an (l - d)-cycle, which l transpositions do (l / 2 when
 do, merging their blocks when they differ: the cut-and-join recursion
 (Goulden and Jackson, Proc. AMS 125, 1997).  Two entries from the end
 each state takes its kind and carries it to the end, so the connected
-count is the sum of the walk's tally by kind (``completion_tally``),
-which the collision census splits.  No step touches a k!-sized table,
+count is the sum of the walk's tally by kind (``completion_tally``).  No
+census walks: ``oracle-check`` compares the tally, kind by kind, with the
+class-algebra census.  No step touches a k!-sized table,
 and there are at most as many states as partitions of partitions of k.
 
 Relabeling the k symbols acts on tuples entrywise; for k >= 3 the action
@@ -303,8 +304,9 @@ def _priced(k: int, price, budget: int | None) -> int:
 def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
     """``layers`` times S(k), the block states of degree k: partitions of
     partitions of k, the Euler transform of the partition numbers p.  The
-    census walk visits at most S(k) states in each of its b - 2 branching
-    layers.  With a ``budget``, the product stops as ``_priced`` says."""
+    walk visits at most S(k) states in each of its b - 2 branching layers,
+    and a census is still priced so.  With a ``budget``, the product stops
+    as ``_priced`` says."""
     return _priced(k, lambda states, _: layers * states, budget)
 
 
@@ -337,7 +339,7 @@ def _kind(state: tuple):
 
 
 def completion_tally(k: int, b: int) -> dict:
-    """The census walk: unlabeled block states after each of the b
+    """The walk: unlabeled block states after each of the b
     entries, each weighted by the number of pruned prefixes that reach
     it, from k singleton blocks, keeping a successor while its need fits
     the entries left.  Two entries from the end each state takes its
@@ -358,9 +360,9 @@ def completion_tally(k: int, b: int) -> dict:
 
 
 def count_tuples(k: int, b: int, workers: int = 1) -> int:
-    """Raw number of monodromy tuples for (k, b): the sum of the census
-    walk's completion tally, so the character oracle checks the walk
-    that every census field is read from.
+    """Raw number of monodromy tuples for (k, b): the sum of the walk's
+    completion tally, which ``oracle-check`` compares field by field with
+    the class-algebra census, and which the character oracle checks.
 
     ``workers`` is ignored: the count runs in one process.  It stays only
     because the benchmark's pool probe still passes it.

@@ -8,22 +8,19 @@ are refined further by the orbit structure left after dropping them: one
 orbit keeps a connected cover of lower genus, two orbits split the cover
 into a pair of components joined at a point.
 
-The census tallies these types over every class of tuples for one (k, b),
-from the walk whose sum is the raw count (``covers.completion_tally``),
-at degree k alone: each state reached after b - 2 entries takes its kind
-from the running product's cycle type on its blocks and carries it to
-the end.  The central tally must be C(k, 2) Conn(k, b - 2), any
-transposition twice after a connected prefix, and the sum Conn(k, b).  A
-split into a degree-j component carrying beta1 of the other b - 2
-entries and its complement takes C(k, j) C(b - 2, beta1) j (k - j)
-Conn(j, beta1) Conn(k - j, b - 2 - beta1) tuples, halved when 2j = k,
-with Conn read from the class-algebra exponential sums of
-``characters``, not from a walk; for each j these cells must add up to
-the census walk's two-block tally, so the two sources check each other.
-The cells of one size j are one pass over the component genus i, with
-beta1 = 2i + 2j - 2 and C(b - 2, beta1) carried from cell to cell.
-Every raw tally is divided by k! (relabeling acts freely for k >= 3, so
-each class is hit k! times).
+The census tallies these types over every class of one (k, b) from the
+class-algebra sums of ``characters`` alone, with no walk step: C(k, 2)
+Conn(k, b - 2) central pairs (any transposition twice after a connected
+prefix), 3 T3(k, b - 2) overlapping ones (a 3-cycle is a product of two
+transpositions in 3 ways), and C(k, j) C(b - 2, beta1) j (k - j)
+Conn(j, beta1) Conn(k - j, b - 2 - beta1) splits into a degree-j
+component carrying beta1 of the other entries and its complement,
+halved when 2j = k; the disjoint pairs are the rest of Conn(k, b).  The
+cells of one size j are one pass over the component genus i, with
+beta1 = 2i + 2j - 2 and C(b - 2, beta1) carried from cell to cell.  Each
+raw tally is divided by k! (relabeling acts freely for k >= 3).  The
+walk (``covers.completion_tally``) tallies the same kinds another way,
+and ``cross_check_walk``, which ``oracle-check`` runs, compares them.
 
 The full-twist check runs over labeled search states, in a pass of its
 own, twisting each completion through the dense S_k tables.
@@ -37,7 +34,7 @@ from enum import Enum
 from functools import cached_property
 from math import comb
 
-from .characters import _connected_terms, _evaluate
+from .characters import _connected_terms, _evaluate, _three_cycle_terms
 from .covers import (
     MonodromyTuple,
     TupleCensus,
@@ -222,48 +219,55 @@ class DegenerationCensus:
 
 
 def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
-    """Enumerate (k, b) once, returning the tuple counts and the type
-    census; the TupleCensus restates the census's raw_count and classes."""
+    """The tuple counts and the type census of (k, b), from the
+    class-algebra sums; the TupleCensus restates the census's raw_count
+    and classes."""
     g = cover_genus(k, b)
-    tally = completion_tally(k, b)
     splits: dict = {}
     for j in range(1, k // 2 + 1):
-        # split cells from the class-algebra sums, a source apart from the walk
         small, large = _connected_terms(j), _connected_terms(k - j)
         size = comb(k, j) * j * (k - j) // (2 if 2 * j == k else 1)
         # the degree-j side of genus i carries beta1 = 2i + 2j - 2 entries;
         # a single sheet carries none
         beta1 = 2 * j - 2
         ways = comb(b - 2, beta1)
-        cells = 0
         for i in range(g + 1 if j > 1 else 1):
             n = size * ways * _evaluate(small, j, beta1) * _evaluate(large, k - j, b - 2 - beta1)
             if n:  # zero only when both sides are single sheets, at k = 2
-                cells += n
                 cell = (j, min(i, g - i) if 2 * j == k else i)
                 splits[cell] = splits.get(cell, 0) + n
             # C(b - 2, beta1 + 2) from C(b - 2, beta1)
             ways = ways * (b - 2 - beta1) * (b - 3 - beta1) // ((beta1 + 1) * (beta1 + 2))
             beta1 += 2
-        if cells != tally.get(j, 0):
-            raise InvariantViolation(
-                f"split cells for j = {j} sum to {cells}, not the two-block tally"
-            )
     conn = _connected_terms(k)
-    if tally.get("central", 0) != k * (k - 1) // 2 * _evaluate(conn, k, b - 2):
-        raise InvariantViolation(f"central tally at ({k}, {b}) is not C(k, 2) Conn(k, b - 2)")
-    if sum(tally.values()) != _evaluate(conn, k, b):
-        raise InvariantViolation(f"the walk's tallies at ({k}, {b}) do not sum to Conn(k, b)")
-
-    central = _classes(tally.get("central", 0), k, "central tally")
-    n22 = _classes(tally.get("disjoint", 0), k, "disjoint-pair tally")
-    n3 = _classes(tally.get("overlap", 0), k, "overlapping-pair tally")
-    split_table = {
-        cell: _classes(v, k, f"split {cell} tally")
-        for cell, v in sorted(splits.items())
-    }
-    census = DegenerationCensus(k, b, central + sum(split_table.values()), n22, n3, split_table)
+    central = k * (k - 1) // 2 * _evaluate(conn, k, b - 2)
+    overlap = 3 * _evaluate(_three_cycle_terms(k), k, b - 2)
+    disjoint = _evaluate(conn, k, b) - central - sum(splits.values()) - overlap
+    split_table = {cell: _classes(v, k, f"split {cell} tally") for cell, v in sorted(splits.items())}
+    n1 = _classes(central, k, "central tally") + sum(split_table.values())
+    n3 = _classes(overlap, k, "overlapping-pair tally")
+    n22 = _classes(disjoint, k, "disjoint-pair tally")
+    census = DegenerationCensus(k, b, n1, n22, n3, split_table)
     return TupleCensus(k, b, census.raw_count, census.classes), census
+
+
+def cross_check_walk(k: int, b: int) -> TupleCensus:
+    """The walk's TupleCensus, once its kind tally equals ``full_census``
+    field by field: central, overlap, the split cells of each size j, then
+    disjoint, which the census takes by difference.  The first field that
+    differs is an InvariantViolation naming it."""
+    tally = completion_tally(k, b)
+    census = full_census(k, b)[1]
+    want = {"central": census.central, "overlap": census.type_three}
+    for (j, _i), n in census.split_table.items():
+        want[j] = want.get(j, 0) + n
+    want["disjoint"] = census.type_two_two
+    for kind in dict.fromkeys([*want, *tally]):
+        if tally.get(kind, 0) != want.get(kind, 0) * _class_divisor(k):
+            name = kind if isinstance(kind, str) else f"split size j = {kind}"
+            raise InvariantViolation(f"the walk and the class-algebra census disagree on the {name} tally at ({k}, {b})")
+    raw = sum(tally.values())
+    return TupleCensus(k, b, raw, _classes(raw, k, "raw count"))
 
 
 @dataclass(frozen=True)

@@ -273,29 +273,34 @@ def test_cli_oracle_check(tmp_path, capsys):
 
 def test_oracle_check_reads_the_census_walk(tmp_path, capsys, monkeypatch):
     # a step from the double transposition to a transposition taken 3
-    # ways instead of 2 skews the walk, and the oracle must see it: the
-    # enumeration it checks is the sum of the same tally
+    # ways instead of 2 skews the walk, and oracle-check must see it: it
+    # compares the walk's tally with the census field by field, and the
+    # central tally is the first to move at (4, 8)
     skew_double_transposition_step(monkeypatch)
     code, out, err = run_cli(capsys, "oracle-check", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")
-    assert "disagree" in err
-    # the census reads the same skewed tally, and checks it against the
-    # class-algebra sums itself
-    code, out, err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path), "--output", "json")
-    assert (code, out) == (2, "")
-    assert "central tally at (4, 8) is not C(k, 2) Conn(k, b - 2)" in err
-    assert not list(tmp_path.iterdir())
+    assert err == (
+        "invariant violation: the walk and the class-algebra census disagree "
+        "on the central tally at (4, 8)\n"
+    )
+    # the census takes no walk step, so it writes the unskewed document
+    code, skewed, _err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path), "--output", "json")
+    assert code == 0
+    monkeypatch.undo()
+    code, lone, _err = run_cli(capsys, "census", "--k", "4", "--b", "8", "--cache-dir", str(tmp_path / "lone"), "--output", "json")
+    assert code == 0
+    assert skewed == lone == census_path(tmp_path, 4, 8).read_text()
 
 
 def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
     # with every need reported as 0 the walk keeps states the last two
     # entries cannot complete; the first it meets is a 3-cycle on one of
-    # two blocks
+    # two blocks.  Only oracle-check walks
     steps = gonalgeo.covers._block_steps
     monkeypatch.setattr(
         gonalgeo.covers, "_block_steps", lambda state: tuple((s, n, 0) for s, n, _ in steps(state))
     )
-    code, out, err = run_cli(capsys, "census", "--k", "5", "--b", "10", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, "oracle-check", "--k", "5", "--b", "10", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == "invariant violation: the walk kept ((1, 1), (3,)) two entries from the end: no pair completes it\n"
     assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ orthogonality facts for larger degrees, a brute-force tuple count it
 must match, and the frozen values the rest of the suite leans on.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -88,8 +89,10 @@ def test_capacity_and_parameter_errors():
         connected_count(3, -2)
 
 
-def brute_force_counts(k: int, b: int) -> tuple[int, int]:
-    """Tuple counts straight from the definition; exponential, tiny only."""
+def brute_force_counts(k: int, b: int, moved: int = 0) -> tuple[int, int]:
+    """Tuple counts straight from the definition, of the tuples whose
+    product moves ``moved`` symbols: the identity for 0, a 3-cycle for 3;
+    exponential, tiny only."""
     trans = [transposition_perm(k, t) for t in all_transpositions(k)]
     total = 0
     connected = 0
@@ -97,7 +100,7 @@ def brute_force_counts(k: int, b: int) -> tuple[int, int]:
         acc = identity(k)
         for t in combo:
             acc = compose(acc, trans[t])
-        if acc != identity(k):
+        if sum(x != y for x, y in zip(acc, identity(k))) != moved:
             continue
         total += 1
         seen = {1}
@@ -119,6 +122,36 @@ def test_oracle_matches_brute_force():
         total, connected = brute_force_counts(k, b)
         assert disconnected_count(k, b) == total, (k, b)
         assert connected_count(k, b) == connected, (k, b)
+
+
+def test_three_cycle_counts_match_brute_force():
+    # T3(k, m), the transitive m-tuples whose product is a 3-cycle; none
+    # below length 2k - 4, and empty below degree 3
+    assert characters._three_cycle_terms(2) == ()
+    for k, m in [(3, 0), (3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6)]:
+        _total, connected = brute_force_counts(k, m, moved=3)
+        assert characters._evaluate(characters._three_cycle_terms(k), k, m) == connected, (k, m)
+
+
+def test_term_tables_are_checked_against_minimal_factorizations():
+    # Hurwitz's (2k - 2)! k^(k - 3) for the identity and 27 C(k, 3)
+    # (2k - 4)! k^(k - 5) for the 3-cycles, with nothing shorter
+    for memo in (characters._connected_terms, characters._three_cycle_terms):
+        memo.cache_clear()
+    for k in range(1, 13):
+        characters._connected_terms(k)
+        characters._three_cycle_terms(k)
+    assert characters._evaluate(characters._three_cycle_terms(12), 12, 20) == (
+        27 * comb(12, 3) * factorial(20) * 12**7
+    )
+    for kind, memo in (("connected", characters._connected_terms), ("three-cycle", characters._three_cycle_terms)):
+        (w, f), *rest = memo(5)
+        with pytest.raises(InvariantViolation, match=f"{kind} terms of degree 5 fail no tuples of length 0"):
+            characters._check_least(kind, 5, ((w + 1, f), *rest))
+    # doubled weights still vanish below the least length, and break the minimal identity alone
+    doubled = tuple((2 * w, f) for w, f in characters._three_cycle_terms(5))
+    with pytest.raises(InvariantViolation, match=re.escape("5 fail 27 C(k, 3) (2k - 4)! k^k / k^5 tuples of length 6")):
+        characters._check_least("three-cycle", 5, doubled)
 
 
 def test_frozen_disconnected_counts():

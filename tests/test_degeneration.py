@@ -34,6 +34,7 @@ from gonalgeo.degeneration import (
     TwistOrbitReport,
     _table_twist,
     classify_node,
+    cross_check_walk,
     full_census,
     full_twist,
     refine_type_one,
@@ -470,44 +471,60 @@ def test_census_orders_split_cells_without_printing_counts():
     assert max(cen.split_table.values()) > 10**640
 
 
-def test_census_walks_its_own_degree_alone(monkeypatch):
-    degrees = []
-    steps = covers._block_steps
+def test_the_census_takes_no_walk_step(monkeypatch):
+    def no_walk(*_args):
+        raise AssertionError("the census took a walk step")
 
-    def recording(state):
-        degrees.append(sum(map(sum, state)))
-        return steps(state)
+    monkeypatch.setattr(covers, "_block_steps", no_walk)
+    monkeypatch.setattr(covers, "completion_tally", no_walk)
+    monkeypatch.setattr(degeneration, "completion_tally", no_walk)
+    # the walk of (14, 76), priced at 718 540 block-state visits, takes seconds
+    for k, b in ((6, 14), (14, 76)):
+        counts, cen = full_census(k, b)
+        assert counts.raw_count == connected_count(k, b)
+        assert cen.classes == counts.class_count
+    # the walk is reached only through the comparison oracle-check runs
+    with pytest.raises(AssertionError, match="walk step"):
+        cross_check_walk(6, 14)
 
-    monkeypatch.setattr(covers, "_block_steps", recording)
-    first = full_census(6, 14)
-    assert full_census(6, 14) == first
-    assert set(degrees) == {6}
+
+def test_the_walk_agrees_with_the_census_field_by_field():
+    # the walk stays the census's test oracle through degree 15: central,
+    # overlap, each split size and disjoint, as oracle-check compares them
+    grid = [(k, b) for k in range(2, 9) for b in range(2 * k - 2, 2 * k + 7, 2)]
+    for k, b in grid + [(10, 52), (15, 28)]:
+        assert cross_check_walk(k, b) == full_census(k, b)[0], (k, b)
 
 
-@pytest.mark.parametrize("b, caught", [
-    (6, "the walk's tallies at (4, 6) do not sum to Conn(k, b)"),
-    (8, "central tally at (4, 8) is not C(k, 2) Conn(k, b - 2)"),
-])
-def test_a_skewed_walk_step_breaks_the_class_algebra_checks(monkeypatch, b, caught):
+@pytest.mark.parametrize("b, field", [(6, "disjoint"), (8, "central")])
+def test_a_skewed_walk_step_breaks_the_walk_comparison(monkeypatch, b, field):
     # the step from the double transposition to a transposition, taken 3
     # ways instead of 2: at genus 0 no central pair passes through it and
-    # the sum catches the disjoint tally; one genus up the central tally
-    # moves too, and is checked first
+    # only the disjoint tally moves; one genus up the central tally moves
+    # too, and is compared first
+    census = full_census(4, b)
     skew_double_transposition_step(monkeypatch)
+    assert full_census(4, b) == census
+    caught = f"disagree on the {field} tally at (4, {b})"
     with pytest.raises(InvariantViolation, match=re.escape(caught)):
-        full_census(4, b)
+        cross_check_walk(4, b)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
     terms = characters._connected_terms
     # d! more weight on the largest exponent f moves k! Conn(d, beta) by
-    # d! f^beta: still integral and positive, but no longer the walk's
+    # d! f^beta: still integral and positive.  The identities the table
+    # is built with reject it, and the walk comparison names the split
+    # size it moves, or the census the split cell it leaves fractional
     top = max(f for w, f in terms(d))
     skewed = tuple((w + factorial(d) * (f == top), f) for w, f in terms(d))
+    with pytest.raises(InvariantViolation, match=f"connected terms of degree {d} fail"):
+        characters._check_least("connected", d, skewed)
     monkeypatch.setattr(degeneration, "_connected_terms", lambda n: skewed if n == d else terms(n))
-    with pytest.raises(InvariantViolation, match=f"split cells for j = {min(d, 6 - d)} sum to"):
-        full_census(6, 14)
+    j = min(d, 6 - d)
+    with pytest.raises(InvariantViolation, match=rf"split (size j = {j} tally|\({j}, \d+\) tally)"):
+        cross_check_walk(6, 14)
 
 
 class _CountedTable(dict):

@@ -2,9 +2,10 @@
 
 Along maximal gonality, k = (g + 3) // 2, the index K2 - 8 chi has the
 sign of X = k2_coeff - 8 chi_coeff = (b - 1)(2e - N1 + N3/9) - N for
-c > 0.  The exact census turns it positive at g = 19, far below the
-threshold that HMo's estimates N3 ~ (k - 2) N1, N ~ C(k, 2) N1, e ~ 0
-give; the exact N3 / N1 sits near 2(k - 2), not k - 2.
+c > 0.  The exact census turns it positive at g = 19 and keeps it
+positive through g = 37, far below the threshold that HMo's estimates
+N3 ~ (k - 2) N1, N ~ C(k, 2) N1, e ~ 0 give; the exact N3 / N1 sits near
+2(k - 2), not k - 2, and drifts below it as g grows.
 
 The slope s = K2_{F/Y} / chi_f of the family is a census quantity, and
 delta / lambda = 12 - s is checked against bounds from outside the
@@ -22,9 +23,11 @@ import pytest
 from gonalgeo.asymptotics import ConjecturedEstimates
 from gonalgeo.invariants import FamilyParams, _census_coefficients, surface_invariants
 
-# X / N1 at g = 17 ... 21, and delta / lambda at maximal gonality for
-# g = 2 ... 6 beside the known slopes of M_2 ... M_6
-X_OVER_N1 = {17: -5.305, 18: -3.759, 19: 2.031, 20: 4.022, 21: 11.034}
+# X / N1 at g = 17 ... 21, 25 and 37, and delta / lambda at maximal
+# gonality for g = 2 ... 6 beside the known slopes of M_2 ... M_6
+X_OVER_N1 = {17: -5.305, 18: -3.759, 19: 2.031, 20: 4.022, 21: 11.034, 25: 34.039, 37: 143.045}
+# N3 / N1 - 2(k - 2) at g = 37: it leaves the 1e-3 band past g = 27
+N3_DRIFT_AT_37 = -3.302e-3
 SMALL_GENUS = {
     2: (10, 10), 3: (8.9918, 9), 4: (8.4247, Fraction(17, 2)),
     5: (7.6558, 8), 6: (7.3284, Fraction(47, 6)),
@@ -54,7 +57,7 @@ def delta_over_lambda(cen) -> Fraction:
     return 12 - slope(cen)
 
 
-@pytest.mark.parametrize("g", range(15, 22))
+@pytest.mark.parametrize("g", range(15, 38))
 def test_exact_counts_turn_the_index_positive_at_genus_19(census_store, g):
     cen = maximal(census_store, g)
     k, n1 = cen.k, cen.type_one
@@ -65,12 +68,17 @@ def test_exact_counts_turn_the_index_positive_at_genus_19(census_store, g):
     for base_genus, c in FAMILIES:
         assert surface_invariants(FamilyParams(cen, c, base_genus)).positive_index is (x > 0)
     # the exact ratios against HMo's: N3 grows like 2(k - 2) N1, twice the
-    # estimate; N like C(k, 2) N1 and e like 0, as estimated
-    assert float(Fraction(cen.type_three, n1)) == pytest.approx(2 * (k - 2), abs=1e-3)
+    # estimate, though the ratio drifts below it as g grows; N like
+    # C(k, 2) N1 and e like 0, as estimated
+    drift = float(Fraction(cen.type_three, n1)) - 2 * (k - 2)
+    if g <= 21:
+        assert drift == pytest.approx(0, abs=1e-3)
+    if g == 37:
+        assert drift == pytest.approx(N3_DRIFT_AT_37, abs=1e-4)
     assert float(Fraction(cen.classes, n1)) == pytest.approx(comb(k, 2), abs=1e-2)
     assert Fraction(cen.rational_splits, n1) < Fraction(1, 1000)
     # under the estimates the excess stays negative at every one of these shapes
-    assert -59 <= ConjecturedEstimates().excess_coefficient(k, cen.b) <= -46
+    assert (-59 if g <= 21 else -79) <= ConjecturedEstimates().excess_coefficient(k, cen.b) <= -46
 
 
 def test_hyperelliptic_families_meet_cornalba_harris(census_store):
