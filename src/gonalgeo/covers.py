@@ -283,7 +283,11 @@ def _grow_prices(tables) -> None:
     p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
     c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
     s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-    products.append(products[-1] + p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n)))
+    # content terms, the peel's products, and the n power sums over at most
+    # n(n - 1) + 1 connected terms that check the degree-n table once built
+    products.append(
+        products[-1] + p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n)) + n * (n * n - n + 1)
+    )
 
 
 def _priced(k: int, price, budget: int | None) -> int:
@@ -314,8 +318,10 @@ def oracle_products(k: int, budget: int | None = None) -> int:
     """Products the character oracle forms for a count at degree k: the
     p(d) content terms of each d <= k, at most (j(j - 1) + 1) p(d - j)
     as ``characters._connected_terms`` peels j < d off d (one connected
-    term per exponent in -C(j, 2) .. C(j, 2)), and k(k - 1) + 1 powers.
-    With a ``budget``, they stop as ``_priced`` says."""
+    term per exponent in -C(j, 2) .. C(j, 2)), the d power sums over at
+    most d(d - 1) + 1 connected terms with which ``characters._check_least``
+    checks each degree-d table, and k(k - 1) + 1 powers.  With a
+    ``budget``, they stop as ``_priced`` says."""
     return _priced(k, lambda _, products: products, budget)
 
 

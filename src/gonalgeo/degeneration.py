@@ -23,7 +23,9 @@ walk (``covers.completion_tally``) tallies the same kinds another way,
 and ``cross_check_walk``, which ``oracle-check`` runs, compares them.
 
 The full-twist check runs over labeled search states, in a pass of its
-own, twisting each completion through the dense S_k tables.
+own: all completions of one state share their node type and their twist
+(u v is the inverse of the prefix product), read once per state, and
+each completion is twisted through the dense S_k tables.
 ``class_representatives``, ``full_twist`` and ``are_conjugate`` do the
 same check one class at a time and serve as its independent reference;
 like ``refine_type_one`` they work on transposition pairs directly.
@@ -48,7 +50,7 @@ from .covers import (
 )
 from .errors import InvariantViolation, ParameterError
 from .perm import Transposition
-from .tables import GroupTables, group_tables
+from .tables import group_tables
 
 
 class NodeType(Enum):
@@ -286,13 +288,6 @@ class TwistOrbitReport:
         return self.fixed_point_failures == 0 and self.orbit_size_failures == 0
 
 
-def _table_twist(tab: GroupTables, u: int, v: int) -> tuple[int, int]:
-    """``full_twist`` on a final pair of transposition indices: both are
-    conjugated by their product u * v."""
-    sigma = tab.mul_trans[tab.mul_trans[tab.identity][u]][v]
-    return tab.conj_trans[sigma][u], tab.conj_trans[sigma][v]
-
-
 def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
     """Check the full twist fixes equal and disjoint pairs pointwise and
     moves every overlapping-pair class in an orbit of size exactly 3.
@@ -308,43 +303,47 @@ def verify_twist_orbits(k: int, b: int) -> TwistOrbitReport:
     the need and the entries left share their parity.  A first entry u
     is kept, by the walk's rule, when the need after it is at most 1;
     then it is 1: the product p u is a transposition, the prefix with u
-    is connected, and the last entry v is p u itself.  An overlapping
-    pair lies inside one 3-cycle of p, hence inside one block, so it
-    completes a tuple only when the prefix is already connected.  A
-    relabeling fixing every edge of a connected prefix graph on k >= 3
-    symbols fixes every symbol (a symbol with two distinct neighbours y,
-    z maps into {x, y} & {x, z}; a leaf's neighbour has a second one), so
-    the twisted tuple is conjugate to the original only when it equals it.
+    is connected, and the last entry v is p u itself.  So every
+    completing pair of a state (p, c) has u v = p^-1: the node type and
+    the twist sigma = u v are read once per state, from its first pair,
+    and every pair is compared with its image under sigma.  An
+    overlapping pair lies inside one 3-cycle of p, hence inside one
+    block, so it completes a tuple only when the prefix is already
+    connected.  A relabeling fixing every edge of a connected prefix
+    graph on k >= 3 symbols fixes every symbol (a symbol with two
+    distinct neighbours y, z maps into {x, y} & {x, z}; a leaf's
+    neighbour has a second one), so the twisted tuple is conjugate to the
+    original only when it equals it.
     """
     validate_cover_shape(k, b)
     tab = group_tables(k)
-    trans, trans_of = tab.transpositions, tab.trans_of
+    trans, trans_of, conj = tab.transpositions, tab.trans_of, tab.conj_trans
     mul, merge, minf, nbl = tab.mul_trans, tab.merge_trans, tab.min_factors, tab.nblocks
+    free, units = mul[tab.identity], range(len(trans))
     classes = n3 = fixed_bad = orbit_bad = 0
     for (p, c), mult in prefix_states(tab, b).items():
         mrow, crow = mul[p], merge[c]
-        pairs = overlapping = fixed = orbit = 0
-        for u in range(len(trans)):
-            if minf[mrow[u]] + 2 * nbl[crow[u]] - 2 > 1:
-                continue
-            v = trans_of[mrow[u]]
-            pairs += 1
-            u2, v2 = _table_twist(tab, u, v)
-            if classify_node(trans[u], trans[v]) is not NodeType.THREE:
-                fixed += (u2, v2) != (u, v)
-                continue
-            if nbl[c] != 1:
-                raise InvariantViolation(
-                    f"overlapping pair {trans[u]}, {trans[v]} joins the split "
-                    f"prefix partition {tab.partitions[c]}"
-                )
-            overlapping += 1
-            # order divides 3 at class level, so size 1 is the only failure
-            orbit += (u2, v2) == (u, v)
-        classes += pairs * mult
-        n3 += overlapping * mult
-        fixed_bad += fixed * mult
-        orbit_bad += orbit * mult
+        pairs = [(u, trans_of[q]) for u, q, d in zip(units, mrow, crow) if minf[q] + 2 * nbl[d] - 2 <= 1]
+        if not pairs:
+            raise InvariantViolation(
+                f"prefix state {tab.perms[p]} on partition {tab.partitions[c]} has no completing pair"
+            )
+        u, v = pairs[0]
+        sigma = mul[free[u]][v]
+        twist = conj[sigma]
+        moved = sum(1 for x, y in pairs if twist[x] != x or twist[y] != y)
+        classes += len(pairs) * mult
+        if classify_node(trans[u], trans[v]) is not NodeType.THREE:
+            fixed_bad += moved * mult
+            continue
+        if nbl[c] != 1:
+            raise InvariantViolation(
+                f"overlapping pair {trans[u]}, {trans[v]} joins the split "
+                f"prefix partition {tab.partitions[c]}"
+            )
+        n3 += len(pairs) * mult
+        # order divides 3 at class level, so size 1 is the only failure
+        orbit_bad += (len(pairs) - moved) * mult
 
     return TwistOrbitReport(
         k, b,

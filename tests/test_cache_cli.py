@@ -35,7 +35,7 @@ from gonalgeo.cache import (
     resolve_cache_dir,
     write_census,
 )
-from gonalgeo.cli import _guard_budget, _parse_fraction, main
+from gonalgeo.cli import DEFAULT_ENUM_BUDGET, _guard_budget, _parse_fraction, main
 from gonalgeo.covers import block_states, oracle_products
 from gonalgeo.degeneration import full_census
 from gonalgeo.digits import int_digit_limit
@@ -250,20 +250,20 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert doc["match"] is True
     assert doc["oracle_raw"] == doc["enumeration_raw"] == "240"
 
-    # the oracle for (4, 10) forms 46 term products and the walk takes 112
+    # the oracle for (4, 10) forms 126 term products and the walk takes 112
     # block-state visits; --oracle-only prices the oracle alone
     code, out, err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "45", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "125", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert (code, out) == (3, "")
     assert err == (
         "error: the character oracle for (4, 10) forms more term products "
-        "than the budget 45; raise --budget to force\n"
+        "than the budget 125; raise --budget to force\n"
     )
     code, out, _err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "46", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "126", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -321,13 +321,14 @@ def test_cli_budget_guard(tmp_path, capsys):
         capsys, "census", "--k", "4", "--b", "10", "--budget", "112",
         "--cache-dir", str(tmp_path),
     )[0] == 0
-    # enumerating oracle-check is priced the same way
+    # enumerating oracle-check is priced the same way, once its oracle, at
+    # 126 term products, fits: the walk for (4, 12) is priced at 14 * 10
     code, _out, err = run_cli(
-        capsys, "oracle-check", "--k", "4", "--b", "10", "--budget", "111",
+        capsys, "oracle-check", "--k", "4", "--b", "12", "--budget", "139",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert "the census walk for (4, 10)" in err
+    assert "the census walk for (4, 12)" in err
 
 
 # each is priced within the default budget and finishes in seconds
@@ -383,6 +384,15 @@ def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
     # price has no layers, so a long tuple changes nothing
     for n in range(1, 201):
         _guard_budget(n, 10**9, oracle_products(n), oracle=True)
+
+
+def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload():
+    # the geography workload asks the oracle alone at k = 2 ... 12 with b
+    # up to 2k + 2; the price depends on k alone and peaks at 12 100
+    for k in range(2, 13):
+        for b in range(2 * k - 2, 2 * k + 3, 2):
+            _guard_budget(k, b, DEFAULT_ENUM_BUDGET, oracle=True)
+    assert oracle_products(12) == 12100
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
@@ -639,7 +649,7 @@ def test_cli_capacity_guard(tmp_path, capsys):
 
 def test_cli_census_refusal_advice_works(tmp_path, capsys):
     # the walk for (15, 82) is refused with advice to ask the oracle alone,
-    # which is priced at 24 584 term products and answers
+    # which is priced at 37 864 term products and answers
     code, out, err = run_cli(capsys, "census", "--k", "15", "--b", "82", "--cache-dir", str(tmp_path))
     assert (code, out) == (3, "")
     assert "use 'oracle-check --oracle-only'" in err
@@ -653,7 +663,7 @@ def test_cli_census_refusal_advice_works(tmp_path, capsys):
 
 
 # the oracle's price grows with the degree alone: degree 20 is priced at
-# 159 550 term products, degree 26 at 1 068 585, past the default budget,
+# 200 990 term products, degree 26 at 1 185 936, past the default budget,
 # where the exact price stops; 2^1412 refuses degree 10^6 before it
 @pytest.mark.parametrize(
     "k, b, code",

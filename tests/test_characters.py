@@ -254,12 +254,13 @@ def test_oracle_counts_past_the_table_bound():
 
 def test_the_oracle_price_covers_the_products_it_forms():
     # content terms of every degree d <= k, the peel's products for each
-    # j < d, and one power per connected term of degree k
+    # j < d, the k power sums that check the degree-k table, and one power
+    # per connected term of degree k
     formed = 0
     for k in range(1, 31):
         formed += len(partitions_of(k)) + sum(
             len(characters._connected_terms(j)) * len(partitions_of(k - j)) for j in range(1, k)
-        )
+        ) + k * len(characters._connected_terms(k))
         assert oracle_products(k) >= formed + len(characters._connected_terms(k)), k
 
 

@@ -349,7 +349,7 @@ def priced_from_scratch(k: int, price, budget: int | None) -> int:
         p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
         c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
         s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-        products += p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n))
+        products += p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n)) + n * (n * n - n + 1)
         value = price(s[n], products + n * n - n + 1)
         if budget is not None and value > budget:
             break

@@ -6,6 +6,7 @@ classify each with refine_type_one / classify_node, one tuple at a
 time.  Both routes are re-run against each other here.
 """
 
+import copy
 import re
 import sys
 from collections import Counter
@@ -32,7 +33,6 @@ from gonalgeo.degeneration import (
     NodeType,
     SplitProfile,
     TwistOrbitReport,
-    _table_twist,
     classify_node,
     cross_check_walk,
     full_census,
@@ -257,22 +257,59 @@ def _witness_prefixes(tab, b):
 
 
 def test_table_twist_is_full_twist_on_every_completion():
+    # every completing pair of a state has u v = p^-1, so the twist
+    # sigma = u v is one element per state, and conj_trans[sigma] twists
+    # each last pair as full_twist does on the whole tuple
     for k, b in [(3, 6), (4, 6), (5, 8)]:
         tab = group_tables(k)
-        trans = tab.transpositions
+        trans, mul, free = tab.transpositions, tab.mul_trans, tab.mul_trans[tab.identity]
         witnesses = _witness_prefixes(tab, b)
         assert set(witnesses) == set(prefix_states(tab, b))
         completions = 0
         for (p, c), prefix in witnesses.items():
+            pairs = []
             for u in range(len(trans)):
-                v = tab.trans_of[tab.mul_trans[p][u]]
-                if v < 0 or tab.nblocks[tab.merge_trans[tab.merge_trans[c][u]][v]] != 1:
-                    continue
+                v = tab.trans_of[mul[p][u]]
+                if v >= 0 and tab.nblocks[tab.merge_trans[tab.merge_trans[c][u]][v]] == 1:
+                    pairs.append((u, v))
+            sigma = mul[free[pairs[0][0]]][pairs[0][1]]
+            assert {mul[free[u]][v] for u, v in pairs} == {sigma}, (k, b, p, c)
+            for u, v in pairs:
                 t = MonodromyTuple(k, tuple(trans[i] for i in prefix + (u, v)))
-                u2, v2 = _table_twist(tab, u, v)
-                assert full_twist(t).entries[-2:] == (trans[u2], trans[v2]), t
+                twisted = trans[tab.conj_trans[sigma][u]], trans[tab.conj_trans[sigma][v]]
+                assert full_twist(t).entries[-2:] == twisted, t
                 completions += 1
         assert completions, (k, b)
+
+
+def _private_tables(monkeypatch, k):
+    """A copy of the degree-k tables that ``verify_twist_orbits`` reads in
+    place of the shared ones, so a test may skew it."""
+    tab = copy.copy(group_tables(k))
+    monkeypatch.setattr(degeneration, "group_tables", lambda n: tab if n == k else group_tables(n))
+    return tab
+
+
+def test_a_swapped_twist_entry_is_a_fixed_point_failure(monkeypatch):
+    # conjugation by the identity swaps (1 2) and (1 3): the equal pairs
+    # on them are twisted away from themselves, and nothing else changes
+    tab = _private_tables(monkeypatch, 4)
+    tab.conj_trans = [row[:] for row in tab.conj_trans]
+    row = tab.conj_trans[tab.identity]
+    row[0], row[1] = row[1], row[0]
+    report = verify_twist_orbits(4, 6)
+    assert not report.clean
+    assert (report.classes, report.type_three_classes, report.orbit_size_failures) == (120, 81, 0)
+    assert report.fixed_point_failures > 0
+
+
+def test_a_state_no_pair_completes_is_named(monkeypatch):
+    # read as a product of three, no transposition ends a tuple, so the
+    # states prefix_states keeps have no completing pair
+    tab = _private_tables(monkeypatch, 4)
+    tab.min_factors = [m + 2 if m == 1 else m for m in tab.min_factors]
+    with pytest.raises(InvariantViolation, match=r"prefix state \(3, 4, 1, 2\) on partition \(1, 1, 1, 1\) has no completing pair"):
+        verify_twist_orbits(4, 10)
 
 
 def valid_34_kwargs():
