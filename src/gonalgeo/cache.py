@@ -1,4 +1,4 @@
-"""Census cache: one JSON document per (k, b).
+"""Census export: one JSON document per (k, b).
 
 The schema is frozen for interchange.  Keys, in order: k, b, N, N_tilde,
 N1, N22, N3, M_table, e, N_sing, tool_version.  Every count is a decimal
@@ -8,83 +8,30 @@ plain integers; M_table is a list of {j, i, count} rows sorted by
 and a newline, encoded by ``json_text``, which the CLI's json reports
 share.  Writing is deterministic, so rewriting an unchanged census is
 byte-identical, and atomic: a reader sees the old document or the new
-one, never part of one.  Reading rejects a document that is not JSON
-in UTF-8 or nests too deeply to parse, whose keys or value types stray
-from the schema, that repeats a (j, i) cell, or that holds a
-count longer than the interpreter converts to an int, before any census
-invariant is checked.
+one, never part of one.
 
-The functions here take or return a ``DegenerationCensus`` alone.  N,
-N_tilde, e and N_sing are written from its derived values; on reading,
-the stored counts must pass the census validators and each derived key
-must equal the value they give.  Either failure is an
-InvariantViolation that names the document.  ``tool_version`` names the
-version that wrote the document and must be a string, but is not
-compared: a document from another version is read like any other, since
-every count and derived key in it is validated again on reading.
+No command reads a document: computing a census again, by class
+algebra, costs less than parsing and validating it for every shape up
+to genus about 25.  ``census`` exports its document (``export_census``),
+and ``read_census`` is one test for a library caller: the file holds,
+byte for byte, the document ``census`` would write for (k, b).
 """
 
 import json
 import os
-import re
 from itertools import chain
 from pathlib import Path
 
 from .degeneration import DegenerationCensus, full_census
-from .digits import _decimal, int_digit_limit
+from .digits import _decimal
 from .errors import CapacityError, InvariantViolation, ParameterError
 from .version import TOOL_VERSION
 
 ENV_CACHE_DIR = "GG_CACHE_DIR"
 DEFAULT_CACHE_DIR = "census-cache"
 
-_SCHEMA_KEYS = (
-    "k", "b", "N", "N_tilde", "N1", "N22", "N3", "M_table", "e", "N_sing",
-    "tool_version",
-)
-_COUNT_KEYS = ("N", "N_tilde", "N1", "N22", "N3", "e", "N_sing")
-_CELL_KEYS = {"j", "i", "count"}
-_DECIMAL = re.compile(r"-?[0-9]+")
 _encode_str = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_decimal(value) -> bool:
-    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
-        return False
-    limit = int_digit_limit()
-    return not limit or len(value.lstrip("-")) <= limit
-
-
-def _matches_schema(doc) -> bool:
-    """Keys, value types, and one M_table row per (j, i) cell.  Counts
-    are only checked to be decimal strings here; their values go through
-    the census validators."""
-    if not isinstance(doc, dict) or set(doc) != set(_SCHEMA_KEYS):
-        return False
-    if not (_is_int(doc["k"]) and _is_int(doc["b"]) and isinstance(doc["tool_version"], str)):
-        return False
-    if not all(_is_decimal(doc[key]) for key in _COUNT_KEYS):
-        return False
-    rows = doc["M_table"]
-    if not isinstance(rows, list):
-        return False
-    cells = set()
-    for row in rows:
-        if not (
-            isinstance(row, dict)
-            and set(row) == _CELL_KEYS
-            and _is_int(row["j"])
-            and _is_int(row["i"])
-            and _is_decimal(row["count"])
-        ):
-            return False
-        cells.add((row["j"], row["i"]))
-    return len(cells) == len(rows)
 
 
 def resolve_cache_dir(flag_value: str | os.PathLike | None = None) -> Path:
@@ -113,10 +60,9 @@ def census_file(cache_dir: os.PathLike | str, k: int, b: int) -> Path:
     """The census path of (k, b), or CapacityError when its name, or the
     temporary name written beside it, is longer than the cache directory
     (or, not made yet, its nearest existing ancestor) allows.  Nothing is
-    created, so this is asked before any walk, once per query: the
-    path it returns is handed on to ``load_or_compute`` and
-    ``read_census``.  The temporary name is measured with a fixed tag of
-    its length, so no random digits are drawn."""
+    created, so ``census`` asks this before it prices the census, and
+    hands the path it returns on.  The temporary name is measured with a
+    fixed tag of its length, so no random digits are drawn."""
     path = census_path(cache_dir, k, b)
     limit = 255  # where the platform cannot say
     for d in chain((path.parent,), path.parent.parents):
@@ -205,64 +151,58 @@ def write_census(
     return path
 
 
+def export_census(cache_dir: os.PathLike | str, census: DegenerationCensus, path: Path) -> tuple[dict, str]:
+    """The payload and document text of ``census``, written to ``path``
+    (``census_file``'s answer) unless the file holds them already: one
+    stat, and a read only when the sizes agree, so an unchanged document
+    keeps its inode and mtime.  A file that held other bytes is written
+    over and then named in an InvariantViolation, so a document that
+    changed in the cache is never passed over silently."""
+    payload = census_payload(census)
+    text = json_text(payload) + "\n"
+    data = text.encode()
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        size = None
+    if size == len(data) and path.read_bytes() == data:
+        return payload, text
+    write_census(cache_dir, census, text)
+    if size is not None:
+        raise InvariantViolation(
+            f"census document {path} did not hold the census of ({census.k}, {census.b}); "
+            "the census command has written it again"
+        )
+    return payload, text
+
+
 def read_census(
     cache_dir: os.PathLike | str, k: int, b: int, path: Path | None = None
 ) -> DegenerationCensus:
-    """Load and re-validate one cached census: the stored counts go
-    through the census validators, and each derived key must equal its
-    value computed from them.  A file name too long for the file system
-    is a CapacityError (``census_file``), not a bad cache; ``path``, when
-    given, is ``census_file``'s answer for (k, b) and is not asked again."""
+    """The census of (k, b), computed, once the file at its path holds,
+    byte for byte, the document ``census`` writes for it.  A missing or
+    unreadable file is a ParameterError, any other content an
+    InvariantViolation naming the document; ``path``, when given, is
+    ``census_file``'s answer for (k, b) and is not asked again."""
     path = path or census_file(cache_dir, k, b)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        held = path.read_bytes()
     except FileNotFoundError:
-        raise ParameterError(f"no cached census at {path}; run the census command first")
-    # bytes that are not UTF-8, or arrays nested past the recursion limit
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ParameterError(f"unreadable census document {path}: {exc}")
+        raise ParameterError(f"no census document at {path}") from None
     except OSError as exc:
-        raise ParameterError(f"cannot read census document {path}: {exc.strerror or exc}")
-    if not _matches_schema(doc):
-        raise ParameterError(
-            f"census document {path} does not match the schema; delete and recompute"
+        raise ParameterError(f"cannot read census document {path}: {exc.strerror or exc}") from None
+    census = full_census(k, b)[1]
+    if held != (json_text(census_payload(census)) + "\n").encode():
+        raise InvariantViolation(
+            f"census document {path} does not hold the census of ({k}, {b}); "
+            "the census command rewrites it"
         )
-    if (doc["k"], doc["b"]) != (k, b):
-        raise ParameterError(
-            f"census document {path} is for ({doc['k']}, {doc['b']}), expected ({k}, {b})"
-        )
-    try:
-        census = DegenerationCensus(
-            k, b,
-            type_one=int(doc["N1"]),
-            type_two_two=int(doc["N22"]),
-            type_three=int(doc["N3"]),
-            split_table={(row["j"], row["i"]): int(row["count"]) for row in doc["M_table"]},
-        )
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"census document {path}: {exc}; delete and recompute") from None
-    for key, value in (
-        ("N", census.raw_count),
-        ("N_tilde", census.classes),
-        ("e", census.rational_splits),
-        ("N_sing", census.singular),
-    ):
-        if int(doc[key]) != value:
-            raise InvariantViolation(
-                f"census document {path}: {key} does not match the counts; "
-                "delete and recompute"
-            )
     return census
 
 
-def load_or_compute(
-    cache_dir: os.PathLike | str, k: int, b: int, path: Path | None = None
-) -> DegenerationCensus:
-    """Cached census when present, else compute and cache it; ``path``
-    as for ``read_census``."""
-    path = path or census_file(cache_dir, k, b)
-    if path.exists():
-        return read_census(cache_dir, k, b, path)
+def load_or_compute(cache_dir: os.PathLike | str, k: int, b: int, path: Path | None = None) -> DegenerationCensus:
+    """The census of (k, b), computed and exported as the census command
+    does (``export_census``); ``path`` as for ``read_census``."""
     census = full_census(k, b)[1]
-    write_census(cache_dir, census)
+    export_census(cache_dir, census, path or census_file(cache_dir, k, b))
     return census

@@ -1,16 +1,20 @@
-"""Command line: census enumeration with caching (``census``), oracle
+"""Command line: the collision census and its export (``census``), oracle
 cross-checks (``oracle-check``), invariant evaluation and the audit
 chain (``invariants``, ``audit``), the maximal-gonality positivity
 thresholds (``asymptotics --case``), and the band search (``delta``).
 
-``census`` and ``delta`` reach the cache by one route (``_census``): the
-budget, in block-state visits (``covers.block_states``), is checked only
-for a census that is not cached yet, and a census computed there, by
-class algebra alone, is encoded once, for its cache document and a json
-report alike.  ``oracle-check`` prices its oracle against the budget in
-term products (``covers.oracle_products``), and its enumeration, the
-walk it compares field by field with the census, as a census.  A line
-led by a command name is parsed by that command's parser alone
+Every command that needs a census computes it in the process, by class
+algebra alone (``_computed_census``), priced first against the budget in
+term products (``covers.algebra_price``); no command reads a cache
+document.  ``census`` also exports its document to the cache directory,
+encoded once for the file and a json report alike, and writes it only
+when the file does not hold those bytes already (``_census``); a file
+that held other bytes is written over and reported as an invariant
+violation.  It alone resolves ``--cache-dir``.  ``oracle-check`` prices
+its oracle as class algebra, and its enumeration, the block-state walk
+it compares field by field with the census, in block-state visits
+(``covers.block_states``), and the census it compares with as a census.
+A line led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
 each reads the terminal width once.  The option groups that several
@@ -21,11 +25,13 @@ Options must be spelled out in full; an abbreviation is an unknown
 option.  ``--workers`` is deprecated: it is still parsed, a positive
 value only prints a warning, and it is hidden from help.
 
-Exit codes: 0 success or help, 2 invariant violation, 3 budget or capacity
+Exit codes: 0 success or help, 2 invariant violation (including a
+census document that did not hold its census, which ``census`` has just
+written again), 3 budget or capacity
 ceiling (including a reported value too long to print, or a census
 file name too long for the file system), 4 bad arguments
-or an unusable cache directory.  All output is deterministic for a
-given configuration and cache state; payloads carry no timestamps.
+or a cache directory ``census`` cannot use.  All output is deterministic
+for a given configuration; payloads carry no timestamps.
 """
 
 import argparse
@@ -34,20 +40,21 @@ import functools
 import shutil
 import sys
 from fractions import Fraction
-from math import comb, isqrt, log10
+from math import comb, log10
 
 from .asymptotics import delta_search, positivity_threshold
-from .cache import census_file, census_payload, json_text, read_census, resolve_cache_dir, write_census
-from .covers import block_states, class_count_via_oracle, cover_genus, oracle_products, validate_cover_shape
+from .cache import census_file, export_census, json_text, resolve_cache_dir
+from .covers import algebra_price, block_states, class_count_via_oracle, cover_genus, partitions_floor, validate_cover_shape
 from .degeneration import DegenerationCensus, cross_check_walk, full_census
 from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
 from .invariants import FamilyParams, audit_chain, surface_invariants
 
-# not called here (``_census`` computes and writes a census itself, so
-# that one encoding serves the cache and the report; ``oracle-check`` walks
-# in ``cross_check_walk``), but the benchmark's span tracer still wraps these
-from .cache import load_or_compute
+# not called here (no command reads a cache document; ``_census`` exports
+# through ``cache.export_census``, so that one encoding serves the cache and
+# the report; ``oracle-check`` walks in ``cross_check_walk``), but the
+# benchmark's span tracer still wraps these
+from .cache import load_or_compute, read_census, write_census
 from .characters import disconnected_count
 from .covers import class_count
 
@@ -101,61 +108,69 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     return k, b
 
 
-def _census(args, k: int, b: int) -> tuple[DegenerationCensus, dict | None, str | None]:
-    """The census of (k, b), read from the cache or, within the budget,
-    computed and cached, with the payload and document text it was
-    written as, both None for a census read.  A census whose N is too
-    long to print is never cached, and is not looked up: its file name
-    may be too long.  One whose file name is too long anyway
-    (``census_file``) is refused before the cache is searched or the walk
-    priced; the name is checked once, and its path handed on."""
+def _computed_census(k: int, b: int, budget: int, too_long: CapacityError | None) -> DegenerationCensus:
+    """The census of (k, b), by class algebra in this process, once its
+    price fits the budget; ``too_long`` is ``_count_refusal(k, b)``,
+    raised after the price when its N has more digits than the
+    interpreter prints."""
+    _guard_budget(k, b, budget)
+    if too_long:
+        raise too_long
+    return full_census(k, b)[1]
+
+
+def _count_refusal(k: int, b: int) -> CapacityError | None:
+    return _digit_refusal(k, b, "the tuple count N")
+
+
+def _census(args, k: int, b: int) -> tuple[dict, str]:
+    """The payload and document text of the census of (k, b), for its
+    report and its export alike (``cache.export_census``).  A census
+    whose N is too long to print is never written, and its file name,
+    which may be too long to look up, is not checked; one whose file name
+    is too long anyway (``census_file``) is refused before it is priced."""
+    cache_dir = resolve_cache_dir(args.cache_dir)
+    too_long = _count_refusal(k, b)
     try:
-        too_long = _digit_refusal(k, b, "the tuple count N")
-        path = None if too_long else census_file(args.cache_dir, k, b)
-        if not too_long and path.exists():
-            return read_census(args.cache_dir, k, b, path), None, None
-        _guard_budget(k, b, args.budget)
-        if too_long:
-            raise too_long
-        census = full_census(k, b)[1]
-        payload = census_payload(census)
-        text = json_text(payload) + "\n"
-        write_census(args.cache_dir, census, text)
-        return census, payload, text
+        path = None if too_long else census_file(cache_dir, k, b)
+        return export_census(cache_dir, _computed_census(k, b, args.budget, too_long), path)
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise ParameterError(
-            f"cannot use {args.cache_dir} as the census cache: {exc.strerror or exc}"
+            f"cannot use {cache_dir} as the census cache: {exc.strerror or exc}"
         ) from None
 
 
-def _guard_budget(k: int, b: int, budget: int, oracle: bool = False) -> None:
-    """Refuse (k, b) when its walk, at most S(k) block states in
-    each of b - 2 branching layers, or with ``oracle`` the character
-    oracle's ``covers.oracle_products``, is priced past the budget.  A
-    huge degree is refused before the exact price: per layer, each is at
-    least p(k) >= 2^s for the largest s with (s + 1)(s + 2)/2 - 1 <= k,
-    as the subsets of {2, ..., s + 1}, padded with 1s, are partitions of k.
+# what each engine's refusal names: the engine and the unit it is priced in
+_REFUSALS = {
+    "census": "the class-algebra census for ({k}, {b}) forms more term products than "
+    "the budget {budget}; raise --budget to force, or use 'oracle-check --oracle-only' "
+    "for the count alone",
+    "oracle": "the character oracle for ({k}, {b}) forms more term products than "
+    "the budget {budget}; raise --budget to force",
+    "walk": "the block-state walk for ({k}, {b}), which oracle-check compares with the "
+    "census, takes more block-state visits than the budget {budget}; raise --budget "
+    "to force, or use --oracle-only to skip it",
+}
 
-    A census is still priced as the walk, which only ``oracle-check`` takes:
-    it costs no more at any shape measured, and ``oracle_products`` lacks the
-    term in b of its split cells ((12, 200000) would pass, to run for hours)."""
-    s = (isqrt(8 * k + 9) - 1) // 2 - 1
-    layers = 1 if oracle else b - 2
-    # past the budget's bit length, 2^s alone passes it
-    if layers << min(s, budget.bit_length()) > budget or (
-        oracle_products(k, budget) if oracle else block_states(k, layers, budget)
+
+def _guard_budget(k: int, b: int, budget: int, engine: str = "census") -> None:
+    """Refuse (k, b) when ``engine`` is priced past the budget: the
+    class-algebra "census", the character "oracle" alone (both
+    ``covers.algebra_price``, in term products), or the "walk" that
+    ``oracle-check`` compares with the census, at most S(k) block states in
+    each of b - 2 layers (``covers.block_states``).  Every price is at
+    least p(k) per layer, so a huge degree is refused from
+    ``covers.partitions_floor`` before any price table grows."""
+    layers = b - 2 if engine == "walk" else 1
+    if layers * partitions_floor(k, budget) > budget or (
+        block_states(k, layers, budget) if engine == "walk"
+        else algebra_price(k, b, engine == "census", budget)
     ) > budget:
-        raise BudgetExceeded(
-            f"the character oracle for ({k}, {b}) forms more term products "
-            f"than the budget {budget}; raise --budget to force" if oracle else
-            f"the census walk for ({k}, {b}) takes more block-state visits than "
-            f"the enumeration budget {budget}; raise --budget to force, or use "
-            "'oracle-check --oracle-only' for the count without enumeration"
-        )
+        raise BudgetExceeded(_REFUSALS[engine].format(k=k, b=b, budget=budget))
 
 
 def _digit_refusal(k: int, b: int, what: str) -> CapacityError | None:
-    """The refusal of (k, b), before the oracle or the walk counts it,
+    """The refusal of (k, b), before class algebra or the walk counts it,
     when its connected count has more digits than the interpreter prints.
     Appending (t, t) keeps a tuple connected, so Conn(k, b + 2) >=
     C(k, 2) Conn(k, b); from Conn(k, 2k - 2) >= 1, Conn(k, b) >= C(k, 2)^g."""
@@ -214,8 +229,8 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = (), text: str | None
 
 def cmd_census(args) -> int:
     k, b = _resolve_shape(args.k, args.b, args.g)
-    census, payload, text = _census(args, k, b)
-    _emit(payload or census_payload(census), args.output, CENSUS_NOTES, text)
+    payload, text = _census(args, k, b)
+    _emit(payload, args.output, CENSUS_NOTES, text)
     return 0
 
 
@@ -223,7 +238,7 @@ def cmd_oracle_check(args) -> int:
     k, b = _resolve_shape(args.k, args.b, args.g)
     if too_long := _digit_refusal(k, b, "the oracle count"):
         raise too_long
-    _guard_budget(k, b, args.budget, oracle=True)
+    _guard_budget(k, b, args.budget, "oracle")
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -232,6 +247,7 @@ def cmd_oracle_check(args) -> int:
         "oracle_classes": str(oracle.class_count),
     }
     if not args.oracle_only:
+        _guard_budget(k, b, args.budget, "walk")
         _guard_budget(k, b, args.budget)
         enum = cross_check_walk(k, b)
         payload["enumeration_raw"] = str(enum.raw_count)
@@ -244,7 +260,8 @@ def cmd_oracle_check(args) -> int:
 
 def _family(args) -> FamilyParams:
     k, b = _resolve_shape(args.k, args.b, args.g)
-    return FamilyParams(read_census(args.cache_dir, k, b), args.c, args.base_genus, args.special_base)
+    census = _computed_census(k, b, args.budget, _count_refusal(k, b))
+    return FamilyParams(census, args.c, args.base_genus, args.special_base)
 
 
 def cmd_invariants(args) -> int:
@@ -331,7 +348,8 @@ def _parse_fraction(text: str) -> Fraction:
 def cmd_delta(args) -> int:
     k, b = _resolve_shape(args.k, None, args.g)
     eps = _parse_fraction(args.epsilon)
-    cert = delta_search(_census(args, k, b)[0], eps, window=args.window, d_max=args.d_max)
+    census = _computed_census(k, b, args.budget, _count_refusal(k, b))
+    cert = delta_search(census, eps, window=args.window, d_max=args.d_max)
     _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, args.output)
     return 0
 
@@ -344,11 +362,11 @@ def cmd_asymptotics(args) -> int:
 # the options shared by several commands, as rows of (flags, keywords)
 _GROUPS = {
     "common": (
-        (("--cache-dir",), {"default": None, "help": "census cache directory (default: $GG_CACHE_DIR or ./census-cache)"}),
+        (("--cache-dir",), {"default": None, "help": "where census exports its document (default: $GG_CACHE_DIR or ./census-cache); no command reads it"}),
         # deprecated and ignored; still parsed because the benchmark still sends it
         (("--workers",), {"type": int, "default": None, "help": argparse.SUPPRESS}),
         (("--output",), {"choices": ("json", "csv", "table"), "default": "table", "help": "report format"}),
-        (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "budget per counting engine: block-state visits for a walk (S(k) states in each of b - 2 layers), term products for the character oracle"}),
+        (("--budget",), {"type": int, "default": DEFAULT_ENUM_BUDGET, "help": "budget per counting engine: term products for class algebra (the census and the character oracle), block-state visits for the walk that oracle-check compares with the census (S(k) states in each of b - 2 layers)"}),
     ),
     "shape": (
         (("--k",), {"type": int, "required": True, "help": "cover degree"}),
@@ -363,14 +381,14 @@ _GROUPS = {
 }
 # one row per command: name, shared option groups, help, own arguments, handler
 _COMMANDS = (
-    ("census", ("common", "shape"), "enumerate one (k, b), cache and print its collision census", (), cmd_census),
-    ("oracle-check", ("common", "shape"), "compare enumeration against the character oracle", (
-        (("--oracle-only",), {"action": "store_true", "help": "skip enumeration; print the oracle count alone"}),
+    ("census", ("common", "shape"), "compute one (k, b)'s collision census by class algebra, print it and export it to the cache", (), cmd_census),
+    ("oracle-check", ("common", "shape"), "count by the character oracle, and check the census field by field against the block-state walk", (
+        (("--oracle-only",), {"action": "store_true", "help": "skip the walk; print the oracle count alone"}),
     ), cmd_oracle_check),
-    ("invariants", ("common", "shape", "family"), "surface invariants for a cached census", (
+    ("invariants", ("common", "shape", "family"), "surface invariants from the census of (k, b)", (
         (("--audit",), {"action": "store_true", "help": "append the audit chain"}),
     ), cmd_invariants),
-    ("audit", ("common", "shape", "family"), "audit chain for a cached census", (), cmd_audit),
+    ("audit", ("common", "shape", "family"), "audit chain from the census of (k, b)", (), cmd_audit),
     ("asymptotics", ("common",), "where the estimated excess turns positive at maximal gonality", (
         (("--case",), {"choices": ("odd", "even"), "required": True, "help": "maximal-gonality parity"}),
     ), cmd_asymptotics),
@@ -439,8 +457,7 @@ def main(argv=None) -> int:
     starts with a command name is parsed by that command's parser alone,
     one ``_Parser`` with no program parser around it; any other line by
     the full parser, so its errors and help list every command.  The
-    options every command shares are checked, and the cache directory
-    resolved, before the command runs."""
+    options every command shares are checked before the command runs."""
     argv = sys.argv[1:] if argv is None else argv
     led = bool(argv) and argv[0] in _COMMAND_ROWS
     parser = _command_parser(argv[0]) if led else build_parser()
@@ -452,7 +469,6 @@ def main(argv=None) -> int:
             if args.workers < 1:
                 raise ParameterError(f"workers must be positive, got {args.workers}")
             print("warning: --workers is deprecated and ignored", file=sys.stderr)
-        args.cache_dir = resolve_cache_dir(args.cache_dir)
         if args.budget < 1:
             raise ParameterError(f"budget must be positive, got {args.budget}")
         return args.func(args)

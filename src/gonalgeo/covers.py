@@ -41,7 +41,7 @@ tuples share one.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, isqrt
 
 from .digits import _magnitude
 from .errors import InvariantViolation, ParameterError
@@ -268,61 +268,137 @@ def _block_steps(state: tuple) -> tuple:
     )
 
 
-# p(n), S(n), sigma(n), c(n) and the content and peeled term products up
-# to degree n, at index n; kept for the life of the process and grown by
-# _priced only to the largest degree it prices
-_PRICE_TABLES = ([1], [1], [0], [0], [0])
+# p(n), S(n), c(n) and the term products up to degree n, at index n, and
+# the sums of p(m) m^i over 1 <= m < len(p) for i = 0, 1, 2; kept for the
+# life of the process.  p and the products grow together, S and c only for
+# a walk, each by _priced and only to the largest degree it prices
+_PRICE_TABLES = ([1], [1], [0], [0], [0, 0, 0])
 
 
-def _grow_prices(tables) -> None:
-    """Append degree n = len(p) to the price tables."""
-    p, s, sigma, c, products = tables
+def _grow_products(tables) -> None:
+    """Append degree n = len(p) to p, by Euler's pentagonal recurrence, and
+    to the term products: the p(n) content terms, the peel's products, and
+    the n power sums over at most n(n - 1) + 1 connected terms that check
+    the degree-n table once built.  O(sqrt n) steps."""
+    p, _s, _c, products, moments = tables
     n = len(p)
-    # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
-    sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
-    p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
+    total, i = 0, 1
+    while (first := i * (3 * i - 1) // 2) <= n:
+        pair = p[n - first] + (p[n - first - i] if first + i <= n else 0)
+        total += pair if i % 2 else -pair
+        i += 1
+    a0, a1, a2 = moments
+    # sum over j < n of (j^2 - j + 1) p(n - j), expanded in m = n - j
+    peel = (n * n - n + 1) * a0 - (2 * n - 1) * a1 + a2
+    products.append(products[-1] + total + peel + n * (n * n - n + 1))
+    p.append(total)
+    moments[:] = (a0 + total, a1 + n * total, a2 + n * n * total)
+
+
+def _grow_states(tables) -> None:
+    """Append degree n = len(S) to S, the Euler transform of p: n S(n) is
+    the sum over j <= n of c(j) S(n - j), c(j) summing d p(d) over d | j."""
+    p, s, c, _products, _moments = tables
+    n = len(s)
     c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
     s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-    # content terms, the peel's products, and the n power sums over at most
-    # n(n - 1) + 1 connected terms that check the degree-n table once built
-    products.append(
-        products[-1] + p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n)) + n * (n * n - n + 1)
-    )
 
 
-def _priced(k: int, price, budget: int | None) -> int:
+def _priced(k: int, price, budget: int | None, states: bool = False) -> int:
     """``price(S(n), oracle_products(n))`` at n = k, or at the first
-    n <= k where it passes the ``budget``; both grow with n.  The tables
-    grow to that n at most, so a refused degree stops them there."""
+    n <= k where it passes the ``budget``; both grow with n.  S(n) is 0
+    unless ``states`` asks for it.  The tables grow to that n at most, so
+    a refused degree stops them there."""
     tables = _PRICE_TABLES
-    s, products = tables[1], tables[4]
+    p, s, products = tables[0], tables[1], tables[3]
     for n in range(1, k + 1):
-        if n == len(s):
-            _grow_prices(tables)
-        value = price(s[n], products[n] + n * n - n + 1)
+        if n == len(p):
+            _grow_products(tables)
+        if states and n == len(s):
+            _grow_states(tables)
+        value = price(s[n] if states else 0, products[n] + n * n - n + 1)
         if budget is not None and value > budget:
             break
     return value
 
 
+def partitions_floor(k: int, budget: int | None = None) -> int:
+    """A lower bound on p(k) of Hardy and Ramanujan's form,
+    e^(5/2 sqrt k) / (13 k), in integers: 2^floor(3.606 isqrt(k)) / (13 k),
+    as 3.606 < (5/2) log2(e).  Every price of degree k is at least p(k) per
+    layer, so this refuses a huge degree before any table grows.  p(k) is
+    about e^(pi sqrt(2k/3)) / (4 sqrt(3) k) and pi sqrt(2/3) > 5/2, so the
+    margin grows with k; the tests check the bound against the exact p(k)
+    for every k <= 10^4.  With a ``budget`` the power of 2 stops at the
+    bits that already put the floor past it, so a huge k builds no huge
+    number."""
+    bits = 3606 * isqrt(k) // 1000
+    if budget is not None:
+        bits = min(bits, budget.bit_length() + (13 * k).bit_length())
+    return (1 << bits) // (13 * k)
+
+
 def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
     """``layers`` times S(k), the block states of degree k: partitions of
     partitions of k, the Euler transform of the partition numbers p.  The
-    walk visits at most S(k) states in each of its b - 2 branching layers,
-    and a census is still priced so.  With a ``budget``, the product stops
-    as ``_priced`` says."""
-    return _priced(k, lambda states, _: layers * states, budget)
+    walk that ``oracle-check`` takes visits at most S(k) states in each of
+    its b - 2 branching layers.  With a ``budget``, the product stops as
+    ``_priced`` says."""
+    return _priced(k, lambda states, _: layers * states, budget, states=True)
 
 
 def oracle_products(k: int, budget: int | None = None) -> int:
-    """Products the character oracle forms for a count at degree k: the
-    p(d) content terms of each d <= k, at most (j(j - 1) + 1) p(d - j)
-    as ``characters._connected_terms`` peels j < d off d (one connected
-    term per exponent in -C(j, 2) .. C(j, 2)), the d power sums over at
-    most d(d - 1) + 1 connected terms with which ``characters._check_least``
-    checks each degree-d table, and k(k - 1) + 1 powers.  With a
-    ``budget``, they stop as ``_priced`` says."""
+    """Products the class-algebra tables of degree k cost: the p(d)
+    content terms of each d <= k, at most (j(j - 1) + 1) p(d - j) as
+    ``characters._connected_terms`` peels j < d off d (one connected term
+    per exponent in -C(j, 2) .. C(j, 2)), the d power sums over at most
+    d(d - 1) + 1 connected terms with which ``characters._check_least``
+    checks each degree-d table, and one product for each of the
+    k(k - 1) + 1 powers of an evaluation.  With a ``budget``, they stop
+    as ``_priced`` says."""
     return _priced(k, lambda _, products: products, budget)
+
+
+def _power_price(d: int, total: int, count: int, top: int) -> int:
+    """Products that the powers of ``count`` evaluations of a degree-d
+    table cost past one per term, the exponents summing to ``total`` and
+    none past ``top``.  Each of at most d(d - 1) + 1 terms raises some
+    |f| <= C(d, 2) to the exponent m, about m floor(log2 C(d, 2)) bits, and
+    a power of w words costs w sqrt(w) / 32 products (repeated squaring
+    at about Karatsuba's rate), its sqrt(w) read at ``top``."""
+    bits = max(comb(d, 2).bit_length() - 1, 0)
+    words = (bits * total + 63 * count) // 64
+    return (d * d - d + 1) * words * isqrt((bits * top + 63) // 64) // 32
+
+
+def algebra_price(k: int, b: int, census: bool = False, budget: int | None = None) -> int:
+    """The class-algebra price of (k, b), in term products: the tables
+    (``oracle_products``), and the powers past one product each
+    (``_power_price``).  The oracle evaluates the connected table once, at
+    b.  A ``census`` builds the T3 tables too, priced as the connected
+    ones, evaluates the degree-k tables at b - 2 twice and at b once, and
+    for each split size j runs one pass over its cells, one per component
+    genus i < n (n = g + 1, one cell for j = 1), each evaluating a
+    degree-j table at beta1 = 2i + 2j - 2 and a degree-(k - j) one at
+    b - 2 - beta1, carrying C(b - 2, beta1) over about b bits (b / 512
+    products) and some 30 products of other work.  Each size is priced
+    from the sum and the largest of its exponents, in closed form, so the
+    price takes O(k) steps and no loop over the cells.  One product stood
+    for about 0.25 us on a shared 2-vCPU host, and the tests hold the
+    price within a factor of 2 of measured costs.  With a ``budget``, the
+    tables stop as ``_priced`` says, and a price they already pass is
+    returned at once."""
+    tables = oracle_products(k, budget)
+    if not census or (budget is not None and tables > budget):
+        return tables + _power_price(k, b, 1, b)
+    g = (b - 2 * k + 2) // 2
+    price = 2 * tables + 2 * _power_price(k, b - 2, 1, b - 2) + _power_price(k, b, 1, b)
+    for j in range(1, k // 2 + 1):
+        n, carry = (g + 1, (b + 511) // 512) if j > 1 else (1, 0)
+        small = n * (n + 2 * j - 3)  # beta1 summed over the cells
+        price += n * (30 + carry + j * j - j + 1 + (k - j) * (k - j - 1) + 1)
+        price += _power_price(j, small, n, 2 * n + 2 * j - 4) + _power_price(k - j, n * (b - 2) - small, n, b - 2 * j)
+    return price
 
 
 def _kind(state: tuple):

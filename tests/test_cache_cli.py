@@ -36,10 +36,11 @@ from gonalgeo.cache import (
     write_census,
 )
 from gonalgeo.cli import DEFAULT_ENUM_BUDGET, _guard_budget, _parse_fraction, main
-from gonalgeo.covers import block_states, oracle_products
+from gonalgeo.covers import algebra_price, block_states, oracle_products, partitions_floor
 from gonalgeo.degeneration import full_census
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
+from gonalgeo.version import TOOL_VERSION
 
 from conftest import skew_double_transposition_step
 
@@ -120,42 +121,63 @@ def test_round_trip(tmp_path, census_store):
 
 
 def test_read_census_failure_modes(tmp_path, census_store):
-    with pytest.raises(ParameterError, match="run the census command first"):
+    with pytest.raises(ParameterError, match="no census document at"):
         read_census(tmp_path, 3, 4)
 
     path = write_census(tmp_path, census_store(3, 4)[1])
-
-    doc = json.loads(path.read_text())
-    (tmp_path / "census_k3_b6.json").write_text(json.dumps(doc))
-    with pytest.raises(ParameterError, match="is for"):
+    good = path.read_text()
+    doc = json.loads(good)
+    # the (3, 4) document under the name of (3, 6) is not the census of (3, 6)
+    (tmp_path / "census_k3_b6.json").write_text(good)
+    with pytest.raises(InvariantViolation, match=r"does not hold the census of \(3, 6\)"):
         read_census(tmp_path, 3, 6)
 
-    path.write_text("{ not json")
-    with pytest.raises(ParameterError, match="unreadable"):
-        read_census(tmp_path, 3, 4)
-
+    # anything but the document's own bytes fails the one test: text that
+    # is no JSON, a key dropped, tampered counts, the same JSON without its
+    # indent, another tool version, a missing final newline
     stripped = {key: value for key, value in doc.items() if key != "N1"}
-    path.write_text(json.dumps(stripped))
-    with pytest.raises(ParameterError, match="schema"):
-        read_census(tmp_path, 3, 4)
+    for text in (
+        "{ not json",
+        json.dumps(stripped),
+        json.dumps(doc | {"N1": "2", "N3": "2"}, indent=2) + "\n",
+        json.dumps(doc),
+        json.dumps(doc | {"tool_version": "0.0.0"}, indent=2) + "\n",
+        good[:-1],
+    ):
+        path.write_text(text)
+        with pytest.raises(InvariantViolation, match=f"census document {re.escape(str(path))} does not hold"):
+            read_census(tmp_path, 3, 4)
+    path.write_text(good)
+    assert read_census(tmp_path, 3, 4) == census_store(3, 4)[1]
 
-    # tampered counts fail the census validators on the way in
-    broken = doc | {"N1": "2", "N3": "2"}
-    path.write_text(json.dumps(broken))
-    with pytest.raises(InvariantViolation):
-        read_census(tmp_path, 3, 4)
+    # a directory where the document should be cannot be read
+    census_path(tmp_path, 4, 6).mkdir()
+    with pytest.raises(ParameterError, match="cannot read census document"):
+        read_census(tmp_path, 4, 6)
 
 
 def test_load_or_compute_uses_the_cache(tmp_path, monkeypatch):
+    # the census is computed every time; the cache holds its export, which
+    # is written only when the file does not hold those bytes already, and
+    # written over, and named, when it holds others
     cen = load_or_compute(tmp_path, 3, 4)
     assert cen.raw_count == 24
-    # a second load must not recompute: make recomputation impossible
+    path = census_path(tmp_path, 3, 4)
+    good, before = path.read_bytes(), path.stat()
     import gonalgeo.cache as cache_mod
 
-    def boom(*args, **kwargs):
-        raise AssertionError("cache miss where a hit was expected")
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unchanged document was written again")
 
-    monkeypatch.setattr(cache_mod, "full_census", boom)
+    monkeypatch.setattr(cache_mod, "write_census", refuse)
+    assert load_or_compute(tmp_path, 3, 4) == cen
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    monkeypatch.undo()
+    path.write_text("{}")
+    with pytest.raises(InvariantViolation, match=rf"{re.escape(str(path))} did not hold the census of \(3, 4\)"):
+        load_or_compute(tmp_path, 3, 4)
+    assert path.read_bytes() == good
     assert load_or_compute(tmp_path, 3, 4) == cen
 
 
@@ -307,28 +329,31 @@ def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, m
 
 
 def test_cli_budget_guard(tmp_path, capsys):
-    # (4, 10): S(4) = 14 block states in each of 8 layers, priced at 112
+    # the class-algebra census of (4, 10) is priced at 401 term products:
+    # twice the 126 of the connected tables, its powers and its 4 cells
+    assert algebra_price(4, 10, census=True) == 401
     code, _out, err = run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "111",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "400",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert "the census walk for (4, 10) takes more block-state visits" in err
-    assert "budget 111" in err
+    assert "the class-algebra census for (4, 10) forms more term products" in err
+    assert "budget 400" in err
     assert "oracle-check --oracle-only" in err
     assert not census_path(tmp_path, 4, 10).exists()
     assert run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "112",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "401",
         "--cache-dir", str(tmp_path),
     )[0] == 0
-    # enumerating oracle-check is priced the same way, once its oracle, at
-    # 126 term products, fits: the walk for (4, 12) is priced at 14 * 10
+    # enumerating oracle-check prices its walk, once its oracle, at 126 term
+    # products, fits: the walk for (4, 12) is priced at S(4) = 14 block
+    # states in each of 10 layers
     code, _out, err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "12", "--budget", "139",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert "the census walk for (4, 12)" in err
+    assert "the block-state walk for (4, 12), which oracle-check compares with the census" in err
 
 
 # each is priced within the default budget and finishes in seconds
@@ -347,57 +372,95 @@ def test_cli_budget_guard_accepts_a_cheap_walk(tmp_path, capsys, argv):
     assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[0] == 0
 
 
-# the walk's price, S(k) (b - 2), passes the default budget of 10^6; at a
-# degree of a million even S(1) (b - 2) does, and so does the first S(j)
-# past 10^90 / (b - 2), long before S(10^6)
+WALK_REFUSED = "takes more block-state visits than the budget"
+CENSUS_REFUSED = "forms more term products than the budget"
+
+
+# the walk's price, S(k) (b - 2), passes the default budget of 10^6 at (15,
+# 82), (16, 90) and at degree 2 of genus 10^30, where the class algebra is
+# cheap; a census at degree 3 of genus 10^30 is priced past any budget the
+# walk was, and at a degree of a million p(k) alone passes 10^90
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refused",
     [
-        ("census", "--k", "15", "--b", "82"),
-        ("census", "--k", "16", "--b", "90"),
-        ("census", "--k", "2", "--g", str(10**30)),
-        ("census", "--k", "3", "--g", str(10**30)),
-        ("census", "--k", "1000000", "--g", "0"),
-        ("census", "--k", "1000000", "--g", "0", "--budget", str(10**90)),
-        ("delta", str(10**30), "3", "1/10"),
+        (("oracle-check", "--k", "15", "--b", "82"), WALK_REFUSED),
+        (("oracle-check", "--k", "16", "--b", "90"), WALK_REFUSED),
+        (("oracle-check", "--k", "2", "--g", str(10**30)), WALK_REFUSED),
+        (("census", "--k", "3", "--g", str(10**30)), CENSUS_REFUSED),
+        (("census", "--k", "1000000", "--g", "0"), CENSUS_REFUSED),
+        (("census", "--k", "1000000", "--g", "0", "--budget", str(10**90)), CENSUS_REFUSED),
+        (("delta", str(10**30), "3", "1/10"), CENSUS_REFUSED),
     ],
     ids=["15-82", "16-90", "k2-huge-g", "k3-huge-g", "k-million", "k-million-budget", "delta-huge-g"],
 )
-def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv):
+def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv, refused):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
-    assert "takes more block-state visits than the enumeration budget" in err
+    assert refused in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each ran for seconds before the class-algebra price: a huge degree at a
+# huge budget, whose exact price (p(k) by Euler's pentagonal recurrence) is
+# never reached or is reached in well under a second, and an oracle count
+# at a large b, whose powers now carry a price.  The floor on p(k) builds
+# no number past the budget's bits, so a degree of 10^30 is refused at once
+@pytest.mark.parametrize(
+    "argv, unlimited",
+    [
+        (("census", "--k", "1000000", "--g", "0", "--budget", str(10**1000)), False),
+        (("oracle-check", "--k", "3000", "--g", "0", "--oracle-only", "--budget", str(10**60)), False),
+        (("oracle-check", "--k", "12", "--b", "200000", "--oracle-only", "--output", "json"), True),
+        (("census", "--k", str(10**30), "--g", "0", "--budget", str(10**1000)), False),
+        (("oracle-check", "--k", str(10**30), "--g", "0"), False),
+    ],
+    ids=["census-k-million", "oracle-k-3000", "oracle-b-200000", "census-k-huge", "oracle-k-huge"],
+)
+def test_a_huge_shape_is_refused_within_a_second(tmp_path, capsys, monkeypatch, argv, unlimited):
+    if unlimited:  # as with PYTHONINTMAXSTRDIGITS=0, where the digit bound refuses nothing
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert CENSUS_REFUSED in err
     assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_guard_lower_bound_never_passes_the_exact_price():
-    # priced over one layer, a budget of exactly S(n) must not be refused
+    # priced over one layer, a budget of exactly S(n) must not be refused,
+    # nor one of exactly the census's price at genus 0 and at genus 20
     for n in range(1, 201):
-        _guard_budget(n, 3, block_states(n))
+        _guard_budget(n, 3, block_states(n), "walk")
+        for b in (2 * n - 2 or 2, 2 * n + 38):
+            _guard_budget(n, b, algebra_price(n, b, census=True))
 
 
 def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
-    # a budget of exactly the oracle's products must not be refused; the
-    # price has no layers, so a long tuple changes nothing
+    # a budget of exactly the oracle's price must not be refused, at a
+    # short tuple or a long one
     for n in range(1, 201):
-        _guard_budget(n, 10**9, oracle_products(n), oracle=True)
+        for b in (2 * n, 10**9):
+            _guard_budget(n, b, algebra_price(n, b), "oracle")
 
 
 def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload():
     # the geography workload asks the oracle alone at k = 2 ... 12 with b
-    # up to 2k + 2; the price depends on k alone and peaks at 12 100
+    # up to 2k + 2; the tables' products depend on k alone and peak at
+    # 12 100, and powers of at most 26 * 6 bits add 12 more
     for k in range(2, 13):
         for b in range(2 * k - 2, 2 * k + 3, 2):
-            _guard_budget(k, b, DEFAULT_ENUM_BUDGET, oracle=True)
+            _guard_budget(k, b, DEFAULT_ENUM_BUDGET, "oracle")
     assert oracle_products(12) == 12100
+    assert algebra_price(12, 26) == 12112
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
-    # S(10^6) >= 2^1412; the Euler transform up to the first S(j) past
-    # 10^300 would take over a second
+    # p(10^6) >= 2^3606 / (13 * 10^6); Euler's pentagonal recurrence up to
+    # the first p(j) past 10^300 would take over a second
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys, "census", "--k", "1000000", "--g", "0", "--budget", str(10**300),
@@ -406,8 +469,38 @@ def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path,
     assert time.perf_counter() - start < 0.3
     assert code == 3
     assert out == ""
-    assert "the census walk for (1000000, 1999998) takes more block-state visits" in err
+    assert "the class-algebra census for (1000000, 1999998) forms more term products" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _partitions(n: int) -> list[int]:
+    """p(0), ..., p(n), by counting partitions with parts at most m, for m = 1 ... n."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            p[total] += p[total - part]
+    return p
+
+
+def test_the_partition_floor_is_a_lower_bound_up_to_ten_thousand():
+    # the floor must hold at every k it is checked at, and its margin, about
+    # 2 e^(0.065 sqrt k) for pi sqrt(2/3) against 5/2, grows with k
+    oracle_products(10**4)  # grows p(n), by Euler's pentagonal recurrence, to n = 10^4
+    p = gonalgeo.covers._PRICE_TABLES[0]
+    # the recurrence against counting partitions part by part, and known values
+    assert p[:1501] == _partitions(1500)
+    assert p[100] == 190569292 and p[200] == 3972999029388
+    assert p[1000] == 24061467864032622473692149727991
+    margins = [p[k] / max(partitions_floor(k), 1) for k in range(1, 10**4 + 1)]
+    assert all(partitions_floor(k) <= p[k] for k in range(1, 10**4 + 1))
+    assert min(margins[1000:]) > 10 and min(margins[9000:]) > min(margins[1000:2000])
+    # the floor alone refuses a degree of a million past a budget of 10^1000;
+    # with a budget it stops at the bits that decide, and decides the same
+    assert partitions_floor(10**6) > 10**1000
+    for k in (1, 2, 50, 3000, 10**6):
+        for budget in (1, 10**6, 10**60, 10**1000):
+            assert (partitions_floor(k, budget) > budget) == (partitions_floor(k) > budget), (k, budget)
+    assert partitions_floor(10**30, 10**6).bit_length() < 200
 
 
 def test_cli_census_file_name_too_long_to_look_up_is_a_capacity_error(tmp_path, capsys):
@@ -424,16 +517,18 @@ def test_cli_census_file_name_too_long_to_look_up_is_a_capacity_error(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+# only census writes a document, so only census checks its file name;
+# invariants and audit at the same shape answer without the cache
+# directory (test_a_query_needs_no_census_file_name)
 @pytest.mark.parametrize("made, argv", [
-    (True, ("invariants", "--c", "8", "--base-genus", "2")),
-    (True, ("audit", "--c", "8", "--base-genus", "2")),
-    (False, ("invariants", "--c", "8", "--base-genus", "2")),
+    (True, ("census",)),
+    (True, ("census", "--output", "json")),
+    (False, ("census",)),
     (False, ("census", "--budget", str(10**500))),
 ])
 def test_a_census_file_name_too_long_is_refused_before_any_walk(tmp_path, capsys, made, argv):
     # a cache directory not made yet is judged by its nearest existing
-    # ancestor, is not made, and the census is refused before its walk of
-    # 2 * 10^400 layers starts
+    # ancestor, is not made, and the census is refused before it is priced
     d = tmp_path / "D"
     if made:
         d.mkdir()
@@ -447,6 +542,25 @@ def test_a_census_file_name_too_long_is_refused_before_any_walk(tmp_path, capsys
     assert err == (
         f"error: the census cache file name for (2, {2 * 10**400 + 2}) is too long for the file system\n"
     )
+    assert list(tmp_path.iterdir()) == ([d] if made else [])
+    assert not made or list(d.iterdir()) == []
+
+
+@pytest.mark.parametrize("made", [True, False])
+@pytest.mark.parametrize("command", ["invariants", "audit"])
+def test_a_query_needs_no_census_file_name(tmp_path, capsys, made, command):
+    # b = 2 * 10^400 + 2 makes a file name too long for the file system, but
+    # a query computes its census, a degree-2 one in a few steps, and leaves
+    # the cache directory alone
+    d = tmp_path / "D"
+    if made:
+        d.mkdir()
+    argv = (command, "--k", "2", "--g", str(10**400), "--c", "8", "--base-genus", "2")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(d), "--output", "json")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["b"] == 2 * 10**400 + 2
     assert list(tmp_path.iterdir()) == ([d] if made else [])
     assert not made or list(d.iterdir()) == []
 
@@ -472,7 +586,8 @@ def test_census_file_refuses_exactly_what_the_file_system_would(tmp_path, made):
         census_file(d, 3, longest * 10 + 2)
 
 
-# each is priced inside its budget, but Conn(3, b) >= 3^g has about
+# each is priced inside its budget (the class-algebra census of genus
+# 10^400 at 10^598 term products), but Conn(3, b) >= 3^g has about
 # 477000 digits, or a genus past the range of a float; a census too long to
 # print is never cached, so the existing cache directory is not searched,
 # where a file name for b past 250 digits would be too long to look up.  A
@@ -486,7 +601,7 @@ B_TOO_LONG = "the branch count b is at least 10^"
     [
         (("census", "--k", "3", "--g", str(10**6), "--budget", str(10**8)),
          "the tuple count N for (3, 2000004) is at least 10^477121"),
-        (("delta", str(10**400), "3", "1/10", "--budget", str(10**500)),
+        (("delta", str(10**400), "3", "1/10", "--budget", str(10**700)),
          f"the tuple count N for (3, {2 * 10**400 + 4}) is at least 10^"),
         (("oracle-check", "--k", "3", "--g", str(10**400), "--oracle-only"),
          f"the oracle count for (3, {2 * 10**400 + 4}) is at least 10^"),
@@ -573,21 +688,20 @@ def test_cli_oracle_count_too_long_to_print(tmp_path, capsys):
 
 
 def test_cli_cached_count_too_long_to_read(tmp_path, capsys):
+    # no command reads the document, so a count past the digit limit in it
+    # changes no report, and census writes its own document over it and
+    # names it
     d = str(tmp_path)
+    argv = ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2", "--cache-dir", d)
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
     path = census_path(d, 3, 4)
+    good = path.read_bytes()
+    fresh = run_cli(capsys, *argv)
     long_count = "1" + "0" * max(int_digit_limit(), 4300)
-    path.write_text(json.dumps(json.loads(path.read_text()) | {"N": long_count}))
-    code, _out, err = run_cli(
-        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
-        "--base-genus", "2", "--cache-dir", d,
-    )
-    if int_digit_limit():
-        assert code == 4
-        assert "does not match the schema" in err
-    else:
-        # read in full, the count then fails the census identities
-        assert code == 2
+    path.write_text(json.dumps(json.loads(good) | {"N": long_count}))
+    assert run_cli(capsys, *argv) == fresh
+    assert fresh[0] == 0
+    assert_census_replaces(capsys, tmp_path, path.read_bytes(), good)
 
 
 def test_cli_epsilon_past_float_range_has_no_approximation(tmp_path, capsys):
@@ -648,13 +762,15 @@ def test_cli_capacity_guard(tmp_path, capsys):
 
 
 def test_cli_census_refusal_advice_works(tmp_path, capsys):
-    # the walk for (15, 82) is refused with advice to ask the oracle alone,
-    # which is priced at 37 864 term products and answers
-    code, out, err = run_cli(capsys, "census", "--k", "15", "--b", "82", "--cache-dir", str(tmp_path))
+    # the census of (20, 112), priced at 539 187 term products, is refused
+    # at a budget of 300 000 with advice to ask the oracle alone, which is
+    # priced at 201 454 and answers
+    budget = ("--budget", "300000")
+    code, out, err = run_cli(capsys, "census", "--k", "20", "--b", "112", *budget, "--cache-dir", str(tmp_path))
     assert (code, out) == (3, "")
     assert "use 'oracle-check --oracle-only'" in err
     code, out, _err = run_cli(
-        capsys, "oracle-check", "--k", "15", "--b", "82", "--oracle-only",
+        capsys, "oracle-check", "--k", "20", "--b", "112", "--oracle-only", *budget,
         "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert code == 0
@@ -662,9 +778,10 @@ def test_cli_census_refusal_advice_works(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# the oracle's price grows with the degree alone: degree 20 is priced at
-# 200 990 term products, degree 26 at 1 185 936, past the default budget,
-# where the exact price stops; 2^1412 refuses degree 10^6 before it
+# the oracle's tables cost 200 990 term products at degree 20 and
+# 1 185 936 at degree 26, past the default budget, where the exact price
+# stops; its powers cost little at these b; p(10^6) >= 2^3606 / (13 * 10^6)
+# refuses degree 10^6 before any table grows
 @pytest.mark.parametrize(
     "k, b, code",
     [(20, 112, 0), (26, 60, 3), (60, 118, 3), (1000000, 1999998, 3)],
@@ -724,8 +841,9 @@ def test_cli_invariants_and_audit(tmp_path, capsys):
 
 @pytest.mark.parametrize("output", ["json", "table"])
 def test_a_document_from_another_tool_version_reads_like_any_other(tmp_path, capsys, output):
-    # tool_version is not compared on reading: every count and derived key
-    # is validated again, so the version that wrote a document changes nothing
+    # no command reads a document, so the version that wrote one changes no
+    # query's report; census writes its own version's document over it and
+    # names it once, and then prints what it printed before
     d = str(tmp_path)
     argvs = (
         ("invariants", "--k", "4", "--b", "8", "--c", "32", "--base-genus", "2", "--audit"),
@@ -737,55 +855,129 @@ def test_a_document_from_another_tool_version_reads_like_any_other(tmp_path, cap
     doc = json.loads(path.read_text())
     doc["tool_version"] = "0.0.0"
     path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert run_cli(capsys, *argvs[0], "--cache-dir", d, "--output", output) == before[0]
+    code, out, err = run_cli(capsys, *argvs[1], "--cache-dir", d, "--output", output)
+    assert (code, out) == (2, "")
+    assert f"census document {path} did not hold the census of (4, 8)" in err
+    assert json.loads(path.read_text())["tool_version"] == TOOL_VERSION
     after = [run_cli(capsys, *argv, "--cache-dir", d, "--output", output) for argv in argvs]
     assert after == before
     assert [code for code, _out, _err in after] == [0, 0]
-    assert json.loads(path.read_text())["tool_version"] == "0.0.0"
 
 
-def test_cli_invariants_requires_a_cached_census(tmp_path, capsys):
-    code, _out, err = run_cli(
+def test_cli_invariants_needs_no_cached_census(tmp_path, capsys):
+    # a query computes its census; the cache directory is not made
+    code, out, err = run_cli(
         capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
-        "--base-genus", "2", "--cache-dir", str(tmp_path / "empty"),
+        "--base-genus", "2", "--cache-dir", str(tmp_path / "empty"), "--output", "json",
     )
-    assert code == 4
-    assert "run the census command first" in err
+    assert (code, err) == (0, "")
+    assert json.loads(out)["invariants"]["k2"]["numerator"] == "-224"
+    assert list(tmp_path.iterdir()) == []
 
 
-# (3, 4) has N = 24, N_tilde = 4, e = 1 and N_sing = 0; each derived key
-# changed alone must be named, a stored count that fails its own check
-# need not be
-# each change to the (3, 4) document, and what the error must say after naming it
+def test_a_query_in_a_fresh_directory_answers_as_after_census(tmp_path, capsys):
+    # for every envelope pair, invariants, audit and delta print the same
+    # bytes in a fresh directory as after census has written the document
+    from conftest import ENVELOPE
+
+    for k, b in ENVELOPE:
+        g = (b - 2 * k + 2) // 2
+        family = ("--k", str(k), "--b", str(b), "--c", str(8 * b), "--base-genus", "2")
+        argvs = (("invariants", *family, "--audit"), ("audit", *family), ("delta", str(g), str(k), "1/10"))
+        fresh = tmp_path / f"fresh{k}_{b}"
+        filled = tmp_path / f"filled{k}_{b}"
+        before = [run_cli(capsys, *argv, "--cache-dir", str(fresh), "--output", "json") for argv in argvs]
+        assert not fresh.exists()
+        assert run_cli(capsys, "census", "--k", str(k), "--b", str(b), "--cache-dir", str(filled))[0] == 0
+        after = [run_cli(capsys, *argv, "--cache-dir", str(filled), "--output", "json") for argv in argvs]
+        assert after == before, (k, b)
+        # genus 1 gives up at the default --d-max, with exit 3
+        assert [code for code, _out, _err in after] == [0, 0, 3 if g == 1 else 0], (k, b)
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--k", "20", "--g", "37", "--c", "1000", "--base-genus", "2"),
+    ("census", "--k", "16", "--g", "29"),
+], ids=["invariants-20-37", "census-16-29"])
+def test_the_default_budget_answers_the_paper_shapes_in_a_fresh_directory(tmp_path, capsys, argv):
+    # both were refused at the default budget while a census was priced as
+    # the walk (S(k) (b - 2) block-state visits), and invariants read only a
+    # cached census; class algebra prices them at 539 187 and 153 746 term products
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"), "--output", "json")
+    assert (code, err) == (0, "")
+    if argv[0] == "invariants":
+        assert json.loads(out)["invariants"]["positive_index"] is True
+
+
+# each change to the (3, 4) document; read_census names the document in
+# its error, and no query reads it: each prints what it prints without it,
+# and census writes its own document back and reports the document it
+# replaced as an invariant violation
 TAMPERED_CACHE = {
-    "N1-and-N3": (
-        {"N1": "2", "N3": "2"},
-        "overlapping-pair count not divisible by 3; delete and recompute",
-    ),
-    "split-cell": (
-        {"M_table": [{"j": 1, "i": 0, "count": "50"}]},
-        "split classes exceed the equal-pair count; delete and recompute",
-    ),
-    "N": ({"N": "25"}, "N does not match the counts"),
-    "N_tilde": ({"N_tilde": "5"}, "N_tilde does not match the counts"),
-    "e": ({"e": "0"}, "e does not match the counts"),
-    "N_sing": ({"N_sing": "1"}, "N_sing does not match the counts"),
+    "N1-and-N3": {"N1": "2", "N3": "2"},
+    "split-cell": {"M_table": [{"j": 1, "i": 0, "count": "50"}]},
+    "N": {"N": "25"},
+    "N_tilde": {"N_tilde": "5"},
+    "e": {"e": "0"},
+    "N_sing": {"N_sing": "1"},
+}
+READERS = {
+    "invariants": ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2"),
+    "audit": ("audit", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2"),
+    "census": ("census", "--k", "3", "--b", "4"),
+    "delta": ("delta", "0", "3", "1"),
 }
 
 
-@pytest.mark.parametrize("change, message", TAMPERED_CACHE.values(), ids=TAMPERED_CACHE.keys())
-def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change, message):
-    d = str(tmp_path)
-    assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
+def assert_census_replaces(capsys, d, document: bytes, good: bytes) -> None:
+    """census over ``document`` in the (3, 4) file writes ``good`` there,
+    prints no report and exits 2 naming the file."""
     path = census_path(d, 3, 4)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps(doc | change))
-    code, out, err = run_cli(
-        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
-        "--base-genus", "2", "--cache-dir", d,
+    path.write_bytes(document)
+    code, out, err = run_cli(capsys, *READERS["census"], "--cache-dir", str(d))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"invariant violation: census document {path} did not hold the census of (3, 4); "
+        "the census command has written it again\n"
     )
-    assert code == 2
-    assert out == ""
-    assert f"invariant violation: census document {path}: {message}" in err
+    assert path.read_bytes() == good
+
+
+def assert_the_document_changes_no_report(capsys, d, document: bytes):
+    """Every query that needs the (3, 4) census prints, with ``document``
+    in its file, what it prints in a fresh directory; census writes its own
+    document over it and exits 2 naming it, then prints what it prints in
+    a fresh directory; read_census refuses the document until census has
+    written its own over it, and an unchanged document is not written
+    again."""
+    fresh = [run_cli(capsys, *argv, "--cache-dir", str(d / "fresh")) for argv in READERS.values()]
+    assert [code for code, _out, _err in fresh] == [0, 0, 0, 0]
+    assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", str(d))[0] == 0
+    path = census_path(d, 3, 4)
+    good = path.read_bytes()
+    path.write_bytes(document)
+    with pytest.raises(InvariantViolation, match=f"census document {re.escape(str(path))} does not hold"):
+        read_census(d, 3, 4)
+    for argv, want in zip(READERS.values(), fresh):
+        if argv[0] == "census":
+            assert_census_replaces(capsys, d, document, good)
+        assert run_cli(capsys, *argv, "--cache-dir", str(d)) == want, argv
+        assert path.read_bytes() == (good if argv[0] == "census" else document)
+        path.write_bytes(document)
+    assert_census_replaces(capsys, d, document, good)
+    before = path.stat()
+    assert run_cli(capsys, *READERS["census"], "--cache-dir", str(d))[0] == 0
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert path.read_bytes() == good
+    assert read_census(d, 3, 4).raw_count == 24
+
+
+@pytest.mark.parametrize("change", TAMPERED_CACHE.values(), ids=TAMPERED_CACHE.keys())
+def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change):
+    doc = json.loads(_census_document(3, 4))
+    assert_the_document_changes_no_report(capsys, tmp_path, (json.dumps(doc | change, indent=2) + "\n").encode())
 
 
 MALFORMED_CACHE = {
@@ -803,44 +995,38 @@ MALFORMED_CACHE = {
 
 @pytest.mark.parametrize("edit", MALFORMED_CACHE.values(), ids=MALFORMED_CACHE.keys())
 def test_cli_malformed_cache_is_a_schema_error(tmp_path, capsys, edit):
-    d = str(tmp_path)
-    assert run_cli(capsys, "census", "--k", "4", "--b", "6", "--cache-dir", d)[0] == 0
-    path = census_path(d, 4, 6)
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    code, _out, err = run_cli(
-        capsys, "invariants", "--k", "4", "--b", "6", "--c", "8",
-        "--base-genus", "2", "--cache-dir", d,
-    )
-    assert code == 4
-    assert "does not match the schema" in err
+    doc = edit(json.loads(_census_document(3, 4)))
+    assert_the_document_changes_no_report(capsys, tmp_path, json.dumps(doc).encode())
 
 
 # bytes that are not UTF-8, and arrays nested past the recursion limit,
-# are no JSON document; every command that reads the (3, 4) census says so
+# are no JSON document; no command parses one, so each ignores them
 UNPARSABLE_CACHE = {"not-utf-8": b"\xff\xfe{", "nested-too-deep": b"[" * 100_000}
-READERS = {
-    "invariants": ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2"),
-    "audit": ("audit", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2"),
-    "census": ("census", "--k", "3", "--b", "4"),
-    "delta": ("delta", "0", "3", "1"),
-}
 
 
 @pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
 @pytest.mark.parametrize("document", UNPARSABLE_CACHE.values(), ids=UNPARSABLE_CACHE.keys())
 def test_cli_unparsable_cache_is_an_unreadable_document(tmp_path, capsys, document, argv):
     d = str(tmp_path)
+    fresh = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
     path = census_path(d, 3, 4)
+    good = path.read_bytes()
     path.write_bytes(document)
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", d)
-    assert (code, out) == (4, "")
-    assert err.startswith(f"error: unreadable census document {path}: ")
-    assert path.read_bytes() == document
+    with pytest.raises(InvariantViolation, match="does not hold the census"):
+        read_census(d, 3, 4)
+    if argv[0] == "census":
+        assert_census_replaces(capsys, tmp_path, document, good)
+    assert run_cli(capsys, *argv, "--cache-dir", d) == fresh
+    assert fresh[0] == 0
+    assert path.read_bytes() == (good if argv[0] == "census" else document)
 
 
 @pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
 def test_a_query_checks_its_census_file_name_once(tmp_path, capsys, monkeypatch, argv):
+    # census checks the name of the document it writes once, and draws no
+    # random bytes when the document is already in place; the queries
+    # never look at the cache directory
     d = str(tmp_path)
     assert run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", d)[0] == 0
     checked = []
@@ -856,7 +1042,7 @@ def test_a_query_checks_its_census_file_name_once(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(gonalgeo.cache, "census_file", counted)
     monkeypatch.setattr(os, "urandom", refused)
     assert run_cli(capsys, *argv, "--cache-dir", d)[0] == 0
-    assert checked == [(Path(d), 3, 4)]
+    assert checked == ([(Path(d), 3, 4)] if argv[0] == "census" else [])
 
 
 @cache
@@ -986,7 +1172,8 @@ def test_cli_delta(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["certificate"]["d_min"] == 3
     assert doc["certificate"]["ratio"]["numerator"] == "8"
-    assert census_path(d, 3, 4).exists()
+    # delta computes its census and writes no document
+    assert list(tmp_path.iterdir()) == []
 
     code, _out, err = run_cli(
         capsys, "delta", "0", "3", "0", "--cache-dir", d
@@ -1179,10 +1366,14 @@ def test_cli_census_unusable_cache_dir(tmp_path, capsys):
 
 
 def test_cli_delta_unusable_cache_dir(tmp_path, capsys):
+    # delta does not use the cache directory, so one census could not use
+    # changes nothing
     f = tmp_path / "F"
     f.write_text("")
-    code, out, err = run_cli(capsys, "delta", "0", "2", "1", "--cache-dir", str(f))
-    _assert_unusable(code, out, err, str(f))
+    want = run_cli(capsys, "delta", "0", "2", "1", "--cache-dir", str(tmp_path / "fresh"))
+    assert run_cli(capsys, "delta", "0", "2", "1", "--cache-dir", str(f)) == want
+    assert want[0] == 0
+    assert f.read_text() == ""
 
 
 def test_cli_unsearchable_cache_dir(tmp_path, capsys, monkeypatch):
@@ -1197,28 +1388,26 @@ def test_cli_unsearchable_cache_dir(tmp_path, capsys, monkeypatch):
         return real_stat(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "stat", stat)
-    for argv in (
-        ("census", "--k", "3", "--b", "4"),
-        ("delta", "0", "2", "1"),
-    ):
-        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(d))
-        _assert_unusable(code, out, err, str(d))
-        assert "Permission denied" in err
+    code, out, err = run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", str(d))
+    _assert_unusable(code, out, err, str(d))
+    assert "Permission denied" in err
+    # delta never looks into the directory
+    assert run_cli(capsys, "delta", "0", "2", "1", "--cache-dir", str(d))[0] == 0
 
 
 def test_cli_invariants_unusable_cache_dir(tmp_path, capsys):
+    # invariants does not use the cache directory: a regular file there, or
+    # a directory where the document would be, changes nothing for it, and
+    # census, which would write there, cannot use either
+    argv = ("invariants", "--k", "3", "--b", "4", "--c", "8", "--base-genus", "2")
+    want = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
+    assert want[0] == 0
     f = tmp_path / "F"
     f.write_text("")
-    code, out, err = run_cli(
-        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
-        "--base-genus", "2", "--cache-dir", str(f),
-    )
-    _assert_unusable(code, out, err, str(f))
-    # a directory where the document should be is unreadable the same way
     d = tmp_path / "D"
     census_path(d, 3, 4).mkdir(parents=True)
-    code, out, err = run_cli(
-        capsys, "invariants", "--k", "3", "--b", "4", "--c", "8",
-        "--base-genus", "2", "--cache-dir", str(d),
-    )
-    _assert_unusable(code, out, err, str(d))
+    for where in (f, d):
+        assert run_cli(capsys, *argv, "--cache-dir", str(where)) == want
+        code, out, err = run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", str(where))
+        _assert_unusable(code, out, err, str(where))
+    assert f.read_text() == "" and census_path(d, 3, 4).is_dir()

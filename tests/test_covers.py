@@ -11,6 +11,7 @@ from gonalgeo.covers import (
     MonodromyTuple,
     _block_steps,
     _classes,
+    algebra_price,
     are_conjugate,
     block_states,
     class_count,
@@ -25,6 +26,7 @@ from gonalgeo.characters import connected_count, disconnected_count, partitions_
 from gonalgeo.errors import InvariantViolation, ParameterError
 from gonalgeo.tables import group_tables
 
+from conftest import ENVELOPE
 from test_characters import brute_force_counts
 
 
@@ -340,7 +342,9 @@ def test_block_states_stops_at_the_first_degree_past_the_budget():
 
 
 def priced_from_scratch(k: int, price, budget: int | None) -> int:
-    """The price recurrence rebuilt from n = 1 on every call: the oracle
+    """The price recurrence rebuilt from n = 1 on every call, p by the
+    Euler transform where the kept tables take Euler's pentagonal
+    recurrence and the peel's products from running moments: the oracle
     for the kept tables of ``covers._priced``."""
     # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
     p, s, sigma, c, products = [1], [1], [0], [0], 0
@@ -376,7 +380,7 @@ def test_kept_price_tables_equal_the_recurrence_from_scratch(monkeypatch, order)
         degrees.reverse()
     elif order == "shuffled":
         random.Random(20).shuffle(degrees)
-    monkeypatch.setattr(covers, "_PRICE_TABLES", ([1], [1], [0], [0], [0]))
+    monkeypatch.setattr(covers, "_PRICE_TABLES", ([1], [1], [0], [0], [0, 0, 0]))
     for k in degrees:
         assert block_states(k, LAYERS) == LAYERS * want[k][0], k
         assert oracle_products(k) == want[k][1], k
@@ -397,12 +401,44 @@ def test_kept_price_tables_equal_the_recurrence_from_scratch(monkeypatch, order)
         )
 
 
+# seconds that one count took in a fresh process, tables built there, best
+# of two on a shared 2-vCPU host (Python 3.11), and the time one term
+# product stood for there: the class-algebra price, times that, must land
+# within a factor of 2 of each.  (20, 112) and (30, 172) are all tables,
+# (4, 20000) all split cells, (6, 6000) mostly powers, and the oracle's
+# (12, 200000) one evaluation at a large b
+MEASURED_S = {
+    ("census", 20, 112): 0.19,
+    ("census", 30, 172): 2.7,
+    ("census", 4, 20000): 0.22,
+    ("census", 6, 6000): 0.85,
+    ("oracle", 12, 200000): 2.4,
+}
+PRODUCT_S = 0.25e-6
+
+
+def test_the_class_algebra_price_tracks_its_measured_cost():
+    for (engine, k, b), seconds in MEASURED_S.items():
+        estimate = algebra_price(k, b, census=engine == "census") * PRODUCT_S
+        assert seconds / 2 <= estimate <= 2 * seconds, (engine, k, b, estimate)
+    # the default budget of 10^6 accepts every envelope census, the paper's
+    # (16, 88) and (20, 112), and (4, 20000)
+    for k, b in ENVELOPE + [(16, 88), (20, 112), (4, 20000)]:
+        assert algebra_price(k, b, census=True) <= 10**6, (k, b)
+    # a price of the tables alone (k alone) would accept each of these at
+    # the default budget of 10^6, to run for a second or more
+    for engine, k, b in MEASURED_S:
+        if b > 1000:
+            assert algebra_price(k, b, census=engine == "census") > 4 * algebra_price(k, 2 * k + 2, census=engine == "census")
+
+
 def test_a_refused_degree_grows_the_price_tables_no_further(monkeypatch):
     want = scratch_prices()
     for n in range(1, PRICE_DEGREES + 1):
-        tables = ([1], [1], [0], [0], [0])
+        # p, S, c and the products, indexed by degree; the running moments last
+        tables = ([1], [1], [0], [0], [0, 0, 0])
         monkeypatch.setattr(covers, "_PRICE_TABLES", tables)
-        assert block_states(10**6, LAYERS, LAYERS * want[n][0] - 1) == LAYERS * want[n][0]
-        assert all(len(table) == n + 1 for table in tables), n
         assert oracle_products(10**6, want[n][1] - 1) == want[n][1]
-        assert all(len(table) == n + 1 for table in tables), n
+        assert [len(table) for table in tables[:4]] == [n + 1, 1, 1, n + 1], n
+        assert block_states(10**6, LAYERS, LAYERS * want[n][0] - 1) == LAYERS * want[n][0]
+        assert all(len(table) == n + 1 for table in tables[:4]), n
