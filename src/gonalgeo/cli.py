@@ -44,7 +44,7 @@ from math import comb, log10
 
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_file, export_census, json_text, resolve_cache_dir
-from .covers import algebra_price, block_states, class_count_via_oracle, cover_genus, partitions_floor, validate_cover_shape
+from .covers import algebra_price, block_states, class_count_via_oracle, cover_genus, validate_cover_shape
 from .degeneration import DegenerationCensus, cross_check_walk, full_census
 from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
@@ -158,14 +158,10 @@ def _guard_budget(k: int, b: int, budget: int, engine: str = "census") -> None:
     class-algebra "census", the character "oracle" alone (both
     ``covers.algebra_price``, in term products), or the "walk" that
     ``oracle-check`` compares with the census, at most S(k) block states in
-    each of b - 2 layers (``covers.block_states``).  Every price is at
-    least p(k) per layer, so a huge degree is refused from
-    ``covers.partitions_floor`` before any price table grows."""
-    layers = b - 2 if engine == "walk" else 1
-    if layers * partitions_floor(k, budget) > budget or (
-        block_states(k, layers, budget) if engine == "walk"
-        else algebra_price(k, b, engine == "census", budget)
-    ) > budget:
+    each of b - 2 layers (``covers.block_states``).  A degree past
+    ``covers.MAX_DEGREE`` is a CapacityError at any budget."""
+    price = block_states(k, b - 2) if engine == "walk" else algebra_price(k, b, engine == "census")
+    if price > budget:
         raise BudgetExceeded(_REFUSALS[engine].format(k=k, b=b, budget=budget))
 
 

@@ -40,11 +40,11 @@ tuples share one.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, isqrt
 
 from .digits import _magnitude
-from .errors import InvariantViolation, ParameterError
+from .errors import CapacityError, InvariantViolation, ParameterError
 from .perm import Transposition
 from .tables import GroupTables, group_tables
 
@@ -268,95 +268,59 @@ def _block_steps(state: tuple) -> tuple:
     )
 
 
-# p(n), S(n), c(n) and the term products up to degree n, at index n, and
-# the sums of p(m) m^i over 1 <= m < len(p) for i = 0, 1, 2; kept for the
-# life of the process.  p and the products grow together, S and c only for
-# a walk, each by _priced and only to the largest degree it prices
-_PRICE_TABLES = ([1], [1], [0], [0], [0, 0, 0])
+# the largest degree any engine is priced at: the tables of degree 61 alone
+# form 2.8 * 10^9 term products, some 12 minutes at 0.25 us each
+MAX_DEGREE = 60
 
 
-def _grow_products(tables) -> None:
-    """Append degree n = len(p) to p, by Euler's pentagonal recurrence, and
-    to the term products: the p(n) content terms, the peel's products, and
-    the n power sums over at most n(n - 1) + 1 connected terms that check
-    the degree-n table once built.  O(sqrt n) steps."""
-    p, _s, _c, products, moments = tables
-    n = len(p)
-    total, i = 0, 1
-    while (first := i * (3 * i - 1) // 2) <= n:
-        pair = p[n - first] + (p[n - first - i] if first + i <= n else 0)
-        total += pair if i % 2 else -pair
-        i += 1
-    a0, a1, a2 = moments
-    # sum over j < n of (j^2 - j + 1) p(n - j), expanded in m = n - j
-    peel = (n * n - n + 1) * a0 - (2 * n - 1) * a1 + a2
-    products.append(products[-1] + total + peel + n * (n * n - n + 1))
-    p.append(total)
-    moments[:] = (a0 + total, a1 + n * total, a2 + n * n * total)
+@cache
+def _price_table() -> tuple[tuple[int, int], ...]:
+    """(S(n), oracle_products(n)) at index n <= MAX_DEGREE, built once per
+    process: p by Euler's pentagonal recurrence, and S its Euler transform,
+    n S(n) summing c(j) S(n - j) over j <= n, c(j) summing d p(d) over d | j."""
+    p, s, c, products, table = [1], [1], [0], 0, [(1, 1)]
+    for n in range(1, MAX_DEGREE + 1):
+        total, i = 0, 1
+        while (first := i * (3 * i - 1) // 2) <= n:
+            pair = p[n - first] + (p[n - first - i] if first + i <= n else 0)
+            total += pair if i % 2 else -pair
+            i += 1
+        p.append(total)
+        c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
+        s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
+        products += total + sum((j * j - j + 1) * p[n - j] for j in range(1, n)) + n * (n * n - n + 1)
+        table.append((s[n], products + n * n - n + 1))
+    return tuple(table)
 
 
-def _grow_states(tables) -> None:
-    """Append degree n = len(S) to S, the Euler transform of p: n S(n) is
-    the sum over j <= n of c(j) S(n - j), c(j) summing d p(d) over d | j."""
-    p, s, c, _products, _moments = tables
-    n = len(s)
-    c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
-    s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
+def _price_row(k: int) -> tuple[int, int]:
+    """(S(k), oracle_products(k)), or a CapacityError past MAX_DEGREE."""
+    if k < 0:
+        raise ParameterError(f"degree must not be negative, got {k}")
+    if k > MAX_DEGREE:
+        raise CapacityError(f"degree {_magnitude(k)} is past {MAX_DEGREE}, the largest degree any engine is priced at: "
+                            f"the class-algebra tables of degree {MAX_DEGREE} alone form {_price_table()[-1][1]} term products")
+    return _price_table()[k]
 
 
-def _priced(k: int, price, budget: int | None, states: bool = False) -> int:
-    """``price(S(n), oracle_products(n))`` at n = k, or at the first
-    n <= k where it passes the ``budget``; both grow with n.  S(n) is 0
-    unless ``states`` asks for it.  The tables grow to that n at most, so
-    a refused degree stops them there."""
-    tables = _PRICE_TABLES
-    p, s, products = tables[0], tables[1], tables[3]
-    for n in range(1, k + 1):
-        if n == len(p):
-            _grow_products(tables)
-        if states and n == len(s):
-            _grow_states(tables)
-        value = price(s[n] if states else 0, products[n] + n * n - n + 1)
-        if budget is not None and value > budget:
-            break
-    return value
-
-
-def partitions_floor(k: int, budget: int | None = None) -> int:
-    """A lower bound on p(k) of Hardy and Ramanujan's form,
-    e^(5/2 sqrt k) / (13 k), in integers: 2^floor(3.606 isqrt(k)) / (13 k),
-    as 3.606 < (5/2) log2(e).  Every price of degree k is at least p(k) per
-    layer, so this refuses a huge degree before any table grows.  p(k) is
-    about e^(pi sqrt(2k/3)) / (4 sqrt(3) k) and pi sqrt(2/3) > 5/2, so the
-    margin grows with k; the tests check the bound against the exact p(k)
-    for every k <= 10^4.  With a ``budget`` the power of 2 stops at the
-    bits that already put the floor past it, so a huge k builds no huge
-    number."""
-    bits = 3606 * isqrt(k) // 1000
-    if budget is not None:
-        bits = min(bits, budget.bit_length() + (13 * k).bit_length())
-    return (1 << bits) // (13 * k)
-
-
-def block_states(k: int, layers: int = 1, budget: int | None = None) -> int:
+def block_states(k: int, layers: int = 1) -> int:
     """``layers`` times S(k), the block states of degree k: partitions of
     partitions of k, the Euler transform of the partition numbers p.  The
     walk that ``oracle-check`` takes visits at most S(k) states in each of
-    its b - 2 branching layers.  With a ``budget``, the product stops as
-    ``_priced`` says."""
-    return _priced(k, lambda states, _: layers * states, budget, states=True)
+    its b - 2 branching layers.  CapacityError past ``MAX_DEGREE``."""
+    return layers * _price_row(k)[0]
 
 
-def oracle_products(k: int, budget: int | None = None) -> int:
+def oracle_products(k: int) -> int:
     """Products the class-algebra tables of degree k cost: the p(d)
     content terms of each d <= k, at most (j(j - 1) + 1) p(d - j) as
     ``characters._connected_terms`` peels j < d off d (one connected term
     per exponent in -C(j, 2) .. C(j, 2)), the d power sums over at most
     d(d - 1) + 1 connected terms with which ``characters._check_least``
     checks each degree-d table, and one product for each of the
-    k(k - 1) + 1 powers of an evaluation.  With a ``budget``, they stop
-    as ``_priced`` says."""
-    return _priced(k, lambda _, products: products, budget)
+    k(k - 1) + 1 powers of an evaluation.  A degree past ``MAX_DEGREE`` is
+    a CapacityError."""
+    return _price_row(k)[1]
 
 
 def _power_price(d: int, total: int, count: int, top: int) -> int:
@@ -371,7 +335,7 @@ def _power_price(d: int, total: int, count: int, top: int) -> int:
     return (d * d - d + 1) * words * isqrt((bits * top + 63) // 64) // 32
 
 
-def algebra_price(k: int, b: int, census: bool = False, budget: int | None = None) -> int:
+def algebra_price(k: int, b: int, census: bool = False) -> int:
     """The class-algebra price of (k, b), in term products: the tables
     (``oracle_products``), and the powers past one product each
     (``_power_price``).  The oracle evaluates the connected table once, at
@@ -385,11 +349,10 @@ def algebra_price(k: int, b: int, census: bool = False, budget: int | None = Non
     from the sum and the largest of its exponents, in closed form, so the
     price takes O(k) steps and no loop over the cells.  One product stood
     for about 0.25 us on a shared 2-vCPU host, and the tests hold the
-    price within a factor of 2 of measured costs.  With a ``budget``, the
-    tables stop as ``_priced`` says, and a price they already pass is
-    returned at once."""
-    tables = oracle_products(k, budget)
-    if not census or (budget is not None and tables > budget):
+    price within a factor of 2 of measured costs.  A degree past
+    ``MAX_DEGREE`` is a CapacityError."""
+    tables = oracle_products(k)
+    if not census:
         return tables + _power_price(k, b, 1, b)
     g = (b - 2 * k + 2) // 2
     price = 2 * tables + 2 * _power_price(k, b - 2, 1, b - 2) + _power_price(k, b, 1, b)

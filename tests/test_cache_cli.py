@@ -36,7 +36,7 @@ from gonalgeo.cache import (
     write_census,
 )
 from gonalgeo.cli import DEFAULT_ENUM_BUDGET, _guard_budget, _parse_fraction, main
-from gonalgeo.covers import algebra_price, block_states, oracle_products, partitions_floor
+from gonalgeo.covers import MAX_DEGREE, algebra_price, block_states, oracle_products
 from gonalgeo.degeneration import full_census
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
@@ -374,12 +374,13 @@ def test_cli_budget_guard_accepts_a_cheap_walk(tmp_path, capsys, argv):
 
 WALK_REFUSED = "takes more block-state visits than the budget"
 CENSUS_REFUSED = "forms more term products than the budget"
+CAPACITY_REFUSED = f"is past {MAX_DEGREE}, the largest degree any engine is priced at"
 
 
 # the walk's price, S(k) (b - 2), passes the default budget of 10^6 at (15,
 # 82), (16, 90) and at degree 2 of genus 10^30, where the class algebra is
 # cheap; a census at degree 3 of genus 10^30 is priced past any budget the
-# walk was, and at a degree of a million p(k) alone passes 10^90
+# walk was, and a degree of a million is past the cap at any budget
 @pytest.mark.parametrize(
     "argv, refused",
     [
@@ -387,8 +388,8 @@ CENSUS_REFUSED = "forms more term products than the budget"
         (("oracle-check", "--k", "16", "--b", "90"), WALK_REFUSED),
         (("oracle-check", "--k", "2", "--g", str(10**30)), WALK_REFUSED),
         (("census", "--k", "3", "--g", str(10**30)), CENSUS_REFUSED),
-        (("census", "--k", "1000000", "--g", "0"), CENSUS_REFUSED),
-        (("census", "--k", "1000000", "--g", "0", "--budget", str(10**90)), CENSUS_REFUSED),
+        (("census", "--k", "1000000", "--g", "0"), CAPACITY_REFUSED),
+        (("census", "--k", "1000000", "--g", "0", "--budget", str(10**90)), CAPACITY_REFUSED),
         (("delta", str(10**30), "3", "1/10"), CENSUS_REFUSED),
     ],
     ids=["15-82", "16-90", "k2-huge-g", "k3-huge-g", "k-million", "k-million-budget", "delta-huge-g"],
@@ -403,48 +404,56 @@ def test_cli_budget_guard_refuses_at_once(tmp_path, capsys, argv, refused):
     assert list(tmp_path.iterdir()) == []
 
 
-# each ran for seconds before the class-algebra price: a huge degree at a
-# huge budget, whose exact price (p(k) by Euler's pentagonal recurrence) is
-# never reached or is reached in well under a second, and an oracle count
-# at a large b, whose powers now carry a price.  The floor on p(k) builds
-# no number past the budget's bits, so a degree of 10^30 is refused at once
+# each once ran for seconds, (800000, 1599998) for over 10 s in the guard
+# itself: a huge degree is past the cap at any budget, and an oracle count
+# at a large b is priced by its powers
 @pytest.mark.parametrize(
-    "argv, unlimited",
+    "argv, unlimited, refused",
     [
-        (("census", "--k", "1000000", "--g", "0", "--budget", str(10**1000)), False),
-        (("oracle-check", "--k", "3000", "--g", "0", "--oracle-only", "--budget", str(10**60)), False),
-        (("oracle-check", "--k", "12", "--b", "200000", "--oracle-only", "--output", "json"), True),
-        (("census", "--k", str(10**30), "--g", "0", "--budget", str(10**1000)), False),
-        (("oracle-check", "--k", str(10**30), "--g", "0"), False),
+        (("census", "--k", "1000000", "--g", "0", "--budget", str(10**1000)), False, CAPACITY_REFUSED),
+        (("census", "--k", "800000", "--g", "0", "--budget", str(10**1000)), False, CAPACITY_REFUSED),
+        (("oracle-check", "--k", "3000", "--g", "0", "--oracle-only", "--budget", str(10**60)), False, CAPACITY_REFUSED),
+        (("oracle-check", "--k", "12", "--b", "200000", "--oracle-only", "--output", "json"), True, CENSUS_REFUSED),
+        (("census", "--k", str(10**30), "--g", "0", "--budget", str(10**1000)), False, CAPACITY_REFUSED),
+        (("census", "--k", str(10**30), "--g", "0"), False, CAPACITY_REFUSED),
+        (("oracle-check", "--k", str(10**30), "--g", "0"), False, CAPACITY_REFUSED),
     ],
-    ids=["census-k-million", "oracle-k-3000", "oracle-b-200000", "census-k-huge", "oracle-k-huge"],
+    ids=["census-k-million", "census-k-800000", "oracle-k-3000", "oracle-b-200000", "census-k-huge", "census-k-huge-default", "oracle-k-huge"],
 )
-def test_a_huge_shape_is_refused_within_a_second(tmp_path, capsys, monkeypatch, argv, unlimited):
+def test_a_huge_shape_is_refused_within_a_second(tmp_path, capsys, monkeypatch, argv, unlimited, refused):
     if unlimited:  # as with PYTHONINTMAXSTRDIGITS=0, where the digit bound refuses nothing
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert CENSUS_REFUSED in err
+    assert refused in err
     assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_guard_lower_bound_never_passes_the_exact_price():
     # priced over one layer, a budget of exactly S(n) must not be refused,
-    # nor one of exactly the census's price at genus 0 and at genus 20
-    for n in range(1, 201):
+    # nor one of exactly the census's price at genus 0 and at genus 20;
+    # past the cap every engine is refused at any budget
+    for n in range(1, MAX_DEGREE + 1):
         _guard_budget(n, 3, block_states(n), "walk")
         for b in (2 * n - 2 or 2, 2 * n + 38):
             _guard_budget(n, b, algebra_price(n, b, census=True))
+    n = MAX_DEGREE + 1
+    for engine, b in (("walk", 3), ("census", 2 * n - 2), ("census", 2 * n + 38)):
+        with pytest.raises(CapacityError, match=CAPACITY_REFUSED):
+            _guard_budget(n, b, 10**1000, engine)
 
 
 def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
     # a budget of exactly the oracle's price must not be refused, at a
-    # short tuple or a long one
-    for n in range(1, 201):
+    # short tuple or a long one; past the cap it is refused at any budget
+    for n in range(1, MAX_DEGREE + 1):
         for b in (2 * n, 10**9):
             _guard_budget(n, b, algebra_price(n, b), "oracle")
+    for b in (2 * MAX_DEGREE + 2, 10**9):
+        with pytest.raises(CapacityError, match=CAPACITY_REFUSED):
+            _guard_budget(MAX_DEGREE + 1, b, 10**1000, "oracle")
 
 
 def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload():
@@ -459,8 +468,7 @@ def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
-    # p(10^6) >= 2^3606 / (13 * 10^6); Euler's pentagonal recurrence up to
-    # the first p(j) past 10^300 would take over a second
+    # a degree of a million is past the cap, at any budget, before any price
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys, "census", "--k", "1000000", "--g", "0", "--budget", str(10**300),
@@ -469,38 +477,11 @@ def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path,
     assert time.perf_counter() - start < 0.3
     assert code == 3
     assert out == ""
-    assert "the class-algebra census for (1000000, 1999998) forms more term products" in err
+    assert err == (
+        f"error: degree 1000000 is past {MAX_DEGREE}, the largest degree any engine is priced at: "
+        f"the class-algebra tables of degree {MAX_DEGREE} alone form 2350848204 term products\n"
+    )
     assert list(tmp_path.iterdir()) == []
-
-
-def _partitions(n: int) -> list[int]:
-    """p(0), ..., p(n), by counting partitions with parts at most m, for m = 1 ... n."""
-    p = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            p[total] += p[total - part]
-    return p
-
-
-def test_the_partition_floor_is_a_lower_bound_up_to_ten_thousand():
-    # the floor must hold at every k it is checked at, and its margin, about
-    # 2 e^(0.065 sqrt k) for pi sqrt(2/3) against 5/2, grows with k
-    oracle_products(10**4)  # grows p(n), by Euler's pentagonal recurrence, to n = 10^4
-    p = gonalgeo.covers._PRICE_TABLES[0]
-    # the recurrence against counting partitions part by part, and known values
-    assert p[:1501] == _partitions(1500)
-    assert p[100] == 190569292 and p[200] == 3972999029388
-    assert p[1000] == 24061467864032622473692149727991
-    margins = [p[k] / max(partitions_floor(k), 1) for k in range(1, 10**4 + 1)]
-    assert all(partitions_floor(k) <= p[k] for k in range(1, 10**4 + 1))
-    assert min(margins[1000:]) > 10 and min(margins[9000:]) > min(margins[1000:2000])
-    # the floor alone refuses a degree of a million past a budget of 10^1000;
-    # with a budget it stops at the bits that decide, and decides the same
-    assert partitions_floor(10**6) > 10**1000
-    for k in (1, 2, 50, 3000, 10**6):
-        for budget in (1, 10**6, 10**60, 10**1000):
-            assert (partitions_floor(k, budget) > budget) == (partitions_floor(k) > budget), (k, budget)
-    assert partitions_floor(10**30, 10**6).bit_length() < 200
 
 
 def test_cli_census_file_name_too_long_to_look_up_is_a_capacity_error(tmp_path, capsys):
@@ -779,9 +760,8 @@ def test_cli_census_refusal_advice_works(tmp_path, capsys):
 
 
 # the oracle's tables cost 200 990 term products at degree 20 and
-# 1 185 936 at degree 26, past the default budget, where the exact price
-# stops; its powers cost little at these b; p(10^6) >= 2^3606 / (13 * 10^6)
-# refuses degree 10^6 before any table grows
+# 1 185 936 at degree 26, past the default budget; its powers cost little
+# at these b; degree 10^6 is past the cap at any budget
 @pytest.mark.parametrize(
     "k, b, code",
     [(20, 112, 0), (26, 60, 3), (60, 118, 3), (1000000, 1999998, 3)],
@@ -796,10 +776,13 @@ def test_cli_oracle_is_priced_by_its_products(tmp_path, capsys, k, b, code):
     assert got == code
     if code:
         assert out == ""
-        assert err == (
-            f"error: the character oracle for ({k}, {b}) forms more term products "
-            "than the budget 1000000; raise --budget to force\n"
-        )
+        if k > MAX_DEGREE:
+            assert err.startswith(f"error: degree {k} {CAPACITY_REFUSED}")
+        else:
+            assert err == (
+                f"error: the character oracle for ({k}, {b}) forms more term products "
+                "than the budget 1000000; raise --budget to force\n"
+            )
 
 
 def test_cli_invariants_and_audit(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from gonalgeo import covers
 from gonalgeo.covers import (
+    MAX_DEGREE,
     MonodromyTuple,
     _block_steps,
     _classes,
@@ -23,7 +24,7 @@ from gonalgeo.covers import (
     oracle_products,
 )
 from gonalgeo.characters import connected_count, disconnected_count, partitions_of
-from gonalgeo.errors import InvariantViolation, ParameterError
+from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.tables import group_tables
 
 from conftest import ENVELOPE
@@ -329,76 +330,72 @@ def test_one_exact_rule_prunes_the_census_walk(monkeypatch):
     assert len(covers.prefix_states(group_tables(4), 10)) == 19
 
 
-def test_block_states_stops_at_the_first_degree_past_the_budget():
-    # S(1) = 1, S(2) = 3, S(3) = 6: priced over 10 layers, a budget of 40
-    # stops at degree 3, and a budget of 60 is not passed
-    assert block_states(50, 10, budget=40) == 60
-    assert block_states(3, 10, budget=60) == 60
-    assert block_states(2, 10, budget=20) == 30
-    # a degree of a million at a budget of 10^90 stops long before the end
-    start = time.perf_counter()
-    assert block_states(10**6, 2 * 10**6 - 4, budget=10**90) > 10**90
-    assert time.perf_counter() - start < 1
-
-
-def priced_from_scratch(k: int, price, budget: int | None) -> int:
-    """The price recurrence rebuilt from n = 1 on every call, p by the
-    Euler transform where the kept tables take Euler's pentagonal
-    recurrence and the peel's products from running moments: the oracle
-    for the kept tables of ``covers._priced``."""
+def priced_from_scratch(k: int) -> list[tuple[int, int]]:
+    """(S(n), oracle_products(n)) at index n <= k, with p by the Euler
+    transform where the package takes Euler's pentagonal recurrence: the
+    oracle for ``covers._price_table``."""
     # n a(n) = sum over j <= n of c(j) a(n - j); c(j) sums d p(d) over d | j for S, d alone for p
-    p, s, sigma, c, products = [1], [1], [0], [0], 0
+    p, s, sigma, c, products, seen = [1], [1], [0], [0], 0, [(1, 1)]
     for n in range(1, k + 1):
         sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
         p.append(sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
         c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
         s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
         products += p[n] + sum((j * j - j + 1) * p[n - j] for j in range(1, n)) + n * (n * n - n + 1)
-        value = price(s[n], products + n * n - n + 1)
-        if budget is not None and value > budget:
-            break
-    return value
-
-
-PRICE_DEGREES = 120
-LAYERS = 7
-
-
-def scratch_prices() -> list[tuple[int, int]]:
-    """(S(n), oracle_products(n)) at index n <= PRICE_DEGREES, each from
-    the recurrence's own price call at n."""
-    seen = [(1, 1)]
-    priced_from_scratch(PRICE_DEGREES, lambda states, products: seen.append((states, products)), None)
+        seen.append((s[n], products + n * n - n + 1))
     return seen
 
 
+LAYERS = 7
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_kept_price_tables_equal_the_recurrence_from_scratch(monkeypatch, order):
-    want = scratch_prices()
-    degrees = list(range(1, PRICE_DEGREES + 1))
+def test_kept_price_tables_equal_the_recurrence_from_scratch(order):
+    want = priced_from_scratch(MAX_DEGREE)
+    degrees = list(range(1, MAX_DEGREE + 1))
     if order == "descending":
         degrees.reverse()
     elif order == "shuffled":
         random.Random(20).shuffle(degrees)
-    monkeypatch.setattr(covers, "_PRICE_TABLES", ([1], [1], [0], [0], [0, 0, 0]))
+    # the table is built once, by whichever degree is asked first
+    covers._price_table.cache_clear()
     for k in degrees:
         assert block_states(k, LAYERS) == LAYERS * want[k][0], k
         assert oracle_products(k) == want[k][1], k
-    # a budget just under the price at n stops every degree from n up at n
-    for n in degrees:
-        states, products = want[n]
-        for k in (n, PRICE_DEGREES):
-            assert block_states(k, LAYERS, LAYERS * states - 1) == LAYERS * states, (n, k)
-            assert oracle_products(k, products - 1) == products, (n, k)
-        if n > 1:
-            assert block_states(n - 1, LAYERS, LAYERS * states - 1) == LAYERS * want[n - 1][0], n
-            assert oracle_products(n - 1, products - 1) == want[n - 1][1], n
-    # the kept tables answer as the recurrence does, budget and all
-    for n in (1, 2, 17, 60, PRICE_DEGREES):
-        budget = LAYERS * want[n][0] - 1
-        assert block_states(PRICE_DEGREES, LAYERS, budget) == priced_from_scratch(
-            PRICE_DEGREES, lambda states, _: LAYERS * states, budget
-        )
+    assert covers._price_table.cache_info().misses == 1
+    # a negative index would read the table from its end
+    for price in (block_states, oracle_products):
+        with pytest.raises(ParameterError, match="degree must not be negative"):
+            price(-1)
+
+
+def test_a_refused_degree_grows_the_price_tables_no_further():
+    want = priced_from_scratch(MAX_DEGREE)
+    covers._price_table.cache_clear()
+    for k in (MAX_DEGREE + 1, 10**6):
+        for price in (block_states, oracle_products):
+            with pytest.raises(CapacityError):
+                price(k)
+        # the refusal reads the table of the cap, and extends it by no degree
+        assert len(covers._price_table()) == MAX_DEGREE + 1
+        assert covers._price_table.cache_info().misses == 1
+    for n in range(1, MAX_DEGREE + 1):
+        assert block_states(n, LAYERS) == LAYERS * want[n][0], n
+        assert oracle_products(n) == want[n][1], n
+
+
+def test_the_degree_cap_refuses_only_work_of_ten_minutes_or_more():
+    # the tables of the least refused degree alone take 10 minutes at the
+    # price's rate, and the cap leaves degree 40, maximal gonality at g = 77
+    assert priced_from_scratch(MAX_DEGREE + 1)[-1][1] * PRODUCT_S >= 600
+    assert MAX_DEGREE >= 40
+    # past the cap every price is a CapacityError, at once at any degree
+    start = time.perf_counter()
+    for k in (MAX_DEGREE + 1, 10**6, 10**30, 10**4000):
+        for price in (block_states, oracle_products, lambda k: algebra_price(k, 2 * k + 2, census=True)):
+            with pytest.raises(CapacityError, match=f"is past {MAX_DEGREE}, the largest degree"):
+                price(k)
+    assert time.perf_counter() - start < 1
 
 
 # seconds that one count took in a fresh process, tables built there, best
@@ -430,15 +427,3 @@ def test_the_class_algebra_price_tracks_its_measured_cost():
     for engine, k, b in MEASURED_S:
         if b > 1000:
             assert algebra_price(k, b, census=engine == "census") > 4 * algebra_price(k, 2 * k + 2, census=engine == "census")
-
-
-def test_a_refused_degree_grows_the_price_tables_no_further(monkeypatch):
-    want = scratch_prices()
-    for n in range(1, PRICE_DEGREES + 1):
-        # p, S, c and the products, indexed by degree; the running moments last
-        tables = ([1], [1], [0], [0], [0, 0, 0])
-        monkeypatch.setattr(covers, "_PRICE_TABLES", tables)
-        assert oracle_products(10**6, want[n][1] - 1) == want[n][1]
-        assert [len(table) for table in tables[:4]] == [n + 1, 1, 1, n + 1], n
-        assert block_states(10**6, LAYERS, LAYERS * want[n][0] - 1) == LAYERS * want[n][0]
-        assert all(len(table) == n + 1 for table in tables[:4]), n
