@@ -10,18 +10,17 @@ class C:
 with dim_lam = k! / (product of hook lengths of lam) and f_lam =
 |C| chi_lam(tau) / dim_lam the content sum of lam, the sum of j - i over
 its cells (i, j).  Both are read off the diagram, so a count never
-builds a character table; each degree keeps its p(k) pairs
-(dim_lam^2, f_lam), checked against three identities.  The connected
-count is an exponential sum too, k! Conn(k, b) = sum of w f^b over one
-table of (w, f) per degree, built once by peeling off the block of
-symbol 1 on the exponents, so no memo is keyed by b; so is the count
-of transitive tuples with a 3-cycle product, T3.  The collision census
+builds a character table.  Every count is such an exponential sum, kept
+as one (w, f) table per degree, one term per exponent f: D_k, checked
+against three identities; k! Conn(k, b), built once by peeling off the
+block of symbol 1 on the exponents, so no memo is keyed by b; and the
+transitive tuples with a 3-cycle product, T3.  The collision census
 (``degeneration.full_census``) reads every field from these tables,
 each checked when it is built against the minimal factorization counts.
 
 The full character table, by the border-strip recursion on beta-sets
 with every entry an exact integer and both orthogonality relations
-checked, is kept as the independent reference for those pairs.
+checked, is kept as the independent reference for D_k.
 """
 
 from collections import Counter
@@ -167,32 +166,29 @@ def _content_sum(lam: tuple[int, ...], power: int = 1) -> int:
 
 
 @lru_cache(maxsize=None)
-def _content_terms(k: int) -> tuple[tuple[int, int], ...]:
-    """``(dim_lam^2, f_lam)`` for every partition of k, from hook lengths
-    and content sums.  The pairs must satisfy the counts of zero, one and
-    two transpositions with identity product, k! times 1, 0 and C(k, 2);
+def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """``(D_k, A_k)``: the ``(w, f)`` tables over the partitions lam of k, summed
+    by content sum f, that weigh lam dim_lam^2, from hook lengths, and
+    dim_lam^2 (p2(lam) - C(k, 2)), p2 summing the squared contents.  D_k must
+    count k! times 1, 0 and C(k, 2) tuples of zero, one and two transpositions;
     every identity that fails is named."""
-    order = factorial(k)
-    terms = []
+    order, pairs = factorial(k), comb(k, 2)
+    squares: dict[int, int] = {}
+    heads: dict[int, int] = {}
     for lam in partitions_of(k):
         dim, rem = divmod(order, prod(_hook_lengths(lam)))
         if rem:
             raise InvariantViolation(f"hook lengths of {lam} do not give a dimension of S_{k}")
-        terms.append((dim * dim, _content_sum(lam)))
-    failed = [
-        name
-        for name, power, want in (
-            ("sum dim^2 = k!", 0, order),
-            ("sum dim^2 f = 0", 1, 0),
-            ("sum dim^2 f^2 = k! C(k, 2)", 2, order * comb(k, 2)),
-        )
-        if sum(sq * f**power for sq, f in terms) != want
-    ]
-    if failed:
-        raise InvariantViolation(
-            f"content-sum terms of degree {k} fail " + "; ".join(failed)
-        )
-    return tuple(terms)
+        f = _content_sum(lam)
+        squares[f] = squares.get(f, 0) + dim * dim
+        heads[f] = heads.get(f, 0) + dim * dim * (_content_sum(lam, 2) - pairs)
+    terms = tuple((w, f) for f, w in squares.items() if w)
+    _check_sums(f"content-sum terms of degree {k}", terms, (
+        ("sum dim^2 = k!", 0, order),
+        ("sum dim^2 f = 0", 1, 0),
+        ("sum dim^2 f^2 = k! C(k, 2)", 2, order * pairs),
+    ))
+    return terms, tuple((w, f) for f, w in heads.items() if w)
 
 
 def _evaluate(terms: tuple[tuple[int, int], ...], k: int, b: int) -> int:
@@ -216,35 +212,39 @@ def disconnected_count(k: int, b: int) -> int:
     1
     """
     _check_shape(k, b)
-    return _evaluate(_content_terms(k), k, b)
+    return _evaluate(_content_terms(k)[0], k, b)
+
+
+def _check_sums(what: str, terms: tuple[tuple[int, int], ...], rules) -> tuple[tuple[int, int], ...]:
+    """``terms`` once the sum of w f^m is ``want`` for every ``(name, m, want)``
+    of ``rules``, else an InvariantViolation naming every rule that fails."""
+    failed = [name for name, m, want in rules if sum(w * f**m for w, f in terms) != want]
+    if failed:
+        raise InvariantViolation(f"{what} fail " + "; ".join(failed))
+    return terms
 
 
 def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """``terms`` of ``kind`` at degree k, once their count (1 / k!) sum w f^m is 0
     at every even m below the need rule's least length and the minimal count
-    (an integer at every k) at it; every identity that fails is named."""
+    (an integer at every k) at it."""
     if kind == "connected":  # Hurwitz
         least, count, formula = 2 * k - 2, factorial(2 * k - 2) * k**k // k**3, "(2k - 2)! k^k / k^3"
     else:  # the 3-cycles, by Goulden and Jackson
         least, count, formula = 2 * k - 4, 27 * comb(k, 3) * factorial(2 * k - 4) * k**k // k**5, "27 C(k, 3) (2k - 4)! k^k / k^5"
-    failed = [f"no tuples of length {m}" for m in range(0, least, 2) if sum(w * f**m for w, f in terms)]
-    if sum(w * f**least for w, f in terms) != factorial(k) * count:
-        failed.append(f"{formula} tuples of length {least}")
-    if failed:
-        raise InvariantViolation(f"{kind} terms of degree {k} fail " + "; ".join(failed))
-    return terms
+    rules = [(f"no tuples of length {m}", m, 0) for m in range(0, least, 2)]
+    rules.append((f"{formula} tuples of length {least}", least, factorial(k) * count))
+    return _check_sums(f"{kind} terms of degree {k}", terms, rules)
 
 
-def _peel(k: int, weigh, sizes, scale, block_terms) -> tuple[tuple[int, int], ...]:
-    """``(w, f)`` over all tuples of degree k, lam weighed dim_lam^2 ``weigh(lam)``,
-    less ``scale(j)`` (``block_terms(j)`` * D_{k-j}) for each marked block size
-    j in ``sizes``: over C(b, b1) shares, weights multiply and exponents add."""
-    weights: dict[int, int] = {}
-    for lam, (sq, f) in zip(partitions_of(k), _content_terms(k)):
-        weights[f] = weights.get(f, 0) + sq * weigh(lam)
+def _peel(k: int, head, sizes, scale, block_terms) -> tuple[tuple[int, int], ...]:
+    """The ``(w, f)`` table ``head`` of degree k, less ``scale(j)`` (``block_terms(j)``
+    * D_{k-j}) for each marked block size j in ``sizes``: over C(b, b1) shares,
+    weights multiply and exponents add."""
+    weights = {f: w for w, f in head}
     for j, c in zip(sizes, map(scale, sizes)):
         for w, f in block_terms(j):
-            for sq, g in _content_terms(k - j):
+            for sq, g in _content_terms(k - j)[0]:
                 weights[f + g] = weights.get(f + g, 0) - c * w * sq
     return tuple((w, f) for f, w in weights.items() if w)
 
@@ -258,25 +258,25 @@ def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     >>> _connected_terms(2)
     ((1, 1), (1, -1), (-2, 0))
     """
-    terms = _peel(k, lambda lam: 1, range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms)
+    terms = _peel(k, _content_terms(k)[0], range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms)
     return _check_least("connected", k, terms)
 
 
 @lru_cache(maxsize=None)
 def _three_cycle_terms(k: int) -> tuple[tuple[int, int], ...]:
     """``(w, f)`` with k! T3(k, b) the sum of w f^b for every b, T3 counting the
-    transitive b-tuples with a 3-cycle product.  Over all tuples lam weighs
-    p2(lam) - C(k, 2), its squared contents' sum less C(k, 2): the 3-cycles'
-    central character, as the squared Jucys-Murphy elements sum to C(k, 2)
-    and the 3-cycles' class sum.  The 3-cycle's support fixes its block of
-    3 <= j < k symbols: W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
+    transitive b-tuples with a 3-cycle product.  Over all tuples that is A_k,
+    lam weighed by p2(lam) - C(k, 2), the 3-cycles' central character, as the
+    squared Jucys-Murphy elements sum to C(k, 2) and the 3-cycles' class sum.
+    The 3-cycle's support fixes its block of 3 <= j < k symbols:
+    W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
 
     >>> _three_cycle_terms(3)
     ((2, 3), (-4, 0), (2, -3))
     """
     if k < 3:
         return ()
-    terms = _peel(k, lambda lam: _content_sum(lam, 2) - comb(k, 2), range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms)
+    terms = _peel(k, _content_terms(k)[1], range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms)
     return _check_least("three-cycle", k, terms)
 
 

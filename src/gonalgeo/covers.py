@@ -312,14 +312,14 @@ def block_states(k: int, layers: int = 1) -> int:
 
 
 def oracle_products(k: int) -> int:
-    """Products the class-algebra tables of degree k cost: the p(d)
-    content terms of each d <= k, at most (j(j - 1) + 1) p(d - j) as
-    ``characters._connected_terms`` peels j < d off d (one connected term
-    per exponent in -C(j, 2) .. C(j, 2)), the d power sums over at most
-    d(d - 1) + 1 connected terms with which ``characters._check_least``
-    checks each degree-d table, and one product for each of the
-    k(k - 1) + 1 powers of an evaluation.  A degree past ``MAX_DEGREE`` is
-    a CapacityError."""
+    """Products the class-algebra tables of degree k cost, an upper bound:
+    the p(d) content terms of each d <= k; (j(j - 1) + 1) p(d - j) as
+    ``characters._connected_terms`` peels j < d off d, where one term per
+    exponent on each side forms at most (j(j - 1) + 1) min(p(d - j),
+    (d - j)(d - j - 1) + 1), kept so that no budget decision moves; the d
+    power sums over at most d(d - 1) + 1 connected terms with which
+    ``characters._check_least`` checks each degree-d table; and one product
+    for each of the k(k - 1) + 1 powers.  Past ``MAX_DEGREE``, CapacityError."""
     return _price_row(k)[1]
 
 

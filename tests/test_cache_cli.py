@@ -958,7 +958,7 @@ def assert_the_document_changes_no_report(capsys, d, document: bytes):
 
 
 @pytest.mark.parametrize("change", TAMPERED_CACHE.values(), ids=TAMPERED_CACHE.keys())
-def test_cli_tampered_cache_is_an_invariant_violation(tmp_path, capsys, change):
+def test_a_tampered_document_changes_no_report(tmp_path, capsys, change):
     doc = json.loads(_census_document(3, 4))
     assert_the_document_changes_no_report(capsys, tmp_path, (json.dumps(doc | change, indent=2) + "\n").encode())
 
@@ -977,7 +977,7 @@ MALFORMED_CACHE = {
 
 
 @pytest.mark.parametrize("edit", MALFORMED_CACHE.values(), ids=MALFORMED_CACHE.keys())
-def test_cli_malformed_cache_is_a_schema_error(tmp_path, capsys, edit):
+def test_a_malformed_document_changes_no_report(tmp_path, capsys, edit):
     doc = edit(json.loads(_census_document(3, 4)))
     assert_the_document_changes_no_report(capsys, tmp_path, json.dumps(doc).encode())
 

@@ -233,16 +233,75 @@ def table_count(k: int, b: int) -> int:
 
 
 def test_content_terms_match_the_character_table():
+    # D_k weighs each content sum f by the dim^2 of the irreducibles whose
+    # central character at the transpositions is f, and A_k by dim^2 times
+    # their central character at the 3-cycles, dim |C3| chi(3-cycle)
     for k in range(2, 13):
         table = character_table(k)
         tau = table.classes.index((2,) + (1,) * (k - 2))
-        terms = characters._content_terms(k)
-        assert len(terms) == len(partitions_of(k))
-        for (sq, f), row, dim in zip(terms, table.rows, table.dims):
-            assert sq == dim * dim
-            assert f * dim == comb(k, 2) * row[tau]
+        three = table.classes.index((3,) + (1,) * (k - 3)) if k >= 3 else None
+        squares, heads = characters._content_terms(k)
+        want_squares, want_heads = {}, {}
+        for row, dim in zip(table.rows, table.dims):
+            f, rem = divmod(comb(k, 2) * row[tau], dim)
+            assert rem == 0, (k, row)
+            want_squares[f] = want_squares.get(f, 0) + dim * dim
+            if three is not None:
+                want_heads[f] = want_heads.get(f, 0) + dim * table.class_sizes[three] * row[three]
+        assert dict((f, w) for w, f in squares) == want_squares, k
+        assert dict((f, w) for w, f in heads) == {f: w for f, w in want_heads.items() if w}, k
         for b in range(0, 31, 2):
             assert disconnected_count(k, b) == table_count(k, b), (k, b)
+
+
+def cut_and_join(k: int, top: int) -> list[dict[tuple[int, ...], int]]:
+    """Source B, with no character in sight: for b = 0 .. top, the b-tuples
+    of transpositions in S_k counted by the cycle type of their product.
+    A transposition cuts a cycle of length l into lengths (a, l - a) in l
+    ways, l / 2 when 2a = l, and joins cycles of lengths l1 and l2 in l1 l2."""
+    counts = [{(1,) * k: 1}]
+    for _ in range(top):
+        step: dict[tuple[int, ...], int] = {}
+        for mu, n in counts[-1].items():
+            for i, l in enumerate(mu):
+                rest = mu[:i] + mu[i + 1:]
+                for a in range(1, l // 2 + 1):
+                    nu = tuple(sorted(rest + (a, l - a), reverse=True))
+                    step[nu] = step.get(nu, 0) + n * (l // 2 if 2 * a == l else l)
+                for i2 in range(i + 1, len(mu)):
+                    nu = tuple(sorted(rest[:i2 - 1] + rest[i2:] + (l + mu[i2],), reverse=True))
+                    step[nu] = step.get(nu, 0) + n * l * mu[i2]
+        counts.append(step)
+    return counts
+
+
+def test_source_b_cut_and_join_matches_the_term_tables():
+    # D(k, b) and TD(k, b), the tuples with identity and with 3-cycle
+    # product, from source B; the connected Conn and T3 peel the block of
+    # symbol 1, or of the 3-cycle's support, off in count space.  This
+    # checks the class-algebra tables past the walk's reach
+    top, degrees = 38, range(1, 17)
+    lengths = range(0, top + 1, 2)
+    d, td, conn, t3 = {}, {}, {}, {}
+    for k in degrees:
+        counts = cut_and_join(k, top)
+        d[k] = {b: counts[b].get((1,) * k, 0) for b in lengths}
+        td[k] = {b: counts[b].get((3,) + (1,) * (k - 3), 0) if k >= 3 else 0 for b in lengths}
+
+    def peel(k, b, total, table, blocks, choose):
+        return total - sum(
+            choose(j) * comb(b, beta) * table[j][beta] * d[k - j][b - beta]
+            for j in blocks for beta in range(0, b + 1, 2)
+        )
+
+    for k in degrees:
+        conn[k] = {b: peel(k, b, d[k][b], conn, range(1, k), lambda j: comb(k - 1, j - 1)) for b in lengths}
+        t3[k] = {b: peel(k, b, td[k][b], t3, range(3, k), lambda j: comb(k, j)) for b in lengths}
+    for k in degrees[1:]:
+        for b in lengths:
+            assert d[k][b] == disconnected_count(k, b), (k, b)
+            assert conn[k][b] == connected_count(k, b), (k, b)
+            assert t3[k][b] == characters._evaluate(characters._three_cycle_terms(k), k, b), (k, b)
 
 
 def test_oracle_counts_past_the_table_bound():
@@ -253,13 +312,14 @@ def test_oracle_counts_past_the_table_bound():
 
 
 def test_the_oracle_price_covers_the_products_it_forms():
-    # content terms of every degree d <= k, the peel's products for each
-    # j < d, the k power sums that check the degree-k table, and one power
-    # per connected term of degree k
+    # one pass over the partitions of every degree d <= k, the peel's
+    # products with the exponent-summed D_{d-j} for each j < d, the k power
+    # sums that check the degree-k table, and one power per connected term
+    # of degree k
     formed = 0
     for k in range(1, 31):
         formed += len(partitions_of(k)) + sum(
-            len(characters._connected_terms(j)) * len(partitions_of(k - j)) for j in range(1, k)
+            len(characters._connected_terms(j)) * len(characters._content_terms(k - j)[0]) for j in range(1, k)
         ) + k * len(characters._connected_terms(k))
         assert oracle_products(k) >= formed + len(characters._connected_terms(k)), k
 
