@@ -3,17 +3,19 @@ cross-checks (``oracle-check``), invariant evaluation and the audit
 chain (``invariants``, ``audit``), the maximal-gonality positivity
 thresholds (``asymptotics --case``), and the band search (``delta``).
 
-Every command that needs a census computes it in the process, by class
-algebra alone (``_computed_census``), priced first against the budget in
-term products (``covers.algebra_price``); no command reads a cache
-document.  ``census`` also exports its document to the cache directory,
-encoded once for the file and a json report alike, and writes it only
-when the file does not hold those bytes already (``_census``); a file
-that held other bytes is written over and reported as an invariant
-violation.  It alone resolves ``--cache-dir``.  ``oracle-check`` prices
-its oracle as class algebra, and its enumeration, the block-state walk
-it compares field by field with the census, in block-state visits
-(``covers.block_states``), and the census it compares with as a census.
+Every command that needs a census computes it by class algebra, once per
+shape per process: ``_computed_census`` prices it in term products
+(``covers.algebra_price``) and checks its digits on every call, then
+reads it from a memo of the 16 latest shapes (``_census_of``, 7.8 MiB
+each at worst); no command reads a cache document.  ``census`` also
+exports its document to the cache directory, encoded once for the file
+and a json report alike, and writes it only when the file does not hold
+those bytes already (``_census``); a file that held other bytes is
+written over and reported as an invariant violation.  It alone resolves
+``--cache-dir``.  ``oracle-check`` prices its oracle as class algebra,
+and its enumeration, the block-state walk it compares field by field
+with the census, in block-state visits (``covers.block_states``), and
+the census it compares with as a census.
 A line led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
@@ -109,13 +111,21 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
 
 
 def _computed_census(k: int, b: int, budget: int, too_long: CapacityError | None) -> DegenerationCensus:
-    """The census of (k, b), by class algebra in this process, once its
-    price fits the budget; ``too_long`` is ``_count_refusal(k, b)``,
-    raised after the price when its N has more digits than the
-    interpreter prints."""
+    """The census of (k, b), once its price fits the budget; ``too_long``
+    is ``_count_refusal(k, b)``, raised after the price when its N has
+    more digits than the interpreter prints.  Both are decided on every
+    call, a memo hit too; ``_census_of`` computes the census once."""
     _guard_budget(k, b, budget)
     if too_long:
         raise too_long
+    return _census_of(k, b)
+
+
+@functools.lru_cache(maxsize=16)
+def _census_of(k: int, b: int) -> DegenerationCensus:
+    """``full_census(k, b)``'s census for one process's queries.  Sixteen
+    covers perfbench's mixes of 13 and 14 shapes; the largest census the
+    default limits admit, (5, 8608), holds 7.8 MiB, so 16 hold < 130 MiB."""
     return full_census(k, b)[1]
 
 

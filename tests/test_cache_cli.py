@@ -42,7 +42,7 @@ from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.version import TOOL_VERSION
 
-from conftest import skew_double_transposition_step
+from conftest import ENVELOPE, skew_double_transposition_step
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
@@ -1394,3 +1394,85 @@ def test_cli_invariants_unusable_cache_dir(tmp_path, capsys):
         code, out, err = run_cli(capsys, "census", "--k", "3", "--b", "4", "--cache-dir", str(where))
         _assert_unusable(code, out, err, str(where))
     assert f.read_text() == "" and census_path(d, 3, 4).is_dir()
+
+
+# the CLI computes each shape's census once per process (cli._census_of),
+# behind the budget and digit refusals that every call decides again
+
+
+def test_a_memo_hit_is_still_priced(tmp_path, capsys):
+    gonalgeo.cli._census_of.cache_clear()
+    assert run_cli(capsys, "census", "--k", "4", "--b", "10", "--cache-dir", str(tmp_path))[0] == 0
+    held = gonalgeo.cli._census_of.cache_info()
+    assert held.currsize == 1
+    code, out, err = run_cli(capsys, "invariants", "--k", "4", "--b", "10", "--c", "40", "--base-genus", "1", "--budget", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the class-algebra census for (4, 10) forms more term products than the budget 1;")
+    # the refusal is decided before the memo is looked at
+    assert gonalgeo.cli._census_of.cache_info() == held
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter converts ints of any length")
+def test_a_memo_hit_is_still_digit_checked(tmp_path, capsys):
+    gonalgeo.cli._census_of.cache_clear()
+    argv = ("census", "--k", "4", "--b", "1700", "--cache-dir", str(tmp_path))
+    assert algebra_price(4, 1700, True) == 34_698
+    assert run_cli(capsys, *argv)[0] == 0
+    held = gonalgeo.cli._census_of.cache_info()
+    assert held.currsize == 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    assert re.match(r"error: the tuple count N for \(4, 1700\) is at least 10\^\d+", err)
+    assert gonalgeo.cli._census_of.cache_info() == held
+
+
+def _memo_queries(k: int, b: int, d: str):
+    g = (b - 2 * k + 2) // 2
+    shape = ("--k", str(k), "--b", str(b))
+    family = (*shape, "--c", str(3 * b + 1), "--base-genus", "2")
+    yield ("census", *shape, "--cache-dir", d)
+    yield ("invariants", *family, "--audit")
+    yield ("audit", *family)
+    yield ("delta", str(g), str(k), "1/10", *(("--d-max", "2000") if g == 1 else ()))
+
+
+def test_warm_output_equals_cold_output(tmp_path, capsys):
+    codes = set()
+    for k, b in ENVELOPE:
+        for argv in _memo_queries(k, b, str(tmp_path)):
+            for output in ("json", "table", "csv"):
+                gonalgeo.cli._census_of.cache_clear()
+                cold = run_cli(capsys, *argv, "--output", output)
+                assert gonalgeo.cli._census_of.cache_info().currsize == 1
+                assert run_cli(capsys, *argv, "--output", output) == cold, (argv, output)
+                assert gonalgeo.cli._census_of.cache_info().hits == 1
+                codes.add((argv[0], cold[0]))
+    # every census, invariants and audit query answers; delta gives up at genus 1
+    assert codes == {("census", 0), ("invariants", 0), ("audit", 0), ("delta", 0), ("delta", 3)}
+
+
+def test_the_memo_is_bounded_and_used(capsys, monkeypatch):
+    gonalgeo.cli._census_of.cache_clear()
+    computed = []
+
+    def counted(k, b):
+        computed.append((k, b))
+        return full_census(k, b)
+
+    monkeypatch.setattr(gonalgeo.cli, "full_census", counted)
+    shapes = [(3, b) for b in range(4, 44, 2)]
+    for k, b in shapes:
+        assert run_cli(capsys, "invariants", "--k", str(k), "--b", str(b), "--c", "8", "--base-genus", "2")[0] == 0
+    assert computed == shapes
+    assert gonalgeo.cli._census_of.cache_info().currsize == 16
+    # the latest shape is held; the first was evicted and is computed again
+    for k, b in (shapes[-1], shapes[0]):
+        assert run_cli(capsys, "audit", "--k", str(k), "--b", str(b), "--c", "8", "--base-genus", "2")[0] == 0
+    assert computed == shapes + [shapes[0]]
+    # the library shares nothing: each call builds a new census
+    assert full_census(3, 4)[1] is not full_census(3, 4)[1]
