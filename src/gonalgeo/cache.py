@@ -20,6 +20,7 @@ byte for byte, the document ``census`` would write for (k, b).
 import json
 import os
 from itertools import chain
+from math import isfinite
 from pathlib import Path
 
 from .degeneration import DegenerationCensus, full_census
@@ -86,14 +87,17 @@ def json_text(value, indent: str = "\n") -> str:
     is the line break and indentation before a closing bracket.  Keys
     must be strings.  Ints print by ``int.__repr__``, so one past the
     interpreter's digit limit is a ValueError, as it is for
-    ``json.dumps``; floats and any other scalar are left to
-    ``json.dumps``."""
+    ``json.dumps``, and finite floats by ``float.__repr__``, as
+    ``json.dumps`` prints them; a non-finite float and any other scalar
+    are left to ``json.dumps``."""
     if isinstance(value, str):
         return _encode_str(value)
     if value is None or value is True or value is False:
         return _JSON_CONSTANTS[value]
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, float) and isfinite(value):
+        return float.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:

@@ -20,9 +20,9 @@ A line led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
 each reads the terminal width once.  The option groups that several
-commands share are built once per process and handed to each command's
-parser as argparse parents (``_group``); every call still builds its
-command's parser, with ``-h``, the command's own rows and its handler.
+commands share, ``-h`` among them, are built once per process and handed
+to each command's parser as argparse parents (``_group``); every call
+still builds its command's parser, with its own rows and its handler.
 Options must be spelled out in full; an abbreviation is an unknown
 option.  ``--workers`` is deprecated: it is still parsed, a positive
 value only prints a warning, and it is hidden from help.
@@ -42,6 +42,7 @@ import functools
 import shutil
 import sys
 from fractions import Fraction
+from gettext import gettext
 from math import comb, log10
 
 from .asymptotics import delta_search, positivity_threshold
@@ -198,14 +199,14 @@ def _rat_str(d: dict) -> str:
 
 def _walk(value, path: str, out: list) -> None:
     if isinstance(value, dict):
-        if set(value) == _RATIONAL_KEYS:
+        if value.keys() == _RATIONAL_KEYS:
             out.append(("scalar", path, _rat_str(value)))
             return
         for key, inner in value.items():
             _walk(inner, f"{path}.{key}" if path else str(key), out)
     elif isinstance(value, (list, tuple)):
         for idx, inner in enumerate(value):
-            if isinstance(inner, dict) and set(inner) == _MCELL_KEYS:
+            if isinstance(inner, dict) and inner.keys() == _MCELL_KEYS:
                 out.append(("mcell", path, inner["j"], inner["i"], inner["count"]))
             else:
                 _walk(inner, f"{path}[{idx}]", out)
@@ -224,13 +225,11 @@ def _emit(payload: dict, fmt: str, notes: tuple[str, ...] = (), text: str | None
         csv.writer(sys.stdout).writerows(row[1:] for row in rows)
         return
     width = max((len(row[1]) for row in rows), default=0)
-    for row in rows:
-        if row[0] == "scalar":
-            print(f"{row[1]:<{width}}  {row[2]}")
-        else:
-            print(f"{row[1]:<{width}}  j={row[2]} i={row[3]} count={row[4]}")
-    for note in notes:
-        print(f"note: {note}")
+    lines = [
+        f"{row[1]:<{width}}  {row[2]}\n" if row[0] == "scalar" else f"{row[1]:<{width}}  j={row[2]} i={row[3]} count={row[4]}\n"
+        for row in rows
+    ]
+    sys.stdout.write("".join(lines) + "".join(f"note: {note}\n" for note in notes))
 
 
 def cmd_census(args) -> int:
@@ -368,6 +367,8 @@ def cmd_asymptotics(args) -> int:
 # the options shared by several commands, as rows of (flags, keywords)
 _GROUPS = {
     "common": (
+        # the help row add_help would give each parser, its text translated once per process
+        (("-h", "--help"), {"action": "help", "default": argparse.SUPPRESS, "help": gettext("show this help message and exit")}),
         (("--cache-dir",), {"default": None, "help": "where census exports its document (default: $GG_CACHE_DIR or ./census-cache); no command reads it"}),
         # deprecated and ignored; still parsed because the benchmark still sends it
         (("--workers",), {"type": int, "default": None, "help": argparse.SUPPRESS}),
@@ -413,8 +414,9 @@ _COMMAND_ROWS = {row[0]: row for row in _COMMANDS}
 def _group(name: str) -> argparse.ArgumentParser:
     """One shared option group's rows, built once per process into a
     container that command parsers adopt as an argparse parent, sharing
-    its actions.  It never parses or prints help, so a fixed width spares
-    its metavar checks a terminal read each."""
+    its actions; ``common`` holds ``-h``, so no command parser adds its
+    own.  It never parses or prints help, so a fixed width spares its
+    metavar checks a terminal read each."""
     container = argparse.ArgumentParser(add_help=False, allow_abbrev=False, formatter_class=functools.partial(argparse.HelpFormatter, width=80))
     for flags, keywords in _GROUPS[name]:
         container.add_argument(*flags, **keywords)
@@ -423,11 +425,12 @@ def _group(name: str) -> argparse.ArgumentParser:
 
 def _add_rows(make, row, *args, **settings) -> _Parser:
     """Build a command's parser by ``make`` (``_Parser``, or a subparsers
-    action's ``add_parser``) with its shared option groups as parents,
-    then add its own rows and its handler as ``func``: the one walk of
-    the table, for either parser."""
+    action's ``add_parser``) without a ``-h`` of its own, with its shared
+    option groups, ``-h`` among them, as parents, then add its own rows
+    and its handler as ``func``: the one walk of the table, for either
+    parser."""
     _name, groups, _help, arguments, handler = row
-    parser = make(*args, parents=[_group(group) for group in groups], allow_abbrev=False, **settings)
+    parser = make(*args, parents=[_group(group) for group in groups], add_help=False, allow_abbrev=False, **settings)
     for flags, keywords in arguments:
         parser.add_argument(*flags, **keywords)
     parser.set_defaults(func=handler)

@@ -68,11 +68,12 @@ def test_payload_schema(census_store):
 
 
 # JSON values whose strings carry quotes, backslashes, control and
-# non-ASCII characters, with negative and long ints and finite floats
+# non-ASCII characters, with negative and long ints, and floats finite
+# or not, -0.0 among them
 _JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800'), st.characters()))
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400)
-    | st.floats(allow_nan=False, allow_infinity=False) | _JSON_STRINGS,
+    | st.floats() | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]) | _JSON_STRINGS,
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
     max_leaves=30,

@@ -131,9 +131,10 @@ def _outcome(parser, argv):
 
 def _reference_parser(name):
     """A command's parser built the way it was before the shared groups
-    became parents: a fresh ``_Parser`` with one add_argument per row."""
+    became parents: a fresh ``_Parser`` with one add_argument per row,
+    ``-h`` among them."""
     _name, groups, _help, arguments, handler = cli._COMMAND_ROWS[name]
-    parser = cli._Parser(prog=f"gonalgeo {name}", allow_abbrev=False)
+    parser = cli._Parser(prog=f"gonalgeo {name}", add_help=False, allow_abbrev=False)
     for flags, keywords in [row for group in groups for row in cli._GROUPS[group]] + list(arguments):
         parser.add_argument(*flags, **keywords)
     parser.set_defaults(func=handler)
@@ -334,6 +335,22 @@ def test_each_shared_group_is_built_once_per_process(monkeypatch, capsys, parser
         assert cli._command_parser(command)._option_string_actions[option] is cli._group(group)._option_string_actions[option]
 
 
+def test_every_command_parser_holds_the_one_shared_help_action():
+    # -h is a row of the common group, adopted by every command parser on
+    # either parse path; only the program parser builds its own
+    shared = cli._group("common")._option_string_actions["-h"]
+    assert shared is cli._group("common")._option_string_actions["--help"]
+    program = build_parser()
+    subparsers = program._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(COMMANDS)
+    for command in COMMANDS:
+        for parser in (cli._command_parser(command), subparsers[command]):
+            assert parser._option_string_actions["-h"] is shared
+            assert parser._option_string_actions["--help"] is shared
+            assert [action for action in parser._actions if action.dest == "help"] == [shared]
+    assert program._option_string_actions["-h"] is not shared
+
+
 def _fields(action):
     # every field parsing reads; ``action.container`` is left out: argparse
     # reassigns it whenever a parser adopts the action, and reads it only
@@ -390,23 +407,28 @@ def test_a_parser_reads_the_terminal_width_once(monkeypatch, capsys):
     assert len(reads) == 1
     reads.clear()
     build_parser()
-    assert len(reads) == 1 + len(COMMANDS)
+    # the program parser's own -h, and each command that adds rows of its
+    # own; census and audit add none, and the shared -h reads no width
+    assert len(reads) == 1 + len([row for row in cli._COMMANDS if row[3]]) == 5
 
 
 def test_help_takes_the_width_each_parser_reads(monkeypatch, capsys):
-    # the width is read per parser, not kept for the process: one process
-    # prints each width's help as a fresh interpreter does
+    # the width is read per parser, not kept for the process, and the
+    # shared -h prints the help of the parser that parses: one process
+    # prints the program's and each command's help at each width as a
+    # fresh interpreter does
     src = Path(gonalgeo.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    texts = []
-    for columns in ("60", "200"):
-        monkeypatch.setenv("COLUMNS", columns)
-        assert main(["census", "--help"]) == 0
-        texts.append(capsys.readouterr().out)
-        fresh = subprocess.run(
-            [sys.executable, "-m", "gonalgeo", "census", "--help"],
-            env=env | {"COLUMNS": columns}, capture_output=True, text=True, check=True,
-        )
-        assert fresh.stdout == texts[-1], columns
-    assert texts[0] != texts[1]
+    for argv in (["--help"], *([command, "--help"] for command in COMMANDS)):
+        texts = []
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "gonalgeo", *argv],
+                env=env | {"COLUMNS": columns}, capture_output=True, text=True, check=True,
+            )
+            assert fresh.stdout == texts[-1], (argv, columns)
+        assert texts[0] != texts[1], argv
