@@ -1,22 +1,22 @@
 """Cover counting through class algebra, and the exact character table of S_k.
 
-The number of length-b transposition tuples in S_k with identity product
-is Frobenius' class-algebra evaluation, which needs only the dimension
-and the central character of each irreducible at the transposition
-class C:
+The number of length-b transposition tuples in S_k with identity product is
+Frobenius' class-algebra evaluation, which needs only the dimension and the
+central character of each irreducible at the transposition class C:
 
     D(k, b) = (1 / k!) * sum over partitions lam of k of dim_lam^2 * f_lam^b
 
-with dim_lam = k! / (product of hook lengths of lam) and f_lam =
-|C| chi_lam(tau) / dim_lam the content sum of lam, the sum of j - i over
-its cells (i, j).  Both are read off the diagram, so a count never
-builds a character table.  Every count is such an exponential sum, kept
-as one (w, f) table per degree, one term per exponent f: D_k, checked
-against three identities; k! Conn(k, b), built once by peeling off the
-block of symbol 1 on the exponents, so no memo is keyed by b; and the
+with dim_lam = k! / (hook product of lam) and f_lam = |C| chi_lam(tau) /
+dim_lam the content sum of lam, the sum of j - i over its cells (i, j).
+One depth-first walk over the diagrams, ``_diagrams``, carries both row by
+row, so a count builds no character table and no list of partitions;
+``partitions_of`` reads the same walk.  Every count is such an exponential
+sum, kept as one (w, f) table per degree, one term per exponent f: D_k,
+checked against three identities; k! Conn(k, b), built once by peeling off
+the block of symbol 1 on the exponents, so no memo is keyed by b; and the
 transitive tuples with a 3-cycle product, T3.  The collision census
-(``degeneration.full_census``) reads every field from these tables,
-each checked when it is built against the minimal factorization counts.
+(``degeneration.full_census``) reads every field from these tables, each
+checked when it is built against the minimal factorization counts.
 
 The full character table, by the border-strip recursion on beta-sets
 with every entry an exact integer and both orthogonality relations
@@ -27,29 +27,48 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import InvariantViolation, ParameterError
 
 
-@lru_cache(maxsize=None)
-def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All partitions of ``n`` in descending lexicographic order.
+def _diagrams(k: int):
+    """Every Young diagram of k cells, depth first, as ``(cols, hooks, f, p2)``:
+    its column heights, hook product, content sum and squared-content sum.
+    Each new row of r cells goes on top, no shorter than the row below: no
+    hook below moves and each content below drops by 1, so the row's cells
+    (0, j) bring the hook factors r - j + cols[j], f gains -size and p2 gains
+    size - 2f, plus the row's contents 0 .. r - 1 and their squares.
+
+    >>> sorted(_diagrams(3))
+    [([1, 1, 1], 6, 3, 5), ([2, 1], 3, 0, 2), ([3], 6, -3, 5)]
+    """
+    def place(cols, hooks, f, p2, size):
+        left, width = k - size, len(cols)
+        if not left:
+            yield cols, hooks, f, p2
+            return
+        for r in (*range(max(width, 1), left // 2 + 1), left):
+            yield from place(
+                [c + 1 for c in cols] + [1] * (r - width),
+                hooks * prod(map(add, range(r, 0, -1), cols)) * factorial(r - width),
+                f - size + r * (r - 1) // 2,
+                p2 - 2 * f + size + r * (r - 1) * (2 * r - 1) // 6,
+                size + r,
+            )
+
+    return place([], 1, 0, 0, 0)
+
+
+def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of ``n``, descending: the column heights of ``_diagrams(n)``.
 
     >>> partitions_of(3)
     ((3,), (2, 1), (1, 1, 1))
     """
     if n < 0:
         raise ParameterError(f"cannot partition {n}")
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        return ((),)
-    out = []
-    for head in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - head, head):
-            out.append((head,) + rest)
-    return tuple(out)
+    return tuple(sorted((tuple(cols) for cols, *_ in _diagrams(n)), reverse=True))
 
 
 def centralizer_order(mu: tuple[int, ...]) -> int:
@@ -146,42 +165,22 @@ def _check_shape(k: int, b: int) -> None:
         raise ParameterError(f"branch count must be even and nonnegative, got {b}")
 
 
-def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
-    """Hook length of every cell of the diagram of ``lam``, row by row.
-
-    >>> _hook_lengths((3, 1))
-    [4, 2, 1, 1]
-    """
-    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
-    return [row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
-
-
-def _content_sum(lam: tuple[int, ...], power: int = 1) -> int:
-    """Sum of (j - i)^power over the cells (i, j) of the diagram of ``lam``.
-
-    >>> _content_sum((3, 1)), _content_sum((3, 1), 2)
-    (2, 6)
-    """
-    return sum((j - i) ** power for i, row in enumerate(lam) for j in range(row))
-
-
 @lru_cache(maxsize=None)
 def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """``(D_k, A_k)``: the ``(w, f)`` tables over the partitions lam of k, summed
-    by content sum f, that weigh lam dim_lam^2, from hook lengths, and
-    dim_lam^2 (p2(lam) - C(k, 2)), p2 summing the squared contents.  D_k must
+    """``(D_k, A_k)``: the ``(w, f)`` tables over the diagrams lam of ``_diagrams(k)``,
+    summed by content sum f, that weigh lam dim_lam^2, k! over its hook product,
+    and dim_lam^2 (p2(lam) - C(k, 2)), p2 its squared-content sum.  D_k must
     count k! times 1, 0 and C(k, 2) tuples of zero, one and two transpositions;
-    every identity that fails is named."""
+    every identity that fails is named, as is a hook product not dividing k!."""
     order, pairs = factorial(k), comb(k, 2)
-    squares: dict[int, int] = {}
-    heads: dict[int, int] = {}
-    for lam in partitions_of(k):
-        dim, rem = divmod(order, prod(_hook_lengths(lam)))
+    squares, heads = Counter(), Counter()
+    for cols, hooks, f, p2 in _diagrams(k):
+        dim, rem = divmod(order, hooks)
         if rem:
-            raise InvariantViolation(f"hook lengths of {lam} do not give a dimension of S_{k}")
-        f = _content_sum(lam)
-        squares[f] = squares.get(f, 0) + dim * dim
-        heads[f] = heads.get(f, 0) + dim * dim * (_content_sum(lam, 2) - pairs)
+            lam = tuple(sum(c > i for c in cols) for i in range(cols[0]))
+            raise InvariantViolation(f"hook product of {lam} does not divide {k}!")
+        squares[f] += dim * dim
+        heads[f] += dim * dim * (p2 - pairs)
     terms = tuple((w, f) for f, w in squares.items() if w)
     _check_sums(f"content-sum terms of degree {k}", terms, (
         ("sum dim^2 = k!", 0, order),
@@ -255,8 +254,8 @@ def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     term per exponent.  The block through symbol 1 has j < k symbols, so
     W_k = D_k - sum over j of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
 
-    >>> _connected_terms(2)
-    ((1, 1), (1, -1), (-2, 0))
+    >>> sorted(_connected_terms(2))
+    [(-2, 0), (1, -1), (1, 1)]
     """
     terms = _peel(k, _content_terms(k)[0], range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms)
     return _check_least("connected", k, terms)
@@ -271,8 +270,8 @@ def _three_cycle_terms(k: int) -> tuple[tuple[int, int], ...]:
     The 3-cycle's support fixes its block of 3 <= j < k symbols:
     W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
 
-    >>> _three_cycle_terms(3)
-    ((2, 3), (-4, 0), (2, -3))
+    >>> sorted(_three_cycle_terms(3))
+    [(-4, 0), (2, -3), (2, 3)]
     """
     if k < 3:
         return ()

@@ -38,9 +38,14 @@ def test_partitions_of():
 
 
 def test_partitions_are_descending_and_complete():
-    for n in range(1, 9):
+    # p(n) by coin change over the part sizes 1 .. 25
+    counts = [1] + [0] * 25
+    for part in range(1, 26):
+        for n in range(part, 26):
+            counts[n] += counts[n - part]
+    for n in range(1, 26):
         parts = partitions_of(n)
-        assert len(set(parts)) == len(parts)
+        assert len(set(parts)) == len(parts) == counts[n]
         for mu in parts:
             assert sum(mu) == n
             assert list(mu) == sorted(mu, reverse=True)
@@ -375,6 +380,24 @@ SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT = (
 )
 
 
+def skew_diagram(monkeypatch, lam, field, change):
+    """Make ``_diagrams`` yield the row of ``lam`` with its ``field`` (1 the hook
+    product, 2 the content sum, 3 the squared-content sum) passed through ``change``."""
+    diagrams = characters._diagrams
+
+    def skewed(k):
+        for row in diagrams(k):
+            if tuple(sum(c > i for c in row[0]) for i in range(row[0][0])) == lam:
+                row = (*row[:field], change(row[field]), *row[field + 1:])
+            yield row
+
+    monkeypatch.setattr(characters, "_diagrams", skewed)
+
+
+def named_rules(exc) -> set[str]:
+    return {name for name in (SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT) if name in str(exc.value)}
+
+
 @pytest.mark.parametrize("lam, cell, hook, failing", [
     # (2, 2) has content sum 0: only the count of squares moves
     ((2, 2), 0, 6, {SUM_SQUARES}),
@@ -382,25 +405,51 @@ SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT = (
     ((4,), 0, 2, {SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT}),
 ])
 def test_content_terms_reject_a_skewed_hook_length(monkeypatch, lam, cell, hook, failing):
-    hooks = characters._hook_lengths
-
-    def skewed(mu):
-        out = hooks(mu)
-        if mu == lam:
-            out[cell] = hook
-        return out
-
-    monkeypatch.setattr(characters, "_hook_lengths", skewed)
+    # the hook product as if the hook of the cell-th cell, row by row, were ``hook``
+    hooks = [row - j + sum(part > j for part in lam) - i - 1 for i, row in enumerate(lam) for j in range(row)]
+    skew_diagram(monkeypatch, lam, 1, lambda product: product // hooks[cell] * hook)
     with pytest.raises(InvariantViolation, match="content-sum terms of degree 4") as exc:
         characters._content_terms.__wrapped__(4)
-    named = {name for name in (SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT) if name in str(exc.value)}
-    assert named == failing
+    assert named_rules(exc) == failing
+
+
+@pytest.mark.parametrize("lam", [(2, 2), (3, 1)])
+def test_content_terms_reject_a_skewed_content_sum(monkeypatch, lam):
+    # every weight stays, so the count of squares holds and both moments move
+    skew_diagram(monkeypatch, lam, 2, lambda f: f + 1)
+    with pytest.raises(InvariantViolation, match="content-sum terms of degree 4") as exc:
+        characters._content_terms.__wrapped__(4)
+    assert named_rules(exc) == {FIRST_MOMENT, SECOND_MOMENT}
+
+
+@pytest.mark.parametrize("lam, failing", [
+    # the squared-content sum weighs only A_k, so the 3-cycle table's own
+    # rules catch it; (2, 2) has content sum 0 and moves only length 0
+    ((2, 2), {"no tuples of length 0"}),
+    ((3, 1), {"no tuples of length 0", "no tuples of length 2", "tuples of length 4"}),
+])
+def test_three_cycle_terms_reject_a_skewed_squared_content_sum(monkeypatch, lam, failing):
+    skew_diagram(monkeypatch, lam, 3, lambda p2: p2 + 1)
+    monkeypatch.setattr(characters, "_content_terms", characters._content_terms.__wrapped__)
+    characters._content_terms(4)  # D_4's identities do not see it
+    with pytest.raises(InvariantViolation, match="three-cycle terms of degree 4") as exc:
+        characters._three_cycle_terms.__wrapped__(4)
+    rules = ("no tuples of length 0", "no tuples of length 2", "tuples of length 4")
+    assert {rule for rule in rules if rule in str(exc.value)} == failing
 
 
 def test_content_terms_reject_a_hook_product_that_does_not_divide(monkeypatch):
-    hooks = characters._hook_lengths
-    monkeypatch.setattr(
-        characters, "_hook_lengths", lambda mu: [5] + hooks(mu)[1:] if mu == (3, 1) else hooks(mu)
-    )
-    with pytest.raises(InvariantViolation, match=r"hook lengths of \(3, 1\)"):
+    skew_diagram(monkeypatch, (3, 1), 1, lambda product: product * 5)
+    with pytest.raises(InvariantViolation, match=r"hook product of \(3, 1\) does not divide 4!"):
         characters._content_terms.__wrapped__(4)
+
+
+def test_a_cold_count_enumerates_partitions_only_through_the_walk(monkeypatch):
+    def refused(n):
+        raise AssertionError("the count path listed the partitions of a degree")
+
+    for memo in (characters._connected_terms, characters._content_terms):
+        memo.cache_clear()
+    monkeypatch.setattr(characters, "partitions_of", refused)
+    # Hurwitz: (2k - 2)! k^(k - 3) transitive tuples of minimal length
+    assert connected_count(20, 38) == factorial(38) * 20**17
