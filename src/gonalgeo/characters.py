@@ -11,12 +11,13 @@ dim_lam the content sum of lam, the sum of j - i over its cells (i, j).
 One depth-first walk over the diagrams, ``_diagrams``, carries both row by
 row, so a count builds no character table and no list of partitions;
 ``partitions_of`` reads the same walk.  Every count is such an exponential
-sum, kept as one (w, f) table per degree, one term per exponent f: D_k,
-checked against three identities; k! Conn(k, b), built once by peeling off
-the block of symbol 1 on the exponents, so no memo is keyed by b; and the
-transitive tuples with a 3-cycle product, T3.  The collision census
-(``degeneration.full_census``) reads every field from these tables, each
-checked when it is built against the minimal factorization counts.
+sum, kept as one (w, f) table per degree, one term per exponent f >= 0, as
+every b is even and every table even in f: D_k, checked for that and two
+identities; k! Conn(k, b), built once by peeling off the block of symbol 1
+on the exponents, so no memo is keyed by b; and the transitive tuples with
+a 3-cycle product, T3.  The collision census (``degeneration.full_census``)
+reads every field from these tables, each checked when it is built against
+the minimal factorization counts.
 
 The full character table, by the border-strip recursion on beta-sets
 with every entry an exact integer and both orthogonality relations
@@ -169,9 +170,11 @@ def _check_shape(k: int, b: int) -> None:
 def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """``(D_k, A_k)``: the ``(w, f)`` tables over the diagrams lam of ``_diagrams(k)``,
     summed by content sum f, that weigh lam dim_lam^2, k! over its hook product,
-    and dim_lam^2 (p2(lam) - C(k, 2)), p2 its squared-content sum.  D_k must
-    count k! times 1, 0 and C(k, 2) tuples of zero, one and two transpositions;
-    every identity that fails is named, as is a hook product not dividing k!."""
+    and dim_lam^2 (p2(lam) - C(k, 2)), p2 its squared-content sum.  The conjugate
+    diagram negates f and keeps dim_lam and p2, so both must weigh f and -f alike,
+    and are kept folded onto f >= 0: w(0), and w(f) + w(-f).  D_k must count k!
+    times 1 and C(k, 2) tuples of zero and two transpositions; every rule that
+    fails is named, as is a hook product not dividing k!."""
     order, pairs = factorial(k), comb(k, 2)
     squares, heads = Counter(), Counter()
     for cols, hooks, f, p2 in _diagrams(k):
@@ -181,12 +184,13 @@ def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int
             raise InvariantViolation(f"hook product of {lam} does not divide {k}!")
         squares[f] += dim * dim
         heads[f] += dim * dim * (p2 - pairs)
+    odd = [f"{name}(f) = {name}(-f)" for name, sums in (("D", squares), ("A", heads)) if any(w != sums[-f] for f, w in sums.items())]
+    squares, heads = ({abs(f): w + sums[-f] if f else w for f, w in sums.items()} for sums in (squares, heads))
     terms = tuple((w, f) for f, w in squares.items() if w)
     _check_sums(f"content-sum terms of degree {k}", terms, (
         ("sum dim^2 = k!", 0, order),
-        ("sum dim^2 f = 0", 1, 0),
         ("sum dim^2 f^2 = k! C(k, 2)", 2, order * pairs),
-    ))
+    ), odd)
     return terms, tuple((w, f) for f, w in heads.items() if w)
 
 
@@ -197,7 +201,7 @@ def _evaluate(terms: tuple[tuple[int, int], ...], k: int, b: int) -> int:
     if rem:
         raise InvariantViolation(f"class-algebra count for ({k}, {b}) not integral")
     if value < 0:
-        raise InvariantViolation(f"connected count for ({k}, {b}) went negative")
+        raise InvariantViolation(f"class-algebra count for ({k}, {b}) went negative")
     return value
 
 
@@ -214,10 +218,10 @@ def disconnected_count(k: int, b: int) -> int:
     return _evaluate(_content_terms(k)[0], k, b)
 
 
-def _check_sums(what: str, terms: tuple[tuple[int, int], ...], rules) -> tuple[tuple[int, int], ...]:
-    """``terms`` once the sum of w f^m is ``want`` for every ``(name, m, want)``
-    of ``rules``, else an InvariantViolation naming every rule that fails."""
-    failed = [name for name, m, want in rules if sum(w * f**m for w, f in terms) != want]
+def _check_sums(what: str, terms: tuple[tuple[int, int], ...], rules, failed=()) -> tuple[tuple[int, int], ...]:
+    """``terms`` once the sum of w f^m is ``want`` for every ``(name, m, want)`` of
+    ``rules``, else an InvariantViolation naming every rule that fails, after any ``failed``."""
+    failed = [*failed, *(name for name, m, want in rules if sum(w * f**m for w, f in terms) != want)]
     if failed:
         raise InvariantViolation(f"{what} fail " + "; ".join(failed))
     return terms
@@ -239,13 +243,20 @@ def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple
 def _peel(k: int, head, sizes, scale, block_terms) -> tuple[tuple[int, int], ...]:
     """The ``(w, f)`` table ``head`` of degree k, less ``scale(j)`` (``block_terms(j)``
     * D_{k-j}) for each marked block size j in ``sizes``: over C(b, b1) shares,
-    weights multiply and exponents add."""
-    weights = {f: w for w, f in head}
+    weights multiply and exponents add, and on folded tables cosh(fx) cosh(gx) =
+    (cosh((f + g)x) + cosh((f - g)x)) / 2 puts half of each product on f + g and
+    half on |f - g|, all at most C(k, 2).  A folded weight at f > 0 is
+    w(f) + w(-f) = 2 w(f), so c w // 2 is exact; at f = 0 both parts land on g."""
+    start = {f: w for w, f in head}
+    weights = [start.get(f, 0) for f in range(comb(k, 2) + 1)]
     for j, c in zip(sizes, map(scale, sizes)):
         for w, f in block_terms(j):
+            low = c * w // 2
+            high = c * w - low
             for sq, g in _content_terms(k - j)[0]:
-                weights[f + g] = weights.get(f + g, 0) - c * w * sq
-    return tuple((w, f) for f, w in weights.items() if w)
+                weights[f + g] -= low * sq
+                weights[abs(f - g)] -= high * sq
+    return tuple((w, f) for f, w in enumerate(weights) if w)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +266,7 @@ def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     W_k = D_k - sum over j of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
 
     >>> sorted(_connected_terms(2))
-    [(-2, 0), (1, -1), (1, 1)]
+    [(-2, 0), (2, 1)]
     """
     terms = _peel(k, _content_terms(k)[0], range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms)
     return _check_least("connected", k, terms)
@@ -271,7 +282,7 @@ def _three_cycle_terms(k: int) -> tuple[tuple[int, int], ...]:
     W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
 
     >>> sorted(_three_cycle_terms(3))
-    [(-4, 0), (2, -3), (2, 3)]
+    [(-4, 0), (4, 3)]
     """
     if k < 3:
         return ()

@@ -269,8 +269,13 @@ def _block_steps(state: tuple) -> tuple:
 
 
 # the largest degree any engine is priced at: the tables of degree 61 alone
-# form 2.8 * 10^9 term products, some 12 minutes at 0.25 us each
+# form 1.4 * 10^9 term products, some 4 minutes at 0.18 us each
 MAX_DEGREE = 60
+
+
+def _exponents(d: int) -> int:
+    """The most terms a class-algebra table of degree d holds: one per f = 0 .. C(d, 2)."""
+    return comb(d, 2) + 1
 
 
 @cache
@@ -288,8 +293,8 @@ def _price_table() -> tuple[tuple[int, int], ...]:
         p.append(total)
         c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
         s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-        products += total + sum((j * j - j + 1) * p[n - j] for j in range(1, n)) + n * (n * n - n + 1)
-        table.append((s[n], products + n * n - n + 1))
+        products += total + sum(_exponents(j) * p[n - j] for j in range(1, n)) + n * _exponents(n)
+        table.append((s[n], products + _exponents(n)))
     return tuple(table)
 
 
@@ -313,26 +318,25 @@ def block_states(k: int, layers: int = 1) -> int:
 
 def oracle_products(k: int) -> int:
     """Products the class-algebra tables of degree k cost, an upper bound:
-    the p(d) content terms of each d <= k; (j(j - 1) + 1) p(d - j) as
-    ``characters._connected_terms`` peels j < d off d, where one term per
-    exponent on each side forms at most (j(j - 1) + 1) min(p(d - j),
-    (d - j)(d - j - 1) + 1), kept so that no budget decision moves; the d
-    power sums over at most d(d - 1) + 1 connected terms with which
-    ``characters._check_least`` checks each degree-d table; and one product
-    for each of the k(k - 1) + 1 powers.  Past ``MAX_DEGREE``, CapacityError."""
+    the p(d) content terms of each d <= k; ``_exponents(j)`` p(d - j) as
+    ``characters._connected_terms`` peels j < d off d, though the folded
+    D_{d-j} holds at most ``_exponents(d - j)`` terms: the slack stands for
+    the walk, whose diagrams cost more than one product each; the d power
+    sums that check each degree-d table (``characters._check_least``); and
+    one product per power of the degree-k table.  Past ``MAX_DEGREE``, CapacityError."""
     return _price_row(k)[1]
 
 
 def _power_price(d: int, total: int, count: int, top: int) -> int:
     """Products that the powers of ``count`` evaluations of a degree-d
     table cost past one per term, the exponents summing to ``total`` and
-    none past ``top``.  Each of at most d(d - 1) + 1 terms raises some
-    |f| <= C(d, 2) to the exponent m, about m floor(log2 C(d, 2)) bits, and
+    none past ``top``.  Each of at most ``_exponents(d)`` terms raises some
+    f <= C(d, 2) to the exponent m, about m floor(log2 C(d, 2)) bits, and
     a power of w words costs w sqrt(w) / 32 products (repeated squaring
     at about Karatsuba's rate), its sqrt(w) read at ``top``."""
     bits = max(comb(d, 2).bit_length() - 1, 0)
     words = (bits * total + 63 * count) // 64
-    return (d * d - d + 1) * words * isqrt((bits * top + 63) // 64) // 32
+    return _exponents(d) * words * isqrt((bits * top + 63) // 64) // 32
 
 
 def algebra_price(k: int, b: int, census: bool = False) -> int:
@@ -348,7 +352,7 @@ def algebra_price(k: int, b: int, census: bool = False) -> int:
     products) and some 30 products of other work.  Each size is priced
     from the sum and the largest of its exponents, in closed form, so the
     price takes O(k) steps and no loop over the cells.  One product stood
-    for about 0.25 us on a shared 2-vCPU host, and the tests hold the
+    for about 0.18 us on a shared 2-vCPU host, and the tests hold the
     price within a factor of 2 of measured costs.  A degree past
     ``MAX_DEGREE`` is a CapacityError."""
     tables = oracle_products(k)
@@ -359,7 +363,7 @@ def algebra_price(k: int, b: int, census: bool = False) -> int:
     for j in range(1, k // 2 + 1):
         n, carry = (g + 1, (b + 511) // 512) if j > 1 else (1, 0)
         small = n * (n + 2 * j - 3)  # beta1 summed over the cells
-        price += n * (30 + carry + j * j - j + 1 + (k - j) * (k - j - 1) + 1)
+        price += n * (30 + carry + _exponents(j) + _exponents(k - j))
         price += _power_price(j, small, n, 2 * n + 2 * j - 4) + _power_price(k - j, n * (b - 2) - small, n, b - 2 * j)
     return price
 

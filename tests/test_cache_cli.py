@@ -273,20 +273,20 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert doc["match"] is True
     assert doc["oracle_raw"] == doc["enumeration_raw"] == "240"
 
-    # the oracle for (4, 10) forms 126 term products and the walk takes 112
+    # the oracle for (4, 10) forms 79 term products and the walk takes 112
     # block-state visits; --oracle-only prices the oracle alone
     code, out, err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "125", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "78", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert (code, out) == (3, "")
     assert err == (
         "error: the character oracle for (4, 10) forms more term products "
-        "than the budget 125; raise --budget to force\n"
+        "than the budget 78; raise --budget to force\n"
     )
     code, out, _err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "126", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "79", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -330,23 +330,23 @@ def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, m
 
 
 def test_cli_budget_guard(tmp_path, capsys):
-    # the class-algebra census of (4, 10) is priced at 401 term products:
-    # twice the 126 of the connected tables, its powers and its 4 cells
-    assert algebra_price(4, 10, census=True) == 401
+    # the class-algebra census of (4, 10) is priced at 298 term products:
+    # twice the 79 of the connected tables, its powers and its 4 cells
+    assert algebra_price(4, 10, census=True) == 298
     code, _out, err = run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "400",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "297",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
     assert "the class-algebra census for (4, 10) forms more term products" in err
-    assert "budget 400" in err
+    assert "budget 297" in err
     assert "oracle-check --oracle-only" in err
     assert not census_path(tmp_path, 4, 10).exists()
     assert run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "401",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "298",
         "--cache-dir", str(tmp_path),
     )[0] == 0
-    # enumerating oracle-check prices its walk, once its oracle, at 126 term
+    # enumerating oracle-check prices its walk, once its oracle, at 79 term
     # products, fits: the walk for (4, 12) is priced at S(4) = 14 block
     # states in each of 10 layers
     code, _out, err = run_cli(
@@ -460,12 +460,12 @@ def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
 def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload():
     # the geography workload asks the oracle alone at k = 2 ... 12 with b
     # up to 2k + 2; the tables' products depend on k alone and peak at
-    # 12 100, and powers of at most 26 * 6 bits add 12 more
+    # 6 528, and powers of at most 26 * 6 bits add 6 more
     for k in range(2, 13):
         for b in range(2 * k - 2, 2 * k + 3, 2):
             _guard_budget(k, b, DEFAULT_ENUM_BUDGET, "oracle")
-    assert oracle_products(12) == 12100
-    assert algebra_price(12, 26) == 12112
+    assert oracle_products(12) == 6528
+    assert algebra_price(12, 26) == 6534
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
@@ -480,7 +480,7 @@ def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path,
     assert out == ""
     assert err == (
         f"error: degree 1000000 is past {MAX_DEGREE}, the largest degree any engine is priced at: "
-        f"the class-algebra tables of degree {MAX_DEGREE} alone form 2350848204 term products\n"
+        f"the class-algebra tables of degree {MAX_DEGREE} alone form 1197251612 term products\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -620,7 +620,7 @@ def test_cli_argument_errors_at_the_digit_limit(tmp_path, capsys):
 
 
 def test_cli_census_too_long_to_print(tmp_path, capsys):
-    # priced at 6 * 9998, but N for (3, 10000) has 4771 digits
+    # priced at 802 term products, but N for (3, 10000) has 4771 digits
     d = tmp_path / "cache"
     code, out, err = run_cli(
         capsys, "census", "--k", "3", "--b", "10000", "--cache-dir", str(d), "--output", "json",
@@ -744,10 +744,10 @@ def test_cli_capacity_guard(tmp_path, capsys):
 
 
 def test_cli_census_refusal_advice_works(tmp_path, capsys):
-    # the census of (20, 112), priced at 539 187 term products, is refused
-    # at a budget of 300 000 with advice to ask the oracle alone, which is
-    # priced at 201 454 and answers
-    budget = ("--budget", "300000")
+    # the census of (20, 112), priced at 286 558 term products, is refused
+    # at a budget of 200 000 with advice to ask the oracle alone, which is
+    # priced at 106 312 and answers
+    budget = ("--budget", "200000")
     code, out, err = run_cli(capsys, "census", "--k", "20", "--b", "112", *budget, "--cache-dir", str(tmp_path))
     assert (code, out) == (3, "")
     assert "use 'oracle-check --oracle-only'" in err
@@ -760,12 +760,12 @@ def test_cli_census_refusal_advice_works(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# the oracle's tables cost 200 990 term products at degree 20 and
-# 1 185 936 at degree 26, past the default budget; its powers cost little
-# at these b; degree 10^6 is past the cap at any budget
+# the oracle's tables cost 106 080 term products at degree 20, 816 894 at
+# degree 27 and 1 072 019 at degree 28, past the default budget; its powers
+# cost little at these b; degree 10^6 is past the cap at any budget
 @pytest.mark.parametrize(
     "k, b, code",
-    [(20, 112, 0), (26, 60, 3), (60, 118, 3), (1000000, 1999998, 3)],
+    [(20, 112, 0), (28, 64, 3), (60, 118, 3), (1000000, 1999998, 3)],
 )
 def test_cli_oracle_is_priced_by_its_products(tmp_path, capsys, k, b, code):
     start = time.perf_counter()
@@ -887,7 +887,7 @@ def test_a_query_in_a_fresh_directory_answers_as_after_census(tmp_path, capsys):
 def test_the_default_budget_answers_the_paper_shapes_in_a_fresh_directory(tmp_path, capsys, argv):
     # both were refused at the default budget while a census was priced as
     # the walk (S(k) (b - 2) block-state visits), and invariants read only a
-    # cached census; class algebra prices them at 539 187 and 153 746 term products
+    # cached census; class algebra prices them at 286 558 and 83 891 term products
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"), "--output", "json")
     assert (code, err) == (0, "")
     if argv[0] == "invariants":
@@ -1417,7 +1417,7 @@ def test_a_memo_hit_is_still_priced(tmp_path, capsys):
 def test_a_memo_hit_is_still_digit_checked(tmp_path, capsys):
     gonalgeo.cli._census_of.cache_clear()
     argv = ("census", "--k", "4", "--b", "1700", "--cache-dir", str(tmp_path))
-    assert algebra_price(4, 1700, True) == 34_698
+    assert algebra_price(4, 1700, True) == 32_679
     assert run_cli(capsys, *argv)[0] == 0
     held = gonalgeo.cli._census_of.cache_info()
     assert held.currsize == 1

@@ -7,6 +7,7 @@ must match, and the frozen values the rest of the suite leans on.
 """
 
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -246,15 +247,18 @@ def test_content_terms_match_the_character_table():
         tau = table.classes.index((2,) + (1,) * (k - 2))
         three = table.classes.index((3,) + (1,) * (k - 3)) if k >= 3 else None
         squares, heads = characters._content_terms(k)
-        want_squares, want_heads = {}, {}
+        want_squares, want_heads = Counter(), Counter()
         for row, dim in zip(table.rows, table.dims):
             f, rem = divmod(comb(k, 2) * row[tau], dim)
             assert rem == 0, (k, row)
-            want_squares[f] = want_squares.get(f, 0) + dim * dim
+            want_squares[f] += dim * dim
             if three is not None:
-                want_heads[f] = want_heads.get(f, 0) + dim * table.class_sizes[three] * row[three]
-        assert dict((f, w) for w, f in squares) == want_squares, k
-        assert dict((f, w) for w, f in heads) == {f: w for f, w in want_heads.items() if w}, k
+                want_heads[f] += dim * table.class_sizes[three] * row[three]
+        # the reference weighs f and -f alike, and the tables keep it folded
+        # onto f >= 0: w(0), and w(f) + w(-f) for f > 0
+        for want, got in ((want_squares, squares), (want_heads, heads)):
+            assert all(w == want[-f] for f, w in want.items()), k
+            assert dict((f, w) for w, f in got) == {f: w * (2 if f else 1) for f, w in want.items() if f >= 0 and w}, k
         for b in range(0, 31, 2):
             assert disconnected_count(k, b) == table_count(k, b), (k, b)
 
@@ -307,6 +311,23 @@ def test_source_b_cut_and_join_matches_the_term_tables():
             assert d[k][b] == disconnected_count(k, b), (k, b)
             assert conn[k][b] == connected_count(k, b), (k, b)
             assert t3[k][b] == characters._evaluate(characters._three_cycle_terms(k), k, b), (k, b)
+
+
+def test_every_table_is_folded_onto_nonnegative_exponents():
+    # the price reads at most C(k, 2) + 1 terms per table, one per exponent
+    # f = 0 .. C(k, 2); every weight at f > 0 is w(f) + w(-f) = 2 w(f), even,
+    # which keeps each halving in the peel exact
+    for k in range(2, 31):
+        squares, heads = characters._content_terms(k)
+        for terms in (squares, heads, characters._connected_terms(k), characters._three_cycle_terms(k)):
+            assert len(terms) <= comb(k, 2) + 1, k
+            assert all(0 <= f <= comb(k, 2) and w and (f == 0 or w % 2 == 0) for w, f in terms), k
+
+
+def test_a_negative_count_is_named_a_class_algebra_count():
+    # D, T3 and the census's split cells are read through the same evaluation
+    with pytest.raises(InvariantViolation, match=re.escape("class-algebra count for (3, 0) went negative")):
+        characters._evaluate(((-6, 0),), 3, 0)
 
 
 def test_oracle_counts_past_the_table_bound():
@@ -373,9 +394,10 @@ def test_a_perturbed_connected_weight_is_caught(monkeypatch, k):
         assert any(caught(b) for b in (0, *range(2 * k - 2, 2 * k + 4, 2))), (k, f)
 
 
-SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT = (
+SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT = (
     "sum dim^2 = k!",
-    "sum dim^2 f = 0",
+    "D(f) = D(-f)",
+    "A(f) = A(-f)",
     "sum dim^2 f^2 = k! C(k, 2)",
 )
 
@@ -395,14 +417,16 @@ def skew_diagram(monkeypatch, lam, field, change):
 
 
 def named_rules(exc) -> set[str]:
-    return {name for name in (SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT) if name in str(exc.value)}
+    return {name for name in (SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT) if name in str(exc.value)}
 
 
 @pytest.mark.parametrize("lam, cell, hook, failing", [
-    # (2, 2) has content sum 0: only the count of squares moves
+    # (2, 2) is its own conjugate, with content sum 0: only the count of squares moves
     ((2, 2), 0, 6, {SUM_SQUARES}),
-    ((3, 1), 1, 1, {SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT}),
-    ((4,), 0, 2, {SUM_SQUARES, FIRST_MOMENT, SECOND_MOMENT}),
+    # (3, 1) weighs D_4 at f = 2 apart from its conjugate (2, 1, 1) at f = -2;
+    # both have p2 = C(4, 2), so neither weighs A_4
+    ((3, 1), 1, 1, {SUM_SQUARES, EVEN_D, SECOND_MOMENT}),
+    ((4,), 0, 2, {SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT}),
 ])
 def test_content_terms_reject_a_skewed_hook_length(monkeypatch, lam, cell, hook, failing):
     # the hook product as if the hook of the cell-th cell, row by row, were ``hook``
@@ -415,26 +439,33 @@ def test_content_terms_reject_a_skewed_hook_length(monkeypatch, lam, cell, hook,
 
 @pytest.mark.parametrize("lam", [(2, 2), (3, 1)])
 def test_content_terms_reject_a_skewed_content_sum(monkeypatch, lam):
-    # every weight stays, so the count of squares holds and both moments move
+    # every weight stays, so the count of squares holds, the second moment
+    # moves and D_4 is no longer even; nor is A_4, except for (3, 1), which
+    # does not weigh it
     skew_diagram(monkeypatch, lam, 2, lambda f: f + 1)
     with pytest.raises(InvariantViolation, match="content-sum terms of degree 4") as exc:
         characters._content_terms.__wrapped__(4)
-    assert named_rules(exc) == {FIRST_MOMENT, SECOND_MOMENT}
+    assert named_rules(exc) == {EVEN_D, SECOND_MOMENT} | ({EVEN_A} if lam == (2, 2) else set())
 
 
 @pytest.mark.parametrize("lam, failing", [
-    # the squared-content sum weighs only A_k, so the 3-cycle table's own
-    # rules catch it; (2, 2) has content sum 0 and moves only length 0
-    ((2, 2), {"no tuples of length 0"}),
-    ((3, 1), {"no tuples of length 0", "no tuples of length 2", "tuples of length 4"}),
+    # the squared-content sum weighs only A_k; (2, 2) has content sum 0, so
+    # A_4 stays even, and the 3-cycle table's own rules catch it at length 0
+    ((2, 2), {"three-cycle terms of degree 4 fail", "no tuples of length 0"}),
+    # (3, 1) weighs A_4 at f = 2 apart from its conjugate at f = -2, which
+    # A_4's evenness catches when it is built
+    ((3, 1), {"content-sum terms of degree 4 fail", EVEN_A}),
 ])
 def test_three_cycle_terms_reject_a_skewed_squared_content_sum(monkeypatch, lam, failing):
     skew_diagram(monkeypatch, lam, 3, lambda p2: p2 + 1)
     monkeypatch.setattr(characters, "_content_terms", characters._content_terms.__wrapped__)
-    characters._content_terms(4)  # D_4's identities do not see it
-    with pytest.raises(InvariantViolation, match="three-cycle terms of degree 4") as exc:
+    with pytest.raises(InvariantViolation) as exc:
         characters._three_cycle_terms.__wrapped__(4)
-    rules = ("no tuples of length 0", "no tuples of length 2", "tuples of length 4")
+    rules = (
+        "three-cycle terms of degree 4 fail", "content-sum terms of degree 4 fail",
+        SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT,
+        "no tuples of length 0", "no tuples of length 2", "tuples of length 4",
+    )
     assert {rule for rule in rules if rule in str(exc.value)} == failing
 
 
