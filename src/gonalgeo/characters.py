@@ -1,4 +1,4 @@
-"""Cover counting through class algebra, and the exact character table of S_k.
+"""Cover counting through class algebra.
 
 The number of length-b transposition tuples in S_k with identity product is
 Frobenius' class-algebra evaluation, which needs only the dimension and the
@@ -17,18 +17,14 @@ identities; k! Conn(k, b), built once by peeling off the block of symbol 1
 on the exponents, so no memo is keyed by b; and the transitive tuples with
 a 3-cycle product, T3.  The collision census (``degeneration.full_census``)
 reads every field from these tables, each checked when it is built against
-the minimal factorization counts.
-
-The full character table, by the border-strip recursion on beta-sets
-with every entry an exact integer and both orthogonality relations
-checked, is kept as the independent reference for D_k.
+the minimal factorization counts.  The full character table of S_k,
+their independent reference, is in ``gonalgeo.reference``.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add
 
 from .errors import InvariantViolation, ParameterError
 
@@ -70,93 +66,6 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 0:
         raise ParameterError(f"cannot partition {n}")
     return tuple(sorted((tuple(cols) for cols, *_ in _diagrams(n)), reverse=True))
-
-
-def centralizer_order(mu: tuple[int, ...]) -> int:
-    """Order of the centralizer of a permutation with cycle type ``mu``."""
-    return prod(part**m * factorial(m) for part, m in Counter(mu).items())
-
-
-@lru_cache(maxsize=None)
-def _chi(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Character value chi_lam at class mu, by border-strip removal."""
-    if not mu:
-        return 1 if not lam else 0
-    ell, rest = mu[0], mu[1:]
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - ell
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
-        lam2 = tuple(
-            v for v in (newbeta[i] - (m - 1 - i) for i in range(m)) if v > 0
-        )
-        total += (-1) ** height * _chi(lam2, rest)
-    return total
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full integer character table of S_k.
-
-    Rows are irreducibles and columns conjugacy classes, both indexed by
-    the partitions of k in the order of ``classes``.
-    """
-
-    k: int
-    classes: tuple[tuple[int, ...], ...]
-    class_sizes: tuple[int, ...]
-    dims: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def chi(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-        return self.rows[self.classes.index(lam)][self.classes.index(mu)]
-
-
-@lru_cache(maxsize=None)
-def _build_table(k: int) -> CharacterTable:
-    classes = partitions_of(k)
-    sizes = tuple(factorial(k) // centralizer_order(mu) for mu in classes)
-    rows = tuple(tuple(_chi(lam, mu) for mu in classes) for lam in classes)
-    identity_col = classes.index((1,) * k)
-    dims = tuple(row[identity_col] for row in rows)
-
-    # both inner products are symmetric, so each pair is checked once
-    order = factorial(k)
-    ncls = len(classes)
-    for i, ri in enumerate(rows):
-        if dims[i] <= 0:
-            raise InvariantViolation(f"non-positive dimension for {classes[i]}")
-        weighted = [s * a for s, a in zip(sizes, ri)]
-        for j in range(i, ncls):
-            dot = sum(map(mul, weighted, rows[j]))
-            if dot != (order if i == j else 0):
-                raise InvariantViolation(
-                    f"row orthogonality fails for {classes[i]}, {classes[j]}"
-                )
-    columns = tuple(zip(*rows))
-    for u in range(ncls):
-        for v in range(u, ncls):
-            dot = sum(map(mul, columns[u], columns[v]))
-            want = order // sizes[u] if u == v else 0
-            if dot != want:
-                raise InvariantViolation(
-                    f"column orthogonality fails for {classes[u]}, {classes[v]}"
-                )
-
-    return CharacterTable(k, classes, sizes, dims, rows)
-
-
-def character_table(k: int) -> CharacterTable:
-    """Character table of S_k, cached: the tests' reference; no count builds one."""
-    if k < 1:
-        raise ParameterError(f"degree must be at least 1, got {k}")
-    return _build_table(k)
 
 
 def _check_shape(k: int, b: int) -> None:

@@ -13,9 +13,9 @@ and a json report alike, and writes it only when the file does not hold
 those bytes already (``_census``); a file that held other bytes is
 written over and reported as an invariant violation.  It alone resolves
 ``--cache-dir``.  ``oracle-check`` prices its oracle as class algebra,
-and its enumeration, the block-state walk it compares field by field
-with the census, in block-state visits (``covers.block_states``), and
-the census it compares with as a census.
+and the walk of ``gonalgeo.reference`` in block-state visits
+(``covers.block_states``); the census it compares the walk with, field
+by field, comes from ``_computed_census`` as every command's does.
 A line led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
@@ -48,10 +48,11 @@ from math import comb, log10
 from .asymptotics import delta_search, positivity_threshold
 from .cache import census_file, export_census, json_text, resolve_cache_dir
 from .covers import algebra_price, block_states, class_count_via_oracle, cover_genus, validate_cover_shape
-from .degeneration import DegenerationCensus, cross_check_walk, full_census
+from .degeneration import DegenerationCensus, full_census
 from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
 from .invariants import FamilyParams, audit_chain, surface_invariants
+from .reference import cross_check_walk
 
 # not called here (no command reads a cache document; ``_census`` exports
 # through ``cache.export_census``, so that one encoding serves the cache and
@@ -59,7 +60,7 @@ from .invariants import FamilyParams, audit_chain, surface_invariants
 # benchmark's span tracer still wraps these
 from .cache import load_or_compute, read_census, write_census
 from .characters import disconnected_count
-from .covers import class_count
+from .reference import class_count
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -113,9 +114,10 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
 
 def _computed_census(k: int, b: int, budget: int, too_long: CapacityError | None) -> DegenerationCensus:
     """The census of (k, b), once its price fits the budget; ``too_long``
-    is ``_count_refusal(k, b)``, raised after the price when its N has
-    more digits than the interpreter prints.  Both are decided on every
-    call, a memo hit too; ``_census_of`` computes the census once."""
+    is ``_count_refusal(k, b)``, or None where the caller raised it, and is
+    raised after the price when its N has more digits than the interpreter
+    prints.  Both are decided on every call, a memo hit too; ``_census_of``
+    computes the census once."""
     _guard_budget(k, b, budget)
     if too_long:
         raise too_long
@@ -253,8 +255,8 @@ def cmd_oracle_check(args) -> int:
     }
     if not args.oracle_only:
         _guard_budget(k, b, args.budget, "walk")
-        _guard_budget(k, b, args.budget)
-        enum = cross_check_walk(k, b)
+        # the census's N is the oracle count, whose digits were checked above
+        enum = cross_check_walk(k, b, _computed_census(k, b, args.budget, None))
         payload["enumeration_raw"] = str(enum.raw_count)
         payload["enumeration_classes"] = str(enum.class_count)
         # the walk matched the census field by field, and the census's N is the oracle's

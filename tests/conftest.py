@@ -1,6 +1,6 @@
 import pytest
 
-from gonalgeo import covers
+from gonalgeo import reference
 from gonalgeo.degeneration import full_census
 
 # every (k, b) the test suite enumerates, smallest first
@@ -15,7 +15,7 @@ ENVELOPE = [
 def skew_double_transposition_step(monkeypatch):
     """Make the walk take the step from the double transposition to a
     transposition, at degree 4, 3 ways instead of 2."""
-    steps = covers._block_steps
+    steps = reference._block_steps
 
     def skewed(state):
         return tuple(
@@ -23,7 +23,7 @@ def skew_double_transposition_step(monkeypatch):
             for nxt, n, need in steps(state)
         )
 
-    monkeypatch.setattr(covers, "_block_steps", skewed)
+    monkeypatch.setattr(reference, "_block_steps", skewed)
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from gonalgeo.asymptotics import EVEN, ODD, delta_search, positivity_threshold
 from gonalgeo.characters import connected_count
-from gonalgeo.covers import class_count, count_tuples
-from gonalgeo.degeneration import verify_twist_orbits
 from gonalgeo.invariants import FamilyParams, audit_chain, genus_y, surface_invariants
+from gonalgeo.reference import class_count, count_tuples, verify_twist_orbits
 
 from conftest import ENVELOPE
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import gonalgeo
 import gonalgeo.cache
 import gonalgeo.cli
-import gonalgeo.covers
+import gonalgeo.reference
 from gonalgeo.cache import (
     DEFAULT_CACHE_DIR,
     ENV_CACHE_DIR,
@@ -319,9 +319,9 @@ def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, m
     # with every need reported as 0 the walk keeps states the last two
     # entries cannot complete; the first it meets is a 3-cycle on one of
     # two blocks.  Only oracle-check walks
-    steps = gonalgeo.covers._block_steps
+    steps = gonalgeo.reference._block_steps
     monkeypatch.setattr(
-        gonalgeo.covers, "_block_steps", lambda state: tuple((s, n, 0) for s, n, _ in steps(state))
+        gonalgeo.reference, "_block_steps", lambda state: tuple((s, n, 0) for s, n, _ in steps(state))
     )
     code, out, err = run_cli(capsys, "oracle-check", "--k", "5", "--b", "10", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")

@@ -14,18 +14,20 @@ from math import comb, factorial
 
 import pytest
 
-from gonalgeo import characters
-from gonalgeo.characters import (
+from gonalgeo import characters, reference
+from gonalgeo.characters import connected_count, disconnected_count, partitions_of
+from gonalgeo.covers import oracle_products
+from gonalgeo.errors import InvariantViolation, ParameterError
+from gonalgeo.reference import (
     CharacterTable,
+    all_transpositions,
     centralizer_order,
     character_table,
-    connected_count,
-    disconnected_count,
-    partitions_of,
+    compose,
+    count_tuples,
+    identity,
+    transposition_perm,
 )
-from gonalgeo.covers import count_tuples, oracle_products
-from gonalgeo.errors import InvariantViolation, ParameterError
-from gonalgeo.perm import all_transpositions, compose, identity, transposition_perm
 
 
 def test_partitions_of():
@@ -217,14 +219,14 @@ def test_genus_one_counts_match_the_closed_form():
 def test_table_build_rejects_a_wrong_entry(monkeypatch, bad):
     # each orthogonality pair is checked once; a single wrong character
     # value, in the first, a middle or the last row, must still be caught
-    chi = characters._chi
+    chi = reference._chi
 
     def skewed(lam, mu):
         return chi(lam, mu) + ((lam, mu) == bad)
 
-    monkeypatch.setattr(characters, "_chi", skewed)
+    monkeypatch.setattr(reference, "_chi", skewed)
     with pytest.raises(InvariantViolation, match="orthogonality"):
-        characters._build_table.__wrapped__(4)
+        reference._build_table.__wrapped__(4)
 
 
 def table_count(k: int, b: int) -> int:
@@ -354,14 +356,14 @@ def test_a_cold_count_builds_no_character_table():
     for memo in (
         characters._connected_terms,
         characters._content_terms,
-        characters._build_table,
-        characters._chi,
+        reference._build_table,
+        reference._chi,
     ):
         memo.cache_clear()
     connected_count(12, 26)
     assert characters._content_terms.cache_info().currsize == 12
-    assert characters._build_table.cache_info().currsize == 0
-    assert characters._chi.cache_info().currsize == 0
+    assert reference._build_table.cache_info().currsize == 0
+    assert reference._chi.cache_info().currsize == 0
 
 
 def test_the_connected_memo_is_keyed_by_degree_alone():

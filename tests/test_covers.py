@@ -6,26 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gonalgeo import covers
+from gonalgeo import covers, reference
 from gonalgeo.covers import (
     MAX_DEGREE,
-    MonodromyTuple,
-    _block_steps,
     _classes,
     algebra_price,
-    are_conjugate,
     block_states,
-    class_count,
     class_count_via_oracle,
-    class_representatives,
-    count_tuples,
     cover_genus,
-    iter_tuples,
     oracle_products,
 )
 from gonalgeo.characters import connected_count, disconnected_count, partitions_of
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
-from gonalgeo.tables import group_tables
+from gonalgeo.reference import (
+    MonodromyTuple,
+    _block_steps,
+    are_conjugate,
+    class_count,
+    class_representatives,
+    count_tuples,
+    group_tables,
+    iter_tuples,
+)
 
 from conftest import ENVELOPE
 from test_characters import brute_force_counts
@@ -309,10 +311,10 @@ def kept_states(monkeypatch, k, b):
     those it steps, past the start, before it reads the first kind, and
     those whose kind it reads two entries from the end."""
     stepped, kinds = [], []
-    steps, kind = covers._block_steps, covers._kind
-    monkeypatch.setattr(covers, "_block_steps", lambda s: stepped.append(len(kinds)) or steps(s))
-    monkeypatch.setattr(covers, "_kind", lambda s: kinds.append(s) or kind(s))
-    covers.completion_tally(k, b)
+    steps, kind = reference._block_steps, reference._kind
+    monkeypatch.setattr(reference, "_block_steps", lambda s: stepped.append(len(kinds)) or steps(s))
+    monkeypatch.setattr(reference, "_kind", lambda s: kinds.append(s) or kind(s))
+    reference.completion_tally(k, b)
     monkeypatch.undo()
     return stepped.count(0) - 1 + len(kinds), len(kinds)
 
@@ -326,8 +328,8 @@ def test_one_exact_rule_prunes_the_census_walk(monkeypatch):
     assert kept_states(monkeypatch, 15, 28)[0] == 17619
     # the labeled search behind the twist check keeps its last layer by the
     # same rule: two separate bounds keep 215 states at (5, 8), 36 at (4, 10)
-    assert len(covers.prefix_states(group_tables(5), 8)) == 50
-    assert len(covers.prefix_states(group_tables(4), 10)) == 19
+    assert len(reference.prefix_states(group_tables(5), 8)) == 50
+    assert len(reference.prefix_states(group_tables(4), 10)) == 19
 
 
 def priced_from_scratch(k: int) -> list[tuple[int, int]]:

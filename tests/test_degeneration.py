@@ -18,31 +18,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from gonalgeo import characters, covers, degeneration
+from gonalgeo import characters, degeneration, reference
 from gonalgeo.characters import connected_count
-from gonalgeo.covers import (
-    MonodromyTuple,
-    are_conjugate,
-    class_representatives,
-    cover_genus,
-    prefix_states,
-)
-from gonalgeo.degeneration import (
+from gonalgeo.covers import cover_genus
+from gonalgeo.degeneration import DegenerationCensus, full_census
+from gonalgeo.errors import InvariantViolation, ParameterError
+from gonalgeo.reference import (
     CentralProfile,
-    DegenerationCensus,
+    MonodromyTuple,
     NodeType,
     SplitProfile,
     TwistOrbitReport,
+    all_transpositions,
+    are_conjugate,
+    class_representatives,
     classify_node,
+    compose,
     cross_check_walk,
-    full_census,
+    cycle_type,
     full_twist,
+    group_tables,
+    prefix_states,
     refine_type_one,
+    transposition_perm,
     verify_twist_orbits,
 )
-from gonalgeo.errors import InvariantViolation, ParameterError
-from gonalgeo.perm import all_transpositions, compose, cycle_type, transposition_perm
-from gonalgeo.tables import group_tables
 
 from conftest import ENVELOPE, skew_double_transposition_step
 from test_covers import labeled_layers
@@ -286,7 +286,7 @@ def _private_tables(monkeypatch, k):
     """A copy of the degree-k tables that ``verify_twist_orbits`` reads in
     place of the shared ones, so a test may skew it."""
     tab = copy.copy(group_tables(k))
-    monkeypatch.setattr(degeneration, "group_tables", lambda n: tab if n == k else group_tables(n))
+    monkeypatch.setattr(reference, "group_tables", lambda n: tab if n == k else group_tables(n))
     return tab
 
 
@@ -512,9 +512,8 @@ def test_the_census_takes_no_walk_step(monkeypatch):
     def no_walk(*_args):
         raise AssertionError("the census took a walk step")
 
-    monkeypatch.setattr(covers, "_block_steps", no_walk)
-    monkeypatch.setattr(covers, "completion_tally", no_walk)
-    monkeypatch.setattr(degeneration, "completion_tally", no_walk)
+    monkeypatch.setattr(reference, "_block_steps", no_walk)
+    monkeypatch.setattr(reference, "completion_tally", no_walk)
     # the walk of (14, 76), priced at 718 540 block-state visits, takes seconds
     for k, b in ((6, 14), (14, 76)):
         counts, cen = full_census(k, b)
@@ -522,7 +521,7 @@ def test_the_census_takes_no_walk_step(monkeypatch):
         assert cen.classes == counts.class_count
     # the walk is reached only through the comparison oracle-check runs
     with pytest.raises(AssertionError, match="walk step"):
-        cross_check_walk(6, 14)
+        cross_check_walk(6, 14, full_census(6, 14)[1])
 
 
 def test_the_walk_agrees_with_the_census_field_by_field():
@@ -530,7 +529,8 @@ def test_the_walk_agrees_with_the_census_field_by_field():
     # overlap, each split size and disjoint, as oracle-check compares them
     grid = [(k, b) for k in range(2, 9) for b in range(2 * k - 2, 2 * k + 7, 2)]
     for k, b in grid + [(10, 52), (15, 28)]:
-        assert cross_check_walk(k, b) == full_census(k, b)[0], (k, b)
+        counts, census = full_census(k, b)
+        assert cross_check_walk(k, b, census) == counts, (k, b)
 
 
 @pytest.mark.parametrize("b, field", [(6, "disjoint"), (8, "central")])
@@ -544,7 +544,7 @@ def test_a_skewed_walk_step_breaks_the_walk_comparison(monkeypatch, b, field):
     assert full_census(4, b) == census
     caught = f"disagree on the {field} tally at (4, {b})"
     with pytest.raises(InvariantViolation, match=re.escape(caught)):
-        cross_check_walk(4, b)
+        cross_check_walk(4, b, census[1])
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -561,7 +561,7 @@ def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
     monkeypatch.setattr(degeneration, "_connected_terms", lambda n: skewed if n == d else terms(n))
     j = min(d, 6 - d)
     with pytest.raises(InvariantViolation, match=rf"split (size j = {j} tally|\({j}, \d+\) tally)"):
-        cross_check_walk(6, 14)
+        cross_check_walk(6, 14, full_census(6, 14)[1])
 
 
 class _CountedTable(dict):

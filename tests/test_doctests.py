@@ -5,16 +5,16 @@ import gonalgeo.characters
 import gonalgeo.covers
 import gonalgeo.degeneration
 import gonalgeo.invariants
-import gonalgeo.perm
+import gonalgeo.reference
 import pytest
 
 MODULES = [
-    gonalgeo.perm,
     gonalgeo.characters,
     gonalgeo.covers,
     gonalgeo.degeneration,
     gonalgeo.invariants,
     gonalgeo.asymptotics,
+    gonalgeo.reference,
 ]
 
 

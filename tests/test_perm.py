@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 import pytest
 
 from gonalgeo.errors import ParameterError
-from gonalgeo.perm import (
+from gonalgeo.reference import (
     all_transpositions,
     compose,
     cycle_type,
