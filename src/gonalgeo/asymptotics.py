@@ -349,6 +349,16 @@ def _band_line(census: DegenerationCensus) -> tuple[int, int, int]:
     )
 
 
+def _check_band(epsilon, window: int) -> Fraction:
+    """The band search's check of epsilon, as a Fraction, and window, run by the CLI first."""
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if window < 0:
+        raise ParameterError(f"window must be nonnegative, got {window}")
+    return eps
+
+
 def delta_search(
     census: DegenerationCensus,
     epsilon,
@@ -386,11 +396,7 @@ def delta_search(
     window fits below d_max, with the trailing trajectory of the last
     8 degrees up to d_max attached, whatever the window.
     """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if window < 0:
-        raise ParameterError(f"window must be nonnegative, got {window}")
+    eps = _check_band(epsilon, window)
     k, b = census.k, census.b
     en, ed = eps.numerator, eps.denominator
     a0, slope, x = _band_line(census)

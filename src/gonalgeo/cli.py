@@ -3,19 +3,24 @@ cross-checks (``oracle-check``), invariant evaluation and the audit
 chain (``invariants``, ``audit``), the maximal-gonality positivity
 thresholds (``asymptotics --case``), and the band search (``delta``).
 
-Every command that needs a census computes it by class algebra, once per
-shape per process: ``_computed_census`` prices it in term products
-(``covers.algebra_price``) and checks its digits on every call, then
-reads it from a memo of the 16 latest shapes (``_census_of``, 7.8 MiB
-each at worst); no command reads a cache document.  ``census`` also
-exports its document to the cache directory, encoded once for the file
-and a json report alike, and writes it only when the file does not hold
-those bytes already (``_census``); a file that held other bytes is
-written over and reported as an invariant violation.  It alone resolves
-``--cache-dir``.  ``oracle-check`` prices its oracle as class algebra,
-and the walk of ``gonalgeo.reference`` in block-state visits
-(``covers.block_states``); the census it compares the walk with, field
-by field, comes from ``_computed_census`` as every command's does.
+Every command admits its line in one step before any engine runs: its
+own arguments first (the shape, then ``--c`` and ``--base-genus`` or
+epsilon and ``--window``, by the checks the family and the band search
+run themselves), then, in the order the command lists them, a count too
+long to print (``_digit_refusal``) and each engine's price against
+``--budget`` (``_guard_budget``).  A census is computed by class
+algebra, once per shape per process: ``_computed_census`` prices it in
+term products (``covers.algebra_price``), then checks its digits, on
+every call, and reads it from a memo of the 16 latest shapes
+(``_census_of``, 7.8 MiB each at worst); no command reads a cache
+document.  ``oracle-check`` prices its oracle, then the walk of
+``gonalgeo.reference`` in block-state visits (``covers.block_states``),
+then the census it compares the walk with, before it counts any of them.
+``census`` also exports its document to the cache directory, encoded
+once for the file and a json report alike, and writes it only when the
+file does not hold those bytes already (``_census``); a file that held
+other bytes is written over and reported as an invariant violation.  It
+alone resolves ``--cache-dir``.
 A line led by a command name is parsed by that command's parser alone
 (``_command_parser``), any other line by the full parser
 (``build_parser``); both add a command's options from one table, and
@@ -29,11 +34,10 @@ value only prints a warning, and it is hidden from help.
 
 Exit codes: 0 success or help, 2 invariant violation (including a
 census document that did not hold its census, which ``census`` has just
-written again), 3 budget or capacity
-ceiling (including a reported value too long to print, or a census
-file name too long for the file system), 4 bad arguments
-or a cache directory ``census`` cannot use.  All output is deterministic
-for a given configuration; payloads carry no timestamps.
+written again), 3 budget or capacity ceiling (including a reported value
+too long to print, or a census file name too long for the file system),
+4 bad arguments or a cache directory ``census`` cannot use.  All output
+is deterministic for a given configuration; payloads carry no timestamps.
 """
 
 import argparse
@@ -45,19 +49,17 @@ from fractions import Fraction
 from gettext import gettext
 from math import comb, log10
 
-from .asymptotics import delta_search, positivity_threshold
+from .asymptotics import _check_band, delta_search, positivity_threshold
 from .cache import census_file, export_census, json_text, resolve_cache_dir
 from .covers import algebra_price, block_states, class_count_via_oracle, cover_genus, validate_cover_shape
 from .degeneration import DegenerationCensus, full_census
 from .digits import DEFAULT_DIGIT_LIMIT, _EXACT_BITS, _decimal, _floor_log10, _magnitude, _unprintable, int_digit_limit
 from .errors import BudgetExceeded, CapacityError, InvariantViolation, ParameterError
-from .invariants import FamilyParams, audit_chain, surface_invariants
+from .invariants import FamilyParams, _check_family, audit_chain, surface_invariants
 from .reference import cross_check_walk
 
-# not called here (no command reads a cache document; ``_census`` exports
-# through ``cache.export_census``, so that one encoding serves the cache and
-# the report; ``oracle-check`` walks in ``cross_check_walk``), but the
-# benchmark's span tracer still wraps these
+# not called here (no command reads a cache document, ``_census`` exports
+# through ``cache.export_census``), but the benchmark's span tracer wraps these
 from .cache import load_or_compute, read_census, write_census
 from .characters import disconnected_count
 from .reference import class_count
@@ -112,14 +114,12 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     return k, b
 
 
-def _computed_census(k: int, b: int, budget: int, too_long: CapacityError | None) -> DegenerationCensus:
-    """The census of (k, b), once its price fits the budget; ``too_long``
-    is ``_count_refusal(k, b)``, or None where the caller raised it, and is
-    raised after the price when its N has more digits than the interpreter
-    prints.  Both are decided on every call, a memo hit too; ``_census_of``
-    computes the census once."""
+def _computed_census(k: int, b: int, budget: int) -> DegenerationCensus:
+    """The census of (k, b), once its price fits the budget and its N has
+    no more digits than the interpreter prints, both decided on every
+    call, a memo hit too; ``_census_of`` computes the census once."""
     _guard_budget(k, b, budget)
-    if too_long:
+    if too_long := _digit_refusal(k, b, "the tuple count N"):
         raise too_long
     return _census_of(k, b)
 
@@ -132,10 +132,6 @@ def _census_of(k: int, b: int) -> DegenerationCensus:
     return full_census(k, b)[1]
 
 
-def _count_refusal(k: int, b: int) -> CapacityError | None:
-    return _digit_refusal(k, b, "the tuple count N")
-
-
 def _census(args, k: int, b: int) -> tuple[dict, str]:
     """The payload and document text of the census of (k, b), for its
     report and its export alike (``cache.export_census``).  A census
@@ -143,10 +139,9 @@ def _census(args, k: int, b: int) -> tuple[dict, str]:
     which may be too long to look up, is not checked; one whose file name
     is too long anyway (``census_file``) is refused before it is priced."""
     cache_dir = resolve_cache_dir(args.cache_dir)
-    too_long = _count_refusal(k, b)
     try:
-        path = None if too_long else census_file(cache_dir, k, b)
-        return export_census(cache_dir, _computed_census(k, b, args.budget, too_long), path)
+        path = None if _digit_refusal(k, b, "the tuple count N") else census_file(cache_dir, k, b)
+        return export_census(cache_dir, _computed_census(k, b, args.budget), path)
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise ParameterError(
             f"cannot use {cache_dir} as the census cache: {exc.strerror or exc}"
@@ -168,11 +163,10 @@ _REFUSALS = {
 
 def _guard_budget(k: int, b: int, budget: int, engine: str = "census") -> None:
     """Refuse (k, b) when ``engine`` is priced past the budget: the
-    class-algebra "census", the character "oracle" alone (both
-    ``covers.algebra_price``, in term products), or the "walk" that
-    ``oracle-check`` compares with the census, at most S(k) block states in
-    each of b - 2 layers (``covers.block_states``).  A degree past
-    ``covers.MAX_DEGREE`` is a CapacityError at any budget."""
+    class-algebra "census" or "oracle" (``covers.algebra_price``, in term
+    products), or the "walk", at most S(k) block states in each of b - 2
+    layers (``covers.block_states``).  A degree past ``covers.MAX_DEGREE``
+    is a CapacityError at any budget."""
     price = block_states(k, b - 2) if engine == "walk" else algebra_price(k, b, engine == "census")
     if price > budget:
         raise BudgetExceeded(_REFUSALS[engine].format(k=k, b=b, budget=budget))
@@ -193,16 +187,11 @@ _RATIONAL_KEYS = {"numerator", "denominator", "approx"}
 _MCELL_KEYS = {"j", "i", "count"}
 
 
-def _rat_str(d: dict) -> str:
-    if d["denominator"] == "1":
-        return d["numerator"]
-    return f"{d['numerator']}/{d['denominator']}"
-
-
 def _walk(value, path: str, out: list) -> None:
     if isinstance(value, dict):
         if value.keys() == _RATIONAL_KEYS:
-            out.append(("scalar", path, _rat_str(value)))
+            num, den = value["numerator"], value["denominator"]
+            out.append(("scalar", path, num if den == "1" else f"{num}/{den}"))
             return
         for key, inner in value.items():
             _walk(inner, f"{path}.{key}" if path else str(key), out)
@@ -245,7 +234,8 @@ def cmd_oracle_check(args) -> int:
     k, b = _resolve_shape(args.k, args.b, args.g)
     if too_long := _digit_refusal(k, b, "the oracle count"):
         raise too_long
-    _guard_budget(k, b, args.budget, "oracle")
+    for engine in ("oracle",) if args.oracle_only else ("oracle", "walk", "census"):
+        _guard_budget(k, b, args.budget, engine)
     oracle = class_count_via_oracle(k, b)
     payload = {
         "k": k,
@@ -254,9 +244,8 @@ def cmd_oracle_check(args) -> int:
         "oracle_classes": str(oracle.class_count),
     }
     if not args.oracle_only:
-        _guard_budget(k, b, args.budget, "walk")
         # the census's N is the oracle count, whose digits were checked above
-        enum = cross_check_walk(k, b, _computed_census(k, b, args.budget, None))
+        enum = cross_check_walk(k, b, _census_of(k, b))
         payload["enumeration_raw"] = str(enum.raw_count)
         payload["enumeration_classes"] = str(enum.class_count)
         # the walk matched the census field by field, and the census's N is the oracle's
@@ -267,8 +256,8 @@ def cmd_oracle_check(args) -> int:
 
 def _family(args) -> FamilyParams:
     k, b = _resolve_shape(args.k, args.b, args.g)
-    census = _computed_census(k, b, args.budget, _count_refusal(k, b))
-    return FamilyParams(census, args.c, args.base_genus, args.special_base)
+    _check_family(args.c, args.base_genus)
+    return FamilyParams(_computed_census(k, b, args.budget), args.c, args.base_genus, args.special_base)
 
 
 def cmd_invariants(args) -> int:
@@ -354,9 +343,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 def cmd_delta(args) -> int:
     k, b = _resolve_shape(args.k, None, args.g)
-    eps = _parse_fraction(args.epsilon)
-    census = _computed_census(k, b, args.budget, _count_refusal(k, b))
-    cert = delta_search(census, eps, window=args.window, d_max=args.d_max)
+    eps = _check_band(_parse_fraction(args.epsilon), args.window)
+    cert = delta_search(_computed_census(k, b, args.budget), eps, window=args.window, d_max=args.d_max)
     _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, args.output)
     return 0
 

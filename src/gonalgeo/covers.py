@@ -68,7 +68,7 @@ class TupleCensus:
 
 
 # the largest degree any engine is priced at: the tables of degree 61 alone
-# form 1.4 * 10^9 term products, some 4 minutes at 0.18 us each
+# form 3.0 * 10^8 term products, some 55 s at 0.18 us each
 MAX_DEGREE = 60
 
 
@@ -78,11 +78,12 @@ def _exponents(d: int) -> int:
 
 
 @cache
-def _price_table() -> tuple[tuple[int, int], ...]:
-    """(S(n), oracle_products(n)) at index n <= MAX_DEGREE, built once per
-    process: p by Euler's pentagonal recurrence, and S its Euler transform,
-    n S(n) summing c(j) S(n - j) over j <= n, c(j) summing d p(d) over d | j."""
-    p, s, c, products, table = [1], [1], [0], 0, [(1, 1)]
+def _price_table() -> tuple[tuple[int, int, int], ...]:
+    """(S(n), oracle_products(n), the peels' share of it) at index n <=
+    MAX_DEGREE, built once per process: p by Euler's pentagonal recurrence,
+    and S its Euler transform, n S(n) summing c(j) S(n - j) over j <= n,
+    c(j) summing d p(d) over d | j."""
+    p, s, c, walk, peels, table = [1], [1], [0], 0, 0, [(1, 1, 0)]
     for n in range(1, MAX_DEGREE + 1):
         total, i = 0, 1
         while (first := i * (3 * i - 1) // 2) <= n:
@@ -92,13 +93,14 @@ def _price_table() -> tuple[tuple[int, int], ...]:
         p.append(total)
         c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
         s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-        products += total + sum(_exponents(j) * p[n - j] for j in range(1, n)) + n * _exponents(n)
-        table.append((s[n], products + _exponents(n)))
+        walk += 30 * total  # a diagram of ``characters._diagrams`` costs about 30 products
+        peels += sum(_exponents(j) * _exponents(n - j) for j in range(1, n)) + n * _exponents(n)
+        table.append((s[n], walk + peels + _exponents(n), peels))
     return tuple(table)
 
 
-def _price_row(k: int) -> tuple[int, int]:
-    """(S(k), oracle_products(k)), or a CapacityError past MAX_DEGREE."""
+def _price_row(k: int) -> tuple[int, int, int]:
+    """``_price_table``'s row of degree k, or a CapacityError past MAX_DEGREE."""
     if k < 0:
         raise ParameterError(f"degree must not be negative, got {k}")
     if k > MAX_DEGREE:
@@ -116,13 +118,12 @@ def block_states(k: int, layers: int = 1) -> int:
 
 
 def oracle_products(k: int) -> int:
-    """Products the class-algebra tables of degree k cost, an upper bound:
-    the p(d) content terms of each d <= k; ``_exponents(j)`` p(d - j) as
-    ``characters._connected_terms`` peels j < d off d, though the folded
-    D_{d-j} holds at most ``_exponents(d - j)`` terms: the slack stands for
-    the walk, whose diagrams cost more than one product each; the d power
-    sums that check each degree-d table (``characters._check_least``); and
-    one product per power of the degree-k table.  Past ``MAX_DEGREE``, CapacityError."""
+    """Products the class-algebra tables of degree k cost: the p(d)
+    diagrams of each d <= k, at their measured cost of about 30 each; at
+    most ``_exponents(j)`` times ``_exponents(d - j)`` as
+    ``characters._connected_terms`` peels j < d off d; the d power sums
+    that check each degree-d table (``characters._check_least``); and one
+    product per power of the degree-k table.  Past ``MAX_DEGREE``, CapacityError."""
     return _price_row(k)[1]
 
 
@@ -142,23 +143,23 @@ def algebra_price(k: int, b: int, census: bool = False) -> int:
     """The class-algebra price of (k, b), in term products: the tables
     (``oracle_products``), and the powers past one product each
     (``_power_price``).  The oracle evaluates the connected table once, at
-    b.  A ``census`` builds the T3 tables too, priced as the connected
-    ones, evaluates the degree-k tables at b - 2 twice and at b once, and
-    for each split size j runs one pass over its cells, one per component
-    genus i < n (n = g + 1, one cell for j = 1), each evaluating a
-    degree-j table at beta1 = 2i + 2j - 2 and a degree-(k - j) one at
-    b - 2 - beta1, carrying C(b - 2, beta1) over about b bits (b / 512
-    products) and some 30 products of other work.  Each size is priced
-    from the sum and the largest of its exponents, in closed form, so the
-    price takes O(k) steps and no loop over the cells.  One product stood
-    for about 0.18 us on a shared 2-vCPU host, and the tests hold the
-    price within a factor of 2 of measured costs.  A degree past
-    ``MAX_DEGREE`` is a CapacityError."""
+    b.  A ``census`` builds the T3 tables too, from the same walk, with
+    peels priced as the connected tables', evaluates the degree-k tables
+    at b - 2 twice and at b once, and for each split size j runs one pass
+    over its cells, one per component genus i < n (n = g + 1, one cell for
+    j = 1), each evaluating a degree-j table at beta1 = 2i + 2j - 2 and a
+    degree-(k - j) one at b - 2 - beta1, carrying C(b - 2, beta1) over
+    about b bits (b / 512 products) and some 30 products of other work.
+    Each size is priced from the sum and the largest of its exponents, in
+    closed form, so the price takes O(k) steps and no loop over the cells.
+    One product stood for about 0.18 us on a shared 2-vCPU host, and the
+    tests hold the price within a factor of 2 of measured costs.  A degree
+    past ``MAX_DEGREE`` is a CapacityError."""
     tables = oracle_products(k)
     if not census:
         return tables + _power_price(k, b, 1, b)
     g = (b - 2 * k + 2) // 2
-    price = 2 * tables + 2 * _power_price(k, b - 2, 1, b - 2) + _power_price(k, b, 1, b)
+    price = tables + _price_row(k)[2] + 2 * _power_price(k, b - 2, 1, b - 2) + _power_price(k, b, 1, b)
     for j in range(1, k // 2 + 1):
         n, carry = (g + 1, (b + 511) // 512) if j > 1 else (1, 0)
         small = n * (n + 2 * j - 3)  # beta1 summed over the cells

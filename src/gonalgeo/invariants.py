@@ -38,6 +38,14 @@ MINUS_ONE_COMPONENT_MEETS = {"ramification": 0, "residual": 2}
 MINUS_TWO_COMPONENT_MEETS = {"ramification": 2, "residual": 0}
 
 
+def _check_family(c: int, base_genus: int) -> None:
+    """A family's check of its base data, run by the CLI before the census."""
+    if c < 0:
+        raise ParameterError(f"branch divisor degree must be nonnegative, got {c}")
+    if base_genus < 0:
+        raise ParameterError(f"base genus must be nonnegative, got {base_genus}")
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """One family of covers: a census, which fixes k, g and b, plus the
@@ -56,10 +64,7 @@ class FamilyParams:
     special_base: bool = False
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ParameterError(f"branch divisor degree must be nonnegative, got {self.c}")
-        if self.base_genus < 0:
-            raise ParameterError(f"base genus must be nonnegative, got {self.base_genus}")
+        _check_family(self.c, self.base_genus)
 
     @property
     def collision_count_base(self) -> int:

@@ -273,20 +273,20 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert doc["match"] is True
     assert doc["oracle_raw"] == doc["enumeration_raw"] == "240"
 
-    # the oracle for (4, 10) forms 79 term products and the walk takes 112
+    # the oracle for (4, 10) forms 399 term products and the walk takes 112
     # block-state visits; --oracle-only prices the oracle alone
     code, out, err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "78", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "398", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert (code, out) == (3, "")
     assert err == (
         "error: the character oracle for (4, 10) forms more term products "
-        "than the budget 78; raise --budget to force\n"
+        "than the budget 398; raise --budget to force\n"
     )
     code, out, _err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "79", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "399", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -330,31 +330,32 @@ def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, m
 
 
 def test_cli_budget_guard(tmp_path, capsys):
-    # the class-algebra census of (4, 10) is priced at 298 term products:
-    # twice the 79 of the connected tables, its powers and its 4 cells
-    assert algebra_price(4, 10, census=True) == 298
+    # the class-algebra census of (4, 10) is priced at 601 term products:
+    # the 399 of the connected tables, 62 for the T3 tables' peels, and 140
+    # for its 4 cells
+    assert algebra_price(4, 10, census=True) == 601
     code, _out, err = run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "297",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "600",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
     assert "the class-algebra census for (4, 10) forms more term products" in err
-    assert "budget 297" in err
+    assert "budget 600" in err
     assert "oracle-check --oracle-only" in err
     assert not census_path(tmp_path, 4, 10).exists()
     assert run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "298",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "601",
         "--cache-dir", str(tmp_path),
     )[0] == 0
-    # enumerating oracle-check prices its walk, once its oracle, at 79 term
-    # products, fits: the walk for (4, 12) is priced at S(4) = 14 block
-    # states in each of 10 layers
+    # enumerating oracle-check prices its walk, once its oracle, at 399 term
+    # products, fits: the walk for (4, 32) is priced at S(4) = 14 block
+    # states in each of 30 layers
     code, _out, err = run_cli(
-        capsys, "oracle-check", "--k", "4", "--b", "12", "--budget", "139",
+        capsys, "oracle-check", "--k", "4", "--b", "32", "--budget", "419",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
-    assert "the block-state walk for (4, 12), which oracle-check compares with the census" in err
+    assert "the block-state walk for (4, 32), which oracle-check compares with the census" in err
 
 
 # each is priced within the default budget and finishes in seconds
@@ -376,6 +377,110 @@ def test_cli_budget_guard_accepts_a_cheap_walk(tmp_path, capsys, argv):
 WALK_REFUSED = "takes more block-state visits than the budget"
 CENSUS_REFUSED = "forms more term products than the budget"
 CAPACITY_REFUSED = f"is past {MAX_DEGREE}, the largest degree any engine is priced at"
+
+
+def _never(what):
+    def called(*args):
+        raise AssertionError(f"{what}{args} ran after the command should have been refused")
+    return called
+
+
+# oracle-check prices the oracle, the walk and the census before it counts
+# any of them: the oracle for (60, 120) alone takes about a minute
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("--k", "60", "--b", "120", "--budget", str(10**11)),
+         f"the block-state walk for (60, 120), which oracle-check compares with the census, "
+         f"takes more block-state visits than the budget {10**11}; raise --budget to force, "
+         "or use --oracle-only to skip it"),
+        (("--k", "4", "--b", "32", "--budget", "419"),
+         "the block-state walk for (4, 32), which oracle-check compares with the census, "
+         "takes more block-state visits than the budget 419; raise --budget to force, "
+         "or use --oracle-only to skip it"),
+        (("--k", "4", "--b", "10", "--budget", "600"),
+         "the class-algebra census for (4, 10) forms more term products than the budget 600; "
+         "raise --budget to force, or use 'oracle-check --oracle-only' for the count alone"),
+    ],
+    ids=["walk-60-120", "walk-4-32", "census-4-10"],
+)
+def test_oracle_check_prices_every_engine_before_it_counts(tmp_path, capsys, monkeypatch, argv, refused):
+    monkeypatch.setattr(gonalgeo.cli, "class_count_via_oracle", _never("class_count_via_oracle"))
+    monkeypatch.setattr(gonalgeo.cli, "full_census", _never("full_census"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle-check", *argv, "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", f"error: {refused}\n")
+
+
+# a family's base data and the band's epsilon and window are checked
+# before the census is priced or computed
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("invariants", "--k", "4", "--b", "10", "--c", "-1", "--base-genus", "0"), "branch divisor degree must be nonnegative, got -1"),
+        (("invariants", "--k", "4", "--b", "10", "--c", "1", "--base-genus", "-1"), "base genus must be nonnegative, got -1"),
+        (("audit", "--k", "4", "--b", "10", "--c", "-1", "--base-genus", "0"), "branch divisor degree must be nonnegative, got -1"),
+        (("audit", "--k", "4", "--b", "10", "--c", "1", "--base-genus", "-1"), "base genus must be nonnegative, got -1"),
+        (("delta", "2", "4", "0"), "epsilon must be positive, got 0"),
+        (("delta", "2", "4", "1/10", "--window", "-1"), "window must be nonnegative, got -1"),
+    ],
+    ids=["invariants-c", "invariants-base-genus", "audit-c", "audit-base-genus", "delta-epsilon", "delta-window"],
+)
+def test_bad_family_or_band_arguments_are_refused_before_the_census(tmp_path, capsys, monkeypatch, argv, message):
+    gonalgeo.cli._census_of.cache_clear()
+    monkeypatch.setattr(gonalgeo.cli, "full_census", _never("full_census"))
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# where two refusals apply, the one the admission step reaches first wins:
+# bad arguments before a budget, capacity or digit refusal, and in
+# oracle-check every engine's price before the oracle count is printed,
+# which at the default digit limit of 4300 is too long at (3, 10000) and (4, 5600)
+G_PAST_DIGITS = str(10**6)
+EPSILON_REFUSED = "error: epsilon must be positive, got 0\n"
+C_REFUSED = "error: branch divisor degree must be nonnegative, got -1\n"
+BASE_GENUS_REFUSED = "error: base genus must be nonnegative, got -1\n"
+WINDOW_REFUSED = "error: window must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("invariants", "--k", "4", "--b", "10", "--c", "-1", "--base-genus", "0", "--budget", "1"), 4, C_REFUSED),
+        (("audit", "--k", "4", "--b", "10", "--c", "1", "--base-genus", "-1", "--budget", "1"), 4, BASE_GENUS_REFUSED),
+        (("invariants", "--k", "61", "--g", "0", "--c", "1", "--base-genus", "-1"), 4, BASE_GENUS_REFUSED),
+        (("audit", "--k", "61", "--g", "0", "--c", "-1", "--base-genus", "0"), 4, C_REFUSED),
+        (("invariants", "--k", "3", "--g", G_PAST_DIGITS, "--c", "1", "--base-genus", "-1", "--budget", str(10**8)), 4, BASE_GENUS_REFUSED),
+        (("audit", "--k", "3", "--g", G_PAST_DIGITS, "--c", "-1", "--base-genus", "0", "--budget", str(10**8)), 4, C_REFUSED),
+        (("delta", "1", "4", "0", "--budget", "1"), 4, EPSILON_REFUSED),
+        (("delta", "1", "4", "1/10", "--window", "-1", "--budget", "1"), 4, WINDOW_REFUSED),
+        (("delta", "0", "61", "0"), 4, EPSILON_REFUSED),
+        (("delta", "0", "61", "1/10", "--window", "-1"), 4, WINDOW_REFUSED),
+        (("delta", G_PAST_DIGITS, "3", "0", "--budget", str(10**8)), 4, EPSILON_REFUSED),
+        (("delta", G_PAST_DIGITS, "3", "1/10", "--window", "-1", "--budget", str(10**8)), 4, WINDOW_REFUSED),
+        (("oracle-check", "--k", "3", "--b", "10000", "--budget", "10000"), 3,
+         "error: the block-state walk for (3, 10000), which oracle-check compares with the census, "
+         "takes more block-state visits than the budget 10000; raise --budget to force, or use --oracle-only to skip it\n"),
+        (("oracle-check", "--k", "4", "--b", "5600", "--budget", "100000"), 3,
+         "error: the class-algebra census for (4, 5600) forms more term products than the budget 100000; "
+         "raise --budget to force, or use 'oracle-check --oracle-only' for the count alone\n"),
+    ],
+    ids=[
+        "invariants-c-over-budget", "audit-base-genus-over-budget",
+        "invariants-base-genus-past-degree-60", "audit-c-past-degree-60",
+        "invariants-base-genus-past-digits", "audit-c-past-digits",
+        "delta-epsilon-over-budget", "delta-window-over-budget",
+        "delta-epsilon-past-degree-60", "delta-window-past-degree-60",
+        "delta-epsilon-past-digits", "delta-window-past-digits",
+        "oracle-walk-over-digits", "oracle-census-over-digits",
+    ],
+)
+def test_the_first_refusal_of_the_admission_step_wins(tmp_path, capsys, argv, code, err):
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (code, "", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 # the walk's price, S(k) (b - 2), passes the default budget of 10^6 at (15,
@@ -460,12 +565,12 @@ def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
 def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload():
     # the geography workload asks the oracle alone at k = 2 ... 12 with b
     # up to 2k + 2; the tables' products depend on k alone and peak at
-    # 6 528, and powers of at most 26 * 6 bits add 6 more
+    # 15 491, and powers of at most 26 * 6 bits add 6 more
     for k in range(2, 13):
         for b in range(2 * k - 2, 2 * k + 3, 2):
             _guard_budget(k, b, DEFAULT_ENUM_BUDGET, "oracle")
-    assert oracle_products(12) == 6528
-    assert algebra_price(12, 26) == 6534
+    assert oracle_products(12) == 15491
+    assert algebra_price(12, 26) == 15497
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
@@ -480,7 +585,7 @@ def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path,
     assert out == ""
     assert err == (
         f"error: degree 1000000 is past {MAX_DEGREE}, the largest degree any engine is priced at: "
-        f"the class-algebra tables of degree {MAX_DEGREE} alone form 1197251612 term products\n"
+        f"the class-algebra tables of degree {MAX_DEGREE} alone form 263341585 term products\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -620,7 +725,7 @@ def test_cli_argument_errors_at_the_digit_limit(tmp_path, capsys):
 
 
 def test_cli_census_too_long_to_print(tmp_path, capsys):
-    # priced at 802 term products, but N for (3, 10000) has 4771 digits
+    # priced at 966 term products, but N for (3, 10000) has 4771 digits
     d = tmp_path / "cache"
     code, out, err = run_cli(
         capsys, "census", "--k", "3", "--b", "10000", "--cache-dir", str(d), "--output", "json",
@@ -744,9 +849,9 @@ def test_cli_capacity_guard(tmp_path, capsys):
 
 
 def test_cli_census_refusal_advice_works(tmp_path, capsys):
-    # the census of (20, 112), priced at 286 558 term products, is refused
+    # the census of (20, 112), priced at 371 175 term products, is refused
     # at a budget of 200 000 with advice to ask the oracle alone, which is
-    # priced at 106 312 and answers
+    # priced at 189 411 and answers
     budget = ("--budget", "200000")
     code, out, err = run_cli(capsys, "census", "--k", "20", "--b", "112", *budget, "--cache-dir", str(tmp_path))
     assert (code, out) == (3, "")
@@ -760,8 +865,8 @@ def test_cli_census_refusal_advice_works(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# the oracle's tables cost 106 080 term products at degree 20, 816 894 at
-# degree 27 and 1 072 019 at degree 28, past the default budget; its powers
+# the oracle's tables cost 189 179 term products at degree 20, 823 272 at
+# degree 26 and 1 027 258 at degree 27, past the default budget; its powers
 # cost little at these b; degree 10^6 is past the cap at any budget
 @pytest.mark.parametrize(
     "k, b, code",
@@ -887,7 +992,7 @@ def test_a_query_in_a_fresh_directory_answers_as_after_census(tmp_path, capsys):
 def test_the_default_budget_answers_the_paper_shapes_in_a_fresh_directory(tmp_path, capsys, argv):
     # both were refused at the default budget while a census was priced as
     # the walk (S(k) (b - 2) block-state visits), and invariants read only a
-    # cached census; class algebra prices them at 286 558 and 83 891 term products
+    # cached census; class algebra prices them at 371 175 and 118 224 term products
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"), "--output", "json")
     assert (code, err) == (0, "")
     if argv[0] == "invariants":
@@ -1417,7 +1522,7 @@ def test_a_memo_hit_is_still_priced(tmp_path, capsys):
 def test_a_memo_hit_is_still_digit_checked(tmp_path, capsys):
     gonalgeo.cli._census_of.cache_clear()
     argv = ("census", "--k", "4", "--b", "1700", "--cache-dir", str(tmp_path))
-    assert algebra_price(4, 1700, True) == 32_679
+    assert algebra_price(4, 1700, True) == 32_982
     assert run_cli(capsys, *argv)[0] == 0
     held = gonalgeo.cli._census_of.cache_info()
     assert held.currsize == 1
