@@ -349,13 +349,23 @@ def _band_line(census: DegenerationCensus) -> tuple[int, int, int]:
     )
 
 
-def _check_band(epsilon, window: int) -> Fraction:
-    """The band search's check of epsilon, as a Fraction, and window, run by the CLI first."""
+def _unbanded(eps: Fraction, window: int, d_max: int, trajectory) -> BudgetExceeded:
+    """The refusal of a band search no window of which fits below d_max, with its ``trajectory``."""
+    exc = BudgetExceeded(f"no plane degree d <= {d_max} certifies |ratio - 8| <= {eps} with persistence window {window}")
+    exc.trajectory = trajectory
+    return exc
+
+
+def _check_band(epsilon, window: int, d_max: int) -> Fraction:
+    """The band search's check of epsilon, as a Fraction, window and d_max, run by
+    the CLI first: a d_max below 3, the least plane degree, certifies nothing."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if window < 0:
         raise ParameterError(f"window must be nonnegative, got {window}")
+    if d_max < 3:
+        raise _unbanded(eps, window, d_max, ())
     return eps
 
 
@@ -396,7 +406,7 @@ def delta_search(
     window fits below d_max, with the trailing trajectory of the last
     8 degrees up to d_max attached, whatever the window.
     """
-    eps = _check_band(epsilon, window)
+    eps = _check_band(epsilon, window, d_max)
     k, b = census.k, census.b
     en, ed = eps.numerator, eps.denominator
     a0, slope, x = _band_line(census)
@@ -431,13 +441,8 @@ def delta_search(
             p, q = -(-n0 // den), n0 // den
         d_min = 3 if p > q or q < 3 or p - 3 > window else q + 1
     if d_min is None or d_min + window > d_max:
-        exc = BudgetExceeded(
-            f"no plane degree d <= {d_max} certifies |ratio - 8| <= {eps} "
-            f"with persistence window {window}"
-        )
         tail = range(max(3, d_max - 7), d_max + 1)
-        exc.trajectory = tuple((d, evaluated(d).ratio) for d in tail)
-        raise exc
+        raise _unbanded(eps, window, d_max, tuple((d, evaluated(d).ratio) for d in tail))
     at_min = evaluated(d_min)
     checks = [(d_min, True), (d_min + window, True)]
     if d_min > 3:

@@ -10,9 +10,10 @@ with dim_lam = k! / (hook product of lam) and f_lam = |C| chi_lam(tau) /
 dim_lam the content sum of lam, the sum of j - i over its cells (i, j).
 One depth-first walk over the diagrams, ``_diagrams``, carries both row by
 row, so a count builds no character table and no list of partitions;
-``partitions_of`` reads the same walk.  Every count is such an exponential
-sum, kept as one (w, f) table per degree, one term per exponent f >= 0, as
-every b is even and every table even in f: D_k, checked for that and two
+``partitions_of`` reads the same walk, which weighs a diagram wider than
+tall for its conjugate too, of content sum -f.  Every count is such an
+exponential sum, kept as one (w, f) table per degree, one term per exponent
+f >= 0, as every b is even: D_k, checked for weights summing to p(k) and two
 identities; k! Conn(k, b), built once by peeling off the block of symbol 1
 on the exponents, so no memo is keyed by b; and the transitive tuples with
 a 3-cycle product, T3.  The collision census (``degeneration.full_census``)
@@ -30,22 +31,26 @@ from .errors import InvariantViolation, ParameterError
 
 
 def _diagrams(k: int):
-    """Every Young diagram of k cells, depth first, as ``(cols, hooks, f, p2)``:
-    its column heights, hook product, content sum and squared-content sum.
-    Each new row of r cells goes on top, no shorter than the row below: no
-    hook below moves and each content below drops by 1, so the row's cells
-    (0, j) bring the hook factors r - j + cols[j], f gains -size and p2 gains
-    size - 2f, plus the row's contents 0 .. r - 1 and their squares.
+    """Every Young diagram of k cells no taller than wide, depth first, as
+    ``(cols, hooks, f, p2, weight)``: column heights, hook product, content sum,
+    squared-content sum, and 2 if wider than tall, for its unwalked conjugate,
+    else 1.  Each new row of r cells goes on top, no shorter than the row below,
+    until no top row can be as long as the rows: no hook below moves and each
+    content below drops by 1, so the row's cells (0, j) bring the hook factors
+    r - j + cols[j], f gains -size and p2 gains size - 2f, plus the row's
+    contents 0 .. r - 1 and their squares.
 
     >>> sorted(_diagrams(3))
-    [([1, 1, 1], 6, 3, 5), ([2, 1], 3, 0, 2), ([3], 6, -3, 5)]
+    [([1, 1, 1], 6, 3, 5, 2), ([2, 1], 3, 0, 2, 1)]
     """
     def place(cols, hooks, f, p2, size):
-        left, width = k - size, len(cols)
+        left, width, rows = k - size, len(cols), cols[0] if cols else 0
         if not left:
-            yield cols, hooks, f, p2
+            yield cols, hooks, f, p2, 1 + (width > rows)
             return
         for r in (*range(max(width, 1), left // 2 + 1), left):
+            if 0 < left - r < rows + 2 or r == left <= rows:
+                continue
             yield from place(
                 [c + 1 for c in cols] + [1] * (r - width),
                 hooks * prod(map(add, range(r, 0, -1), cols)) * factorial(r - width),
@@ -57,15 +62,32 @@ def _diagrams(k: int):
     return place([], 1, 0, 0, 0)
 
 
+def _rows(cols) -> tuple[int, ...]:
+    """The row lengths of the diagram of column heights ``cols``: its conjugate partition."""
+    return tuple(sum(c > i for c in cols) for i in range(max(cols, default=0)))
+
+
+def _partition_counts(n: int) -> list[int]:
+    """p(0) .. p(n): p(m) sums (-1)^(i + 1) p(m - g) over the pentagonal g = i(3i -+ 1)/2 <= m, i >= 1."""
+    p = [1]
+    for m in range(1, n + 1):
+        pentagonal = ((i, i * (3 * i + s) // 2) for i in range(1, m + 1) for s in (-1, 1))
+        p.append(sum(p[m - g] if i % 2 else -p[m - g] for i, g in pentagonal if g <= m))
+    return p
+
+
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of ``n``, descending: the column heights of ``_diagrams(n)``.
+    """All partitions of ``n``, descending: the walk's column heights, and its rows where it weighs a diagram twice.
 
     >>> partitions_of(3)
     ((3,), (2, 1), (1, 1, 1))
     """
     if n < 0:
         raise ParameterError(f"cannot partition {n}")
-    return tuple(sorted((tuple(cols) for cols, *_ in _diagrams(n)), reverse=True))
+    found = []
+    for cols, *_, weight in _diagrams(n):
+        found += (tuple(cols), _rows(cols))[:weight]
+    return tuple(sorted(found, reverse=True))
 
 
 def _check_shape(k: int, b: int) -> None:
@@ -77,29 +99,27 @@ def _check_shape(k: int, b: int) -> None:
 
 @lru_cache(maxsize=None)
 def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """``(D_k, A_k)``: the ``(w, f)`` tables over the diagrams lam of ``_diagrams(k)``,
-    summed by content sum f, that weigh lam dim_lam^2, k! over its hook product,
-    and dim_lam^2 (p2(lam) - C(k, 2)), p2 its squared-content sum.  The conjugate
-    diagram negates f and keeps dim_lam and p2, so both must weigh f and -f alike,
-    and are kept folded onto f >= 0: w(0), and w(f) + w(-f).  D_k must count k!
+    """``(D_k, A_k)``: the ``(w, f)`` tables over the diagrams lam of k cells,
+    summed by |f|, f the content sum, that weigh lam dim_lam^2, k! over its hook
+    product, and dim_lam^2 (p2(lam) - C(k, 2)), p2 its squared-content sum, each
+    diagram of ``_diagrams(k)`` times its weight: the conjugate diagram negates f
+    and keeps dim_lam and p2.  The weights must sum to p(k), and D_k count k!
     times 1 and C(k, 2) tuples of zero and two transpositions; every rule that
     fails is named, as is a hook product not dividing k!."""
     order, pairs = factorial(k), comb(k, 2)
-    squares, heads = Counter(), Counter()
-    for cols, hooks, f, p2 in _diagrams(k):
+    squares, heads, walked = Counter(), Counter(), 0
+    for cols, hooks, f, p2, weight in _diagrams(k):
         dim, rem = divmod(order, hooks)
         if rem:
-            lam = tuple(sum(c > i for c in cols) for i in range(cols[0]))
-            raise InvariantViolation(f"hook product of {lam} does not divide {k}!")
-        squares[f] += dim * dim
-        heads[f] += dim * dim * (p2 - pairs)
-    odd = [f"{name}(f) = {name}(-f)" for name, sums in (("D", squares), ("A", heads)) if any(w != sums[-f] for f, w in sums.items())]
-    squares, heads = ({abs(f): w + sums[-f] if f else w for f, w in sums.items()} for sums in (squares, heads))
+            raise InvariantViolation(f"hook product of {_rows(cols)} does not divide {k}!")
+        squares[abs(f)] += weight * dim * dim
+        heads[abs(f)] += weight * dim * dim * (p2 - pairs)
+        walked += weight
     terms = tuple((w, f) for f, w in squares.items() if w)
     _check_sums(f"content-sum terms of degree {k}", terms, (
         ("sum dim^2 = k!", 0, order),
         ("sum dim^2 f^2 = k! C(k, 2)", 2, order * pairs),
-    ), odd)
+    ), [] if walked == _partition_counts(k)[k] else ["weights sum to p(k)"])
     return terms, tuple((w, f) for f, w in heads.items() if w)
 
 

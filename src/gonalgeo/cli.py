@@ -343,7 +343,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 def cmd_delta(args) -> int:
     k, b = _resolve_shape(args.k, None, args.g)
-    eps = _check_band(_parse_fraction(args.epsilon), args.window)
+    eps = _check_band(_parse_fraction(args.epsilon), args.window, args.d_max)
     cert = delta_search(_computed_census(k, b, args.budget), eps, window=args.window, d_max=args.d_max)
     _emit({"g": args.g, "k": k, "b": b, "certificate": cert.as_payload()}, args.output)
     return 0

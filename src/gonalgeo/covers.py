@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, isqrt
 
+from .characters import _partition_counts
 from .digits import _magnitude
 from .errors import CapacityError, InvariantViolation, ParameterError
 
@@ -67,9 +68,9 @@ class TupleCensus:
     class_count: int
 
 
-# the largest degree any engine is priced at: the tables of degree 61 alone
-# form 3.0 * 10^8 term products, some 55 s at 0.18 us each
-MAX_DEGREE = 60
+# the largest degree any engine is priced at: the tables of degree 64 alone
+# form 2.8 * 10^8 term products, some 50 s at 0.18 us each
+MAX_DEGREE = 63
 
 
 def _exponents(d: int) -> int:
@@ -80,20 +81,14 @@ def _exponents(d: int) -> int:
 @cache
 def _price_table() -> tuple[tuple[int, int, int], ...]:
     """(S(n), oracle_products(n), the peels' share of it) at index n <=
-    MAX_DEGREE, built once per process: p by Euler's pentagonal recurrence,
-    and S its Euler transform, n S(n) summing c(j) S(n - j) over j <= n,
+    MAX_DEGREE, built once per process: p the partition numbers, and S
+    their Euler transform, n S(n) summing c(j) S(n - j) over j <= n,
     c(j) summing d p(d) over d | j."""
-    p, s, c, walk, peels, table = [1], [1], [0], 0, 0, [(1, 1, 0)]
+    p, s, c, walk, peels, table = _partition_counts(MAX_DEGREE), [1], [0], 0, 0, [(1, 1, 0)]
     for n in range(1, MAX_DEGREE + 1):
-        total, i = 0, 1
-        while (first := i * (3 * i - 1) // 2) <= n:
-            pair = p[n - first] + (p[n - first - i] if first + i <= n else 0)
-            total += pair if i % 2 else -pair
-            i += 1
-        p.append(total)
         c.append(sum(d * p[d] for d in range(1, n + 1) if n % d == 0))
         s.append(sum(c[j] * s[n - j] for j in range(1, n + 1)) // n)
-        walk += 30 * total  # a diagram of ``characters._diagrams`` costs about 30 products
+        walk += 15 * p[n]  # ``characters._diagrams`` walks about p(n) / 2 diagrams, of 30 products each
         peels += sum(_exponents(j) * _exponents(n - j) for j in range(1, n)) + n * _exponents(n)
         table.append((s[n], walk + peels + _exponents(n), peels))
     return tuple(table)
@@ -118,8 +113,8 @@ def block_states(k: int, layers: int = 1) -> int:
 
 
 def oracle_products(k: int) -> int:
-    """Products the class-algebra tables of degree k cost: the p(d)
-    diagrams of each d <= k, at their measured cost of about 30 each; at
+    """Products the class-algebra tables of degree k cost: the walk's half
+    of the p(d) diagrams of each d <= k, at a measured 30 products each; at
     most ``_exponents(j)`` times ``_exponents(d - j)`` as
     ``characters._connected_terms`` peels j < d off d; the d power sums
     that check each degree-d table (``characters._check_least``); and one

@@ -273,20 +273,20 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert doc["match"] is True
     assert doc["oracle_raw"] == doc["enumeration_raw"] == "240"
 
-    # the oracle for (4, 10) forms 399 term products and the walk takes 112
+    # the oracle for (4, 10) forms 234 term products and the walk takes 112
     # block-state visits; --oracle-only prices the oracle alone
     code, out, err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "398", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "233", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert (code, out) == (3, "")
     assert err == (
         "error: the character oracle for (4, 10) forms more term products "
-        "than the budget 398; raise --budget to force\n"
+        "than the budget 233; raise --budget to force\n"
     )
     code, out, _err = run_cli(
         capsys, "oracle-check", "--k", "4", "--b", "10", "--oracle-only",
-        "--budget", "399", "--cache-dir", str(tmp_path), "--output", "json",
+        "--budget", "234", "--cache-dir", str(tmp_path), "--output", "json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -330,24 +330,24 @@ def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, m
 
 
 def test_cli_budget_guard(tmp_path, capsys):
-    # the class-algebra census of (4, 10) is priced at 601 term products:
-    # the 399 of the connected tables, 62 for the T3 tables' peels, and 140
+    # the class-algebra census of (4, 10) is priced at 436 term products:
+    # the 234 of the connected tables, 62 for the T3 tables' peels, and 140
     # for its 4 cells
-    assert algebra_price(4, 10, census=True) == 601
+    assert algebra_price(4, 10, census=True) == 436
     code, _out, err = run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "600",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "435",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
     assert "the class-algebra census for (4, 10) forms more term products" in err
-    assert "budget 600" in err
+    assert "budget 435" in err
     assert "oracle-check --oracle-only" in err
     assert not census_path(tmp_path, 4, 10).exists()
     assert run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "601",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "436",
         "--cache-dir", str(tmp_path),
     )[0] == 0
-    # enumerating oracle-check prices its walk, once its oracle, at 399 term
+    # enumerating oracle-check prices its walk, once its oracle, at 234 term
     # products, fits: the walk for (4, 32) is priced at S(4) = 14 block
     # states in each of 30 layers
     code, _out, err = run_cli(
@@ -398,8 +398,8 @@ def _never(what):
          "the block-state walk for (4, 32), which oracle-check compares with the census, "
          "takes more block-state visits than the budget 419; raise --budget to force, "
          "or use --oracle-only to skip it"),
-        (("--k", "4", "--b", "10", "--budget", "600"),
-         "the class-algebra census for (4, 10) forms more term products than the budget 600; "
+        (("--k", "4", "--b", "10", "--budget", "435"),
+         "the class-algebra census for (4, 10) forms more term products than the budget 435; "
          "raise --budget to force, or use 'oracle-check --oracle-only' for the count alone"),
     ],
     ids=["walk-60-120", "walk-4-32", "census-4-10"],
@@ -451,14 +451,14 @@ WINDOW_REFUSED = "error: window must be nonnegative, got -1\n"
     [
         (("invariants", "--k", "4", "--b", "10", "--c", "-1", "--base-genus", "0", "--budget", "1"), 4, C_REFUSED),
         (("audit", "--k", "4", "--b", "10", "--c", "1", "--base-genus", "-1", "--budget", "1"), 4, BASE_GENUS_REFUSED),
-        (("invariants", "--k", "61", "--g", "0", "--c", "1", "--base-genus", "-1"), 4, BASE_GENUS_REFUSED),
-        (("audit", "--k", "61", "--g", "0", "--c", "-1", "--base-genus", "0"), 4, C_REFUSED),
+        (("invariants", "--k", "64", "--g", "0", "--c", "1", "--base-genus", "-1"), 4, BASE_GENUS_REFUSED),
+        (("audit", "--k", "64", "--g", "0", "--c", "-1", "--base-genus", "0"), 4, C_REFUSED),
         (("invariants", "--k", "3", "--g", G_PAST_DIGITS, "--c", "1", "--base-genus", "-1", "--budget", str(10**8)), 4, BASE_GENUS_REFUSED),
         (("audit", "--k", "3", "--g", G_PAST_DIGITS, "--c", "-1", "--base-genus", "0", "--budget", str(10**8)), 4, C_REFUSED),
         (("delta", "1", "4", "0", "--budget", "1"), 4, EPSILON_REFUSED),
         (("delta", "1", "4", "1/10", "--window", "-1", "--budget", "1"), 4, WINDOW_REFUSED),
-        (("delta", "0", "61", "0"), 4, EPSILON_REFUSED),
-        (("delta", "0", "61", "1/10", "--window", "-1"), 4, WINDOW_REFUSED),
+        (("delta", "0", "64", "0"), 4, EPSILON_REFUSED),
+        (("delta", "0", "64", "1/10", "--window", "-1"), 4, WINDOW_REFUSED),
         (("delta", G_PAST_DIGITS, "3", "0", "--budget", str(10**8)), 4, EPSILON_REFUSED),
         (("delta", G_PAST_DIGITS, "3", "1/10", "--window", "-1", "--budget", str(10**8)), 4, WINDOW_REFUSED),
         (("oracle-check", "--k", "3", "--b", "10000", "--budget", "10000"), 3,
@@ -480,6 +480,31 @@ WINDOW_REFUSED = "error: window must be nonnegative, got -1\n"
 )
 def test_the_first_refusal_of_the_admission_step_wins(tmp_path, capsys, argv, code, err):
     assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (code, "", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+# no plane degree below 3 exists, so a --d-max below 3 certifies nothing
+# whatever the census: delta refuses it with the band search's own message
+# and no trajectory, checked with epsilon and the window, so it wins over a
+# budget, capacity or digit refusal.  The census of (40, 156) took 3 s first
+@pytest.mark.parametrize(
+    "argv, d_max",
+    [
+        (("delta", "77", "40", "1/10", "--d-max", "2", "--budget", str(10**11)), 2),
+        (("delta", "5", "4", "1/10", "--d-max", "2", "--budget", "1"), 2),
+        (("delta", "0", "64", "1/10", "--d-max", "-1"), -1),
+        (("delta", G_PAST_DIGITS, "3", "1/10", "--d-max", "0", "--budget", str(10**8)), 0),
+    ],
+    ids=["genus-77", "over-budget", "past-the-cap", "past-digits"],
+)
+def test_delta_refuses_a_d_max_below_3_before_the_census(tmp_path, capsys, monkeypatch, argv, d_max):
+    gonalgeo.cli._census_of.cache_clear()
+    monkeypatch.setattr(gonalgeo.cli, "full_census", _never("full_census"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == f"error: no plane degree d <= {d_max} certifies |ratio - 8| <= 1/10 with persistence window 8\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -565,12 +590,12 @@ def test_budget_guard_lower_bound_never_passes_the_exact_oracle_price():
 def test_the_default_budget_accepts_every_oracle_query_of_the_geography_workload():
     # the geography workload asks the oracle alone at k = 2 ... 12 with b
     # up to 2k + 2; the tables' products depend on k alone and peak at
-    # 15 491, and powers of at most 26 * 6 bits add 6 more
+    # 11 426, and powers of at most 26 * 6 bits add 6 more
     for k in range(2, 13):
         for b in range(2 * k - 2, 2 * k + 3, 2):
             _guard_budget(k, b, DEFAULT_ENUM_BUDGET, "oracle")
-    assert oracle_products(12) == 15491
-    assert algebra_price(12, 26) == 15497
+    assert oracle_products(12) == 11426
+    assert algebra_price(12, 26) == 11432
 
 
 def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path, capsys):
@@ -585,7 +610,7 @@ def test_cli_budget_guard_refuses_a_huge_degree_before_the_exact_price(tmp_path,
     assert out == ""
     assert err == (
         f"error: degree 1000000 is past {MAX_DEGREE}, the largest degree any engine is priced at: "
-        f"the class-algebra tables of degree {MAX_DEGREE} alone form 263341585 term products\n"
+        f"the class-algebra tables of degree {MAX_DEGREE} alone form 244362631 term products\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -849,9 +874,9 @@ def test_cli_capacity_guard(tmp_path, capsys):
 
 
 def test_cli_census_refusal_advice_works(tmp_path, capsys):
-    # the census of (20, 112), priced at 371 175 term products, is refused
+    # the census of (20, 112), priced at 330 480 term products, is refused
     # at a budget of 200 000 with advice to ask the oracle alone, which is
-    # priced at 189 411 and answers
+    # priced at 148 716 and answers
     budget = ("--budget", "200000")
     code, out, err = run_cli(capsys, "census", "--k", "20", "--b", "112", *budget, "--cache-dir", str(tmp_path))
     assert (code, out) == (3, "")
@@ -865,12 +890,12 @@ def test_cli_census_refusal_advice_works(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# the oracle's tables cost 189 179 term products at degree 20, 823 272 at
-# degree 26 and 1 027 258 at degree 27, past the default budget; its powers
+# the oracle's tables cost 148 484 term products at degree 20, 997 886 at
+# degree 28 and 1 228 034 at degree 29, past the default budget; its powers
 # cost little at these b; degree 10^6 is past the cap at any budget
 @pytest.mark.parametrize(
     "k, b, code",
-    [(20, 112, 0), (28, 64, 3), (60, 118, 3), (1000000, 1999998, 3)],
+    [(20, 112, 0), (29, 64, 3), (60, 118, 3), (1000000, 1999998, 3)],
 )
 def test_cli_oracle_is_priced_by_its_products(tmp_path, capsys, k, b, code):
     start = time.perf_counter()
@@ -992,7 +1017,7 @@ def test_a_query_in_a_fresh_directory_answers_as_after_census(tmp_path, capsys):
 def test_the_default_budget_answers_the_paper_shapes_in_a_fresh_directory(tmp_path, capsys, argv):
     # both were refused at the default budget while a census was priced as
     # the walk (S(k) (b - 2) block-state visits), and invariants read only a
-    # cached census; class algebra prices them at 371 175 and 118 224 term products
+    # cached census; class algebra prices them at 330 480 and 104 514 term products
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"), "--output", "json")
     assert (code, err) == (0, "")
     if argv[0] == "invariants":
@@ -1522,7 +1547,7 @@ def test_a_memo_hit_is_still_priced(tmp_path, capsys):
 def test_a_memo_hit_is_still_digit_checked(tmp_path, capsys):
     gonalgeo.cli._census_of.cache_clear()
     argv = ("census", "--k", "4", "--b", "1700", "--cache-dir", str(tmp_path))
-    assert algebra_price(4, 1700, True) == 32_982
+    assert algebra_price(4, 1700, True) == 32_817
     assert run_cli(capsys, *argv)[0] == 0
     held = gonalgeo.cli._census_of.cache_info()
     assert held.currsize == 1

@@ -396,12 +396,39 @@ def test_a_perturbed_connected_weight_is_caught(monkeypatch, k):
         assert any(caught(b) for b in (0, *range(2 * k - 2, 2 * k + 4, 2))), (k, f)
 
 
-SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT = (
+SUM_SQUARES, P_K, SECOND_MOMENT = (
     "sum dim^2 = k!",
-    "D(f) = D(-f)",
-    "A(f) = A(-f)",
+    "weights sum to p(k)",
     "sum dim^2 f^2 = k! C(k, 2)",
 )
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_the_walk_visits_each_diagram_no_taller_than_wide_once(k):
+    # the walk's rows are exactly the partitions with lam_1 >= l(lam), and a
+    # diagram weighs 2 exactly when its conjugate is not among them: where
+    # lam_1 = l(lam), as for (3, 2, 2) and (3, 3, 1), both are walked
+    walked = Counter()
+    for cols, *_, weight in characters._diagrams(k):
+        walked[characters._rows(cols)] += weight
+    assert walked == {lam: 2 if lam[0] > len(lam) else 1 for lam in partitions_of(k) if lam[0] >= len(lam)}
+    assert sum(walked.values()) == len(partitions_of(k))
+
+
+@pytest.mark.parametrize("copies", [0, 2], ids=["dropped", "doubled"])
+def test_content_terms_count_the_weights_against_p(monkeypatch, copies):
+    # (2, 2) is self-conjugate with content sum 0: dropping it or walking it
+    # twice keeps the second moment and moves the weights and the squares
+    diagrams = characters._diagrams
+
+    def skewed(k):
+        for row in diagrams(k):
+            yield from [row] * (copies if characters._rows(row[0]) == (2, 2) else 1)
+
+    monkeypatch.setattr(characters, "_diagrams", skewed)
+    with pytest.raises(InvariantViolation, match="content-sum terms of degree 4 fail") as exc:
+        characters._content_terms.__wrapped__(4)
+    assert named_rules(exc) == {P_K, SUM_SQUARES}
 
 
 def skew_diagram(monkeypatch, lam, field, change):
@@ -411,7 +438,7 @@ def skew_diagram(monkeypatch, lam, field, change):
 
     def skewed(k):
         for row in diagrams(k):
-            if tuple(sum(c > i for c in row[0]) for i in range(row[0][0])) == lam:
+            if characters._rows(row[0]) == lam:
                 row = (*row[:field], change(row[field]), *row[field + 1:])
             yield row
 
@@ -419,16 +446,16 @@ def skew_diagram(monkeypatch, lam, field, change):
 
 
 def named_rules(exc) -> set[str]:
-    return {name for name in (SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT) if name in str(exc.value)}
+    return {name for name in (SUM_SQUARES, P_K, SECOND_MOMENT) if name in str(exc.value)}
 
 
 @pytest.mark.parametrize("lam, cell, hook, failing", [
     # (2, 2) is its own conjugate, with content sum 0: only the count of squares moves
     ((2, 2), 0, 6, {SUM_SQUARES}),
-    # (3, 1) weighs D_4 at f = 2 apart from its conjugate (2, 1, 1) at f = -2;
-    # both have p2 = C(4, 2), so neither weighs A_4
-    ((3, 1), 1, 1, {SUM_SQUARES, EVEN_D, SECOND_MOMENT}),
-    ((4,), 0, 2, {SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT}),
+    # (3, 1) and (4,) weigh D_4 at f = 2 and 6 for their conjugates too, so
+    # the count of squares and the second moment both move
+    ((3, 1), 1, 1, {SUM_SQUARES, SECOND_MOMENT}),
+    ((4,), 0, 2, {SUM_SQUARES, SECOND_MOMENT}),
 ])
 def test_content_terms_reject_a_skewed_hook_length(monkeypatch, lam, cell, hook, failing):
     # the hook product as if the hook of the cell-th cell, row by row, were ``hook``
@@ -441,22 +468,21 @@ def test_content_terms_reject_a_skewed_hook_length(monkeypatch, lam, cell, hook,
 
 @pytest.mark.parametrize("lam", [(2, 2), (3, 1)])
 def test_content_terms_reject_a_skewed_content_sum(monkeypatch, lam):
-    # every weight stays, so the count of squares holds, the second moment
-    # moves and D_4 is no longer even; nor is A_4, except for (3, 1), which
-    # does not weigh it
+    # every weight stays, so the count of squares holds and the second
+    # moment moves; the tables are folded onto |f| as they are built, so no
+    # rule asks them to be even
     skew_diagram(monkeypatch, lam, 2, lambda f: f + 1)
     with pytest.raises(InvariantViolation, match="content-sum terms of degree 4") as exc:
         characters._content_terms.__wrapped__(4)
-    assert named_rules(exc) == {EVEN_D, SECOND_MOMENT} | ({EVEN_A} if lam == (2, 2) else set())
+    assert named_rules(exc) == {SECOND_MOMENT}
 
 
 @pytest.mark.parametrize("lam, failing", [
-    # the squared-content sum weighs only A_k; (2, 2) has content sum 0, so
-    # A_4 stays even, and the 3-cycle table's own rules catch it at length 0
+    # the squared-content sum weighs only A_k, which no rule checks when it
+    # is built, so the 3-cycle table's own rules catch it: (2, 2) at length
+    # 0, and (3, 1), weighed for its conjugate too, at every length to 4
     ((2, 2), {"three-cycle terms of degree 4 fail", "no tuples of length 0"}),
-    # (3, 1) weighs A_4 at f = 2 apart from its conjugate at f = -2, which
-    # A_4's evenness catches when it is built
-    ((3, 1), {"content-sum terms of degree 4 fail", EVEN_A}),
+    ((3, 1), {"three-cycle terms of degree 4 fail", "no tuples of length 0", "no tuples of length 2", "tuples of length 4"}),
 ])
 def test_three_cycle_terms_reject_a_skewed_squared_content_sum(monkeypatch, lam, failing):
     skew_diagram(monkeypatch, lam, 3, lambda p2: p2 + 1)
@@ -465,7 +491,7 @@ def test_three_cycle_terms_reject_a_skewed_squared_content_sum(monkeypatch, lam,
         characters._three_cycle_terms.__wrapped__(4)
     rules = (
         "three-cycle terms of degree 4 fail", "content-sum terms of degree 4 fail",
-        SUM_SQUARES, EVEN_D, EVEN_A, SECOND_MOMENT,
+        SUM_SQUARES, P_K, SECOND_MOMENT,
         "no tuples of length 0", "no tuples of length 2", "tuples of length 4",
     )
     assert {rule for rule in rules if rule in str(exc.value)} == failing
