@@ -15,11 +15,11 @@ tall for its conjugate too, of content sum -f.  Every count is such an
 exponential sum, kept as one (w, f) table per degree, one term per exponent
 f >= 0, as every b is even: D_k, checked for weights summing to p(k) and two
 identities; k! Conn(k, b), built once by peeling off the block of symbol 1
-on the exponents, so no memo is keyed by b; and the transitive tuples with
-a 3-cycle product, T3.  The collision census (``degeneration.full_census``)
-reads every field from these tables, each checked when it is built against
-the minimal factorization counts.  The full character table of S_k,
-their independent reference, is in ``gonalgeo.reference``.
+on the exponents, so no memo is keyed by b; the transitive tuples with a
+3-cycle product, T3; and those ending in an equal pair, E.  The collision
+census (``degeneration.full_census``) reads each count from one table, each
+checked when built against the minimal factorization counts.  The character
+table of S_k, their independent reference, is in ``gonalgeo.reference``.
 """
 
 from collections import Counter
@@ -156,12 +156,21 @@ def _check_sums(what: str, terms: tuple[tuple[int, int], ...], rules, failed=())
     return terms
 
 
+def _split_size(k: int, j: int) -> int:
+    """s_j = C(k, j) j (k - j), halved when 2j = k: the ways t joins blocks of j and k - j symbols."""
+    return comb(k, j) * j * (k - j) // (2 if 2 * j == k else 1)
+
+
 def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """``terms`` of ``kind`` at degree k, once their count (1 / k!) sum w f^m is 0
     at every even m below the need rule's least length and the minimal count
     (an integer at every k) at it."""
+    hurwitz = lambda j: factorial(2 * j - 2) * j**j // j**3  # transitive tuples of degree j and length 2j - 2
     if kind == "connected":  # Hurwitz
-        least, count, formula = 2 * k - 2, factorial(2 * k - 2) * k**k // k**3, "(2k - 2)! k^k / k^3"
+        least, count, formula = 2 * k - 2, hurwitz(k), "(2k - 2)! k^k / k^3"
+    elif kind == "equal-pair":  # two minimal blocks that t joins, each by Hurwitz
+        least, formula = 2 * k - 4, "sum of s_j C(2k - 4, 2j - 2) H(j) H(k - j)"
+        count = sum(_split_size(k, j) * comb(least, 2 * j - 2) * hurwitz(j) * hurwitz(k - j) for j in range(1, k // 2 + 1))
     else:  # the 3-cycles, by Goulden and Jackson
         least, count, formula = 2 * k - 4, 27 * comb(k, 3) * factorial(2 * k - 4) * k**k // k**5, "27 C(k, 3) (2k - 4)! k^k / k^5"
     rules = [(f"no tuples of length {m}", m, 0) for m in range(0, least, 2)]
@@ -169,12 +178,12 @@ def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple
     return _check_sums(f"{kind} terms of degree {k}", terms, rules)
 
 
-def _peel(k: int, head, sizes, scale, block_terms) -> tuple[tuple[int, int], ...]:
-    """The ``(w, f)`` table ``head`` of degree k, less ``scale(j)`` (``block_terms(j)``
-    * D_{k-j}) for each marked block size j in ``sizes``: over C(b, b1) shares,
-    weights multiply and exponents add, and on folded tables cosh(fx) cosh(gx) =
-    (cosh((f + g)x) + cosh((f - g)x)) / 2 puts half of each product on f + g and
-    half on |f - g|, all at most C(k, 2).  A folded weight at f > 0 is
+def _peel(k: int, head, sizes, scale, block_terms, rest_terms) -> tuple[tuple[int, int], ...]:
+    """The ``(w, f)`` table ``head`` of degree k, less ``scale(j)`` (``block_terms(j)`` *
+    ``rest_terms(k - j)``) for each block size j in ``sizes``, a negative scale adding:
+    over C(b, b1) shares, weights multiply and exponents add, and on folded tables
+    cosh(fx) cosh(gx) = (cosh((f + g)x) + cosh((f - g)x)) / 2 puts half of each product
+    on f + g and half on |f - g|, all at most C(k, 2).  A folded weight at f > 0 is
     w(f) + w(-f) = 2 w(f), so c w // 2 is exact; at f = 0 both parts land on g."""
     start = {f: w for w, f in head}
     weights = [start.get(f, 0) for f in range(comb(k, 2) + 1)]
@@ -182,7 +191,7 @@ def _peel(k: int, head, sizes, scale, block_terms) -> tuple[tuple[int, int], ...
         for w, f in block_terms(j):
             low = c * w // 2
             high = c * w - low
-            for sq, g in _content_terms(k - j)[0]:
+            for sq, g in rest_terms(k - j):
                 weights[f + g] -= low * sq
                 weights[abs(f - g)] -= high * sq
     return tuple((w, f) for f, w in enumerate(weights) if w)
@@ -197,7 +206,7 @@ def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
     >>> sorted(_connected_terms(2))
     [(-2, 0), (2, 1)]
     """
-    terms = _peel(k, _content_terms(k)[0], range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms)
+    terms = _peel(k, _content_terms(k)[0], range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms, lambda n: _content_terms(n)[0])
     return _check_least("connected", k, terms)
 
 
@@ -215,8 +224,17 @@ def _three_cycle_terms(k: int) -> tuple[tuple[int, int], ...]:
     """
     if k < 3:
         return ()
-    terms = _peel(k, _content_terms(k)[1], range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms)
+    terms = _peel(k, _content_terms(k)[1], range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms, lambda n: _content_terms(n)[0])
     return _check_least("three-cycle", k, terms)
+
+
+@lru_cache(maxsize=None)
+def _equal_pair_terms(k: int) -> tuple[tuple[int, int], ...]:
+    """``(w, f)`` with k! N1(k, b + 2) the sum of w f^b for every b: before (t, t) comes
+    a transitive b-tuple, for C(k, 2) t, or blocks of j <= k / 2 and k - j symbols sharing
+    the b entries, which t joins in s_j ways, so E_k = C(k, 2) W_k + sum C(k, j) s_j (W_j * W_{k-j})."""
+    head = [(comb(k, 2) * w, f) for w, f in _connected_terms(k)]
+    return _check_least("equal-pair", k, _peel(k, head, range(1, k // 2 + 1), lambda j: -comb(k, j) * _split_size(k, j), _connected_terms, _connected_terms))
 
 
 def connected_count(k: int, b: int) -> int:

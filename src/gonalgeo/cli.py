@@ -10,10 +10,10 @@ run themselves), then, in the order the command lists them, a count too
 long to print (``_digit_refusal``) and each engine's price against
 ``--budget`` (``_guard_budget``).  A census is computed by class
 algebra, once per shape per process: ``_computed_census`` prices it in
-term products (``covers.algebra_price``), then checks its digits, on
-every call, and reads it from a memo of the 16 latest shapes
-(``_census_of``, 7.8 MiB each at worst); no command reads a cache
-document.  ``oracle-check`` prices its oracle, then the walk of
+term products (``covers.algebra_price``), its split cells only for
+``census`` and ``oracle-check``, then checks its digits, on every call,
+and reads it from a memo of the 16 latest shapes (``_census_of``); no
+command reads a cache document.  ``oracle-check`` prices its oracle, then the walk of
 ``gonalgeo.reference`` in block-state visits (``covers.block_states``),
 then the census it compares the walk with, before it counts any of them.
 ``census`` also exports its document to the cache directory, encoded
@@ -114,11 +114,11 @@ def _resolve_shape(k: int, b: int | None, g: int | None) -> tuple[int, int]:
     return k, b
 
 
-def _computed_census(k: int, b: int, budget: int) -> DegenerationCensus:
-    """The census of (k, b), once its price fits the budget and its N has
-    no more digits than the interpreter prints, both decided on every
-    call, a memo hit too; ``_census_of`` computes the census once."""
-    _guard_budget(k, b, budget)
+def _computed_census(k: int, b: int, budget: int, engine: str = "census") -> DegenerationCensus:
+    """The census of (k, b), once the price of ``engine`` fits the budget and
+    its N has no more digits than the interpreter prints, both decided on
+    every call, a memo hit too; ``_census_of`` computes the census once."""
+    _guard_budget(k, b, budget, engine)
     if too_long := _digit_refusal(k, b, "the tuple count N"):
         raise too_long
     return _census_of(k, b)
@@ -126,9 +126,9 @@ def _computed_census(k: int, b: int, budget: int) -> DegenerationCensus:
 
 @functools.lru_cache(maxsize=16)
 def _census_of(k: int, b: int) -> DegenerationCensus:
-    """``full_census(k, b)``'s census for one process's queries.  Sixteen
-    covers perfbench's mixes of 13 and 14 shapes; the largest census the
-    default limits admit, (5, 8608), holds 7.8 MiB, so 16 hold < 130 MiB."""
+    """``full_census(k, b)``'s census for one process's queries.  Sixteen cover perfbench's
+    mixes of 13 and 14 shapes; the largest census the default limits admit, (5, 8608),
+    holds 26 KiB, and 7.9 MiB with its split cells, so 16 hold < 130 MiB."""
     return full_census(k, b)[1]
 
 
@@ -141,7 +141,7 @@ def _census(args, k: int, b: int) -> tuple[dict, str]:
     cache_dir = resolve_cache_dir(args.cache_dir)
     try:
         path = None if _digit_refusal(k, b, "the tuple count N") else census_file(cache_dir, k, b)
-        return export_census(cache_dir, _computed_census(k, b, args.budget), path)
+        return export_census(cache_dir, _computed_census(k, b, args.budget, "cells"), path)
     except OSError as exc:  # a cache directory that cannot be searched or written
         raise ParameterError(
             f"cannot use {cache_dir} as the census cache: {exc.strerror or exc}"
@@ -162,14 +162,14 @@ _REFUSALS = {
 
 
 def _guard_budget(k: int, b: int, budget: int, engine: str = "census") -> None:
-    """Refuse (k, b) when ``engine`` is priced past the budget: the
-    class-algebra "census" or "oracle" (``covers.algebra_price``, in term
-    products), or the "walk", at most S(k) block states in each of b - 2
-    layers (``covers.block_states``).  A degree past ``covers.MAX_DEGREE``
-    is a CapacityError at any budget."""
-    price = block_states(k, b - 2) if engine == "walk" else algebra_price(k, b, engine == "census")
+    """Refuse (k, b) when ``engine`` is priced past the budget: the class-algebra
+    "census", the "cells" it prints (refused as the census) or the "oracle"
+    (``covers.algebra_price``, in term products), or the "walk", at most S(k)
+    block states in each of b - 2 layers (``covers.block_states``).  A degree
+    past ``covers.MAX_DEGREE`` is a CapacityError at any budget."""
+    price = block_states(k, b - 2) if engine == "walk" else algebra_price(k, b, engine)
     if price > budget:
-        raise BudgetExceeded(_REFUSALS[engine].format(k=k, b=b, budget=budget))
+        raise BudgetExceeded(_REFUSALS["census" if engine == "cells" else engine].format(k=k, b=b, budget=budget))
 
 
 def _digit_refusal(k: int, b: int, what: str) -> CapacityError | None:
@@ -234,7 +234,7 @@ def cmd_oracle_check(args) -> int:
     k, b = _resolve_shape(args.k, args.b, args.g)
     if too_long := _digit_refusal(k, b, "the oracle count"):
         raise too_long
-    for engine in ("oracle",) if args.oracle_only else ("oracle", "walk", "census"):
+    for engine in ("oracle",) if args.oracle_only else ("oracle", "walk", "cells"):
         _guard_budget(k, b, args.budget, engine)
     oracle = class_count_via_oracle(k, b)
     payload = {

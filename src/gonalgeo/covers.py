@@ -134,32 +134,37 @@ def _power_price(d: int, total: int, count: int, top: int) -> int:
     return _exponents(d) * words * isqrt((bits * top + 63) // 64) // 32
 
 
-def algebra_price(k: int, b: int, census: bool = False) -> int:
-    """The class-algebra price of (k, b), in term products: the tables
-    (``oracle_products``), and the powers past one product each
-    (``_power_price``).  The oracle evaluates the connected table once, at
-    b.  A ``census`` builds the T3 tables too, from the same walk, with
-    peels priced as the connected tables', evaluates the degree-k tables
-    at b - 2 twice and at b once, and for each split size j runs one pass
-    over its cells, one per component genus i < n (n = g + 1, one cell for
-    j = 1), each evaluating a degree-j table at beta1 = 2i + 2j - 2 and a
-    degree-(k - j) one at b - 2 - beta1, carrying C(b - 2, beta1) over
-    about b bits (b / 512 products) and some 30 products of other work.
-    Each size is priced from the sum and the largest of its exponents, in
-    closed form, so the price takes O(k) steps and no loop over the cells.
-    One product stood for about 0.18 us on a shared 2-vCPU host, and the
-    tests hold the price within a factor of 2 of measured costs.  A degree
-    past ``MAX_DEGREE`` is a CapacityError."""
+def algebra_price(k: int, b: int, engine: str = "oracle") -> int:
+    """The class-algebra price of (k, b) for ``engine``, in term products:
+    the tables (``oracle_products``), and the powers past one product each
+    (``_power_price``).  The "oracle" evaluates the connected table at b.
+    A "census" builds the T3 tables too, peels priced as the connected
+    tables', and the equal-pair table, a peel of each j <= k / 2 off k and
+    k power sums; evaluates it and T3 at b - 2 and the connected table at
+    b; and for each split size j reads the end cells, i = 0 and i = g (one
+    for j = 1).  The "cells" that ``census`` prints and ``oracle-check``
+    compares add the central pairs at b - 2 and each size's pass over its
+    n = g + 1 cells (one for j = 1).  A cell evaluates a degree-j table at
+    beta1 = 2i + 2j - 2 and a degree-(k - j) one at b - 2 - beta1, and past
+    j = 1 takes C(b - 2, beta1) over about b bits (b / 512 products), with
+    some 30 more, priced in closed form in O(k) steps.  One product stood
+    for about 0.18 us on a shared 2-vCPU host, and the tests hold the price
+    within a factor of 2 of measured costs.  Past ``MAX_DEGREE``, CapacityError."""
     tables = oracle_products(k)
-    if not census:
+    if engine == "oracle":
         return tables + _power_price(k, b, 1, b)
-    g = (b - 2 * k + 2) // 2
-    price = tables + _price_row(k)[2] + 2 * _power_price(k, b - 2, 1, b - 2) + _power_price(k, b, 1, b)
-    for j in range(1, k // 2 + 1):
-        n, carry = (g + 1, (b + 511) // 512) if j > 1 else (1, 0)
-        small = n * (n + 2 * j - 3)  # beta1 summed over the cells
-        price += n * (30 + carry + _exponents(j) + _exponents(k - j))
-        price += _power_price(j, small, n, 2 * n + 2 * j - 4) + _power_price(k - j, n * (b - 2) - small, n, b - 2 * j)
+
+    def cells(j, n, small, top):  # n cells of size j, their beta1 summing to small, none past top
+        carry = (b + 511) // 512 if j > 1 else 0
+        return (n * (30 + carry + _exponents(j) + _exponents(k - j)) + _power_price(j, small, n, top)
+                + _power_price(k - j, n * (b - 2) - small, n, b - 2 * j))
+    g, sizes = (b - 2 * k + 2) // 2, range(1, k // 2 + 1)
+    price = tables + _price_row(k)[2] + sum(_exponents(j) * _exponents(k - j) for j in sizes) + k * _exponents(k)
+    price += (2 + (engine == "cells")) * _power_price(k, b - 2, 1, b - 2) + _power_price(k, b, 1, b)
+    for j in sizes:
+        n = g + 1 if j > 1 else 1  # the cells; the end cells are i = 0 and i = n - 1
+        price += sum(cells(j, 1, beta1, beta1) for beta1 in {2 * j - 2, 2 * n + 2 * j - 4})
+        price += cells(j, n, n * (n + 2 * j - 3), 2 * n + 2 * j - 4) if engine == "cells" else 0
     return price
 
 

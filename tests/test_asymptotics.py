@@ -278,10 +278,10 @@ def test_closed_form_band_search_matches_the_sweep(census_store, k, b):
 # vanish at every degree.
 SYNTHETIC_CENSUSES = {
     "band-breaks-above-3": DegenerationCensus(
-        k=3, b=8, type_one=0, type_two_two=7, type_three=0, split_table={},
+        k=3, b=8, type_one=0, type_two_two=7, type_three=0, rational_splits=0,
     ),
     "chi-identically-zero": DegenerationCensus(
-        k=3, b=8, type_one=0, type_two_two=0, type_three=0, split_table={},
+        k=3, b=8, type_one=0, type_two_two=0, type_three=0, rational_splits=0,
     ),
 }
 

@@ -37,7 +37,7 @@ from gonalgeo.cache import (
 )
 from gonalgeo.cli import DEFAULT_ENUM_BUDGET, _guard_budget, _parse_fraction, main
 from gonalgeo.covers import MAX_DEGREE, algebra_price, block_states, oracle_products
-from gonalgeo.degeneration import full_census
+from gonalgeo.degeneration import DegenerationCensus, full_census
 from gonalgeo.digits import int_digit_limit
 from gonalgeo.errors import CapacityError, InvariantViolation, ParameterError
 from gonalgeo.version import TOOL_VERSION
@@ -330,21 +330,22 @@ def test_a_state_no_pair_completes_is_an_invariant_violation(tmp_path, capsys, m
 
 
 def test_cli_budget_guard(tmp_path, capsys):
-    # the class-algebra census of (4, 10) is priced at 436 term products:
-    # the 234 of the connected tables, 62 for the T3 tables' peels, and 140
-    # for its 4 cells
-    assert algebra_price(4, 10, census=True) == 436
+    # the class-algebra census of (4, 10) with its split cells is priced at
+    # 577 term products: the 234 of the connected tables, 62 for the T3
+    # tables' peels, 36 to build and check the equal-pair table, 105 for
+    # the end cells that give e, and 140 for its 4 cells
+    assert algebra_price(4, 10, "cells") == 577
     code, _out, err = run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "435",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "576",
         "--cache-dir", str(tmp_path),
     )
     assert code == 3
     assert "the class-algebra census for (4, 10) forms more term products" in err
-    assert "budget 435" in err
+    assert "budget 576" in err
     assert "oracle-check --oracle-only" in err
     assert not census_path(tmp_path, 4, 10).exists()
     assert run_cli(
-        capsys, "census", "--k", "4", "--b", "10", "--budget", "436",
+        capsys, "census", "--k", "4", "--b", "10", "--budget", "577",
         "--cache-dir", str(tmp_path),
     )[0] == 0
     # enumerating oracle-check prices its walk, once its oracle, at 234 term
@@ -569,9 +570,10 @@ def test_budget_guard_lower_bound_never_passes_the_exact_price():
     for n in range(1, MAX_DEGREE + 1):
         _guard_budget(n, 3, block_states(n), "walk")
         for b in (2 * n - 2 or 2, 2 * n + 38):
-            _guard_budget(n, b, algebra_price(n, b, census=True))
+            for engine in ("census", "cells"):
+                _guard_budget(n, b, algebra_price(n, b, engine), engine)
     n = MAX_DEGREE + 1
-    for engine, b in (("walk", 3), ("census", 2 * n - 2), ("census", 2 * n + 38)):
+    for engine, b in (("walk", 3), ("census", 2 * n - 2), ("cells", 2 * n + 38)):
         with pytest.raises(CapacityError, match=CAPACITY_REFUSED):
             _guard_budget(n, b, 10**1000, engine)
 
@@ -1543,11 +1545,36 @@ def test_a_memo_hit_is_still_priced(tmp_path, capsys):
     assert gonalgeo.cli._census_of.cache_info() == held
 
 
+def test_invariants_audit_and_delta_build_no_split_cells(tmp_path, capsys, monkeypatch):
+    # only census and oracle-check read the split cells; the others read N1
+    # and e, and answer the same with the cells unreachable, at (12, 1000)
+    # too, whose cells the default budget refuses
+    argvs = [
+        ("invariants", "--k", "4", "--b", "10", "--c", "40", "--base-genus", "1", "--audit"),
+        ("audit", "--k", "5", "--b", "12", "--c", "40", "--base-genus", "2"),
+        ("delta", "3", "4", "1/10"),
+        ("invariants", "--k", "12", "--g", "1000", "--c", "30000", "--base-genus", "2"),
+    ]
+    gonalgeo.cli._census_of.cache_clear()
+    want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def no_cells(_census):
+        raise AssertionError("the split cells were built")
+
+    monkeypatch.setattr(DegenerationCensus, "split_table", property(no_cells))
+    gonalgeo.cli._census_of.cache_clear()
+    for argv, (code, out, err) in zip(argvs, want):
+        assert (code, err) == (0, "") and out, argv
+        assert run_cli(capsys, *argv) == (code, out, err), argv
+    with pytest.raises(AssertionError, match="split cells were built"):
+        main(["census", "--k", "4", "--b", "10", "--cache-dir", str(tmp_path)])
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter converts ints of any length")
 def test_a_memo_hit_is_still_digit_checked(tmp_path, capsys):
     gonalgeo.cli._census_of.cache_clear()
     argv = ("census", "--k", "4", "--b", "1700", "--cache-dir", str(tmp_path))
-    assert algebra_price(4, 1700, True) == 32_817
+    assert algebra_price(4, 1700, "cells") == 33_062
     assert run_cli(capsys, *argv)[0] == 0
     held = gonalgeo.cli._census_of.cache_info()
     assert held.currsize == 1

@@ -396,6 +396,20 @@ def test_a_perturbed_connected_weight_is_caught(monkeypatch, k):
         assert any(caught(b) for b in (0, *range(2 * k - 2, 2 * k + 4, 2))), (k, f)
 
 
+@pytest.mark.parametrize("k", range(2, 31))
+def test_the_equal_pair_table_holds_its_least_counts(k):
+    # zero below length 2k - 4, and at it two minimal blocks joined by t,
+    # each counted by Hurwitz; k! more weight on one exponent moves the
+    # count at length 0 and breaks them
+    terms = characters._equal_pair_terms(k)
+    assert characters._check_least("equal-pair", k, terms) == terms
+    for i in {0, len(terms) - 1}:
+        w, f = terms[i]
+        skewed = terms[:i] + ((w + factorial(k), f),) + terms[i + 1:]
+        with pytest.raises(InvariantViolation, match=f"equal-pair terms of degree {k} fail"):
+            characters._check_least("equal-pair", k, skewed)
+
+
 SUM_SQUARES, P_K, SECOND_MOMENT = (
     "sum dim^2 = k!",
     "weights sum to p(k)",

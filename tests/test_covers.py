@@ -389,34 +389,38 @@ def test_a_refused_degree_grows_the_price_tables_no_further():
 
 
 def test_the_degree_cap_refuses_only_work_of_fifty_seconds_or_more():
-    # the tables of the least refused degree alone take some 55 s at the
+    # the tables of the least refused degree alone take some 50.2 s at the
     # price's rate, and the cap leaves degree 40, maximal gonality at g = 77
     assert priced_from_scratch(MAX_DEGREE + 1)[-1][1] * PRODUCT_S >= 50
     assert MAX_DEGREE >= 40
     # past the cap every price is a CapacityError, at once at any degree
     start = time.perf_counter()
     for k in (MAX_DEGREE + 1, 10**6, 10**30, 10**4000):
-        for price in (block_states, oracle_products, lambda k: algebra_price(k, 2 * k + 2, census=True)):
+        for price in (block_states, oracle_products, lambda k: algebra_price(k, 2 * k + 2, "cells")):
             with pytest.raises(CapacityError, match=f"is past {MAX_DEGREE}, the largest degree"):
                 price(k)
     assert time.perf_counter() - start < 1
 
 
 # seconds that one count took in a fresh process, tables built there, best
-# of two (of four for (20, 112) and (30, 172)) on a shared 2-vCPU host
-# (Python 3.11), and the time one term
+# of two (of four for (20, 112), (30, 172) and the census of (4, 20000)) on
+# a shared 2-vCPU host (Python 3.11), and the time one term
 # product stood for there: the class-algebra price, times that, must land
-# within a factor of 2 of each.  (20, 112), (30, 172) and (45, 262) are all
-# tables, (4, 20000) all split cells, (6, 6000) mostly powers, and the
-# oracle's (12, 200000) one evaluation at a large b.  (45, 262) holds the
-# walk and the peels to their own costs: priced at one product per diagram
-# and p(d - j) terms of each folded D_{d-j}, it would land at 4.7 times its time
+# within a factor of 2 of each.  The "cells" points are censuses with the
+# split cells that ``census`` prints: (20, 112), (30, 172) and (45, 262)
+# are mostly tables, (4, 20000) mostly split cells, (6, 6000) mostly
+# powers.  The "census" of (4, 20000) is three evaluations and three end
+# cells at a large b, and the oracle's (12, 200000) one evaluation.
+# (45, 262) holds the walk and the peels to their own costs: priced at one
+# product per diagram and p(d - j) terms of each folded D_{d-j}, it would
+# land at 4.7 times its time
 MEASURED_S = {
-    ("census", 20, 112): 0.05,
-    ("census", 30, 172): 0.41,
-    ("census", 45, 262): 5.0,
-    ("census", 4, 20000): 0.16,
-    ("census", 6, 6000): 0.43,
+    ("cells", 20, 112): 0.051,
+    ("cells", 30, 172): 0.45,
+    ("cells", 45, 262): 6.2,
+    ("cells", 4, 20000): 0.16,
+    ("cells", 6, 6000): 0.43,
+    ("census", 4, 20000): 0.0019,
     ("oracle", 12, 200000): 1.0,
 }
 PRODUCT_S = 0.18e-6
@@ -424,14 +428,17 @@ PRODUCT_S = 0.18e-6
 
 def test_the_class_algebra_price_tracks_its_measured_cost():
     for (engine, k, b), seconds in MEASURED_S.items():
-        estimate = algebra_price(k, b, census=engine == "census") * PRODUCT_S
+        estimate = algebra_price(k, b, engine) * PRODUCT_S
         assert seconds / 2 <= estimate <= 2 * seconds, (engine, k, b, estimate)
     # the default budget of 10^6 accepts every envelope census, the paper's
-    # (16, 88) and (20, 112), and (4, 20000)
+    # (16, 88) and (20, 112), and (4, 20000), with their cells
     for k, b in ENVELOPE + [(16, 88), (20, 112), (4, 20000)]:
-        assert algebra_price(k, b, census=True) <= 10**6, (k, b)
+        assert algebra_price(k, b, "cells") <= 10**6, (k, b)
     # a price of the tables alone (k alone) would accept each of these at
     # the default budget of 10^6, to run for a second or more
     for engine, k, b in MEASURED_S:
         if b > 1000:
-            assert algebra_price(k, b, census=engine == "census") > 4 * algebra_price(k, 2 * k + 2, census=engine == "census")
+            assert algebra_price(k, b, engine) > 4 * algebra_price(k, 2 * k + 2, engine)
+    # the census that invariants, audit and delta read builds no cells:
+    # at (12, 1000) its price fits the default budget, and the cells' does not
+    assert algebra_price(12, 2022, "census") <= 10**6 < algebra_price(12, 2022, "cells")

@@ -313,7 +313,7 @@ def test_a_state_no_pair_completes_is_named(monkeypatch):
 
 
 def valid_34_kwargs():
-    return dict(k=3, b=4, type_one=1, type_two_two=0, type_three=3, split_table={(1, 0): 1})
+    return dict(k=3, b=4, type_one=1, type_two_two=0, type_three=3, rational_splits=1)
 
 
 def test_census_validators_reject_bad_data():
@@ -327,50 +327,48 @@ def test_census_validators_reject_bad_data():
     with pytest.raises(InvariantViolation):
         DegenerationCensus(**bad)
 
-    # split cell outside 1 <= j <= k/2
-    bad = valid_34_kwargs() | {"split_table": {(2, 0): 1}}
-    with pytest.raises(InvariantViolation):
+    # 0 <= e <= N1
+    bad = valid_34_kwargs() | {"rational_splits": -1}
+    with pytest.raises(InvariantViolation, match="negative census count"):
+        DegenerationCensus(**bad)
+    bad = valid_34_kwargs() | {"type_one": 0}
+    with pytest.raises(InvariantViolation, match="rational splits exceed the equal-pair count"):
         DegenerationCensus(**bad)
 
-    # split genus above the fiber genus
-    bad = valid_34_kwargs() | {"split_table": {(1, 1): 1}}
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(**bad)
-
-    # more splits than equal-pair classes
-    bad = valid_34_kwargs() | {"split_table": {(1, 0): 2}}
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(**bad)
+    # more equal-pair classes than the central pairs and split cells hold
+    cen = DegenerationCensus(**valid_34_kwargs() | {"type_one": 2})
+    with pytest.raises(InvariantViolation, match=re.escape("split cells and central pairs of (3, 4) do not sum to N1")):
+        cen.split_table
 
 
 def test_equal_degree_cell_must_be_canonical():
-    with pytest.raises(InvariantViolation):
-        DegenerationCensus(
-            k=4, b=10, type_one=3, type_two_two=0, type_three=0, split_table={(2, 2): 1},
-        )
+    # a split into two halves is listed once, with the smaller component genus
+    for k, b in ((4, 10), (4, 12), (6, 14), (6, 30), (8, 40)):
+        cen = full_census(k, b)[1]
+        halves = [i for j, i in cen.split_table if 2 * j == k]
+        assert halves and all(i <= cen.g - i for i in halves), (k, b)
 
 
 def test_derived_counts_follow_the_stored_ones():
     cen = DegenerationCensus(**valid_34_kwargs())
     assert (cen.g, cen.classes, cen.raw_count) == (0, 4, 24)
     assert (cen.central, cen.rational_splits, cen.singular) == (0, 1, 0)
-    two = DegenerationCensus(k=2, b=6, type_one=2, type_two_two=0, type_three=0, split_table={(1, 0): 1})
+    two = DegenerationCensus(k=2, b=6, type_one=2, type_two_two=0, type_three=0, rational_splits=1)
     # relabeling is trivial at degree 2, so each class is one tuple
     assert (two.g, two.raw_count, two.central, two.rational_splits, two.singular) == (2, 2, 1, 1, 1)
 
 
-def test_equality_compares_the_split_table(census_store):
+def test_equality_compares_the_stored_counts(census_store):
     cen = census_store(4, 10)[1]
     assert cen.split_table == {(1, 0): 1092, (2, 0): 28, (2, 1): 35}
-    # one class moved between two rational cells: every count agrees
-    moved = replace(cen, split_table={(1, 0): 1093, (2, 0): 27, (2, 1): 35})
-    assert (moved.classes, moved.rational_splits, moved.singular) == (
-        cen.classes, cen.rational_splits, cen.singular,
-    )
+    # one class moved from the rational splits to the singular ones
+    moved = replace(cen, rational_splits=cen.rational_splits - 1)
+    assert (moved.classes, moved.singular) == (cen.classes, cen.singular + 1)
     assert moved != cen
-    assert replace(cen, split_table=dict(reversed(cen.split_table.items()))) == cen
-    # the table stays out of the hash, so a census stays hashable
-    assert hash(moved) == hash(cen)
+    # the derived cells enter neither equality nor the hash
+    fresh = replace(cen)
+    assert "split_table" not in vars(fresh)
+    assert fresh == cen and hash(fresh) == hash(cen)
 
 
 def _labeled_tally(k, b):
@@ -488,9 +486,34 @@ def test_split_binomials_are_carried_along_each_size(monkeypatch):
 
     monkeypatch.setattr(degeneration, "comb", counted)
     k, b = 4, 2000
-    assert full_census(k, b)[0].raw_count == connected_count(k, b)
-    # the size factor and the first C(b - 2, beta1) of each split size
-    assert len(calls) <= 2 * (k // 2)
+    counts, census = full_census(k, b)
+    assert counts.raw_count == connected_count(k, b)
+    # e reads the end cells, i = 0 and i = g, one for j = 1, each with its own binomial
+    assert sorted(calls) == [(b - 2, 0), (b - 2, 2), (b - 2, b - 4)]
+    calls.clear()
+    assert census.split_table
+    # the cells take the first C(b - 2, beta1) of each split size, and carry it
+    assert calls == [(b - 2, 0), (b - 2, 2)]
+
+
+def test_a_skewed_binomial_or_end_cell_breaks_the_split_rules(monkeypatch):
+    k, b = 5, 40
+    census = full_census(k, b)[1]
+    # C(b - 2, 2), the first binomial of size j = 2, one too large: it is
+    # carried through every cell of that size, and the cells no longer sum
+    # with the central pairs to N1
+    monkeypatch.setattr(degeneration, "comb", lambda n, r: comb(n, r) + (r == 2))
+    with pytest.raises(InvariantViolation, match=re.escape("split cells and central pairs of (5, 40) do not sum to N1")):
+        census.split_table
+    # e read with C(b - 2, 2) + k! for its end cell (2, 0) is off by whole
+    # classes, and the cells, built with the true binomials, no longer sum to it
+    monkeypatch.setattr(degeneration, "comb", lambda n, r: comb(n, r) + factorial(k) * (r == 2))
+    skewed = full_census(k, b)[1]
+    assert skewed.rational_splits > census.rational_splits
+    monkeypatch.setattr(degeneration, "comb", comb)
+    with pytest.raises(InvariantViolation, match=re.escape("split cells of (5, 40) with i = 0 or i = g do not sum to e")):
+        skewed.split_table
+    assert full_census(k, b)[1].split_table == census.split_table
 
 
 def test_census_orders_split_cells_without_printing_counts():
@@ -502,6 +525,7 @@ def test_census_orders_split_cells_without_printing_counts():
     sys.set_int_max_str_digits(640)
     try:
         counts, cen = full_census(4, 1400)
+        cen.split_table
     finally:
         sys.set_int_max_str_digits(limit)
     assert counts.raw_count == connected_count(4, 1400)
@@ -552,39 +576,29 @@ def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
     terms = characters._connected_terms
     # d! more weight on the largest exponent f moves k! Conn(d, beta) by
     # d! f^beta: still integral and positive.  The identities the table
-    # is built with reject it, and the walk comparison names the split
-    # size it moves, or the census the split cell it leaves fractional
+    # is built with reject it, and the split cells it moves no longer sum
+    # with the central pairs to N1, which the equal-pair table gives
     top = max(f for w, f in terms(d))
     skewed = tuple((w + factorial(d) * (f == top), f) for w, f in terms(d))
     with pytest.raises(InvariantViolation, match=f"connected terms of degree {d} fail"):
         characters._check_least("connected", d, skewed)
+    census = full_census(6, 14)[1]
     monkeypatch.setattr(degeneration, "_connected_terms", lambda n: skewed if n == d else terms(n))
-    j = min(d, 6 - d)
-    with pytest.raises(InvariantViolation, match=rf"split (size j = {j} tally|\({j}, \d+\) tally)"):
-        cross_check_walk(6, 14, full_census(6, 14)[1])
+    with pytest.raises(InvariantViolation, match=re.escape("split cells and central pairs of (6, 14) do not sum to N1")):
+        cross_check_walk(6, 14, census)
 
 
-class _CountedTable(dict):
-    """A split table that counts how often its cells are summed."""
-
-    sums = 0
-
-    def items(self):
-        self.sums += 1
-        return super().items()
-
-    def values(self):
-        self.sums += 1
-        return super().values()
-
-
-def test_derived_counts_are_computed_once_per_census(census_store):
+def test_derived_counts_are_computed_once_per_census(census_store, monkeypatch):
     _counts, cen = census_store(4, 6)
-    table = _CountedTable(cen.split_table)
-    fresh = DegenerationCensus(4, 6, cen.type_one, cen.type_two_two, cen.type_three, table)
-    table.sums = 0  # the validators' own pass
-    for _ in range(5):
-        derived = (fresh.g, fresh.classes, fresh.raw_count, fresh.central, fresh.rational_splits, fresh.singular)
-    assert derived == (cen.g, cen.classes, cen.raw_count, cen.central, cen.rational_splits, cen.singular)
-    assert table.sums == 2  # central and rational_splits, once each
+    calls = []
+    evaluate = degeneration._evaluate
+    monkeypatch.setattr(degeneration, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    fresh = DegenerationCensus(4, 6, cen.type_one, cen.type_two_two, cen.type_three, cen.rational_splits)
+    assert not calls  # the validators evaluate no table
+    for n in range(5):
+        derived = (fresh.g, fresh.classes, fresh.raw_count, fresh.central, fresh.split_table, fresh.rational_splits, fresh.singular)
+        once = once if n else len(calls)
+    assert derived == (cen.g, cen.classes, cen.raw_count, cen.central, cen.split_table, cen.rational_splits, cen.singular)
+    # the central pairs, and two tables for each of the two cells, once
+    assert once == len(calls) == 5
     assert fresh == cen

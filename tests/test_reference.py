@@ -89,16 +89,17 @@ def test_census_then_oracle_check_compute_one_census(tmp_path, monkeypatch, caps
 
 
 # each census field, perturbed alone, and the tally the comparison names;
-# N1 counts the split classes too, so a split cell moves with it and the
-# central tally stays put
+# N1 counts the central pairs and the split classes, so either moves with
+# it; the central pairs and the split cells are derived, and are set as the
+# skewed copy's cached values, which its own rules would otherwise refuse
 PERTURBED = {
-    "central": lambda cen: {"type_one": cen.type_one + 1},
-    "overlap": lambda cen: {"type_three": cen.type_three + 3},
-    "split size j = 1": lambda cen: {
-        "type_one": cen.type_one + 1,
-        "split_table": {**cen.split_table, (1, 0): cen.split_table[1, 0] + 1},
-    },
-    "disjoint": lambda cen: {"type_two_two": cen.type_two_two + 1},
+    "central": lambda cen: ({"type_one": cen.type_one + 1}, {"central": cen.central + 1, "split_table": cen.split_table}),
+    "overlap": lambda cen: ({"type_three": cen.type_three + 3}, {}),
+    "split size j = 1": lambda cen: (
+        {"type_one": cen.type_one + 1},
+        {"split_table": {**cen.split_table, (1, 0): cen.split_table[1, 0] + 1}},
+    ),
+    "disjoint": lambda cen: ({"type_two_two": cen.type_two_two + 1}, {}),
 }
 
 
@@ -106,6 +107,8 @@ PERTURBED = {
 def test_a_perturbed_census_field_breaks_the_walk_comparison(field):
     counts, census = full_census(4, 10)
     assert cross_check_walk(4, 10, census) == counts
-    skewed = replace(census, **PERTURBED[field](census))
+    stored, cached = PERTURBED[field](census)
+    skewed = replace(census, **stored)
+    skewed.__dict__.update(cached)
     with pytest.raises(InvariantViolation, match=f"disagree on the {field} tally at \\(4, 10\\)"):
         cross_check_walk(4, 10, skewed)
