@@ -12,17 +12,16 @@ One depth-first walk over the diagrams, ``_diagrams``, carries both row by
 row, so a count builds no character table and no list of partitions;
 ``partitions_of`` reads the same walk, which weighs a diagram wider than
 tall for its conjugate too, of content sum -f.  Every count is such an
-exponential sum, kept as one (w, f) table per degree, one term per exponent
-f >= 0, as every b is even: D_k, checked for weights summing to p(k) and two
-identities; k! Conn(k, b), built once by peeling off the block of symbol 1
-on the exponents, so no memo is keyed by b; the transitive tuples with a
-3-cycle product, T3; and those ending in an equal pair, E.  The collision
-census (``degeneration.full_census``) reads each count from one table, each
-checked when built against the minimal factorization counts.  The character
-table of S_k, their independent reference, is in ``gonalgeo.reference``.
+exponential sum, and every table is one ``ExpSum`` {f: w} per degree, folded
+onto f >= 0 as every b is even, that evaluates, checks and peels itself:
+D_k, checked for weights summing to p(k) and two identities; k! Conn(k, b),
+built once by peeling off the block of symbol 1, so no memo is keyed by b;
+the transitive tuples with a 3-cycle product, T3; and those ending in an
+equal pair, E.  The census (``degeneration``) reads each count from one
+table, checked when built against the minimal factorization counts.  The
+character table of S_k, their independent reference, is in ``gonalgeo.reference``.
 """
 
-from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add
@@ -97,17 +96,59 @@ def _check_shape(k: int, b: int) -> None:
         raise ParameterError(f"branch count must be even and nonnegative, got {b}")
 
 
+class ExpSum(dict):
+    """A folded exponential sum of degree k, ``{f: w}`` over f >= 0 with no zero weight, shared by the
+    table memos and never changed: its power sum, the sum of w f^b, is k! times a count at even b."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int, terms=()):
+        super().__init__((f, w) for f, w in terms if w)
+        self.k = k
+
+    def count(self, b: int) -> int:
+        """The power sum at b over k!; a remainder or a negative count is an InvariantViolation."""
+        value, rem = divmod(sum(w * f**b for f, w in self.items()), factorial(self.k))
+        if rem or value < 0:
+            raise InvariantViolation(f"class-algebra count for ({self.k}, {b}) {'not integral' if rem else 'went negative'}")
+        return value
+
+    def checked(self, what: str, rules, failed=()) -> "ExpSum":
+        """This sum once its power sum at m is ``want`` for every ``(name, m, want)`` of
+        ``rules``, else an InvariantViolation naming every rule that fails, after any ``failed``."""
+        failed = [*failed, *(name for name, m, want in rules if sum(w * f**m for f, w in self.items()) != want)]
+        if failed:
+            raise InvariantViolation(f"{what} fail " + "; ".join(failed))
+        return self
+
+    def less(self, sizes, scale, block, rest) -> "ExpSum":
+        """This sum less ``scale(j)`` (``block(j)`` * ``rest(k - j)``) for each block size j in
+        ``sizes``, a negative scale adding: over C(b, b1) shares, weights multiply and exponents
+        add, and on folded sums cosh(fx) cosh(gx) = (cosh((f + g)x) + cosh((f - g)x)) / 2 puts half
+        of each product on f + g and half on |f - g|, all at most C(k, 2).  A folded weight at f > 0
+        is w(f) + w(-f) = 2 w(f), so c w // 2 is exact; at f = 0 both parts land on g."""
+        weights = [self.get(f, 0) for f in range(comb(self.k, 2) + 1)]
+        for j, c in zip(sizes, map(scale, sizes)):
+            others = rest(self.k - j).items()
+            for f, w in block(j).items():
+                low = c * w // 2
+                high = c * w - low
+                for g, sq in others:
+                    weights[f + g] -= low * sq
+                    weights[abs(f - g)] -= high * sq
+        return ExpSum(self.k, enumerate(weights))
+
+
 @lru_cache(maxsize=None)
-def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """``(D_k, A_k)``: the ``(w, f)`` tables over the diagrams lam of k cells,
-    summed by |f|, f the content sum, that weigh lam dim_lam^2, k! over its hook
-    product, and dim_lam^2 (p2(lam) - C(k, 2)), p2 its squared-content sum, each
-    diagram of ``_diagrams(k)`` times its weight: the conjugate diagram negates f
-    and keeps dim_lam and p2.  The weights must sum to p(k), and D_k count k!
-    times 1 and C(k, 2) tuples of zero and two transpositions; every rule that
-    fails is named, as is a hook product not dividing k!."""
+def _content_terms(k: int) -> tuple[ExpSum, ExpSum]:
+    """``(D_k, A_k)``: the sums over the diagrams lam of k cells, summed by |f|, f the
+    content sum, that weigh lam dim_lam^2, k! over its hook product, and dim_lam^2
+    (p2(lam) - C(k, 2)), p2 its squared-content sum, each diagram of ``_diagrams(k)``
+    times its weight: the conjugate diagram negates f and keeps dim_lam and p2.  The
+    weights must sum to p(k), and D_k count k! times 1 and C(k, 2) tuples of zero and
+    two transpositions; every rule that fails is named, as is a hook product not dividing k!."""
     order, pairs = factorial(k), comb(k, 2)
-    squares, heads, walked = Counter(), Counter(), 0
+    squares, heads, walked = [0] * (pairs + 1), [0] * (pairs + 1), 0
     for cols, hooks, f, p2, weight in _diagrams(k):
         dim, rem = divmod(order, hooks)
         if rem:
@@ -115,23 +156,11 @@ def _content_terms(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int
         squares[abs(f)] += weight * dim * dim
         heads[abs(f)] += weight * dim * dim * (p2 - pairs)
         walked += weight
-    terms = tuple((w, f) for f, w in squares.items() if w)
-    _check_sums(f"content-sum terms of degree {k}", terms, (
+    terms = ExpSum(k, enumerate(squares)).checked(f"content-sum terms of degree {k}", (
         ("sum dim^2 = k!", 0, order),
         ("sum dim^2 f^2 = k! C(k, 2)", 2, order * pairs),
     ), [] if walked == _partition_counts(k)[k] else ["weights sum to p(k)"])
-    return terms, tuple((w, f) for f, w in heads.items() if w)
-
-
-def _evaluate(terms: tuple[tuple[int, int], ...], k: int, b: int) -> int:
-    """(1 / k!) times the sum of w f^b over the (w, f) ``terms`` of
-    degree k; a remainder or a negative count is an InvariantViolation."""
-    value, rem = divmod(sum(w * f**b for w, f in terms), factorial(k))
-    if rem:
-        raise InvariantViolation(f"class-algebra count for ({k}, {b}) not integral")
-    if value < 0:
-        raise InvariantViolation(f"class-algebra count for ({k}, {b}) went negative")
-    return value
+    return terms, ExpSum(k, enumerate(heads))
 
 
 def disconnected_count(k: int, b: int) -> int:
@@ -144,16 +173,7 @@ def disconnected_count(k: int, b: int) -> int:
     1
     """
     _check_shape(k, b)
-    return _evaluate(_content_terms(k)[0], k, b)
-
-
-def _check_sums(what: str, terms: tuple[tuple[int, int], ...], rules, failed=()) -> tuple[tuple[int, int], ...]:
-    """``terms`` once the sum of w f^m is ``want`` for every ``(name, m, want)`` of
-    ``rules``, else an InvariantViolation naming every rule that fails, after any ``failed``."""
-    failed = [*failed, *(name for name, m, want in rules if sum(w * f**m for w, f in terms) != want)]
-    if failed:
-        raise InvariantViolation(f"{what} fail " + "; ".join(failed))
-    return terms
+    return _content_terms(k)[0].count(b)
 
 
 def _split_size(k: int, j: int) -> int:
@@ -161,10 +181,10 @@ def _split_size(k: int, j: int) -> int:
     return comb(k, j) * j * (k - j) // (2 if 2 * j == k else 1)
 
 
-def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """``terms`` of ``kind`` at degree k, once their count (1 / k!) sum w f^m is 0
-    at every even m below the need rule's least length and the minimal count
-    (an integer at every k) at it."""
+def _check_least(kind: str, terms: ExpSum) -> ExpSum:
+    """``terms`` of ``kind``, once their count is 0 at every even m below the
+    need rule's least length and the minimal count (an integer at every k) at it."""
+    k = terms.k
     hurwitz = lambda j: factorial(2 * j - 2) * j**j // j**3  # transitive tuples of degree j and length 2j - 2
     if kind == "connected":  # Hurwitz
         least, count, formula = 2 * k - 2, hurwitz(k), "(2k - 2)! k^k / k^3"
@@ -175,66 +195,46 @@ def _check_least(kind: str, k: int, terms: tuple[tuple[int, int], ...]) -> tuple
         least, count, formula = 2 * k - 4, 27 * comb(k, 3) * factorial(2 * k - 4) * k**k // k**5, "27 C(k, 3) (2k - 4)! k^k / k^5"
     rules = [(f"no tuples of length {m}", m, 0) for m in range(0, least, 2)]
     rules.append((f"{formula} tuples of length {least}", least, factorial(k) * count))
-    return _check_sums(f"{kind} terms of degree {k}", terms, rules)
-
-
-def _peel(k: int, head, sizes, scale, block_terms, rest_terms) -> tuple[tuple[int, int], ...]:
-    """The ``(w, f)`` table ``head`` of degree k, less ``scale(j)`` (``block_terms(j)`` *
-    ``rest_terms(k - j)``) for each block size j in ``sizes``, a negative scale adding:
-    over C(b, b1) shares, weights multiply and exponents add, and on folded tables
-    cosh(fx) cosh(gx) = (cosh((f + g)x) + cosh((f - g)x)) / 2 puts half of each product
-    on f + g and half on |f - g|, all at most C(k, 2).  A folded weight at f > 0 is
-    w(f) + w(-f) = 2 w(f), so c w // 2 is exact; at f = 0 both parts land on g."""
-    start = {f: w for w, f in head}
-    weights = [start.get(f, 0) for f in range(comb(k, 2) + 1)]
-    for j, c in zip(sizes, map(scale, sizes)):
-        for w, f in block_terms(j):
-            low = c * w // 2
-            high = c * w - low
-            for sq, g in rest_terms(k - j):
-                weights[f + g] -= low * sq
-                weights[abs(f - g)] -= high * sq
-    return tuple((w, f) for f, w in enumerate(weights) if w)
+    return terms.checked(f"{kind} terms of degree {k}", rules)
 
 
 @lru_cache(maxsize=None)
-def _connected_terms(k: int) -> tuple[tuple[int, int], ...]:
-    """``(w, f)`` with k! Conn(k, b) the sum of w f^b for every b, one
-    term per exponent.  The block through symbol 1 has j < k symbols, so
-    W_k = D_k - sum over j of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
+def _connected_terms(k: int) -> ExpSum:
+    """The sum with k! Conn(k, b) its power sum at every b.  The block through symbol 1
+    has j < k symbols, so W_k = D_k - sum over j of C(k - 1, j - 1) C(k, j) (W_j * D_{k-j}).
 
-    >>> sorted(_connected_terms(2))
-    [(-2, 0), (2, 1)]
+    >>> _connected_terms(2)
+    {0: -2, 1: 2}
     """
-    terms = _peel(k, _content_terms(k)[0], range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms, lambda n: _content_terms(n)[0])
-    return _check_least("connected", k, terms)
+    terms = _content_terms(k)[0].less(range(1, k), lambda j: comb(k - 1, j - 1) * comb(k, j), _connected_terms, lambda n: _content_terms(n)[0])
+    return _check_least("connected", terms)
 
 
 @lru_cache(maxsize=None)
-def _three_cycle_terms(k: int) -> tuple[tuple[int, int], ...]:
-    """``(w, f)`` with k! T3(k, b) the sum of w f^b for every b, T3 counting the
-    transitive b-tuples with a 3-cycle product.  Over all tuples that is A_k,
-    lam weighed by p2(lam) - C(k, 2), the 3-cycles' central character, as the
-    squared Jucys-Murphy elements sum to C(k, 2) and the 3-cycles' class sum.
-    The 3-cycle's support fixes its block of 3 <= j < k symbols:
-    W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
+def _three_cycle_terms(k: int) -> ExpSum:
+    """The sum with k! T3(k, b) its power sum at every b, T3 counting the
+    transitive b-tuples with a 3-cycle product, empty below degree 3.  Over
+    all tuples that is A_k, lam weighed by p2(lam) - C(k, 2), the 3-cycles'
+    central character, as the squared Jucys-Murphy elements sum to C(k, 2)
+    and the 3-cycles' class sum.  The 3-cycle's support fixes its block of
+    3 <= j < k symbols: W_k = A_k - sum of C(k, j)^2 (W_j * D_{k-j}).
 
-    >>> sorted(_three_cycle_terms(3))
-    [(-4, 0), (4, 3)]
+    >>> _three_cycle_terms(3)
+    {0: -4, 3: 4}
     """
     if k < 3:
-        return ()
-    terms = _peel(k, _content_terms(k)[1], range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms, lambda n: _content_terms(n)[0])
-    return _check_least("three-cycle", k, terms)
+        return ExpSum(k)
+    terms = _content_terms(k)[1].less(range(3, k), lambda j: comb(k, j) ** 2, _three_cycle_terms, lambda n: _content_terms(n)[0])
+    return _check_least("three-cycle", terms)
 
 
 @lru_cache(maxsize=None)
-def _equal_pair_terms(k: int) -> tuple[tuple[int, int], ...]:
-    """``(w, f)`` with k! N1(k, b + 2) the sum of w f^b for every b: before (t, t) comes
+def _equal_pair_terms(k: int) -> ExpSum:
+    """The sum with k! N1(k, b + 2) its power sum at every b: before (t, t) comes
     a transitive b-tuple, for C(k, 2) t, or blocks of j <= k / 2 and k - j symbols sharing
     the b entries, which t joins in s_j ways, so E_k = C(k, 2) W_k + sum C(k, j) s_j (W_j * W_{k-j})."""
-    head = [(comb(k, 2) * w, f) for w, f in _connected_terms(k)]
-    return _check_least("equal-pair", k, _peel(k, head, range(1, k // 2 + 1), lambda j: -comb(k, j) * _split_size(k, j), _connected_terms, _connected_terms))
+    head = ExpSum(k, ((f, comb(k, 2) * w) for f, w in _connected_terms(k).items()))
+    return _check_least("equal-pair", head.less(range(1, k // 2 + 1), lambda j: -comb(k, j) * _split_size(k, j), _connected_terms, _connected_terms))
 
 
 def connected_count(k: int, b: int) -> int:
@@ -247,4 +247,4 @@ def connected_count(k: int, b: int) -> int:
     1
     """
     _check_shape(k, b)
-    return _evaluate(_connected_terms(k), k, b)
+    return _connected_terms(k).count(b)

@@ -115,9 +115,9 @@ def block_states(k: int, layers: int = 1) -> int:
 def oracle_products(k: int) -> int:
     """Products the class-algebra tables of degree k cost: the walk's half
     of the p(d) diagrams of each d <= k, at a measured 30 products each; at
-    most ``_exponents(j)`` times ``_exponents(d - j)`` as
-    ``characters._connected_terms`` peels j < d off d; the d power sums
-    that check each degree-d table (``characters._check_least``); and one
+    most ``_exponents(j)`` times ``_exponents(d - j)`` as ``ExpSum.less``
+    peels j < d off the connected table of degree d; the d power sums that
+    check each degree-d table (``ExpSum.checked``); and one
     product per power of the degree-k table.  Past ``MAX_DEGREE``, CapacityError."""
     return _price_row(k)[1]
 

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .characters import _connected_terms, _equal_pair_terms, _evaluate, _split_size, _three_cycle_terms
+from .characters import _connected_terms, _equal_pair_terms, _split_size, _three_cycle_terms
 from .covers import TupleCensus, _class_divisor, _classes, cover_genus, validate_cover_shape
 from .errors import InvariantViolation
 
 
 def _split_cell(k: int, b: int, j: int, beta1: int, ways: int) -> int:
     """Raw splits whose degree-j side takes beta1 of b - 2 entries, in ``ways`` = C(b - 2, beta1)."""
-    return _split_size(k, j) * ways * _evaluate(_connected_terms(j), j, beta1) * _evaluate(_connected_terms(k - j), k - j, b - 2 - beta1)
+    return _split_size(k, j) * ways * _connected_terms(j).count(beta1) * _connected_terms(k - j).count(b - 2 - beta1)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class DegenerationCensus:
 
     @cached_property
     def central(self) -> int:
-        return _classes(self.k * (self.k - 1) // 2 * _evaluate(_connected_terms(self.k), self.k, self.b - 2), self.k, "central tally")
+        return _classes(self.k * (self.k - 1) // 2 * _connected_terms(self.k).count(self.b - 2), self.k, "central tally")
 
     @cached_property
     def split_table(self) -> dict[tuple[int, int], int]:
@@ -125,9 +125,9 @@ def full_census(k: int, b: int) -> tuple[TupleCensus, DegenerationCensus]:
     (131040, 855, 960, 3645, 135, {(1, 0): 120, (2, 0): 15})
     """
     g = cover_genus(k, b)
-    equal = _evaluate(_equal_pair_terms(k), k, b - 2)
-    overlap = 3 * _evaluate(_three_cycle_terms(k), k, b - 2)
-    disjoint = _evaluate(_connected_terms(k), k, b) - equal - overlap
+    equal = _equal_pair_terms(k).count(b - 2)
+    overlap = 3 * _three_cycle_terms(k).count(b - 2)
+    disjoint = _connected_terms(k).count(b) - equal - overlap
     ends = sum(_split_cell(k, b, j, 2 * i + 2 * j - 2, comb(b - 2, 2 * i + 2 * j - 2))
                for j in range(1, k // 2 + 1) for i in ({0, g} if j > 1 else {0}))
     census = DegenerationCensus(k, b, _classes(equal, k, "equal-pair tally"), _classes(disjoint, k, "disjoint-pair tally"),

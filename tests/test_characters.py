@@ -6,6 +6,7 @@ orthogonality facts for larger degrees, a brute-force tuple count it
 must match, and the frozen values the rest of the suite leans on.
 """
 
+import hashlib
 import re
 from collections import Counter
 from fractions import Fraction
@@ -135,10 +136,11 @@ def test_oracle_matches_brute_force():
 def test_three_cycle_counts_match_brute_force():
     # T3(k, m), the transitive m-tuples whose product is a 3-cycle; none
     # below length 2k - 4, and empty below degree 3
-    assert characters._three_cycle_terms(2) == ()
+    empty = characters._three_cycle_terms(2)
+    assert (empty, empty.k) == ({}, 2)
     for k, m in [(3, 0), (3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6)]:
         _total, connected = brute_force_counts(k, m, moved=3)
-        assert characters._evaluate(characters._three_cycle_terms(k), k, m) == connected, (k, m)
+        assert characters._three_cycle_terms(k).count(m) == connected, (k, m)
 
 
 def test_term_tables_are_checked_against_minimal_factorizations():
@@ -149,17 +151,33 @@ def test_term_tables_are_checked_against_minimal_factorizations():
     for k in range(1, 13):
         characters._connected_terms(k)
         characters._three_cycle_terms(k)
-    assert characters._evaluate(characters._three_cycle_terms(12), 12, 20) == (
-        27 * comb(12, 3) * factorial(20) * 12**7
-    )
+    assert characters._three_cycle_terms(12).count(20) == 27 * comb(12, 3) * factorial(20) * 12**7
     for kind, memo in (("connected", characters._connected_terms), ("three-cycle", characters._three_cycle_terms)):
-        (w, f), *rest = memo(5)
         with pytest.raises(InvariantViolation, match=f"{kind} terms of degree 5 fail no tuples of length 0"):
-            characters._check_least(kind, 5, ((w + 1, f), *rest))
+            characters._check_least(kind, skew(memo(5), min(memo(5)), 1))
     # doubled weights still vanish below the least length, and break the minimal identity alone
-    doubled = tuple((2 * w, f) for w, f in characters._three_cycle_terms(5))
+    doubled = characters.ExpSum(5, ((f, 2 * w) for f, w in characters._three_cycle_terms(5).items()))
     with pytest.raises(InvariantViolation, match=re.escape("5 fail 27 C(k, 3) (2k - 4)! k^k / k^5 tuples of length 6")):
-        characters._check_least("three-cycle", 5, doubled)
+        characters._check_least("three-cycle", doubled)
+
+
+def skew(terms, f, extra):
+    """``terms`` with ``extra`` more weight at exponent f, as a sum of the same degree."""
+    return characters.ExpSum(terms.k, {**terms, f: terms.get(f, 0) + extra}.items())
+
+
+def test_the_tables_to_degree_30_are_pinned():
+    # one SHA-256 over the sorted (f, w) pairs of D, A, W, T3 and E for
+    # k = 1 ... 30, a form that does not depend on how a table is stored,
+    # so it was recorded before the tables became ExpSums; the
+    # character-table tests pin them only to k = 12
+    digest = hashlib.sha256()
+    for k in range(1, 31):
+        for table in (*characters._content_terms(k), characters._connected_terms(k),
+                      characters._three_cycle_terms(k), characters._equal_pair_terms(k)):
+            assert table.k == k
+            digest.update(repr(sorted(table.items())).encode())
+    assert digest.hexdigest() == "119c8c1e637e12a65ee2d3d815ac5fbcb0643ac773553dd4a22be27a0bae6a4e"
 
 
 def test_frozen_disconnected_counts():
@@ -260,7 +278,7 @@ def test_content_terms_match_the_character_table():
         # onto f >= 0: w(0), and w(f) + w(-f) for f > 0
         for want, got in ((want_squares, squares), (want_heads, heads)):
             assert all(w == want[-f] for f, w in want.items()), k
-            assert dict((f, w) for w, f in got) == {f: w * (2 if f else 1) for f, w in want.items() if f >= 0 and w}, k
+            assert got == {f: w * (2 if f else 1) for f, w in want.items() if f >= 0 and w} and got.k == k, k
         for b in range(0, 31, 2):
             assert disconnected_count(k, b) == table_count(k, b), (k, b)
 
@@ -312,7 +330,7 @@ def test_source_b_cut_and_join_matches_the_term_tables():
         for b in lengths:
             assert d[k][b] == disconnected_count(k, b), (k, b)
             assert conn[k][b] == connected_count(k, b), (k, b)
-            assert t3[k][b] == characters._evaluate(characters._three_cycle_terms(k), k, b), (k, b)
+            assert t3[k][b] == characters._three_cycle_terms(k).count(b), (k, b)
 
 
 def test_every_table_is_folded_onto_nonnegative_exponents():
@@ -322,14 +340,16 @@ def test_every_table_is_folded_onto_nonnegative_exponents():
     for k in range(2, 31):
         squares, heads = characters._content_terms(k)
         for terms in (squares, heads, characters._connected_terms(k), characters._three_cycle_terms(k)):
-            assert len(terms) <= comb(k, 2) + 1, k
-            assert all(0 <= f <= comb(k, 2) and w and (f == 0 or w % 2 == 0) for w, f in terms), k
+            assert len(terms) <= comb(k, 2) + 1 and terms.k == k, k
+            assert all(0 <= f <= comb(k, 2) and w and (f == 0 or w % 2 == 0) for f, w in terms.items()), k
 
 
 def test_a_negative_count_is_named_a_class_algebra_count():
     # D, T3 and the census's split cells are read through the same evaluation
     with pytest.raises(InvariantViolation, match=re.escape("class-algebra count for (3, 0) went negative")):
-        characters._evaluate(((-6, 0),), 3, 0)
+        characters.ExpSum(3, [(0, -6)]).count(0)
+    with pytest.raises(InvariantViolation, match=re.escape("class-algebra count for (3, 2) not integral")):
+        characters.ExpSum(3, [(1, 1)]).count(2)
 
 
 def test_oracle_counts_past_the_table_bound():
@@ -390,8 +410,8 @@ def test_a_perturbed_connected_weight_is_caught(monkeypatch, k):
         except InvariantViolation:
             return True
 
-    for i, (w, f) in enumerate(terms):
-        skewed = terms[:i] + ((w + 1, f),) + terms[i + 1:]
+    for f in terms:
+        skewed = skew(terms, f, 1)
         monkeypatch.setattr(characters, "_connected_terms", lambda d: skewed)
         assert any(caught(b) for b in (0, *range(2 * k - 2, 2 * k + 4, 2))), (k, f)
 
@@ -402,12 +422,10 @@ def test_the_equal_pair_table_holds_its_least_counts(k):
     # each counted by Hurwitz; k! more weight on one exponent moves the
     # count at length 0 and breaks them
     terms = characters._equal_pair_terms(k)
-    assert characters._check_least("equal-pair", k, terms) == terms
-    for i in {0, len(terms) - 1}:
-        w, f = terms[i]
-        skewed = terms[:i] + ((w + factorial(k), f),) + terms[i + 1:]
+    assert characters._check_least("equal-pair", terms) == terms
+    for f in {min(terms), max(terms)}:
         with pytest.raises(InvariantViolation, match=f"equal-pair terms of degree {k} fail"):
-            characters._check_least("equal-pair", k, skewed)
+            characters._check_least("equal-pair", skew(terms, f, factorial(k)))
 
 
 SUM_SQUARES, P_K, SECOND_MOMENT = (

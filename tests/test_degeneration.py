@@ -45,6 +45,7 @@ from gonalgeo.reference import (
 )
 
 from conftest import ENVELOPE, skew_double_transposition_step
+from test_characters import skew
 from test_covers import labeled_layers
 
 # (k, b) -> (classes, n1, n22, n3, split table, e, n_sing)
@@ -578,10 +579,9 @@ def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
     # d! f^beta: still integral and positive.  The identities the table
     # is built with reject it, and the split cells it moves no longer sum
     # with the central pairs to N1, which the equal-pair table gives
-    top = max(f for w, f in terms(d))
-    skewed = tuple((w + factorial(d) * (f == top), f) for w, f in terms(d))
+    skewed = skew(terms(d), max(terms(d)), factorial(d))
     with pytest.raises(InvariantViolation, match=f"connected terms of degree {d} fail"):
-        characters._check_least("connected", d, skewed)
+        characters._check_least("connected", skewed)
     census = full_census(6, 14)[1]
     monkeypatch.setattr(degeneration, "_connected_terms", lambda n: skewed if n == d else terms(n))
     with pytest.raises(InvariantViolation, match=re.escape("split cells and central pairs of (6, 14) do not sum to N1")):
@@ -591,8 +591,8 @@ def test_a_perturbed_connected_weight_breaks_the_split_cells(monkeypatch, d):
 def test_derived_counts_are_computed_once_per_census(census_store, monkeypatch):
     _counts, cen = census_store(4, 6)
     calls = []
-    evaluate = degeneration._evaluate
-    monkeypatch.setattr(degeneration, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    count = characters.ExpSum.count
+    monkeypatch.setattr(characters.ExpSum, "count", lambda table, b: calls.append((table.k, b)) or count(table, b))
     fresh = DegenerationCensus(4, 6, cen.type_one, cen.type_two_two, cen.type_three, cen.rational_splits)
     assert not calls  # the validators evaluate no table
     for n in range(5):
